@@ -52,8 +52,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common.add_argument(
         "--box", type=int, default=3, metavar="INT",
-        help="largest enumeration half-width for the restriction suite; "
-             "all half-widths from 3 up to this value run (default: 3)",
+        help="largest enumeration half-width for the restriction suite, "
+             "from 3 to 10; all half-widths from 3 up to this value run "
+             "(default: 3)",
     )
     common.add_argument(
         "--trials", type=int, default=20, metavar="INT",
@@ -95,6 +96,14 @@ def _validate(parser: argparse.ArgumentParser, args) -> None:
     if args.box < 3:
         parser.error("--box must be at least 3 (smaller boxes miss the "
                      "enumeration witnesses)")
+    if args.box > 3:
+        # imported here, not at the top: the default box needs no cap, and
+        # every other suite would pay for loading the restriction layer
+        from .restriction import MAX_BOX
+
+        if args.box > MAX_BOX:
+            parser.error(f"--box must be at most {MAX_BOX} (the enumerated "
+                         f"level sets grow like the fourth power of the box)")
     if args.trials < 0:
         parser.error("--trials must be nonnegative")
     if args.terms < 1:

@@ -50,6 +50,28 @@ _PRODUCT_BASIS = [_ZPOW[k] for k in range(15)]
 _CONJ_BASIS = [_ZPOW[0]] + [_ZPOW[_CONDUCTOR - k] for k in range(1, _DEGREE)]
 _ZETA_COMPLEX = [cmath.exp(2j * cmath.pi * k / _CONDUCTOR) for k in range(_CONDUCTOR)]
 
+# For any output component k, the sum of |coefficient of z^k in z^(c+d)|
+# over all component pairs (c, d): a packed product entry is at most this
+# times the entry count n times the largest input magnitudes.
+_PRODUCT_SPREAD = max(
+    sum(abs(_PRODUCT_BASIS[c + d][k]) for c in range(_DEGREE) for d in range(_DEGREE))
+    for k in range(_DEGREE)
+)
+_INT64_LIMIT = 2**63
+
+
+def _max_abs(num: np.ndarray) -> int:
+    return int(np.abs(num).max()) if num.size else 0
+
+
+def _packed_dtype(bound: int, *operands: np.ndarray):
+    """int64 when no intermediate can reach the bound's magnitude and no
+    operand already holds Python integers; else dtype object, so packed
+    arithmetic never wraps."""
+    if bound < _INT64_LIMIT and all(a.dtype != object for a in operands):
+        return np.int64
+    return object
+
 
 class Cyclotomic:
     """An element of the degree-8 field generated by a primitive 24th root of
@@ -398,12 +420,16 @@ class CycMatrix:
     component array with a single positive denominator.
 
     num has shape (n, n, 8); entry (i, j) is sum_k num[i,j,k] zeta^k / den.
+    Numerators are int64 while they fit and Python integers (dtype object)
+    once they do not; sums and products check a magnitude bound first.
     """
 
     __slots__ = ("num", "den", "n")
 
     def __init__(self, num: np.ndarray, den: int = 1, _normalize: bool = True):
-        num = np.asarray(num, dtype=np.int64)
+        num = np.asarray(num)
+        if num.dtype != object:
+            num = num.astype(np.int64, copy=False)
         if num.ndim != 3 or num.shape[0] != num.shape[1] or num.shape[2] != _DEGREE:
             raise ValueError(f"bad packed shape {num.shape}")
         if den == 0:
@@ -415,6 +441,8 @@ class CycMatrix:
             if g > 1:
                 num = num // g
                 den //= g
+        if num.dtype == object and _max_abs(num) < _INT64_LIMIT:
+            num = num.astype(np.int64)
         self.num = num
         self.num.setflags(write=False)
         self.den = den
@@ -462,9 +490,12 @@ class CycMatrix:
         return self.den == other.den and np.array_equal(self.num, other.num)
 
     def __hash__(self) -> int:
-        return hash((self.den, self.num.tobytes()))
+        return hash(self.key())
 
     def key(self) -> bytes:
+        if self.num.dtype == object or self.den >= _INT64_LIMIT:
+            # a last byte 0xff never ends a denominator below 2^63
+            return b"\xff" * 8 + repr((self.den, self.num.tolist())).encode()
         return self.den.to_bytes(8, "little") + self.num.tobytes()
 
     def __neg__(self) -> "CycMatrix":
@@ -474,7 +505,15 @@ class CycMatrix:
         if not isinstance(other, CycMatrix):
             return NotImplemented
         den = self.den * other.den // math.gcd(self.den, other.den)
-        return CycMatrix(self.num * (den // self.den) + other.num * (den // other.den), den)
+        fa, fb = den // self.den, den // other.den
+        dtype = _packed_dtype(
+            _max_abs(self.num) * fa + _max_abs(other.num) * fb, self.num, other.num
+        )
+        return CycMatrix(
+            self.num.astype(dtype, copy=False) * fa
+            + other.num.astype(dtype, copy=False) * fb,
+            den,
+        )
 
     def __sub__(self, other: "CycMatrix") -> "CycMatrix":
         return self + (-other)
@@ -484,13 +523,20 @@ class CycMatrix:
             return NotImplemented
         if self.n != other.n:
             raise ValueError("dimension mismatch")
-        out = np.zeros((self.n, self.n, _DEGREE), dtype=np.int64)
+        dtype = _packed_dtype(
+            _max_abs(self.num) * _max_abs(other.num) * self.n * _PRODUCT_SPREAD,
+            self.num,
+            other.num,
+        )
+        a = self.num.astype(dtype, copy=False)
+        b = other.num.astype(dtype, copy=False)
+        out = np.zeros((self.n, self.n, _DEGREE), dtype=dtype)
         for c in range(_DEGREE):
-            ac = self.num[:, :, c]
+            ac = a[:, :, c]
             if not ac.any():
                 continue
             for d in range(_DEGREE):
-                bd = other.num[:, :, d]
+                bd = b[:, :, d]
                 if not bd.any():
                     continue
                 prod = ac @ bd
@@ -505,12 +551,17 @@ class CycMatrix:
         for c in factor.coefficients:
             fden = fden * c.denominator // math.gcd(fden, c.denominator)
         fnum = [int(c.numerator * (fden // c.denominator)) for c in factor.coefficients]
-        out = np.zeros_like(self.num)
+        dtype = _packed_dtype(
+            max(abs(fc) for fc in fnum) * _max_abs(self.num) * _PRODUCT_SPREAD,
+            self.num,
+        )
+        num = self.num.astype(dtype, copy=False)
+        out = np.zeros_like(num)
         for c, fc in enumerate(fnum):
             if not fc:
                 continue
             for d in range(_DEGREE):
-                comp = self.num[:, :, d]
+                comp = num[:, :, d]
                 if not comp.any():
                     continue
                 prod = fc * comp
@@ -532,12 +583,15 @@ class CycMatrix:
         return out
 
     def trace(self) -> Cyclotomic:
-        diag = self.num[np.arange(self.n), np.arange(self.n)].sum(axis=0)
-        return Cyclotomic([Fraction(int(v), self.den) for v in diag])
+        diag = self.num[np.arange(self.n), np.arange(self.n)]
+        diag = diag.astype(_packed_dtype(_max_abs(diag) * self.n, diag), copy=False)
+        return Cyclotomic([Fraction(int(v), self.den) for v in diag.sum(axis=0)])
 
     def conjugate(self) -> "CycMatrix":
         conj = np.array(_CONJ_BASIS, dtype=np.int64)  # row k = image of zeta^k
-        return CycMatrix(np.tensordot(self.num, conj, axes=([2], [0])), self.den)
+        bound = _max_abs(self.num) * int(np.abs(conj).sum(axis=0).max())
+        num = self.num.astype(_packed_dtype(bound, self.num), copy=False)
+        return CycMatrix(np.tensordot(num, conj, axes=([2], [0])), self.den)
 
     def is_identity(self) -> bool:
         return self == CycMatrix.identity(self.n)

@@ -36,6 +36,7 @@ from .lattices import (
 from .weil import ambient_module
 
 __all__ = [
+    "MAX_BOX",
     "restriction_module",
     "EmbeddedSublattice",
     "build_embedding",
@@ -48,6 +49,11 @@ __all__ = [
     "all_v1_images",
     "seven_lines",
 ]
+
+# Largest box half-width of the Heegner case table.  The three norm level
+# sets of the box grow like bound^4; `igusa restriction --box 10` peaks at
+# about 100 MB.
+MAX_BOX = 10
 
 
 @lru_cache(maxsize=1)
@@ -316,15 +322,33 @@ def restriction_case(r) -> RestrictionCase:
     )
 
 
-def _box_rows(bound: int):
-    """Integer coordinate vectors with max-norm <= bound, in slices."""
+def _level_sets(bound: int, targets) -> dict:
+    """Every integer vector r with max-norm <= bound and r^2 in targets, as
+    (k, 6) int64 arrays in lexicographic order, keyed by target.
+
+    The norm splits as r^2 = 4*x1*x2 + t with t = 4*x3*x4 - 2*(x5^2 + x6^2).
+    The (2b+1)^4 tail values t are sorted once; each head (x1, x2) then takes
+    the tails with t = target - 4*x1*x2 by binary search, so only the level
+    sets are materialised, never the box.  A stable sort keeps equal tails
+    in lexicographic order."""
     rng = np.arange(-bound, bound + 1, dtype=np.int64)
-    tail = np.stack(
-        np.meshgrid(*([rng] * 5), indexing="ij"), axis=-1
-    ).reshape(-1, 5)
-    for x1 in rng:
-        head = np.full((tail.shape[0], 1), x1, dtype=np.int64)
-        yield np.concatenate([head, tail], axis=1)
+    tail = np.stack(np.meshgrid(rng, rng, rng, rng, indexing="ij"), -1).reshape(-1, 4)
+    t = 4 * tail[:, 0] * tail[:, 1] - 2 * (tail[:, 2] ** 2 + tail[:, 3] ** 2)
+    order = np.argsort(t, kind="stable")
+    t_sorted = t[order]
+    head = np.stack(np.meshgrid(rng, rng, indexing="ij"), -1).reshape(-1, 2)
+    sets = {}
+    for target in targets:
+        need = target - 4 * head[:, 0] * head[:, 1]
+        lo = np.searchsorted(t_sorted, need, side="left")
+        counts = np.searchsorted(t_sorted, need, side="right") - lo
+        # solution j of head i sits at t_sorted[lo[i] + j - (solutions before head i)]
+        shift = np.repeat(lo - (np.cumsum(counts) - counts), counts)
+        picks = order[shift + np.arange(counts.sum())]
+        sets[target] = np.concatenate(
+            [np.repeat(head, counts, axis=0), tail[picks]], axis=1
+        )
+    return sets
 
 
 def _vectorized_classes(module, K: np.ndarray) -> np.ndarray:
@@ -336,6 +360,43 @@ def _vectorized_classes(module, K: np.ndarray) -> np.ndarray:
         axis=1,
     )
     return digits @ module._radix
+
+
+def _raise_first(rows: np.ndarray, failures, **fields) -> None:
+    """Raise ValueError naming the first row that fails any check.
+
+    failures lists (mask, message) pairs; among the checks failing on that
+    row the first listed names it.  message may use {name} for the row's
+    entry of each array passed in fields."""
+    flagged = [
+        (int(np.flatnonzero(bad)[0]), k)
+        for k, (bad, _) in enumerate(failures)
+        if bad.any()
+    ]
+    if flagged:
+        i, k = min(flagged)
+        message = failures[k][1].format(**{n: v[i] for n, v in fields.items()})
+        raise ValueError(f"{message}: r = {tuple(int(v) for v in rows[i])}")
+
+
+def _split_classes(rows: np.ndarray):
+    """For integer ambient vectors r with r/2 in the ambient dual, written as
+    r = r1 + (m/2) * complement: m = x5 + x6, the ambient class of r/2 and
+    the member class of r1/2, whose doubled member coordinates are
+    (2x1, 2x2, 2x3, 2x4, x5 - x6)."""
+    k_n = rows @ np.array(ambient_lattice().gram, dtype=np.int64)
+    _raise_first(rows, [((k_n % 2).any(axis=1), "r/2 outside the ambient dual")])
+    two_r1 = np.concatenate([2 * rows[:, :4], rows[:, 4:5] - rows[:, 5:6]], axis=1)
+    k_m = two_r1 @ np.array(restriction_lattice().gram, dtype=np.int64)
+    _raise_first(
+        rows,
+        [((k_m % 4).any(axis=1), "member component outside the member dual")],
+    )
+    return (
+        rows[:, 4] + rows[:, 5],
+        _vectorized_classes(ambient_module(), k_n // 2),
+        _vectorized_classes(restriction_module(), k_m // 4),
+    )
 
 
 _CASE_NORMS = (-4, -2, -6)
@@ -355,142 +416,93 @@ def heegner_restriction_cases(bound: int = 3) -> dict:
 
     and that for the odd-m cases the vectors pair off (same member
     component, m = +1 and m = -1), giving each hyperplane multiplicity 2.
-    Any violation raises with the witness vector."""
+    The three norm level sets of the box are enumerated exactly, without
+    visiting the rest of the box.  Any violation raises with the witness
+    vector."""
     if bound < 3:
         raise ValueError("bound must be at least 3")
-    emb = build_embedding()
+    if bound > MAX_BOX:
+        raise ValueError(f"bound must be at most {MAX_BOX}")
+    build_embedding()  # verifies the embedding that _split_classes assumes
     AN = ambient_module()
     AM = restriction_module()
     an_types = element_types(AN)
-    am_types = element_types(AM)
+    am_types = np.array(element_types(AM))
     kappa_n = radical_class(AN)
 
-    gram_n = np.array(ambient_lattice().gram, dtype=np.int64)
-    gram_m = np.array(restriction_lattice().gram, dtype=np.int64)
+    cases = {}
+    witnesses = []
+    for target, rows in _level_sets(bound, _CASE_NORMS).items():
+        total = len(rows)
+        # relevant: the member component has norm r1^2 = r^2 + m^2 < 0
+        rows = rows[(rows[:, 4] + rows[:, 5]) ** 2 < -target]
+        m, cn, cm = _split_classes(rows)
+        b_type = am_types[cm]
+        if target == -4:
+            failures = [
+                (m != 0, "norm -4 case with m != 0"),
+                (
+                    (cn == kappa_n) != (b_type == "10"),
+                    "characteristic-class bookkeeping fails",
+                ),
+                (~np.isin(b_type, ("1", "10")), "norm -4 member class of type {b}"),
+            ]
+        else:
+            expected = "7/4" if target == -2 else "3/4"
+            failures = [
+                (np.abs(m) != 1, f"norm {target} case with m = {{m}}"),
+                (b_type != expected, f"norm {target} member class of type {{b}}"),
+            ]
+        _raise_first(rows, failures, m=m, b=b_type)
 
-    stats = {
-        norm: {
-            "total": 0,
-            "relevant": 0,
-            "m_values": set(),
-            "r1_norms": set(),
-            "ambient_types": set(),
-            "beta_types": set(),
-            "pairs": {},
-        }
-        for norm in _CASE_NORMS
-    }
-    spot_checks = []
-
-    for block in _box_rows(bound):
-        norms = (
-            4 * (block[:, 0] * block[:, 1] + block[:, 2] * block[:, 3])
-            - 2 * (block[:, 4] ** 2 + block[:, 5] ** 2)
-        )
-        for target in _CASE_NORMS:
-            sel = block[norms == target]
-            if not sel.size:
-                continue
-            entry = stats[target]
-            entry["total"] += len(sel)
-            m = sel[:, 4] + sel[:, 5]
-            r1_sq = target + m * m
-            relevant = r1_sq < 0
-            sel = sel[relevant]
-            m = m[relevant]
-            r1_sq = r1_sq[relevant]
-            if not sel.size:
-                continue
-            entry["relevant"] += len(sel)
-            entry["m_values"].update(int(v) for v in np.unique(m))
-            entry["r1_norms"].update(int(v) for v in np.unique(r1_sq))
-
-            # ambient classes of r/2: pairing vector G_N r / 2 is integral
-            k_n = sel @ gram_n
-            if np.any(k_n % 2):
-                bad = sel[np.argwhere((k_n % 2).any(axis=1))[0, 0]]
-                raise ValueError(f"r/2 outside the ambient dual at r = {tuple(bad)}")
-            classes_n = _vectorized_classes(AN, k_n // 2)
-
-            # member components: doubled member coordinates are integral
-            two_r1 = np.concatenate(
-                [2 * sel[:, :4], (sel[:, 4:5] - sel[:, 5:6])], axis=1
+        paired = None
+        if target != -4:
+            # every odd-m hyperplane is hit by exactly the pair m = +1, m = -1
+            member = np.concatenate(
+                [rows[:, :4], rows[:, 4:5] - rows[:, 5:6]], axis=1
             )
-            t = two_r1 @ gram_m
-            if np.any(t % 4):
-                bad = sel[np.argwhere((t % 4).any(axis=1))[0, 0]]
-                raise ValueError(
-                    f"member component outside the member dual at r = {tuple(bad)}"
-                )
-            classes_m = _vectorized_classes(AM, t // 4)
-
-            for row, mm, cn, cm in zip(sel, m, classes_n, classes_m):
-                a_type = an_types[int(cn)]
-                b_type = am_types[int(cm)]
-                entry["ambient_types"].add(a_type)
-                entry["beta_types"].add(b_type)
-                witness = tuple(int(v) for v in row)
-                if target == -4:
-                    if mm != 0:
-                        raise ValueError(f"norm -4 case with m != 0: r = {witness}")
-                    if (int(cn) == kappa_n) != (b_type == "10"):
-                        raise ValueError(
-                            f"characteristic-class bookkeeping fails at r = {witness}"
-                        )
-                    if b_type not in ("1", "10"):
-                        raise ValueError(
-                            f"norm -4 member class of type {b_type}: r = {witness}"
-                        )
-                else:
-                    if mm not in (-1, 1):
-                        raise ValueError(
-                            f"norm {target} case with m = {int(mm)}: r = {witness}"
-                        )
-                    expected = "7/4" if target == -2 else "3/4"
-                    if b_type != expected:
-                        raise ValueError(
-                            f"norm {target} member class of type {b_type}: "
-                            f"r = {witness}"
-                        )
-                    key = tuple(int(v) for v in row[:4]) + (
-                        int(row[4]) - int(row[5]),
-                    )
-                    entry["pairs"].setdefault(key, []).append(int(mm))
-                if len(spot_checks) < 60:
-                    spot_checks.append((witness, int(mm), a_type, b_type))
-
-    # every odd-m hyperplane is hit by exactly the pair m = +1, m = -1
-    for target in (-2, -6):
-        for key, ms in stats[target]["pairs"].items():
-            if sorted(ms) != [-1, 1]:
+            keys = np.ravel_multi_index(
+                tuple((member + 2 * bound).T), (4 * bound + 1,) * 5
+            )
+            _, inverse, counts = np.unique(keys, return_inverse=True, return_counts=True)
+            m_sums = np.bincount(inverse, weights=m, minlength=len(counts))
+            unpaired = ((counts != 2) | (m_sums != 0))[inverse]
+            if unpaired.any():
+                i = int(np.flatnonzero(unpaired)[0])
+                key = tuple(int(v) for v in member[i])
                 raise ValueError(
                     f"multiplicity pairing fails for member component {key}: "
-                    f"m values {sorted(ms)}"
+                    f"m values {sorted(int(v) for v in m[inverse == inverse[i]])}"
                 )
+            paired = len(counts)
 
-    # exact-arithmetic spot check of the vectorized classification
-    for witness, mm, a_type, b_type in spot_checks[::7]:
+        witnesses.append((rows[:60], m[:60], cn[:60], b_type[:60]))
+        cases[target] = {
+            "vectors_in_box": total,
+            "relevant": len(rows),
+            "m_values": tuple(int(v) for v in np.unique(m)),
+            "r1_norms": tuple(int(v) for v in np.unique(target + m * m)),
+            "ambient_types": tuple(sorted({an_types[c] for c in np.unique(cn)})),
+            "beta_types": tuple(str(b) for b in np.unique(b_type)),
+            "hyperplane_multiplicity": 1 if target == -4 else 2,
+            "paired_hyperplanes": paired,
+        }
+
+    # exact-arithmetic spot check of the vectorized classification: every
+    # 7th of the first 60 relevant vectors, ordered by x1, then by norm
+    # (-4, -2, -6), then lexicographically
+    rows, m, cn, b_type = (np.concatenate(parts) for parts in zip(*witnesses))
+    for i in np.argsort(rows[:, 0], kind="stable")[:60:7]:
+        witness = tuple(int(v) for v in rows[i])
         case = restriction_case(witness)
-        if (case.m, case.ambient_type, case.beta_type) != (mm, a_type, b_type):
+        if (case.m, case.ambient_type, case.beta_type) != (
+            int(m[i]), an_types[cn[i]], b_type[i]
+        ):
             raise AssertionError(
                 f"vectorized classification disagrees with the exact path "
                 f"at r = {witness}"
             )
-
-    report = {"bound": bound, "cases": {}}
-    for target in _CASE_NORMS:
-        entry = stats[target]
-        report["cases"][target] = {
-            "vectors_in_box": entry["total"],
-            "relevant": entry["relevant"],
-            "m_values": tuple(sorted(entry["m_values"])),
-            "r1_norms": tuple(sorted(entry["r1_norms"])),
-            "ambient_types": tuple(sorted(entry["ambient_types"])),
-            "beta_types": tuple(sorted(entry["beta_types"])),
-            "hyperplane_multiplicity": 1 if target == -4 else 2,
-            "paired_hyperplanes": len(entry["pairs"]) if target != -4 else None,
-        }
-    return report
+    return {"bound": bound, "cases": cases}
 
 
 # ---------------------------------------------------------------------------
@@ -501,41 +513,43 @@ def heegner_restriction_cases(bound: int = 3) -> dict:
 @lru_cache(maxsize=1)
 def _norm_minus4_projection() -> dict:
     """For each weight-one ambient class, the member class obtained from the
-    relevant norm (-4) representatives: maps class index (ambient) to class
-    index (member), verified independent of the representative."""
+    relevant norm (-4) representatives in the box [-2, 2]^6: maps class
+    index (ambient) to class index (member), verified independent of the
+    representative.  The first representative of each class is also
+    classified on the exact path (split, member coordinates, class of the
+    half vectors)."""
     emb = build_embedding()
     AN = ambient_module()
     AM = restriction_module()
-    N = emb.ambient
+    rows = _level_sets(2, (-4,))[-4]
+    # relevant: r1^2 = -4 + m^2 < 0
+    rows = rows[(rows[:, 4] + rows[:, 5]) ** 2 < 4]
+    m, cn, cm = _split_classes(rows)
+    classes, first = np.unique(cn, return_index=True)
+    _raise_first(
+        rows,
+        [
+            (m != 0, "relevant norm -4 vector with m != 0"),
+            (
+                cm != cm[first][np.searchsorted(classes, cn)],
+                "projection depends on the representative for ambient class {c}",
+            ),
+        ],
+        c=cn,
+    )
     images = {}
-    rng = range(-2, 3)
-    for x1 in rng:
-        for x2 in rng:
-            for x3 in rng:
-                for x4 in rng:
-                    for x5 in rng:
-                        for x6 in rng:
-                            r = (x1, x2, x3, x4, x5, x6)
-                            if N.norm(r) != -4:
-                                continue
-                            r1, m = emb.split(r)
-                            if N.norm(r1) >= 0:
-                                continue
-                            if m != 0:
-                                raise AssertionError(
-                                    f"relevant norm -4 vector with m != 0: {r}"
-                                )
-                            cn = AN.class_of_vector(tuple(Fraction(c, 2) for c in r))
-                            half_m = tuple(
-                                c / 2 for c in emb.member_coordinates(r1)
-                            )
-                            cm = AM.class_of_vector(half_m)
-                            if cn in images and images[cn] != cm:
-                                raise ValueError(
-                                    f"projection depends on the representative "
-                                    f"for ambient class {cn}: witness {r}"
-                                )
-                            images[cn] = cm
+    for i in np.sort(first):
+        r = tuple(int(v) for v in rows[i])
+        r1, _ = emb.split(r)
+        exact = (
+            AN.class_of_vector(tuple(Fraction(c, 2) for c in r)),
+            AM.class_of_vector(tuple(c / 2 for c in emb.member_coordinates(r1))),
+        )
+        if exact != (cn[i], cm[i]):
+            raise AssertionError(
+                f"vectorized projection disagrees with the exact path at r = {r}"
+            )
+        images[exact[0]] = exact[1]
     return images
 
 

@@ -15,6 +15,7 @@ from igusa.report import (
     render_markdown,
 )
 from igusa.report import _first_mismatch, _plain
+from igusa.restriction import MAX_BOX
 
 
 # ---------------------------------------------------------------------------
@@ -167,6 +168,7 @@ def test_cli_usage_errors_exit_2():
         ["bogus"],                   # unknown suite
         ["census", "--bogus"],       # unknown flag
         ["census", "--box", "2"],    # box below the witness range
+        ["restriction", "--box", str(MAX_BOX + 1)],  # box above the cap
         ["census", "--seed", "-1"],  # negative seed
         ["geometry", "--trials", "-3"],
         ["obstruction", "--tolerance", "0"],
@@ -174,6 +176,13 @@ def test_cli_usage_errors_exit_2():
         with pytest.raises(SystemExit) as err:
             main(argv)
         assert err.value.code == 2, argv
+
+
+def test_cli_help_states_the_box_range(capsys):
+    with pytest.raises(SystemExit) as err:
+        main(["restriction", "--help"])
+    assert err.value.code == 0
+    assert f"from 3 to {MAX_BOX};" in " ".join(capsys.readouterr().out.split())
 
 
 def test_cli_failing_check_exits_1(tmp_path):

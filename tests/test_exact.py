@@ -3,6 +3,7 @@ series, and packed cyclotomic matrices."""
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from igusa.exact import (
@@ -199,6 +200,31 @@ def test_matrix_product_full_reduction():
     sq = m @ m
     assert sq.entry(0, 0) == cyclotomic_root(14)
     assert m.scale(z7).entry(0, 0) == cyclotomic_root(14)
+
+
+def test_matrix_arithmetic_does_not_wrap_past_int64():
+    # every entry 3^20/7: the cube has entries 16 * 3^60 / 343, far past 2^63
+    m = CycMatrix.from_rows([[Fraction(3**20, 7)] * 4] * 4)
+    cube = m @ m @ m
+    expected = Fraction(678258532403459256228710931216, 343)
+    assert expected == Fraction(16 * 3**60, 343)
+    assert all(cube.entry(i, j).as_rational() == expected
+               for i in range(4) for j in range(4))
+    assert m**3 == cube and hash(m**3) == hash(cube)
+    square = m @ m
+    assert (square + square).entry(0, 0).as_rational() == Fraction(8 * 3**40, 49)
+    assert square.scale(2) == square + square
+    # traces and conjugates of entries near 2^62 do not wrap either
+    big = CycMatrix.diagonal([2**62, 2**62])
+    assert big.trace().as_rational() == 2**63
+    x = Cyclotomic([Fraction(2**62), 0, 0, 0, Fraction(2**62), 0, 0, 0])
+    assert CycMatrix.from_rows([[x]]).conjugate().entry(0, 0) == x.conjugate()
+    # a zero factor gives zero whatever the size of the other
+    zero = CycMatrix.identity(4).scale(0)
+    assert cube @ zero == zero and cube.scale(0) == zero
+    # results that fit again come back as int64
+    assert (square - square).num.dtype == np.int64
+    assert square.scale(Fraction(1, 3**40)).num.dtype == np.int64
 
 
 def test_matrix_order():

@@ -9,6 +9,7 @@ import igusa.restriction as restriction
 from igusa.fqm import element_types, isotropic_planes, radical_class
 from igusa.lattices import ambient_lattice, restriction_lattice
 from igusa.restriction import (
+    MAX_BOX,
     all_v1_images,
     am_census,
     boundary_configuration,
@@ -178,17 +179,31 @@ def test_case_table_at_bound_three():
     assert 2 * cases[-6]["paired_hyperplanes"] == cases[-6]["relevant"]
 
 
-def test_box_totals_match_a_direct_count():
-    rep = heegner_restriction_cases(3)
-    N = ambient_lattice()
+@pytest.mark.parametrize("bound", [3, 4])
+def test_box_totals_match_a_direct_count(bound):
+    rep = heegner_restriction_cases(bound)
+    gram = [[int(g) for g in row] for row in ambient_lattice().gram]
     counts = {-4: 0, -2: 0, -6: 0}
-    for r in product(range(-3, 4), repeat=6):
+    relevant = {-4: 0, -2: 0, -6: 0}
+    members = {-2: set(), -6: set()}
+    for r in product(range(-bound, bound + 1), repeat=6):
         n = 4 * (r[0] * r[1] + r[2] * r[3]) - 2 * (r[4] ** 2 + r[5] ** 2)
-        if n in counts:
-            counts[n] += 1
-            assert N.norm(r) == n
-    for norm, count in counts.items():
-        assert rep["cases"][norm]["vectors_in_box"] == count
+        if n not in counts:
+            continue
+        counts[n] += 1
+        assert sum(g * x * y for row, x in zip(gram, r) for g, y in zip(row, r)) == n
+        m = r[4] + r[5]
+        if n + m * m < 0:
+            relevant[n] += 1
+            if n in members:
+                members[n].add(r[:4] + (r[4] - r[5],))
+    for norm, case in rep["cases"].items():
+        assert case["vectors_in_box"] == counts[norm]
+        assert case["relevant"] == relevant[norm]
+        if norm in members:
+            assert case["paired_hyperplanes"] == len(members[norm])
+        else:
+            assert case["paired_hyperplanes"] is None
 
 
 def test_case_classification_is_box_stable():
@@ -206,6 +221,8 @@ def test_case_classification_is_box_stable():
 def test_bound_guard():
     with pytest.raises(ValueError, match="at least 3"):
         heegner_restriction_cases(2)
+    with pytest.raises(ValueError, match=f"at most {MAX_BOX}"):
+        heegner_restriction_cases(MAX_BOX + 1)
 
 
 def test_vectorized_classification_is_cross_checked(monkeypatch):
@@ -218,6 +235,34 @@ def test_vectorized_classification_is_cross_checked(monkeypatch):
     monkeypatch.setattr(restriction, "_vectorized_classes", corrupted)
     with pytest.raises((AssertionError, ValueError)):
         heegner_restriction_cases(3)
+    # the boundary projection is cached: drop it so the corrupted
+    # classification is used, and drop what that run leaves behind
+    restriction._norm_minus4_projection.cache_clear()
+    try:
+        with pytest.raises((AssertionError, ValueError)):
+            all_v1_images()
+    finally:
+        restriction._norm_minus4_projection.cache_clear()
+
+
+def test_norm_minus4_projection_matches_the_exact_path():
+    emb = build_embedding()
+    N = emb.ambient
+    AN = ambient_module()
+    AM = restriction_module()
+    images = {}
+    for r in product(range(-2, 3), repeat=6):
+        if 4 * (r[0] * r[1] + r[2] * r[3]) - 2 * (r[4] ** 2 + r[5] ** 2) != -4:
+            continue
+        r1, m = emb.split(r)
+        if N.norm(r1) >= 0:
+            continue
+        assert N.norm(r) == -4 and m == 0
+        cn = AN.class_of_vector(tuple(c * HALF for c in r))
+        cm = AM.class_of_vector(tuple(c * HALF for c in emb.member_coordinates(r1)))
+        assert images.setdefault(cn, cm) == cm, r
+    assert len(images) == 16
+    assert restriction._norm_minus4_projection() == images
 
 
 # ---------------------------------------------------------------------------
