@@ -80,10 +80,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     subparsers = parser.add_subparsers(dest="subcommand", metavar="SUITE")
     for name in (*SUITES, "all"):
-        subparsers.add_parser(
+        suite = subparsers.add_parser(
             name, parents=[common], help=SUBCOMMAND_HELP[name],
             description=SUBCOMMAND_HELP[name],
         )
+        # flag errors are reported with the usage line of the chosen suite
+        suite.set_defaults(suite_parser=suite)
     return parser
 
 
@@ -91,6 +93,7 @@ def _validate(parser: argparse.ArgumentParser, args) -> None:
     if args.subcommand is None:
         parser.error("a suite is required (census, weil, obstruction, "
                      "lifting, restriction, geometry, or all)")
+    parser = args.suite_parser
     if args.seed < 0 or args.seed >= 2**64:
         parser.error("--seed must fit in an unsigned 64-bit integer")
     if args.box < 3:

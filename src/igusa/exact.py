@@ -73,6 +73,13 @@ def _packed_dtype(bound: int, *operands: np.ndarray):
     return object
 
 
+def packed_sum(num: np.ndarray) -> np.ndarray:
+    """Sum of packed numerators along the first axis, in Python integers
+    wherever the sum could leave int64."""
+    bound = _max_abs(num) * len(num)
+    return num.astype(_packed_dtype(bound, num), copy=False).sum(axis=0)
+
+
 class Cyclotomic:
     """An element of the degree-8 field generated by a primitive 24th root of
     unity, stored as 8 rational coordinates in the power basis.
@@ -584,8 +591,7 @@ class CycMatrix:
 
     def trace(self) -> Cyclotomic:
         diag = self.num[np.arange(self.n), np.arange(self.n)]
-        diag = diag.astype(_packed_dtype(_max_abs(diag) * self.n, diag), copy=False)
-        return Cyclotomic([Fraction(int(v), self.den) for v in diag.sum(axis=0)])
+        return Cyclotomic([Fraction(int(v), self.den) for v in packed_sum(diag)])
 
     def conjugate(self) -> "CycMatrix":
         conj = np.array(_CONJ_BASIS, dtype=np.int64)  # row k = image of zeta^k
@@ -695,3 +701,47 @@ def nullspace(rows: list[list], width: int):
             vec[pc] = -red[r][fc]
         basis.append(vec)
     return basis
+
+
+def _primitive(row: list[int]) -> list[int]:
+    g = math.gcd(*row)
+    return [v // g for v in row] if g > 1 else row
+
+
+def integer_echelon(rows: Sequence[Sequence], width: int = None):
+    """Gauss-Jordan reduction of a rational matrix (int or Fraction entries)
+    by fraction-free elimination over the integers.
+
+    Every row is scaled to a primitive integer row and kept primitive after
+    each update, so each reduced row is a nonzero rational multiple of the
+    row that Gauss-Jordan over the rationals gives.  Columns are scanned in
+    order, the first ``width`` of them (default: all); each pivots on the
+    first row not yet used with a nonzero entry there, which is then cleared
+    from every other row.  Returns (reduced rows, pivots), the pivots being
+    (row, column) pairs in column order.  Input unchanged.
+    """
+    mat = []
+    for row in rows:
+        den = math.lcm(*(v.denominator for v in row))
+        mat.append(_primitive([v.numerator * (den // v.denominator) for v in row]))
+    if not mat:
+        return [], []
+    used = [False] * len(mat)
+    pivots = []
+    for col in range(len(mat[0]) if width is None else width):
+        p = next((i for i, row in enumerate(mat) if row[col] and not used[i]), None)
+        if p is None:
+            continue
+        used[p] = True
+        pivots.append((p, col))
+        prow = mat[p]
+        a = prow[col]
+        for i, row in enumerate(mat):
+            b = row[col]
+            if b and i != p:
+                g = math.gcd(a, b)
+                fa, fb = a // g, b // g
+                mat[i] = _primitive([fa * x - fb * y for x, y in zip(row, prow)])
+        if len(pivots) == len(mat):
+            break
+    return mat, pivots

@@ -13,13 +13,17 @@ the degree count is numeric, with explicit tolerances.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, product
+from numbers import Rational
 
 import numpy as np
+
+from .exact import integer_echelon
 
 __all__ = [
     "MultiPoly",
@@ -59,8 +63,19 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 
+def _rational(value):
+    """An exact rational as an int when integral, else as a Fraction."""
+    if type(value) is not int:
+        value = Fraction(value)
+        if value.denominator == 1:
+            return value.numerator
+    return value
+
+
 class MultiPoly:
-    """Multivariate polynomial over the rationals: exponent tuple -> coefficient."""
+    """Multivariate polynomial over the rationals: exponent tuple -> coefficient.
+
+    Coefficients are ints when integral and Fractions otherwise."""
 
     __slots__ = ("nvars", "terms")
 
@@ -68,14 +83,14 @@ class MultiPoly:
         self.nvars = int(nvars)
         clean = {}
         for exps, coeff in (terms or {}).items():
-            coeff = Fraction(coeff)
+            coeff = _rational(coeff)
             if not coeff:
                 continue
             exps = tuple(int(e) for e in exps)
             if len(exps) != self.nvars or any(e < 0 for e in exps):
                 raise ValueError("bad exponent vector")
-            clean[exps] = clean.get(exps, Fraction(0)) + coeff
-        self.terms = {e: c for e, c in clean.items() if c}
+            clean[exps] = clean.get(exps, 0) + coeff
+        self.terms = {e: _rational(c) for e, c in clean.items() if c}
 
     # -- constructors --------------------------------------------------------
 
@@ -85,13 +100,13 @@ class MultiPoly:
 
     @classmethod
     def constant(cls, nvars: int, value) -> "MultiPoly":
-        return cls(nvars, {(0,) * nvars: Fraction(value)})
+        return cls(nvars, {(0,) * nvars: value})
 
     @classmethod
     def variable(cls, nvars: int, index: int) -> "MultiPoly":
         exps = [0] * nvars
         exps[index] = 1
-        return cls(nvars, {tuple(exps): Fraction(1)})
+        return cls(nvars, {tuple(exps): 1})
 
     # -- ring operations -----------------------------------------------------
 
@@ -105,25 +120,25 @@ class MultiPoly:
         self._check(other)
         out = dict(self.terms)
         for e, c in other.terms.items():
-            out[e] = out.get(e, Fraction(0)) + c
+            out[e] = out.get(e, 0) + c
         return MultiPoly(self.nvars, out)
 
     def __sub__(self, other):
-        return self + (-other if isinstance(other, MultiPoly) else -Fraction(other))
+        return self + (-other if isinstance(other, MultiPoly) else -_rational(other))
 
     def __neg__(self):
         return MultiPoly(self.nvars, {e: -c for e, c in self.terms.items()})
 
     def __mul__(self, other):
         if not isinstance(other, MultiPoly):
-            c = Fraction(other)
+            c = _rational(other)
             return MultiPoly(self.nvars, {e: v * c for e, v in self.terms.items()})
         self._check(other)
         out = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 e = tuple(a + b for a, b in zip(e1, e2))
-                out[e] = out.get(e, Fraction(0)) + c1 * c2
+                out[e] = out.get(e, 0) + c1 * c2
         return MultiPoly(self.nvars, out)
 
     __rmul__ = __mul__
@@ -162,18 +177,28 @@ class MultiPoly:
         degrees = {sum(e) for e in self.terms}
         return len(degrees) <= 1
 
-    def evaluate(self, values):
-        """Exact for Fraction inputs; works with float/complex as well."""
+    def evaluate(self, values) -> Fraction:
+        """Exact value at rational (int or Fraction) inputs.  With D the
+        common denominator of the inputs and C that of the coefficients,
+        the terms (C c) (D x)^e D^(deg - |e|) are integers; their sum is
+        divided by C D^deg once."""
         if len(values) != self.nvars:
             raise ValueError("value count mismatch")
+        for v in values:
+            if not isinstance(v, Rational):
+                raise TypeError(f"cannot evaluate at the non-rational {v!r}")
+        if not self.terms:
+            return Fraction(0)
+        den = math.lcm(*(v.denominator for v in values))
+        xs = [v.numerator * (den // v.denominator) for v in values]
+        cden = math.lcm(*(c.denominator for c in self.terms.values()))
+        degrees = [sum(exps) for exps in self.terms]
+        deg = max(degrees)
         total = 0
-        for exps, coeff in self.terms.items():
-            term = coeff
-            for v, e in zip(values, exps):
-                if e:
-                    term = term * v**e
-            total = total + term
-        return total
+        for (exps, coeff), d in zip(self.terms.items(), degrees):
+            term = coeff.numerator * (cden // coeff.denominator)
+            total += term * math.prod(map(pow, xs, exps)) * den ** (deg - d)
+        return Fraction(total, cden * den**deg)
 
     def partial(self, index: int) -> "MultiPoly":
         out = {}
@@ -184,7 +209,7 @@ class MultiPoly:
             new = list(exps)
             new[index] = e - 1
             key = tuple(new)
-            out[key] = out.get(key, Fraction(0)) + coeff * e
+            out[key] = out.get(key, 0) + coeff * e
         return MultiPoly(self.nvars, out)
 
     def compose(self, substitutions) -> "MultiPoly":
@@ -428,19 +453,7 @@ def singular_inclusion_check() -> dict:
 def combinations_with_small_entries():
     """Integer 5-tuples with entries in [-2, 2] (the sixth coordinate closes
     the hyperplane sum)."""
-    rng = range(-2, 3)
-    for a in rng:
-        for b in rng:
-            for c in rng:
-                for d in rng:
-                    for e in rng:
-                        yield (
-                            Fraction(a),
-                            Fraction(b),
-                            Fraction(c),
-                            Fraction(d),
-                            Fraction(e),
-                        )
+    return product(range(-2, 3), repeat=5)
 
 
 # ---------------------------------------------------------------------------
@@ -483,65 +496,22 @@ def _compositions(total, parts):
 
 
 def _coeff_vector(poly: MultiPoly, monomials) -> tuple:
-    return tuple(poly.terms.get(m, Fraction(0)) for m in monomials)
-
-
-def _exact_rank_with_pivots(rows):
-    mat = [list(r) for r in rows]
-    if not mat:
-        return 0, []
-    ncols = len(mat[0])
-    rank = 0
-    pivot_rows = []
-    used = [False] * len(mat)
-    for col in range(ncols):
-        piv = next(
-            (i for i in range(len(mat)) if not used[i] and mat[i][col]), None
-        )
-        if piv is None:
-            continue
-        used[piv] = True
-        pivot_rows.append(piv)
-        inv = 1 / mat[piv][col]
-        mat[piv] = [v * inv for v in mat[piv]]
-        for i in range(len(mat)):
-            if i != piv and mat[i][col]:
-                f = mat[i][col]
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[piv])]
-        rank += 1
-    return rank, pivot_rows
+    return tuple(poly.terms.get(m, 0) for m in monomials)
 
 
 def _solve_in_span(basis_vectors, target):
     """Coefficients expressing target as a combination of the basis rows;
     raises if the system is inconsistent."""
     k = len(basis_vectors)
-    n = len(target)
-    # normal-equations-free exact solve: row-reduce the transpose
-    rows = [[basis_vectors[j][i] for j in range(k)] + [target[i]] for i in range(n)]
-    r = 0
-    pivots = []
-    for col in range(k):
-        piv = next((i for i in range(r, n) if rows[i][col]), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = 1 / rows[r][col]
-        rows[r] = [v * inv for v in rows[r]]
-        for i in range(n):
-            if i != r and rows[i][col]:
-                f = rows[i][col]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(col)
-        r += 1
+    # row-reduce the transpose, augmented by the target
+    rows = [[v[i] for v in basis_vectors] + [t] for i, t in enumerate(target)]
+    reduced, pivots = integer_echelon(rows, width=k)
     if len(pivots) != k:
         raise ValueError("basis rows are dependent")
-    if any(rows[i][k] for i in range(r, n)):
+    used = {p for p, _ in pivots}
+    if any(row[k] for i, row in enumerate(reduced) if i not in used):
         raise ValueError("target outside the span")
-    sol = [Fraction(0)] * k
-    for i, col in enumerate(pivots):
-        sol[col] = rows[i][k]
-    return tuple(sol)
+    return tuple(Fraction(reduced[p][k], reduced[p][col]) for p, col in pivots)
 
 
 @lru_cache(maxsize=1)
@@ -552,10 +522,11 @@ def cubic_span() -> dict:
     cubics = fifteen_cubics()
     monomials = _degree3_monomials()
     vectors = [_coeff_vector(c, monomials) for c in cubics]
-    rank, pivot_rows = _exact_rank_with_pivots(vectors)
+    _, pivots = integer_echelon(vectors)
+    rank = len(pivots)
     if rank != 5:
         raise ValueError(f"cubic span has rank {rank}, expected 5")
-    basis_indices = tuple(sorted(pivot_rows))
+    basis_indices = tuple(sorted(p for p, _ in pivots))
     basis_vectors = [vectors[i] for i in basis_indices]
     expansions = tuple(
         _solve_in_span(basis_vectors, v) for v in vectors
@@ -638,7 +609,7 @@ def _apply_permutation(poly: MultiPoly, perm) -> MultiPoly:
         for i, e in enumerate(exps):
             new[perm[i]] = e
         key = tuple(new)
-        out[key] = out.get(key, Fraction(0)) + coeff
+        out[key] = out.get(key, 0) + coeff
     return MultiPoly(poly.nvars, out)
 
 
@@ -740,68 +711,32 @@ def image_cubic_relation(samples: int = 60, seed: int = 0) -> MultiPoly:
     if len(monomials) != 35:
         raise AssertionError("five-variable cubic monomial count must be 35")
 
-    def monomial_row(y):
-        return [
-            Fraction(
-                np_prod_exact(y, exps)
-            )
-            for exps in monomials
-        ]
-
-    def np_prod_exact(y, exps):
-        acc = Fraction(1)
-        for v, e in zip(y, exps):
-            if e:
-                acc *= v**e
-        return acc
-
     rows = []
     while len(rows) < samples:
         point = _random_hyperplane_point(rng)
         y = _image_coordinates(point)
         if not any(y):
             continue
-        rows.append(monomial_row(y))
+        rows.append([math.prod(v**e for v, e in zip(y, exps) if e)
+                     for exps in monomials])
 
     # exact nullspace of the sample matrix
-    mat = [list(r) for r in rows]
-    ncols = 35
-    pivots = []
-    r = 0
-    for col in range(ncols):
-        piv = next((i for i in range(r, len(mat)) if mat[i][col]), None)
-        if piv is None:
-            continue
-        mat[r], mat[piv] = mat[piv], mat[r]
-        inv = 1 / mat[r][col]
-        mat[r] = [v * inv for v in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][col]:
-                f = mat[i][col]
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
-        pivots.append(col)
-        r += 1
-    free = [c for c in range(ncols) if c not in pivots]
+    reduced, pivots = integer_echelon(rows)
+    pivot_cols = {col for _, col in pivots}
+    free = [c for c in range(35) if c not in pivot_cols]
     if len(free) != 1:
         raise ValueError(
             f"cubic-relation nullity is {len(free)}, expected exactly 1"
         )
     fc = free[0]
-    coeffs = [Fraction(0)] * ncols
-    coeffs[fc] = Fraction(1)
-    for i, col in enumerate(pivots):
-        coeffs[col] = -mat[i][fc]
-
-    # primitive integer scaling
-    denom = 1
-    for c in coeffs:
-        denom = denom * c.denominator // _gcd(denom, c.denominator)
-    ints = [c * denom for c in coeffs]
-    g = 0
-    for c in ints:
-        g = _gcd(g, int(c))
-    ints = [c / g for c in ints]
-    relation = MultiPoly(5, dict(zip(monomials, ints)))
+    # the kernel vector with a positive free coordinate, primitive over Z
+    scale = math.lcm(*(reduced[p][col] for p, col in pivots))
+    ints = [0] * 35
+    ints[fc] = scale
+    for p, col in pivots:
+        ints[col] = -reduced[p][fc] * (scale // reduced[p][col])
+    g = math.gcd(*ints)
+    relation = MultiPoly(5, {m: c // g for m, c in zip(monomials, ints)})
 
     # holdout validation on fresh samples
     for _ in range(50):
@@ -810,13 +745,6 @@ def image_cubic_relation(samples: int = 60, seed: int = 0) -> MultiPoly:
         if relation.evaluate(y) != 0:
             raise ValueError(f"holdout sample violates the relation: {point}")
     return relation
-
-
-def _gcd(a, b):
-    a, b = abs(int(a)), abs(int(b))
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def image_relation_equivariance(relation: MultiPoly) -> dict:
@@ -888,30 +816,22 @@ def _general_position_rank_check(points) -> None:
     rows = [[Fraction(c) for c in p[:5]] for p in points]
     for skip in range(7):
         subset = [rows[i] for i in range(7) if i != skip]
-        rank, _ = _exact_rank_with_pivots(subset)
-        if rank != 5:
+        if len(integer_echelon(subset)[1]) != 5:
             raise ValueError(
                 f"points are not in general position (subset without {skip})"
             )
 
 
 def _exact_inverse(matrix):
-    """Inverse of a square matrix of Fractions via Gauss-Jordan."""
+    """Inverse of a square rational matrix, as rows of Fractions."""
     n = len(matrix)
-    aug = [list(row) + [Fraction(int(i == j)) for j in range(n)]
+    aug = [list(row) + [int(i == j) for j in range(n)]
            for i, row in enumerate(matrix)]
-    for col in range(n):
-        piv = next((i for i in range(col, n) if aug[i][col]), None)
-        if piv is None:
-            raise ValueError("matrix is singular")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [v * inv for v in aug[col]]
-        for i in range(n):
-            if i != col and aug[i][col]:
-                f = aug[i][col]
-                aug[i] = [a - f * b for a, b in zip(aug[i], aug[col])]
-    return [row[n:] for row in aug]
+    reduced, pivots = integer_echelon(aug, width=n)
+    if len(pivots) != n:
+        raise ValueError("matrix is singular")
+    return [[Fraction(v, reduced[p][col]) for v in reduced[p][n:]]
+            for p, col in pivots]
 
 
 @dataclass(frozen=True)
@@ -1017,8 +937,8 @@ def rational_curve_via_frame(points) -> ExactCurve:
     return curve
 
 
-def _conv_frac(a, b):
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
+def _conv(a, b):
+    out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         if x:
             for j, y in enumerate(b):
@@ -1073,9 +993,9 @@ def exact_gauge_transport(curve: ExactCurve, charts, gauge):
                 continue
             term = [Fraction(1)]
             for _ in range(k):
-                term = _conv_frac(term, [beta, alpha])
+                term = _conv(term, [beta, alpha])
             for _ in range(4 - k):
-                term = _conv_frac(term, [delta, gamma])
+                term = _conv(term, [delta, gamma])
             for j, c in enumerate(term):
                 acc[j] += row[k] * c
         rows.append(acc)
@@ -1387,20 +1307,24 @@ def curves_agree(c1: ParamCurve, c2: ParamCurve, samples: int = 100) -> float:
 
 def exact_quartic_composition(curve: ExactCurve) -> tuple:
     """Exact rational coefficients (ascending, length 17) of the quartic
-    evaluated along the curve's six ambient coordinate polynomials."""
+    evaluated along the curve's six ambient coordinate polynomials; the
+    products run over the integers after clearing the common denominator D
+    of the curve, and the quartic's coefficients are divided by D^4."""
     rows = [list(r) for r in curve.coeffs]
     rows.append([-sum(col) for col in zip(*rows)])
-    s2 = [Fraction(0)] * 9
-    s4 = [Fraction(0)] * 17
+    den = math.lcm(*(c.denominator for row in rows for c in row))
+    s2 = [0] * 9
+    s4 = [0] * 17
     for row in rows:
-        sq = _conv_frac(row, row)
+        ints = [c.numerator * (den // c.denominator) for c in row]
+        sq = _conv(ints, ints)
         for i, v in enumerate(sq):
             s2[i] += v
-        f4 = _conv_frac(sq, sq)
+        f4 = _conv(sq, sq)
         for i, v in enumerate(f4):
             s4[i] += v
     return tuple(
-        a - 4 * b for a, b in zip(_conv_frac(s2, s2), s4)
+        Fraction(a - 4 * b, den**4) for a, b in zip(_conv(s2, s2), s4)
     )
 
 
@@ -1411,27 +1335,39 @@ def _poly_degree(p) -> int:
     return d
 
 
+def _primitive_part(p) -> list:
+    """Integer coefficients divided by their content, trailing zeros cut."""
+    p = p[: _poly_degree(p) + 1]
+    g = math.gcd(*p)
+    return [c // g for c in p] if g > 1 else p
+
+
 def poly_is_squarefree(poly) -> bool:
     """Exact squarefree test over the rationals: gcd with the derivative is
-    constant.  Squarefree is equivalent to all complex roots distinct."""
-    a = [Fraction(c) for c in poly]
-    b = [i * a[i] for i in range(1, len(a))]
-    da, db = _poly_degree(a), _poly_degree(b)
-    if da <= 0:
-        return da == 0
-    while db >= 0:
-        # a mod b
-        while da >= db:
-            f = a[da] / b[db]
-            for i in range(db + 1):
-                a[da - db + i] -= f * b[i]
-            a[da] = Fraction(0)
-            da = _poly_degree(a)
-            if da < 0:
-                break
-        a, b = b, a
-        da, db = _poly_degree(a), _poly_degree(b)
-    return da == 0
+    constant.  Squarefree is equivalent to all complex roots distinct.
+
+    The gcd comes from a primitive polynomial remainder sequence over the
+    integers (coefficients ascending): pseudo-remainders, each divided by
+    its content, until the remainder vanishes."""
+    coeffs = [Fraction(c) for c in poly]
+    den = math.lcm(*(c.denominator for c in coeffs))
+    a = _primitive_part([c.numerator * (den // c.denominator) for c in coeffs])
+    if len(a) <= 1:
+        return len(a) == 1
+    b = _primitive_part([i * a[i] for i in range(1, len(a))])
+    while b:
+        # a := prem(a, b), scaled by nonzero integers only
+        lead = b[-1]
+        while len(a) >= len(b):
+            g = math.gcd(a[-1], lead)
+            fa, fb = lead // g, a[-1] // g
+            shift = len(a) - len(b)
+            a = [fa * x for x in a[:shift]] + [
+                fa * x - fb * y for x, y in zip(a[shift:], b)
+            ]
+            a = a[: _poly_degree(a) + 1]
+        a, b = b, _primitive_part(a)
+    return len(a) == 1
 
 
 def _compose_quartic_with_curve(curve: ParamCurve) -> np.ndarray:

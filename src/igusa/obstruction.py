@@ -32,6 +32,7 @@ from .exact import (
     QSeries,
     eigenphase_sum,
     nullspace,
+    packed_sum,
 )
 from .fqm import TYPE_ORDER_AMBIENT, element_types, pairing_table, radical_class
 from .weil import ambient_module, ambient_orthogonal_group, weil_generator
@@ -126,7 +127,7 @@ def collapsed_rep() -> CollapsedRep:
     factor = Cyclotomic(Fraction(-1, 8)) * CYC_I
     s_rows = []
     for a, t in enumerate(TYPE_ORDER):
-        colsum = s64.num[idx[t], :, :].sum(axis=0)  # (64, 8) packed numerators
+        colsum = packed_sum(s64.num[idx[t], :, :])  # (64, 8) packed numerators
         entries = []
         for b, s in enumerate(TYPE_ORDER):
             block = colsum[idx[s]]

@@ -22,6 +22,7 @@ from .exact import (
     Cyclotomic,
     CycMatrix,
     field_rref,
+    packed_sum,
 )
 from .fqm import (
     FqmAutomorphism,
@@ -593,8 +594,7 @@ def permutation_commutes_with_rep(aut: FqmAutomorphism) -> bool:
 
 def _character_value(proj: CycMatrix, perm) -> Cyclotomic:
     """trace(Perm_g . P) = sum_alpha P[g(alpha), alpha], exactly."""
-    sel = proj.num[perm, np.arange(len(perm)), :]
-    total = sel.sum(axis=0)
+    total = packed_sum(proj.num[perm, np.arange(len(perm)), :])
     coeffs = [Fraction(int(v), proj.den) for v in total]
     return Cyclotomic(tuple(coeffs))
 

@@ -178,6 +178,18 @@ def test_cli_usage_errors_exit_2():
         assert err.value.code == 2, argv
 
 
+@pytest.mark.parametrize("argv", [
+    ["restriction", "--box", str(MAX_BOX + 1)],
+    ["census", "--box", "2"],
+    ["geometry", "--trials", "-3"],
+], ids=lambda argv: argv[0])
+def test_cli_flag_errors_show_the_suite_usage(argv, capsys):
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 2
+    assert capsys.readouterr().err.startswith(f"usage: igusa {argv[0]} [-h]")
+
+
 def test_cli_help_states_the_box_range(capsys):
     with pytest.raises(SystemExit) as err:
         main(["restriction", "--help"])

@@ -19,6 +19,7 @@ from igusa.exact import (
     matrix_eigenphase_multiplicities,
     matrix_rank,
     nullspace,
+    packed_sum,
 )
 
 try:
@@ -217,6 +218,8 @@ def test_matrix_arithmetic_does_not_wrap_past_int64():
     # traces and conjugates of entries near 2^62 do not wrap either
     big = CycMatrix.diagonal([2**62, 2**62])
     assert big.trace().as_rational() == 2**63
+    column_sums = packed_sum(CycMatrix.from_rows([[2**62] * 2] * 2).num)
+    assert column_sums[:, 0].tolist() == [2**63, 2**63]
     x = Cyclotomic([Fraction(2**62), 0, 0, 0, Fraction(2**62), 0, 0, 0])
     assert CycMatrix.from_rows([[x]]).conjugate().entry(0, 0) == x.conjugate()
     # a zero factor gives zero whatever the size of the other

@@ -1,12 +1,17 @@
 """Lines, cubics, symmetry, and rational-curve interpolation on the quartic."""
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import igusa.geometry as geometry
+from igusa.exact import integer_echelon
 from igusa.geometry import (
     PAIR_PARTITIONS,
     ExactCurve,
@@ -37,7 +42,16 @@ from igusa.geometry import (
     singular_inclusion_check,
 )
 
+try:
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+
+    HAVE_HYPOTHESIS = True
+except Exception:  # pragma: no cover
+    HAVE_HYPOTHESIS = False
+
 F = Fraction
+REPO = Path(__file__).resolve().parents[1]
 
 
 def generic_seven(seed: int = 42):
@@ -63,6 +77,7 @@ def test_multipoly_arithmetic_and_calculus():
     p = (x + y) ** 2 - (x**2 + 2 * x * y + y**2)
     assert not p
     q = x**3 - 3 * x * y
+    assert all(type(c) is int for c in q.terms.values())
     assert q.degree() == 3
     assert not q.is_homogeneous()
     assert q.evaluate([F(2), F(5)]) == 8 - 30
@@ -453,17 +468,213 @@ def test_on_quartic_witness_composition():
     assert report["witness_residual"] <= report["bound"]
 
 
-def test_degree16_counts_sixteen_distinct_roots():
-    report = degree16_check(trials=20, seed=0)
-    assert report["trials"] == 20
+DEGREE16_CAUSES = {
+    "no_generic_point",
+    "newton_failed",
+    "degree_drop_exact",
+    "repeated_roots_exact",
+    "degree_drop",
+    "root_clustering",
+}
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+def test_degree16_counts_sixteen_distinct_roots(seed):
+    trials = 20
+    report = degree16_check(trials=trials, seed=seed)
+    assert report["trials"] == trials
     assert report["success_rate"] >= 0.95
     assert report["residual_tol"] == 1e-9
     assert report["separation_tol"] == 1e-6
     assert report["worst_newton_residual"] <= 1e-9
-    for cause, count in report["discarded"]:
-        assert isinstance(cause, str) and count >= 1
+    for trial, cause in report["discarded"]:
+        assert 0 <= trial < trials
+        assert cause in DEGREE16_CAUSES
 
 
 def test_degree16_rejects_empty_trial_budget():
     with pytest.raises(ValueError):
         degree16_check(trials=0)
+
+
+# ---------------------------------------------------------------------------
+# Integer kernels against Fraction references
+# ---------------------------------------------------------------------------
+
+
+def reference_gauss_jordan(rows, width=None):
+    """Gauss-Jordan over Fractions, pivoting on the first unused row with a
+    nonzero entry: (reduced rows, (row, column) pivots)."""
+    mat = [[F(v) for v in row] for row in rows]
+    used = [False] * len(mat)
+    pivots = []
+    for col in range(len(mat[0]) if width is None else width):
+        p = next((i for i, row in enumerate(mat) if row[col] and not used[i]),
+                 None)
+        if p is None:
+            continue
+        used[p] = True
+        pivots.append((p, col))
+        inv = 1 / mat[p][col]
+        mat[p] = [v * inv for v in mat[p]]
+        for i in range(len(mat)):
+            if i != p and mat[i][col]:
+                f = mat[i][col]
+                mat[i] = [a - f * b for a, b in zip(mat[i], mat[p])]
+    return mat, pivots
+
+
+def reference_solve(basis, target):
+    """Coefficients of target in the basis rows, or None when the basis is
+    dependent or the target lies outside the span."""
+    k = len(basis)
+    rows = [[v[i] for v in basis] + [t] for i, t in enumerate(target)]
+    red, pivots = reference_gauss_jordan(rows, width=k)
+    used = {p for p, _ in pivots}
+    if len(pivots) != k or any(red[i][k] for i in range(len(red))
+                               if i not in used):
+        return None
+    return tuple(red[p][k] for p, _ in pivots)
+
+
+def proportional(u, v) -> bool:
+    """Whether u is a nonzero rational multiple of v, or both are zero."""
+    if [bool(a) for a in u] != [bool(b) for b in v]:
+        return False
+    i = next((i for i, a in enumerate(u) if a), None)
+    return i is None or all(F(a) * v[i] == F(b) * u[i] for a, b in zip(u, v))
+
+
+def test_reference_kernels_on_a_fixed_case():
+    rows = [[F(1, 2), 1, 0], [1, 2, 0], [0, F(1, 3), 1]]
+    reduced, pivots = integer_echelon(rows)
+    assert pivots == [(0, 0), (2, 1)]
+    assert reduced[1] == [0, 0, 0]
+    assert geometry._exact_inverse([[2, 1], [1, 1]]) == [[1, -1], [-1, 2]]
+    with pytest.raises(ValueError, match="singular"):
+        geometry._exact_inverse([[1, 2], [2, 4]])
+    assert geometry._solve_in_span([[1, 0, 1], [0, 1, 1]], [2, 3, 5]) == (2, 3)
+    with pytest.raises(ValueError, match="outside the span"):
+        geometry._solve_in_span([[1, 0, 1], [0, 1, 1]], [2, 3, 4])
+    with pytest.raises(ValueError, match="dependent"):
+        geometry._solve_in_span([[1, 0, 1], [2, 0, 2]], [1, 0, 1])
+
+
+if HAVE_HYPOTHESIS:
+    rationals = st.fractions(min_value=-6, max_value=6, max_denominator=7)
+
+    @st.composite
+    def rational_matrices(draw, square=False):
+        """Small rational matrices; some rows are forced to be rational
+        combinations of the rows above them."""
+        nrows = draw(st.integers(1, 6))
+        ncols = nrows if square else draw(st.integers(1, 6))
+        rows = []
+        for i in range(nrows):
+            if i and draw(st.integers(0, 3)) == 0:
+                coeffs = draw(st.lists(rationals, min_size=i, max_size=i))
+                rows.append([sum(c * row[k] for c, row in zip(coeffs, rows))
+                             for k in range(ncols)])
+            else:
+                rows.append(draw(st.lists(rationals, min_size=ncols,
+                                          max_size=ncols)))
+        return rows
+
+    @given(rational_matrices(), st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_integer_echelon_matches_fraction_gauss_jordan(rows, data):
+        width = data.draw(st.integers(0, len(rows[0])))
+        reduced, pivots = integer_echelon(rows, width=width)
+        expected, expected_pivots = reference_gauss_jordan(rows, width=width)
+        assert pivots == expected_pivots
+        assert all(type(v) is int for row in reduced for v in row)
+        for row, ref in zip(reduced, expected):
+            assert proportional(row, ref)
+        # the input is left unchanged
+        assert rows == [[F(v) for v in row] for row in rows]
+
+    @given(rational_matrices(), st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_solve_in_span_matches_reference(basis, data):
+        if data.draw(st.booleans()):
+            coeffs = data.draw(st.lists(rationals, min_size=len(basis),
+                                        max_size=len(basis)))
+            target = [sum(c * row[k] for c, row in zip(coeffs, basis))
+                      for k in range(len(basis[0]))]
+        else:
+            target = data.draw(st.lists(rationals, min_size=len(basis[0]),
+                                        max_size=len(basis[0])))
+        expected = reference_solve(basis, target)
+        if expected is None:
+            with pytest.raises(ValueError):
+                geometry._solve_in_span(basis, target)
+        else:
+            assert geometry._solve_in_span(basis, target) == expected
+
+    @given(rational_matrices(square=True))
+    @settings(max_examples=80, deadline=None)
+    def test_exact_inverse_matches_reference(matrix):
+        n = len(matrix)
+        aug = [list(row) + [int(i == j) for j in range(n)]
+               for i, row in enumerate(matrix)]
+        reduced, pivots = reference_gauss_jordan(aug, width=n)
+        if len(pivots) < n:
+            with pytest.raises(ValueError, match="singular"):
+                geometry._exact_inverse(matrix)
+            return
+        inverse = geometry._exact_inverse(matrix)
+        assert inverse == [reduced[p][n:] for p, _ in pivots]
+        assert all(type(v) is F for row in inverse for v in row)
+
+    @given(st.lists(rationals, max_size=7),
+           st.lists(st.integers(0, 6), max_size=3), rationals.filter(bool))
+    @settings(max_examples=80, deadline=None)
+    def test_squarefree_on_products_of_linear_factors(roots, repeats, scale):
+        # c * prod (t - r) over the roots, some of them taken again
+        factors = roots + [roots[k % len(roots)] for k in repeats if roots]
+        poly = [scale]
+        for r in factors:  # multiply by (t - r), ascending coefficients
+            poly = [-r * poly[0]] + [
+                a - r * b for a, b in zip(poly[:-1], poly[1:])
+            ] + [poly[-1]]
+        assert poly_is_squarefree(poly) == (len(set(factors)) == len(factors))
+
+    @st.composite
+    def polynomials_and_points(draw):
+        nvars = draw(st.integers(1, 4))
+        exps = st.tuples(*[st.integers(0, 3)] * nvars)
+        terms = draw(st.dictionaries(exps, rationals, max_size=8))
+        point = draw(st.lists(rationals | st.integers(-9, 9),
+                              min_size=nvars, max_size=nvars))
+        return MultiPoly(nvars, terms), terms, point
+
+    @given(polynomials_and_points())
+    @settings(max_examples=80, deadline=None)
+    def test_evaluate_matches_fraction_reference(case):
+        poly, terms, point = case
+        expected = F(0)
+        for exps, coeff in terms.items():
+            term = F(coeff)
+            for v, e in zip(point, exps):
+                term *= F(v) ** e
+            expected += term
+        value = poly.evaluate(point)
+        assert type(value) is F and value == expected
+
+
+def test_evaluate_rejects_non_rational_inputs():
+    _, quartic = canonical_polys()
+    with pytest.raises(TypeError):
+        quartic.evaluate([1.0, -1, 0, 0, 0, 0])
+    with pytest.raises(TypeError):
+        quartic.evaluate([1j, -1, 0, 0, 0, 0])
+
+
+def test_quartic_geometry_demo_runs():
+    env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+    done = subprocess.run(
+        [sys.executable, str(REPO / "demos" / "07_quartic_geometry.py")],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    assert "quartic at (1,-1,0,0,0,0):  -4\n" in done.stdout

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+import igusa.weil as weil
 from igusa.exact import CYC_I, CYC_ONE, CYC_ZERO, Cyclotomic, CycMatrix
 from igusa.fqm import (
     element_types,
@@ -286,6 +287,11 @@ def test_irreducibility_certificate():
     assert rep["is_irreducible"] is True
     assert rep["identity_character"] == Cyclotomic(5)
     assert rep["central_involution_is_minus_one"] is True
+
+
+def test_character_value_does_not_wrap_past_int64():
+    big = CycMatrix.from_rows([[2**62] * 2] * 2)
+    assert weil._character_value(big, [0, 1]).as_rational() == 2**63
 
 
 # ---------------------------------------------------------------------------
