@@ -29,13 +29,14 @@ def main():
 
     plane = planes[0]
     th = theta_vector(plane)
-    support = [x for x in A.elements() if th.dense[x]]
+    coefficients = th.dense
+    support = [x for x in A.elements() if coefficients[x]]
     print()
     print("=== One theta vector in detail ===")
     print(f"plane classes: {sorted(plane)}")
     print(f"support size: {len(support)} classes, "
           f"coefficients all +1 or -1")
-    positives = sum(1 for x in support if th.dense[x] == th.dense[support[0]])
+    positives = sum(1 for x in support if coefficients[x] == coefficients[support[0]])
     print(f"split of signs on the support: {positives} and "
           f"{len(support) - positives}")
 

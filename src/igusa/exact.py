@@ -44,10 +44,9 @@ def _zeta_power_table() -> list[tuple[int, ...]]:
 
 
 _ZPOW = _zeta_power_table()
+_ZPOW_PACKED = np.array(_ZPOW, dtype=np.int64)
 # z^(i+j) for i, j < 8 never exceeds exponent 14
 _PRODUCT_BASIS = [_ZPOW[k] for k in range(15)]
-# complex conjugation z^k -> z^(24-k) as integer basis images
-_CONJ_BASIS = [_ZPOW[0]] + [_ZPOW[_CONDUCTOR - k] for k in range(1, _DEGREE)]
 _ZETA_COMPLEX = [cmath.exp(2j * cmath.pi * k / _CONDUCTOR) for k in range(_CONDUCTOR)]
 
 # For any output component k, the sum of |coefficient of z^k in z^(c+d)|
@@ -78,6 +77,37 @@ def packed_sum(num: np.ndarray) -> np.ndarray:
     wherever the sum could leave int64."""
     bound = _max_abs(num) * len(num)
     return num.astype(_packed_dtype(bound, num), copy=False).sum(axis=0)
+
+
+def packed_roots(k) -> np.ndarray:
+    """Packed numerators of zeta^k for an integer array k, shape k.shape + (8,)."""
+    return _ZPOW_PACKED[np.asarray(k) % _CONDUCTOR]
+
+
+def _packed_product(a: np.ndarray, b: np.ndarray, shape, terms: int = 1,
+                    mul=np.multiply) -> np.ndarray:
+    """Numerators of the product of two packed arrays, of shape shape + (8,).
+
+    Component c of a and component d of b are combined by ``mul``, which adds
+    at most ``terms`` products into one entry, and land on zeta^(c + d) in
+    the power basis.  The result is in Python integers wherever an entry
+    could leave int64.
+    """
+    dtype = _packed_dtype(_max_abs(a) * _max_abs(b) * terms * _PRODUCT_SPREAD, a, b)
+    a = a.astype(dtype, copy=False)
+    b = b.astype(dtype, copy=False)
+    out = np.zeros(tuple(shape) + (_DEGREE,), dtype=dtype)
+    b_components = [d for d in range(_DEGREE) if b[..., d].any()]
+    for c in range(_DEGREE):
+        ac = a[..., c]
+        if not ac.any():
+            continue
+        for d in b_components:
+            prod = mul(ac, b[..., d])
+            for k, coeff in enumerate(_PRODUCT_BASIS[c + d]):
+                if coeff:
+                    out[..., k] += coeff * prod
+    return out
 
 
 class Cyclotomic:
@@ -199,21 +229,11 @@ class Cyclotomic:
     def inverse(self) -> "Cyclotomic":
         if not self:
             raise ZeroDivisionError("cyclotomic inverse of zero")
-        # solve (multiplication-by-self) v = 1 over the rationals
-        cols = [(self * Cyclotomic.root(j))._c for j in range(_DEGREE)]
-        aug = [[cols[j][i] for j in range(_DEGREE)] + [Fraction(int(i == 0))]
-               for i in range(_DEGREE)]
-        n = _DEGREE
-        for col in range(n):
-            piv = next(r for r in range(col, n) if aug[r][col])
-            aug[col], aug[piv] = aug[piv], aug[col]
-            inv = 1 / aug[col][col]
-            aug[col] = [v * inv for v in aug[col]]
-            for r in range(n):
-                if r != col and aug[r][col]:
-                    f = aug[r][col]
-                    aug[r] = [v - f * w for v, w in zip(aug[r], aug[col])]
-        return Cyclotomic([aug[i][n] for i in range(n)])
+        # x^-1 = prod_{sigma != 1} sigma(x) / N(x) over the Galois group (Z/24)^*
+        cofactor = CYC_ONE
+        for k in (5, 7, 11, 13, 17, 19, 23):
+            cofactor = cofactor * self.galois(k)
+        return cofactor * (1 / (self * cofactor).as_rational())
 
     def __truediv__(self, other: Scalar) -> "Cyclotomic":
         other = _coerce(other)
@@ -241,17 +261,21 @@ class Cyclotomic:
             n >>= 1
         return out
 
-    def conjugate(self) -> "Cyclotomic":
-        """Complex conjugation, the field automorphism zeta -> zeta^-1."""
+    def galois(self, k: int) -> "Cyclotomic":
+        """The field automorphism zeta -> zeta^k, for k prime to 24."""
         acc = [Fraction(0)] * _DEGREE
-        for k, a in enumerate(self._c):
+        for j, a in enumerate(self._c):
             if not a:
                 continue
-            basis = _CONJ_BASIS[k]
-            for j in range(_DEGREE):
-                if basis[j]:
-                    acc[j] += a * basis[j]
+            basis = _ZPOW[(j * k) % _CONDUCTOR]
+            for i in range(_DEGREE):
+                if basis[i]:
+                    acc[i] += a * basis[i]
         return Cyclotomic(acc)
+
+    def conjugate(self) -> "Cyclotomic":
+        """Complex conjugation, the field automorphism zeta -> zeta^-1."""
+        return self.galois(-1)
 
     @property
     def is_rational(self) -> bool:
@@ -422,22 +446,37 @@ def qseries_mul(a: QSeries, b: QSeries) -> QSeries:
     return a * b
 
 
-class CycMatrix:
-    """Exact matrix over the conductor-24 field, packed as an integer
+def _entry(components: np.ndarray, den: int) -> Cyclotomic:
+    return Cyclotomic([Fraction(int(v), den) for v in components])
+
+
+def _pack(values: Sequence[Scalar]) -> tuple[np.ndarray, int]:
+    """Integer numerators (dtype object, shape (len, 8)) of a flat sequence
+    of scalars over their least common denominator."""
+    coeffs = [Cyclotomic.coerce(v).coefficients for v in values]
+    den = math.lcm(1, *(c.denominator for cs in coeffs for c in cs))
+    num = np.array([[c.numerator * (den // c.denominator) for c in cs] for cs in coeffs],
+                   dtype=object)
+    return num.reshape(len(coeffs), _DEGREE), den
+
+
+class CycArray:
+    """Exact array over the conductor-24 field, packed as an integer
     component array with a single positive denominator.
 
-    num has shape (n, n, 8); entry (i, j) is sum_k num[i,j,k] zeta^k / den.
-    Numerators are int64 while they fit and Python integers (dtype object)
-    once they do not; sums and products check a magnitude bound first.
+    num has shape (..., 8); entry idx is sum_k num[idx][k] zeta^k / den, in
+    lowest terms, so equal arrays have equal packings.  Numerators are int64
+    while they fit and Python integers (dtype object) once they do not; sums
+    and products check a magnitude bound first.
     """
 
-    __slots__ = ("num", "den", "n")
+    __slots__ = ("num", "den")
 
     def __init__(self, num: np.ndarray, den: int = 1, _normalize: bool = True):
         num = np.asarray(num)
         if num.dtype != object:
             num = num.astype(np.int64, copy=False)
-        if num.ndim != 3 or num.shape[0] != num.shape[1] or num.shape[2] != _DEGREE:
+        if num.ndim == 0 or num.shape[-1] != _DEGREE:
             raise ValueError(f"bad packed shape {num.shape}")
         if den == 0:
             raise ZeroDivisionError("zero denominator")
@@ -453,25 +492,78 @@ class CycMatrix:
         self.num = num
         self.num.setflags(write=False)
         self.den = den
-        self.n = num.shape[0]
+
+    @staticmethod
+    def from_values(values: Sequence[Scalar]) -> "CycArray":
+        """The one-dimensional array of the given scalars."""
+        return CycArray(*_pack(values))
+
+    def _like(self, num: np.ndarray, den: int, normalize: bool = True) -> "CycArray":
+        """An array of the same kind as this one with the given packing."""
+        return type(self)(num, den, normalize)
+
+    def entry(self, *index: int) -> Cyclotomic:
+        return _entry(self.num[index], self.den)
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.den == other.den and np.array_equal(self.num, other.num)
+
+    def __hash__(self) -> int:
+        return hash(self.key())
+
+    def key(self) -> bytes:
+        if self.num.dtype == object or self.den >= _INT64_LIMIT:
+            # a last byte 0xff never ends a denominator below 2^63
+            return b"\xff" * 8 + repr((self.den, self.num.tolist())).encode()
+        return self.den.to_bytes(8, "little") + self.num.tobytes()
+
+    def __neg__(self) -> "CycArray":
+        return self._like(-self.num, self.den, False)
+
+    def __add__(self, other: "CycArray") -> "CycArray":
+        if type(other) is not type(self):
+            return NotImplemented
+        den = self.den * other.den // math.gcd(self.den, other.den)
+        fa, fb = den // self.den, den // other.den
+        dtype = _packed_dtype(
+            _max_abs(self.num) * fa + _max_abs(other.num) * fb, self.num, other.num
+        )
+        return self._like(
+            self.num.astype(dtype, copy=False) * fa
+            + other.num.astype(dtype, copy=False) * fb,
+            den,
+        )
+
+    def __sub__(self, other: "CycArray") -> "CycArray":
+        return self + (-other)
+
+    def scale(self, factor: Scalar) -> "CycArray":
+        f = CycArray.from_values([factor])
+        prod = _packed_product(f.num[0], self.num, self.num.shape[:-1])
+        return self._like(prod, self.den * f.den)
+
+
+class CycMatrix(CycArray):
+    """Exact square matrix over the conductor-24 field: a CycArray whose
+    num has shape (n, n, 8)."""
+
+    __slots__ = ("n",)
+
+    def __init__(self, num: np.ndarray, den: int = 1, _normalize: bool = True):
+        super().__init__(num, den, _normalize)
+        if self.num.ndim != 3 or self.num.shape[0] != self.num.shape[1]:
+            raise ValueError(f"bad packed shape {self.num.shape}")
+        self.n = self.num.shape[0]
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[Scalar]]) -> "CycMatrix":
         n = len(rows)
-        den = 1
-        entries = [[_coerce(v) for v in row] for row in rows]
-        for row in entries:
-            if len(row) != n:
-                raise ValueError("matrix must be square")
-            for v in row:
-                for c in v.coefficients:
-                    den = den * c.denominator // math.gcd(den, c.denominator)
-        num = np.zeros((n, n, _DEGREE), dtype=np.int64)
-        for i, row in enumerate(entries):
-            for j, v in enumerate(row):
-                for k, c in enumerate(v.coefficients):
-                    num[i, j, k] = c.numerator * (den // c.denominator)
-        return cls(num, den)
+        if any(len(row) != n for row in rows):
+            raise ValueError("matrix must be square")
+        num, den = _pack([v for row in rows for v in row])
+        return cls(num.reshape(n, n, _DEGREE), den)
 
     @classmethod
     def identity(cls, n: int) -> "CycMatrix":
@@ -485,97 +577,21 @@ class CycMatrix:
         rows = [[values[i] if i == j else 0 for j in range(n)] for i in range(n)]
         return cls.from_rows(rows)
 
-    def entry(self, i: int, j: int) -> Cyclotomic:
-        return Cyclotomic([Fraction(int(v), self.den) for v in self.num[i, j]])
-
-    def rows(self) -> list[list[Cyclotomic]]:
-        return [[self.entry(i, j) for j in range(self.n)] for i in range(self.n)]
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, CycMatrix):
-            return NotImplemented
-        return self.den == other.den and np.array_equal(self.num, other.num)
-
-    def __hash__(self) -> int:
-        return hash(self.key())
-
-    def key(self) -> bytes:
-        if self.num.dtype == object or self.den >= _INT64_LIMIT:
-            # a last byte 0xff never ends a denominator below 2^63
-            return b"\xff" * 8 + repr((self.den, self.num.tolist())).encode()
-        return self.den.to_bytes(8, "little") + self.num.tobytes()
-
-    def __neg__(self) -> "CycMatrix":
-        return CycMatrix(-self.num, self.den, _normalize=False)
-
-    def __add__(self, other: "CycMatrix") -> "CycMatrix":
-        if not isinstance(other, CycMatrix):
-            return NotImplemented
-        den = self.den * other.den // math.gcd(self.den, other.den)
-        fa, fb = den // self.den, den // other.den
-        dtype = _packed_dtype(
-            _max_abs(self.num) * fa + _max_abs(other.num) * fb, self.num, other.num
-        )
-        return CycMatrix(
-            self.num.astype(dtype, copy=False) * fa
-            + other.num.astype(dtype, copy=False) * fb,
-            den,
-        )
-
-    def __sub__(self, other: "CycMatrix") -> "CycMatrix":
-        return self + (-other)
-
     def __matmul__(self, other: "CycMatrix") -> "CycMatrix":
         if not isinstance(other, CycMatrix):
             return NotImplemented
         if self.n != other.n:
             raise ValueError("dimension mismatch")
-        dtype = _packed_dtype(
-            _max_abs(self.num) * _max_abs(other.num) * self.n * _PRODUCT_SPREAD,
-            self.num,
-            other.num,
-        )
-        a = self.num.astype(dtype, copy=False)
-        b = other.num.astype(dtype, copy=False)
-        out = np.zeros((self.n, self.n, _DEGREE), dtype=dtype)
-        for c in range(_DEGREE):
-            ac = a[:, :, c]
-            if not ac.any():
-                continue
-            for d in range(_DEGREE):
-                bd = b[:, :, d]
-                if not bd.any():
-                    continue
-                prod = ac @ bd
-                for k, coeff in enumerate(_PRODUCT_BASIS[c + d]):
-                    if coeff:
-                        out[:, :, k] += coeff * prod
-        return CycMatrix(out, self.den * other.den)
+        prod = _packed_product(self.num, other.num, (self.n, self.n), self.n, np.matmul)
+        return CycMatrix(prod, self.den * other.den)
 
-    def scale(self, factor: Scalar) -> "CycMatrix":
-        factor = _coerce(factor)
-        fden = 1
-        for c in factor.coefficients:
-            fden = fden * c.denominator // math.gcd(fden, c.denominator)
-        fnum = [int(c.numerator * (fden // c.denominator)) for c in factor.coefficients]
-        dtype = _packed_dtype(
-            max(abs(fc) for fc in fnum) * _max_abs(self.num) * _PRODUCT_SPREAD,
-            self.num,
-        )
-        num = self.num.astype(dtype, copy=False)
-        out = np.zeros_like(num)
-        for c, fc in enumerate(fnum):
-            if not fc:
-                continue
-            for d in range(_DEGREE):
-                comp = num[:, :, d]
-                if not comp.any():
-                    continue
-                prod = fc * comp
-                for k, coeff in enumerate(_PRODUCT_BASIS[c + d]):
-                    if coeff:
-                        out[:, :, k] += coeff * prod
-        return CycMatrix(out, self.den * fden)
+    def apply(self, vec: CycArray) -> CycArray:
+        """The product with a column vector packed in shape (n, 8), returned
+        as an array of the vector's own kind."""
+        if vec.num.shape != (self.n, _DEGREE):
+            raise ValueError("dimension mismatch")
+        prod = _packed_product(self.num, vec.num, (self.n,), self.n, np.matmul)
+        return vec._like(prod, self.den * vec.den)
 
     def __pow__(self, k: int) -> "CycMatrix":
         if not isinstance(k, int) or k < 0:
@@ -590,11 +606,10 @@ class CycMatrix:
         return out
 
     def trace(self) -> Cyclotomic:
-        diag = self.num[np.arange(self.n), np.arange(self.n)]
-        return Cyclotomic([Fraction(int(v), self.den) for v in packed_sum(diag)])
+        return _entry(packed_sum(self.num[np.arange(self.n), np.arange(self.n)]), self.den)
 
     def conjugate(self) -> "CycMatrix":
-        conj = np.array(_CONJ_BASIS, dtype=np.int64)  # row k = image of zeta^k
+        conj = packed_roots(-np.arange(_DEGREE))  # row k = image of zeta^k
         bound = _max_abs(self.num) * int(np.abs(conj).sum(axis=0).max())
         num = self.num.astype(_packed_dtype(bound, self.num), copy=False)
         return CycMatrix(np.tensordot(num, conj, axes=([2], [0])), self.den)
@@ -609,11 +624,6 @@ class CycMatrix:
                 return t
             power = power @ self
         return None
-
-    def apply(self, vec: Sequence[Scalar]) -> list[Cyclotomic]:
-        vals = [_coerce(v) for v in vec]
-        return [sum((self.entry(i, j) * vals[j] for j in range(self.n) if vals[j]),
-                    CYC_ZERO) for i in range(self.n)]
 
 
 def matrix_eigenphase_multiplicities(a: CycMatrix) -> list[tuple[Fraction, int]]:

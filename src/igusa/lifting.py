@@ -105,10 +105,10 @@ def eta_power(m: int, terms: int = 16) -> EtaPower:
 
 def _eigenvalue(vec: GroupRingVector, matrix) -> Cyclotomic:
     image = vec.apply(matrix)
-    pivot = next((i for i, c in enumerate(vec.dense) if c), None)
-    if pivot is None:
+    if not vec:
         raise ValueError("the zero vector has no eigenvalue")
-    ratio = image.dense[pivot] * vec.dense[pivot].inverse()
+    pivot = min(vec.support)
+    ratio = image.entry(pivot) * vec.entry(pivot).inverse()
     if image != vec.scale(ratio):
         raise ValueError("vector is not an eigenvector of the generator")
     return ratio
@@ -267,7 +267,7 @@ def lift_leading_coefficient(inp: LiftCheckInput, eta_exponent: int = 18,
             raise ValueError("increase terms: lift exponent beyond truncation")
         if (4 * n).denominator != 1:
             continue  # no quarter-integer power can contribute
-        theta_coeff = inp.theta.dense[cls]
+        theta_coeff = inp.theta.entry(cls)
         if not theta_coeff:
             continue
         phase = Cyclotomic.e(lat.ip(vec, inp.z_prime) % 1)
@@ -302,9 +302,10 @@ def theta0_checks() -> dict:
     support_types = {labels[x] for x in theta0.support}
     if not support_types <= {"3/2", "1/2"}:
         raise ValueError("support escapes the non-integral value classes")
+    dense = theta0.dense
     for x in range(A.size):
         shifted = A.add(x, kappa)
-        if theta0.dense[shifted] != -theta0.dense[x]:
+        if dense[shifted] != -dense[x]:
             raise ValueError("translation antisymmetry fails")
 
     return {

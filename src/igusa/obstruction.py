@@ -28,6 +28,7 @@ from .exact import (
     CYC_ONE,
     CYC_ZERO,
     Cyclotomic,
+    CycArray,
     CycMatrix,
     QSeries,
     eigenphase_sum,
@@ -248,8 +249,8 @@ def eisenstein_subspace() -> tuple:
     basis = nullspace(rows, 6)
     minus_e = rep.S_matrix @ rep.S_matrix
     for vec in basis:
-        image = minus_e.apply(vec)
-        if any(image[i] != -Cyclotomic.coerce(vec[i]) for i in range(6)):
+        packed = CycArray.from_values(vec)
+        if minus_e.apply(packed) != -packed:
             raise ValueError("T-fixed vector escapes the odd-weight eigenspace")
     return tuple(tuple(Cyclotomic.coerce(v) for v in vec) for vec in basis)
 

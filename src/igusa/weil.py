@@ -20,8 +20,10 @@ from .exact import (
     CYC_ONE,
     CYC_ZERO,
     Cyclotomic,
+    CycArray,
     CycMatrix,
-    field_rref,
+    integer_echelon,
+    packed_roots,
     packed_sum,
 )
 from .fqm import (
@@ -82,19 +84,28 @@ def ambient_orthogonal_group():
 # ---------------------------------------------------------------------------
 
 
-class GroupRingVector:
-    """A vector in the group ring of the discriminant module, with exact
-    cyclotomic coefficients stored densely."""
+class GroupRingVector(CycArray):
+    """A vector in the group ring of the discriminant module: a CycArray of
+    shape (size, 8), so coefficient alpha is sum_k num[alpha, k] zeta^k / den."""
 
-    __slots__ = ("module", "dense")
+    __slots__ = ("module",)
 
     def __init__(self, module, dense):
         if len(dense) != module.size:
             raise ValueError("coefficient length mismatch")
         self.module = module
-        self.dense = tuple(
-            c if isinstance(c, Cyclotomic) else Cyclotomic.coerce(c) for c in dense
-        )
+        packed = CycArray.from_values(dense)
+        super().__init__(packed.num, packed.den, False)
+
+    @classmethod
+    def packed(cls, module, num, den=1, normalize=True) -> "GroupRingVector":
+        out = cls.__new__(cls)
+        out.module = module
+        CycArray.__init__(out, num, den, normalize)
+        return out
+
+    def _like(self, num, den, normalize=True) -> "GroupRingVector":
+        return GroupRingVector.packed(self.module, num, den, normalize)
 
     @classmethod
     def from_dict(cls, module, coefficients) -> "GroupRingVector":
@@ -104,54 +115,39 @@ class GroupRingVector:
         return cls(module, dense)
 
     @property
+    def dense(self) -> tuple:
+        """All coefficients as Cyclotomic numbers, in element order."""
+        return tuple(self.entry(i) for i in range(self.module.size))
+
+    @property
     def coefficients(self) -> dict:
         """Nonzero coefficients keyed by element index."""
-        return {i: c for i, c in enumerate(self.dense) if c}
+        return {i: self.entry(i) for i in sorted(self.support)}
 
     @property
     def support(self) -> frozenset:
-        return frozenset(i for i, c in enumerate(self.dense) if c)
+        return frozenset(np.flatnonzero(self.num.any(axis=1)).tolist())
 
     def __bool__(self):
-        return any(self.dense)
+        return bool(self.num.any())
 
     def __eq__(self, other):
         return (
             isinstance(other, GroupRingVector)
             and self.module is other.module
-            and self.dense == other.dense
+            and CycArray.__eq__(self, other)
         )
 
-    def __hash__(self):
-        return hash(self.dense)
-
-    def __add__(self, other):
-        return GroupRingVector(
-            self.module, [a + b for a, b in zip(self.dense, other.dense)]
-        )
-
-    def __sub__(self, other):
-        return GroupRingVector(
-            self.module, [a - b for a, b in zip(self.dense, other.dense)]
-        )
-
-    def __neg__(self):
-        return GroupRingVector(self.module, [-a for a in self.dense])
-
-    def scale(self, factor) -> "GroupRingVector":
-        factor = Cyclotomic.coerce(factor)
-        return GroupRingVector(self.module, [a * factor for a in self.dense])
+    __hash__ = CycArray.__hash__
 
     def apply(self, matrix: CycMatrix) -> "GroupRingVector":
-        return GroupRingVector(self.module, matrix.apply(list(self.dense)))
+        return matrix.apply(self)
 
     def permute(self, aut: FqmAutomorphism) -> "GroupRingVector":
         """The permutation action g . e_alpha = e_{g(alpha)}."""
-        out = [CYC_ZERO] * self.module.size
-        for alpha, coeff in enumerate(self.dense):
-            if coeff:
-                out[aut(alpha)] = coeff
-        return GroupRingVector(self.module, out)
+        num = np.zeros_like(self.num)
+        num[aut.perm] = self.num
+        return self._like(num, self.den, False)
 
     def __repr__(self):
         items = ", ".join(f"{i}: {c!r}" for i, c in self.coefficients.items())
@@ -167,20 +163,14 @@ class GroupRingVector:
 def weil_generator(name: str) -> CycMatrix:
     """The exact 64x64 matrix of a metaplectic generator ("S" or "T")."""
     A = ambient_module()
-    n = A.size
     if name == "T":
-        diag = [Cyclotomic.e_half(A.q(alpha)) for alpha in A.elements()]
-        return CycMatrix.diagonal(diag)
+        # e^{pi i q(alpha)} = zeta^(12 q) = zeta^(3 q4)
+        num = np.zeros((A.size, A.size, 8), dtype=np.int64)
+        num[np.arange(A.size), np.arange(A.size)] = packed_roots(3 * A.q4)
+        return CycMatrix(num)
     if name == "S":
-        scale = CYC_I * Fraction(1, 8)
-        rows = []
-        for delta in A.elements():
-            row = []
-            for alpha in A.elements():
-                # e^{-2 pi i b(delta, alpha)} with b in {0, 1/2}
-                row.append(scale * Cyclotomic.e(-A.b(delta, alpha)))
-            rows.append(row)
-        return CycMatrix.from_rows(rows)
+        # (i/8) e^{-2 pi i b(delta, alpha)} = zeta^(6 - 24 b) / 8 = zeta^(6 - 6 b4) / 8
+        return CycMatrix(packed_roots(6 - 6 * A.b4), 8)
     raise ValueError(f"unknown generator {name!r}")
 
 
@@ -336,10 +326,11 @@ def class_sizes() -> list:
     return [len(classes[name]) for name in CLASS_ORDER]
 
 
+@lru_cache(maxsize=1)
 def verify_character_table() -> None:
     """Row orthonormality under the class-size weighting, and the column
     relation sum_i |chi_i(g)|^2 * |class(g)| = group order; raises on any
-    transcription mismatch."""
+    transcription mismatch.  A pass is remembered for the process."""
     sizes = class_sizes()
     order = sum(sizes)
     nchar = len(CHARACTER_TABLE)
@@ -425,13 +416,11 @@ def isotypic_subspace(character_index: int, expected_dim=None) -> list:
         raise ValueError(
             f"isotypic dimension is {dim}, expected {expected_dim}"
         )
-    cols = proj.rows()  # row i of transpose = column i; use columns below
-    n = A.size
     basis_rows = []  # rows in reduced form for the membership test
     basis_vectors = []
-    for j in range(n):
-        col = [cols[i][j] for i in range(n)]
-        red = list(col)
+    for j in range(A.size):
+        col = GroupRingVector.packed(A, proj.num[:, j], proj.den)
+        red = list(col.dense)
         for prow in basis_rows:
             lead = next(k for k, v in enumerate(prow) if v)
             if red[lead]:
@@ -442,7 +431,7 @@ def isotypic_subspace(character_index: int, expected_dim=None) -> list:
             inv = red[lead].inverse()
             red = [a * inv for a in red]
             basis_rows.append(red)
-            basis_vectors.append(GroupRingVector(A, col))
+            basis_vectors.append(col)
             if len(basis_vectors) == dim:
                 break
     if len(basis_vectors) != dim:
@@ -510,43 +499,22 @@ def theta_vectors() -> tuple:
     return tuple(theta_vector(p) for p in isotropic_planes(A))
 
 
+def _theta_pivots() -> list:
+    """Indices of the theta vectors independent of the ones before them: the
+    pivot columns of the integer 64 x 15 matrix with the vectors as columns."""
+    columns = np.stack([v.num[:, 0] for v in theta_vectors()], axis=1)
+    return [col for _, col in integer_echelon(columns.tolist())[1]]
+
+
 def theta_span_rank() -> int:
-    vectors = theta_vectors()
-    rows = [[c.as_rational() for c in v.dense] for v in vectors]
-    pivots = []
-    reduced = []
-    for row in rows:
-        red = list(row)
-        for prow in reduced:
-            lead = next(k for k, v in enumerate(prow) if v)
-            if red[lead]:
-                f = red[lead]
-                red = [a - f * b for a, b in zip(red, prow)]
-        if any(red):
-            lead = next(k for k, v in enumerate(red) if v)
-            inv = Fraction(1) / red[lead]
-            reduced.append([a * inv for a in red])
-    return len(reduced)
+    return len(_theta_pivots())
 
 
 def w_basis() -> list:
     """A basis of the 5-dimensional subspace W spanned by the theta vectors
-    (equal to the chi_4-isotypic component)."""
+    (equal to the chi_4-isotypic component): the first five independent ones."""
     vectors = theta_vectors()
-    basis = []
-    reduced = []
-    for v in vectors:
-        red = [c.as_rational() for c in v.dense]
-        for prow in reduced:
-            lead = next(k for k, val in enumerate(prow) if val)
-            if red[lead]:
-                f = red[lead]
-                red = [a - f * b for a, b in zip(red, prow)]
-        if any(red):
-            lead = next(k for k, val in enumerate(red) if val)
-            inv = Fraction(1) / red[lead]
-            reduced.append([a * inv for a in red])
-            basis.append(v)
+    basis = [vectors[i] for i in _theta_pivots()]
     if len(basis) != 5:
         raise AssertionError(f"theta vectors span rank {len(basis)}, expected 5")
     return basis
@@ -557,23 +525,13 @@ def w0_vector() -> GroupRingVector:
     """A generator of the 1-dimensional chi_3-isotypic subspace W0,
     normalized to integer coefficients of content 1 with positive leading
     coefficient."""
-    from math import gcd, lcm
-
-    basis = isotypic_subspace(3, expected_dim=1)
-    v = basis[0]
-    lead = next(c for c in v.dense if c)
-    v = v.scale(lead.inverse())  # the line is spanned by a rational vector
-    vals = [c.as_rational() for c in v.dense]
-    denom = lcm(*[x.denominator for x in vals]) if vals else 1
-    ints = [int(x * denom) for x in vals]
-    g = 0
-    for x in ints:
-        g = gcd(g, x)
-    ints = [x // g for x in ints]
-    first = next(x for x in ints if x)
-    if first < 0:
-        ints = [-x for x in ints]
-    return GroupRingVector(ambient_module(), [Cyclotomic(x) for x in ints])
+    v = isotypic_subspace(3, expected_dim=1)[0]
+    v = v.scale(v.entry(min(v.support)).inverse())
+    if v.num[:, 1:].any():
+        raise ValueError("the line W0 is not spanned by a rational vector")
+    # the leading entry num/den is 1 and num is prime to den, so num is
+    # already a primitive integer vector with positive leading coefficient
+    return v.scale(v.den)
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ from igusa.exact import (
     CYC_ONE,
     CYC_ZERO,
     Cyclotomic,
+    CycArray,
     CycMatrix,
     QSeries,
     cyclotomic_root,
@@ -90,6 +91,38 @@ def test_inverse_and_conjugate():
         CYC_ZERO.inverse()
 
 
+def reference_inverse(x: Cyclotomic) -> Cyclotomic:
+    """Inverse by the 8x8 Gauss-Jordan solve of (multiplication by x) v = 1
+    over the rationals, independent of the Galois-conjugate product."""
+    n = 8
+    cols = [(x * Cyclotomic.root(j)).coefficients for j in range(n)]
+    aug = [[cols[j][i] for j in range(n)] + [Fraction(int(i == 0))] for i in range(n)]
+    for col in range(n):
+        piv = next(r for r in range(col, n) if aug[r][col])
+        aug[col], aug[piv] = aug[piv], aug[col]
+        inv = 1 / aug[col][col]
+        aug[col] = [v * inv for v in aug[col]]
+        for r in range(n):
+            if r != col and aug[r][col]:
+                f = aug[r][col]
+                aug[r] = [v - f * w for v, w in zip(aug[r], aug[col])]
+    return Cyclotomic([aug[i][n] for i in range(n)])
+
+
+def test_inverse_matches_the_gauss_jordan_reference():
+    z = cyclotomic_root(1)
+    cases = [z, CYC_I, Cyclotomic(Fraction(-3, 7)), 1 + z**4, z**2 - z**10 + 5,
+             3 * z**5 - Fraction(1, 2) * z**2 + 7]
+    for x in cases:
+        assert x.inverse() == reference_inverse(x)
+        assert x * x.inverse() == CYC_ONE
+    # the Galois maps zeta -> zeta^k are ring automorphisms; k = -1 conjugates
+    x, y = cases[-1], cases[-2]
+    for k in (5, 7, 11, 13, 17, 19, 23):
+        assert (x * y).galois(k) == x.galois(k) * y.galois(k)
+    assert x.galois(-1) == x.conjugate() and x.galois(1) == x
+
+
 def test_to_complex_agrees_with_cmath():
     import cmath
 
@@ -126,6 +159,15 @@ if HAVE_HYPOTHESIS:
         if x == CYC_ZERO:
             return
         assert x * x.inverse() == CYC_ONE
+
+    @given(cyclotomics())
+    @settings(max_examples=60, deadline=None)
+    def test_inverse_agrees_with_gauss_jordan(x):
+        if not x:
+            with pytest.raises(ZeroDivisionError):
+                x.inverse()
+            return
+        assert x.inverse() == reference_inverse(x)
 
 
 # ---------------------------------------------------------------------------
@@ -283,10 +325,42 @@ def test_matrix_conjugate_and_trace():
     assert c.entry(1, 1) == CYC_I
 
 
+def reference_apply(matrix: CycMatrix, vec) -> list:
+    """Matrix times vector entry by entry in Fraction cyclotomic arithmetic,
+    independent of the packed product kernel."""
+    vals = [Cyclotomic.coerce(v) for v in vec]
+    return [sum((matrix.entry(i, j) * vals[j] for j in range(matrix.n) if vals[j]),
+                CYC_ZERO) for i in range(matrix.n)]
+
+
 def test_apply_vector():
     s = CycMatrix.from_rows([[CYC_ZERO, -CYC_ONE], [CYC_ONE, CYC_ZERO]])
-    out = s.apply([CYC_ONE, CYC_ZERO])
-    assert out == [CYC_ZERO, CYC_ONE]
+    out = s.apply(CycArray.from_values([CYC_ONE, CYC_ZERO]))
+    assert out == CycArray.from_values([CYC_ZERO, CYC_ONE])
+    assert [out.entry(i) for i in range(2)] == [CYC_ZERO, CYC_ONE]
+    with pytest.raises(ValueError):
+        s.apply(CycArray.from_values([CYC_ONE]))
+
+
+if HAVE_HYPOTHESIS:
+
+    @st.composite
+    def matrix_and_vector(draw):
+        n = draw(st.integers(min_value=1, max_value=4))
+        entries = st.one_of(st.just(CYC_ZERO), cyclotomics())
+        rows = [[draw(entries) for _ in range(n)] for _ in range(n)]
+        vec = [draw(entries) for _ in range(n)]
+        return CycMatrix.from_rows(rows), vec
+
+    @given(matrix_and_vector())
+    @settings(max_examples=40, deadline=None)
+    def test_packed_apply_matches_the_fraction_reference(case):
+        matrix, vec = case
+        out = matrix.apply(CycArray.from_values(vec))
+        expected = reference_apply(matrix, vec)
+        assert [out.entry(i) for i in range(matrix.n)] == expected
+        assert out == CycArray.from_values(expected)
+        assert hash(out) == hash(CycArray.from_values(expected))
 
 
 # ---------------------------------------------------------------------------

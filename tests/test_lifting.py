@@ -1,6 +1,10 @@
 """Eta powers, multiplier bookkeeping, and lift leading coefficients."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -278,3 +282,14 @@ def test_theta0_identities():
     assert report["support_types"] == ("1/2",)
     assert report["kappa_translation_antisymmetric"] is True
     assert "reflection" in report["notation_note"]
+
+
+def test_additive_lifts_demo_runs():
+    repo = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(repo / "src"))
+    done = subprocess.run(
+        [sys.executable, str(repo / "demos" / "05_additive_lifts.py")],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    assert "leading lift coefficient: Cyc(-1) (nonzero)\n" in done.stdout

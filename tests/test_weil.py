@@ -1,12 +1,17 @@
 """Tests for the Weil representation: generators, image group, character
 theory, theta vectors, and the irreducibility certificate."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 import igusa.weil as weil
-from igusa.exact import CYC_I, CYC_ONE, CYC_ZERO, Cyclotomic, CycMatrix
+from igusa.exact import CYC_I, CYC_ONE, CYC_ZERO, Cyclotomic, CycArray, CycMatrix
 from igusa.fqm import (
     element_types,
     isotropic_planes,
@@ -39,7 +44,28 @@ from igusa.weil import (
     weil_generator,
 )
 
+from test_exact import reference_apply
+
+try:
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+
+    HAVE_HYPOTHESIS = True
+except Exception:  # pragma: no cover
+    HAVE_HYPOTHESIS = False
+
 MINUS_I = -CYC_I
+REPO = Path(__file__).resolve().parents[1]
+
+
+def run_demo(name: str) -> str:
+    env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+    done = subprocess.run(
+        [sys.executable, str(REPO / "demos" / name)],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout
 
 
 # ---------------------------------------------------------------------------
@@ -65,6 +91,14 @@ def test_generator_relations():
     assert (S ** 4).is_identity()
     assert (T ** 4).is_identity()
     assert ((S @ T) ** 3) == S @ S
+
+
+def test_generator_s_matches_the_fourier_definition():
+    A = ambient_module()
+    scale = CYC_I * Fraction(1, 8)
+    rows = [[scale * Cyclotomic.e(-A.b(delta, alpha)) for alpha in A.elements()]
+            for delta in A.elements()]
+    assert weil_generator("S") == CycMatrix.from_rows(rows)
 
 
 def test_unknown_generator_rejected():
@@ -122,6 +156,26 @@ def test_st_word_has_trace_minus_one():
 
 def test_character_table_orthonormal():
     verify_character_table()  # raises on failure
+
+
+def test_character_table_is_verified_once_and_corruption_still_raises(monkeypatch):
+    verify_character_table.cache_clear()
+    try:
+        corrupted = list(CHARACTER_TABLE)
+        corrupted[1] = corrupted[1][:8] + (-corrupted[1][8],) + corrupted[1][9:]
+        monkeypatch.setattr(weil, "CHARACTER_TABLE", tuple(corrupted))
+        with pytest.raises(AssertionError):
+            verify_character_table()
+        with pytest.raises(AssertionError):
+            decompose_character()
+        monkeypatch.undo()
+        verify_character_table()
+        assert verify_character_table.cache_info().currsize == 1
+        decompose_character()
+        decompose_character()
+        assert verify_character_table.cache_info().misses == 3
+    finally:
+        verify_character_table.cache_clear()
 
 
 def test_character_degrees():
@@ -215,6 +269,13 @@ def test_theta_rank_five():
     assert len(w_basis()) == 5
 
 
+def test_w_basis_is_the_first_independent_theta_vectors():
+    # each basis vector is independent of the theta vectors before it
+    thetas = theta_vectors()
+    basis = w_basis()
+    assert [next(i for i, t in enumerate(thetas) if t is v) for v in basis] == [0, 1, 3, 4, 7]
+
+
 def test_theta_base_point_sign_choices():
     # all eight admissible base points of a plane give the same vector up
     # to sign
@@ -267,8 +328,9 @@ def test_w0_properties():
     assert v0.apply(T) == v0.scale(CYC_I)
     t = reflection(A, kappa)
     assert v0.permute(t) == -v0
+    dense = v0.dense
     for x in A.elements():
-        assert v0.dense[A.add(x, kappa)] == -v0.dense[x]
+        assert dense[A.add(x, kappa)] == -dense[x]
 
 
 # ---------------------------------------------------------------------------
@@ -299,6 +361,14 @@ def test_character_value_does_not_wrap_past_int64():
 # ---------------------------------------------------------------------------
 
 
+def test_weil_and_theta_demos_run():
+    assert "the generated matrix group has exactly 48 elements\n" in run_demo(
+        "02_weil_representation.py")
+    out = run_demo("03_theta_vectors.py")
+    assert "rho(S) theta = rho(T) theta = -i theta for all 15: True\n" in out
+    assert "rank of the 15 vectors: 5\n" in out
+
+
 def test_group_ring_vector_roundtrip():
     A = ambient_module()
     v = GroupRingVector.from_dict(A, {3: 2, 5: -CYC_I})
@@ -308,3 +378,75 @@ def test_group_ring_vector_roundtrip():
     assert w.coefficients[3] == Cyclotomic(4)
     assert (v - v).support == frozenset()
     assert (-v).coefficients[5] == CYC_I
+    assert v.dense[3] == Cyclotomic(2) and v.dense[0] == CYC_ZERO
+    assert v.num.shape == (64, 8) and v.den == 1
+    half = v.scale(Fraction(1, 2))
+    assert half.den == 2 and half.scale(2) == v and hash(half.scale(2)) == hash(v)
+    odd = GroupRingVector.from_dict(A, {3: 1})
+    assert odd.scale(Fraction(1, 2)) != odd  # same numerators, other denominator
+    assert not GroupRingVector.from_dict(A, {}) and v
+    with pytest.raises(ValueError):
+        GroupRingVector(A, [CYC_ONE] * 3)
+
+
+def test_packed_vector_arithmetic_does_not_wrap_past_int64():
+    A = ambient_module()
+    big = Cyclotomic([Fraction(2**62), 0, 0, 0, Fraction(2**62), 0, 0, 0])
+    coeffs = {0: big, 5: Cyclotomic(2**62), 17: -big, 40: CYC_I * 2**62}
+    v = GroupRingVector.from_dict(A, coeffs)
+    assert v.num.dtype == np.int64  # the inputs fit; the results do not
+    # Python-integer references: Fraction cyclotomic arithmetic
+    assert v.scale(2).dense == tuple(c * 2 for c in v.dense)
+    assert v.scale(big).dense == tuple(c * big for c in v.dense)
+    assert (v + v).dense == tuple(c + c for c in v.dense)
+    assert (v + v).coefficients[5].as_rational() == 2**63
+    S = weil_generator("S")
+    assert v.apply(S).dense == tuple(reference_apply(S, v.dense))
+    wide = CycMatrix.from_rows([[2**62] * 3] * 3)
+    out = wide.apply(CycArray.from_values([2**62, 2**62, -1]))
+    assert [out.entry(i).as_rational() for i in range(3)] == [2**125 - 2**62] * 3
+    # a result that fits comes back as int64
+    assert v.scale(Fraction(1, 2**62)).num.dtype == np.int64
+
+
+if HAVE_HYPOTHESIS:
+    coefficient = st.builds(
+        lambda cs: Cyclotomic(tuple(cs)),
+        st.lists(st.fractions(min_value=-4, max_value=4, max_denominator=8),
+                 min_size=8, max_size=8),
+    )
+    sparse_vectors = st.dictionaries(
+        st.integers(min_value=0, max_value=63), coefficient, max_size=5
+    ).map(lambda d: GroupRingVector.from_dict(ambient_module(), d))
+
+    @given(sparse_vectors, coefficient)
+    @settings(max_examples=25, deadline=None)
+    def test_packed_scale_matches_the_fraction_reference(v, factor):
+        assert v.scale(factor).dense == tuple(c * factor for c in v.dense)
+
+    @given(sparse_vectors, st.sampled_from(["S", "T"]))
+    @settings(max_examples=20, deadline=None)
+    def test_packed_generator_action_matches_the_fraction_reference(v, name):
+        g = weil_generator(name)
+        assert v.apply(g).dense == tuple(reference_apply(g, v.dense))
+
+    @given(sparse_vectors, st.integers(min_value=0, max_value=1439))
+    @settings(max_examples=25, deadline=None)
+    def test_packed_permute_matches_the_fraction_reference(v, index):
+        aut = ambient_orthogonal_group().elements[index]
+        expected = [CYC_ZERO] * 64
+        for alpha, c in enumerate(v.dense):
+            if c:
+                expected[aut(alpha)] = c
+        assert v.permute(aut).dense == tuple(expected)
+
+    @given(sparse_vectors, sparse_vectors, st.integers(min_value=1, max_value=6))
+    @settings(max_examples=25, deadline=None)
+    def test_packed_equality_and_hash_follow_the_coefficients(v, w, k):
+        assert (v == w) == (v.dense == w.dense)
+        same = GroupRingVector(ambient_module(), v.dense)
+        assert same == v and hash(same) == hash(v)
+        rescaled = v.scale(k).scale(Fraction(1, k))
+        assert rescaled == v and hash(rescaled) == hash(v)
+        assert (v.scale(Fraction(1, k + 1)) == v) == (not v)
+        assert (v - v) == GroupRingVector.from_dict(ambient_module(), {})
