@@ -110,24 +110,70 @@ def _packed_product(a: np.ndarray, b: np.ndarray, shape, terms: int = 1,
     return out
 
 
+def _mul_num(a: tuple, b: tuple) -> tuple:
+    """Numerators of the product of two numerator tuples, over the integers."""
+    p = [0] * (2 * _DEGREE - 1)
+    b_terms = [(j, v) for j, v in enumerate(b) if v]
+    for i, u in enumerate(a):
+        if u:
+            for j, v in b_terms:
+                p[i + j] += u * v
+    for k in range(2 * _DEGREE - 2, _DEGREE - 1, -1):  # z^k = z^(k-4) - z^(k-8)
+        if p[k]:
+            p[k - 4] += p[k]
+            p[k - 8] -= p[k]
+    return tuple(p[:_DEGREE])
+
+
+# _GALOIS[k][j]: the nonzero (index, coefficient) pairs of z^(jk) in the basis
+_GALOIS = [[[(i, c) for i, c in enumerate(_ZPOW[(j * k) % _CONDUCTOR]) if c]
+            for j in range(_DEGREE)] for k in range(_CONDUCTOR)]
+
+
+def _galois_num(a: tuple, k: int) -> tuple:
+    """Numerators of the image of a numerator tuple under zeta -> zeta^k."""
+    acc = [0] * _DEGREE
+    for j, v in enumerate(a):
+        if v:
+            for i, c in _GALOIS[k % _CONDUCTOR][j]:
+                acc[i] += c * v
+    return tuple(acc)
+
+
 class Cyclotomic:
     """An element of the degree-8 field generated by a primitive 24th root of
-    unity, stored as 8 rational coordinates in the power basis.
+    unity: 8 integer numerators in the power basis over one positive
+    denominator, in lowest terms (the packing of ``CycArray``), so equal
+    numbers have equal packings.
 
     The imaginary unit is ``Cyclotomic.root(6)``; every 8th and 12th root of
     unity is representable. Larger conductors are rejected at construction.
     """
 
-    __slots__ = ("_c",)
+    __slots__ = ("_num", "_den")
 
     def __init__(self, value: Union[int, Fraction, Sequence[Fraction]] = 0):
         if isinstance(value, (int, Fraction)):
-            c = [Fraction(value)] + [Fraction(0)] * (_DEGREE - 1)
+            c = [value]
         else:
-            c = [Fraction(v) for v in value]
+            c = [v if isinstance(v, (int, Fraction)) else Fraction(v) for v in value]
             if len(c) != _DEGREE:
                 raise ValueError(f"need {_DEGREE} coordinates, got {len(c)}")
-        self._c = tuple(c)
+        den = math.lcm(*(v.denominator for v in c))
+        num = [v.numerator * (den // v.denominator) for v in c]
+        self._set(tuple(num + [0] * (_DEGREE - len(num))), den)
+
+    def _set(self, num: tuple, den: int) -> None:
+        g = math.gcd(den, *num)
+        self._num = tuple(v // g for v in num) if g > 1 else num
+        self._den = den // g
+
+    @classmethod
+    def _packed(cls, num: tuple, den: int) -> "Cyclotomic":
+        """sum_k num[k] zeta^k / den for integers num and den > 0."""
+        out = object.__new__(cls)
+        out._set(num, den)
+        return out
 
     @classmethod
     def root(cls, k: int) -> "Cyclotomic":
@@ -168,29 +214,34 @@ class Cyclotomic:
 
     @property
     def coefficients(self) -> tuple[Fraction, ...]:
-        return self._c
+        return tuple(Fraction(v, self._den) for v in self._num)
 
     def __bool__(self) -> bool:
-        return any(self._c)
+        return any(self._num)
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, Cyclotomic):
-            return self._c == other._c
+            return self._den == other._den and self._num == other._num
         if isinstance(other, (int, Fraction)):
-            return self._c[0] == other and not any(self._c[1:])
+            return (self.is_rational and self._num[0] == other.numerator
+                    and self._den == other.denominator)
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(self._c)
+        return hash((self._num, self._den))
 
     def __neg__(self) -> "Cyclotomic":
-        return Cyclotomic([-v for v in self._c])
+        return Cyclotomic._packed(tuple(-v for v in self._num), self._den)
 
     def __add__(self, other: Scalar) -> "Cyclotomic":
         other = _coerce(other)
         if other is None:
             return NotImplemented
-        return Cyclotomic([a + b for a, b in zip(self._c, other._c)])
+        da, db = self._den, other._den
+        den = da * db // math.gcd(da, db)
+        fa, fb = den // da, den // db
+        return Cyclotomic._packed(
+            tuple(a * fa + b * fb for a, b in zip(self._num, other._num)), den)
 
     __radd__ = __add__
 
@@ -198,7 +249,7 @@ class Cyclotomic:
         other = _coerce(other)
         if other is None:
             return NotImplemented
-        return Cyclotomic([a - b for a, b in zip(self._c, other._c)])
+        return self + (-other)
 
     def __rsub__(self, other: Scalar) -> "Cyclotomic":
         other = _coerce(other)
@@ -210,30 +261,26 @@ class Cyclotomic:
         other = _coerce(other)
         if other is None:
             return NotImplemented
-        acc = [Fraction(0)] * _DEGREE
-        for i, a in enumerate(self._c):
-            if not a:
-                continue
-            for j, b in enumerate(other._c):
-                if not b:
-                    continue
-                ab = a * b
-                basis = _PRODUCT_BASIS[i + j]
-                for k in range(_DEGREE):
-                    if basis[k]:
-                        acc[k] += ab * basis[k]
-        return Cyclotomic(acc)
+        return Cyclotomic._packed(_mul_num(self._num, other._num),
+                                  self._den * other._den)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "Cyclotomic":
         if not self:
             raise ZeroDivisionError("cyclotomic inverse of zero")
-        # x^-1 = prod_{sigma != 1} sigma(x) / N(x) over the Galois group (Z/24)^*
-        cofactor = CYC_ONE
-        for k in (5, 7, 11, 13, 17, 19, 23):
-            cofactor = cofactor * self.galois(k)
-        return cofactor * (1 / (self * cofactor).as_rational())
+        # x^-1 = prod_{sigma != 1} sigma(x) / N(x) over the Galois group
+        # (Z/24)^*, generated by 5, 7 and 13: with y1 = x sigma_5(x) and
+        # y2 = y1 sigma_7(y1), N(x) = y2 sigma_13(y2) > 0 (no real places)
+        x = self._num
+        c5 = _galois_num(x, 5)
+        y1 = _mul_num(x, c5)
+        c7 = _galois_num(y1, 7)
+        y2 = _mul_num(y1, c7)
+        c13 = _galois_num(y2, 13)
+        norm = _mul_num(y2, c13)[0]
+        cofactor = _mul_num(_mul_num(c5, c7), c13)
+        return Cyclotomic._packed(tuple(self._den * v for v in cofactor), norm)
 
     def __truediv__(self, other: Scalar) -> "Cyclotomic":
         other = _coerce(other)
@@ -252,7 +299,7 @@ class Cyclotomic:
             raise TypeError("integer powers only")
         if n < 0:
             return self.inverse() ** (-n)
-        out = Cyclotomic(1)
+        out = CYC_ONE
         base = self
         while n:
             if n & 1:
@@ -263,15 +310,7 @@ class Cyclotomic:
 
     def galois(self, k: int) -> "Cyclotomic":
         """The field automorphism zeta -> zeta^k, for k prime to 24."""
-        acc = [Fraction(0)] * _DEGREE
-        for j, a in enumerate(self._c):
-            if not a:
-                continue
-            basis = _ZPOW[(j * k) % _CONDUCTOR]
-            for i in range(_DEGREE):
-                if basis[i]:
-                    acc[i] += a * basis[i]
-        return Cyclotomic(acc)
+        return Cyclotomic._packed(_galois_num(self._num, k), self._den)
 
     def conjugate(self) -> "Cyclotomic":
         """Complex conjugation, the field automorphism zeta -> zeta^-1."""
@@ -279,20 +318,20 @@ class Cyclotomic:
 
     @property
     def is_rational(self) -> bool:
-        return not any(self._c[1:])
+        return not any(self._num[1:])
 
     def as_rational(self) -> Fraction:
         if not self.is_rational:
             raise ValueError(f"{self!r} is not rational")
-        return self._c[0]
+        return Fraction(self._num[0], self._den)
 
     def to_complex(self) -> complex:
-        return sum(float(a) * _ZETA_COMPLEX[k] for k, a in enumerate(self._c) if a)
+        return sum((a / self._den) * _ZETA_COMPLEX[k] for k, a in enumerate(self._num) if a)
 
     def __repr__(self) -> str:
         if self.is_rational:
-            return f"Cyc({self._c[0]})"
-        parts = [f"{a}*z^{k}" if k else f"{a}" for k, a in enumerate(self._c) if a]
+            return f"Cyc({self.as_rational()})"
+        parts = [f"{a}*z^{k}" if k else f"{a}" for k, a in enumerate(self.coefficients) if a]
         return "Cyc(" + " + ".join(parts) + ")"
 
 
@@ -447,17 +486,16 @@ def qseries_mul(a: QSeries, b: QSeries) -> QSeries:
 
 
 def _entry(components: np.ndarray, den: int) -> Cyclotomic:
-    return Cyclotomic([Fraction(int(v), den) for v in components])
+    return Cyclotomic._packed(tuple(components.tolist()), den)
 
 
 def _pack(values: Sequence[Scalar]) -> tuple[np.ndarray, int]:
     """Integer numerators (dtype object, shape (len, 8)) of a flat sequence
     of scalars over their least common denominator."""
-    coeffs = [Cyclotomic.coerce(v).coefficients for v in values]
-    den = math.lcm(1, *(c.denominator for cs in coeffs for c in cs))
-    num = np.array([[c.numerator * (den // c.denominator) for c in cs] for cs in coeffs],
-                   dtype=object)
-    return num.reshape(len(coeffs), _DEGREE), den
+    cycs = [Cyclotomic.coerce(v) for v in values]
+    den = math.lcm(1, *(c._den for c in cycs))
+    num = np.array([[v * (den // c._den) for v in c._num] for c in cycs], dtype=object)
+    return num.reshape(len(cycs), _DEGREE), den
 
 
 class CycArray:
@@ -544,6 +582,13 @@ class CycArray:
         prod = _packed_product(f.num[0], self.num, self.num.shape[:-1])
         return self._like(prod, self.den * f.den)
 
+    def conjugate(self) -> "CycArray":
+        """Entrywise complex conjugation, zeta -> zeta^-1."""
+        conj = packed_roots(-np.arange(_DEGREE))  # row k = image of zeta^k
+        bound = _max_abs(self.num) * int(np.abs(conj).sum(axis=0).max())
+        num = self.num.astype(_packed_dtype(bound, self.num), copy=False)
+        return self._like(np.tensordot(num, conj, axes=([-1], [0])), self.den)
+
 
 class CycMatrix(CycArray):
     """Exact square matrix over the conductor-24 field: a CycArray whose
@@ -607,12 +652,6 @@ class CycMatrix(CycArray):
 
     def trace(self) -> Cyclotomic:
         return _entry(packed_sum(self.num[np.arange(self.n), np.arange(self.n)]), self.den)
-
-    def conjugate(self) -> "CycMatrix":
-        conj = packed_roots(-np.arange(_DEGREE))  # row k = image of zeta^k
-        bound = _max_abs(self.num) * int(np.abs(conj).sum(axis=0).max())
-        num = self.num.astype(_packed_dtype(bound, self.num), copy=False)
-        return CycMatrix(np.tensordot(num, conj, axes=([2], [0])), self.den)
 
     def is_identity(self) -> bool:
         return self == CycMatrix.identity(self.n)

@@ -561,57 +561,42 @@ def orthogonal_group(
     q4 = A.q4
     b4 = A.b4
     cands = [[x for x in range(1, A.size) if q4[x] == q4[g]] for g in gens]
+    b_rows = b4.tolist()
+    # generator i's image must pair with the images before it as g_i does
+    targets = [[b_rows[gens[i]][gens[j]] for j in range(i)] for i in range(k)]
 
     sols = []
     nodes = 0
 
-    def reduce_mod(x, echelon):
-        for pivot_bit, row in echelon:
-            if (x >> pivot_bit) & 1:
-                x ^= row
-        return x
-
-    def place(i, imgs, echelon):
+    def place(i, imgs, span):
         nonlocal nodes
         nodes += 1
         if nodes > node_budget:
             raise RuntimeError(f"orthogonal group search exceeded {node_budget} nodes")
         if i == k:
-            sols.append(list(imgs))
+            sols.append(imgs)
             return
-        gi = gens[i]
         for x in cands[i]:
-            red = reduce_mod(x, echelon)
-            if red == 0:
-                continue  # not independent from placed images
-            ok = True
-            for j in range(i):
-                if b4[x, imgs[j]] != b4[gi, gens[j]]:
-                    ok = False
-                    break
-            if not ok:
-                continue
-            pivot_bit = red.bit_length() - 1
-            place(i + 1, imgs + [x], echelon + [(pivot_bit, red)])
+            # x must lie outside the span of the images placed so far
+            if x not in span:
+                row = b_rows[x]
+                if [row[y] for y in imgs] == targets[i]:
+                    place(i + 1, imgs + [x], span | {s ^ x for s in span})
 
-    place(0, [], [])
+    place(0, [], {0})
 
-    elements = []
-    indices = np.arange(A.size)
-    for sol in sols:
-        perm = np.zeros(A.size, dtype=np.int32)
-        for i, im in enumerate(sol):
-            sel = ((indices >> i) & 1).astype(bool)
-            perm[sel] ^= im
-        elements.append(FqmAutomorphism(A, perm))
+    # the image of element e is the XOR of the images of its set bits
+    bits = (np.arange(A.size, dtype=np.int32)[:, None] >> np.arange(k, dtype=np.int32)) & 1
+    perms = np.bitwise_xor.reduce(np.array(sols, dtype=np.int32)[:, None, :] * bits, axis=2)
+    elements = [FqmAutomorphism(A, perm) for perm in perms]
 
     group = AutomorphismGroup(A, elements)
-    # exhaustive q/b preservation for every member (vectorized)
-    perms = np.stack([g.perm for g in elements])
+    # exhaustive q/b preservation for every member (vectorized, in chunks)
     if not np.all(q4[perms] == q4[None, :]):
         raise AssertionError("an automorphism candidate fails to preserve q")
-    for g in elements:
-        if not np.array_equal(b4[np.ix_(g.perm, g.perm)], b4):
+    b8 = b4.astype(np.int8)
+    for chunk in np.array_split(perms, -(-len(perms) // 128)):
+        if not np.all(b8[chunk[:, :, None], chunk[:, None, :]] == b8):
             raise AssertionError("an automorphism candidate fails to preserve b")
     return group
 

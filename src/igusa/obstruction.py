@@ -136,9 +136,7 @@ def collapsed_rep() -> CollapsedRep:
                 raise ValueError(
                     f"six-type collapse of S is ill-defined at row {t}, column {s}"
                 )
-            entries.append(
-                Cyclotomic([Fraction(int(v), s64.den) for v in block[0]])
-            )
+            entries.append(CycArray(block[0], s64.den).entry())
         s_rows.append(entries)
     s6 = CycMatrix.from_rows(s_rows)
 
@@ -147,7 +145,7 @@ def collapsed_rep() -> CollapsedRep:
         diag = t64.num[idx[t], idx[t], :]  # (n_t, 8) diagonal entries
         if not np.all(diag == diag[0]):
             raise ValueError(f"six-type collapse of T is ill-defined on class {t}")
-        t_diag.append(Cyclotomic([Fraction(int(v), t64.den) for v in diag[0]]))
+        t_diag.append(CycArray(diag[0], t64.den).entry())
     t6 = CycMatrix.diagonal(t_diag)
 
     # Route 1: frozen reference matrices.
@@ -345,7 +343,6 @@ def _validate_expansion(series: QSeries, a1: int, a2: int, box: int,
         )
 
 
-@lru_cache(maxsize=None)
 def eisenstein_G3(a1: int, a2: int, terms: int = 16, *, box: int = 1600,
                   tolerance: float = 1e-6, validate: bool = True
                   ) -> EisensteinSeries:
@@ -354,10 +351,14 @@ def eisenstein_G3(a1: int, a2: int, terms: int = 16, *, box: int = 1600,
     of i*(2*pi)^3 / 2^7.
 
     The expansion is validated against the numeric double sum at tau = i
-    unless validate is False; disagreement raises ValueError.
+    unless validate is False; disagreement raises ValueError.  Results are
+    cached on the reduced residues and the other arguments, however written.
     """
-    a1 %= 4
-    a2 %= 4
+    return _eisenstein_G3(a1 % 4, a2 % 4, terms, box, tolerance, validate)
+
+
+@lru_cache(maxsize=None)
+def _eisenstein_G3(a1, a2, terms, box, tolerance, validate) -> EisensteinSeries:
     if (a1, a2) == (0, 0):
         raise ValueError(
             "the pair (0, 0) sums to zero identically: opposite pairs cancel"
@@ -631,11 +632,15 @@ def borcherds_weight(divisor: DivisorSpec, terms: int = 8) -> Fraction:
     multiplicities against the Fourier coefficients of the normalized
     Eisenstein tuple, at exponent -n/2 for a family of norm n.  Per-element
     coefficients are class aggregates divided by class size."""
+    return _pair_divisor(divisor, f_tuple(terms=max(terms, 4)))
+
+
+def _pair_divisor(divisor: DivisorSpec, series: dict) -> Fraction:
+    """The weight of ``borcherds_weight`` from the built Eisenstein tuple."""
     type_orbit_check()
     A = ambient_module()
     labels = element_types(A)
     sizes = {lab: labels.count(lab) for lab in TYPE_ORDER}
-    series = f_tuple(terms=max(terms, 4))
     total = Fraction(0)
     for key, n, mult in divisor.entries:
         if isinstance(key, str):
@@ -667,8 +672,9 @@ def borcherds_weight(divisor: DivisorSpec, terms: int = 8) -> Fraction:
 
 def borcherds_weights_table() -> dict:
     """Weights of the four standard divisor families."""
+    series = f_tuple(terms=8)
     return {
-        name: borcherds_weight(heegner_divisor(name))
+        name: _pair_divisor(heegner_divisor(name), series)
         for name in ("kappa", "3/2", "1", "1/2")
     }
 

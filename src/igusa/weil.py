@@ -22,6 +22,7 @@ from .exact import (
     Cyclotomic,
     CycArray,
     CycMatrix,
+    _packed_product,
     integer_echelon,
     packed_roots,
     packed_sum,
@@ -219,12 +220,18 @@ def image_group() -> tuple:
     start = RepElement("E", ident, _SL2_E)
     seen = {ident.key(): start}
     frontier = [start]
-    gens = [("S", S, _SL2_S), ("T", T, _SL2_T)]
+    t_diag = T.num[np.arange(T.n), np.arange(T.n)]
+    gens = [("S", _SL2_S), ("T", _SL2_T)]
     while frontier:
         new = []
         for el in frontier:
-            for letter, mat, tag in gens:
-                prod = el.matrix @ mat
+            for letter, tag in gens:
+                if letter == "S":
+                    prod = el.matrix @ S
+                else:  # T is diagonal: scale column alpha by the unit T[alpha, alpha],
+                    # which keeps the packing in lowest terms
+                    prod = CycMatrix(_packed_product(el.matrix.num, t_diag[None], (T.n, T.n)),
+                                     el.matrix.den, False)
                 key = prod.key()
                 if key not in seen:
                     if len(seen) >= 96:
@@ -550,11 +557,14 @@ def permutation_commutes_with_rep(aut: FqmAutomorphism) -> bool:
     return bool(ok_s and ok_t)
 
 
-def _character_value(proj: CycMatrix, perm) -> Cyclotomic:
-    """trace(Perm_g . P) = sum_alpha P[g(alpha), alpha], exactly."""
-    total = packed_sum(proj.num[perm, np.arange(len(perm)), :])
-    coeffs = [Fraction(int(v), proj.den) for v in total]
-    return Cyclotomic(tuple(coeffs))
+def _character_norm(proj: CycMatrix, perms: np.ndarray):
+    """The characters chi(g) = trace(Perm_g . P) = sum_alpha P[g(alpha), alpha]
+    of the permutations in the rows of perms, packed in shape (len(perms), 8),
+    and their mean square norm sum_g chi(g) conj(chi(g)) / len(perms)."""
+    chars = CycArray(packed_sum(np.moveaxis(proj.num[perms, np.arange(proj.n)], 1, 0)),
+                     proj.den)
+    squares = _packed_product(chars.num, chars.conjugate().num, (len(perms),))
+    return chars, CycArray(packed_sum(squares), chars.den**2 * len(perms)).entry()
 
 
 def irreducibility_check() -> dict:
@@ -564,14 +574,8 @@ def irreducibility_check() -> dict:
     A = ambient_module()
     G = ambient_orthogonal_group()
     proj = isotypic_projector(4)
-    norm_acc = CYC_ZERO
-    identity_value = None
-    for g in G.elements:
-        chi = _character_value(proj, g.perm)
-        norm_acc = norm_acc + chi * chi.conjugate()
-        if g.is_identity():
-            identity_value = chi
-    norm = norm_acc * Fraction(1, G.order)
+    chars, norm = _character_norm(proj, np.stack([g.perm for g in G.elements]))
+    identity_value = chars.entry(next(i for i, g in enumerate(G.elements) if g.is_identity()))
     kappa = radical_class(A)
     t_kappa = reflection(A, kappa)
     central_minus = np.array_equal(proj.num[t_kappa.perm, :, :], -proj.num)

@@ -171,6 +171,152 @@ if HAVE_HYPOTHESIS:
 
 
 # ---------------------------------------------------------------------------
+# The integer scalar against the Fraction-tuple reference
+# ---------------------------------------------------------------------------
+
+_REF_BASIS = [cyclotomic_root(k).coefficients for k in range(24)]
+
+
+class FractionCyclotomic:
+    """The conductor-24 scalar as a tuple of 8 Fractions in the power basis,
+    with schoolbook arithmetic: the reference for the integer packing."""
+
+    __slots__ = ("_c",)
+
+    def __init__(self, coeffs):
+        self._c = tuple(Fraction(v) for v in coeffs)
+
+    def __eq__(self, other):
+        return self._c == other._c
+
+    def __hash__(self):
+        return hash(self._c)
+
+    def __bool__(self):
+        return any(self._c)
+
+    def __neg__(self):
+        return FractionCyclotomic(-v for v in self._c)
+
+    def __add__(self, other):
+        return FractionCyclotomic(a + b for a, b in zip(self._c, other._c))
+
+    def __sub__(self, other):
+        return FractionCyclotomic(a - b for a, b in zip(self._c, other._c))
+
+    def __mul__(self, other):
+        acc = [Fraction(0)] * 8
+        for i, a in enumerate(self._c):
+            for j, b in enumerate(other._c):
+                if a and b:
+                    for k, c in enumerate(_REF_BASIS[i + j]):
+                        acc[k] += a * b * c
+        return FractionCyclotomic(acc)
+
+    def galois(self, k):
+        acc = [Fraction(0)] * 8
+        for j, a in enumerate(self._c):
+            for i, c in enumerate(_REF_BASIS[(j * k) % 24]):
+                acc[i] += a * c
+        return FractionCyclotomic(acc)
+
+    def inverse(self):
+        if not self:
+            raise ZeroDivisionError("cyclotomic inverse of zero")
+        cofactor = FractionCyclotomic([1] + [0] * 7)
+        for k in (5, 7, 11, 13, 17, 19, 23):
+            cofactor = cofactor * self.galois(k)
+        norm = (self * cofactor)._c[0]
+        return FractionCyclotomic(v / norm for v in cofactor._c)
+
+    def __truediv__(self, other):
+        return self * other.inverse()
+
+    def __pow__(self, n):
+        if n < 0:
+            return self.inverse() ** (-n)
+        out = FractionCyclotomic([1] + [0] * 7)
+        for _ in range(n):
+            out = out * self
+        return out
+
+    def __repr__(self):
+        if not any(self._c[1:]):
+            return f"Cyc({self._c[0]})"
+        parts = [f"{a}*z^{k}" if k else f"{a}" for k, a in enumerate(self._c) if a]
+        return "Cyc(" + " + ".join(parts) + ")"
+
+
+def _agrees(x: Cyclotomic, ref: FractionCyclotomic) -> bool:
+    return (x.coefficients == ref._c and repr(x) == repr(ref)
+            and x == Cyclotomic(ref._c) and hash(x) == hash(Cyclotomic(ref._c)))
+
+
+def test_integer_scalar_keeps_lowest_terms():
+    x = Cyclotomic([Fraction(2, 6), Fraction(4, 6), 0, 0, 0, 0, 0, Fraction(-8, 3)])
+    assert (x._num, x._den) == ((1, 2, 0, 0, 0, 0, 0, -8), 3)
+    assert x == x + 0 and hash(x) == hash(x * 1)
+    assert (x - x)._num == (0,) * 8 and (x - x)._den == 1
+    assert Cyclotomic(Fraction(6, 4)) == Fraction(3, 2) and Cyclotomic(7) == 7
+    assert Cyclotomic(Fraction(6, 4)) != Fraction(3, 4) and CYC_I != 0
+    big = Cyclotomic([2**64, 0, 0, 0, 0, 0, 0, 2**65])
+    assert big.coefficients[7] == 2**65 and (big * big.inverse()) == CYC_ONE
+    with pytest.raises(ValueError):
+        Cyclotomic([1, 2, 3])
+
+
+def test_integer_scalar_arithmetic_builds_no_fraction():
+    import cProfile
+    import pstats
+
+    z = cyclotomic_root(1)
+    xs = [3 * z**5 - Fraction(1, 2) * z**2 + 7, Cyclotomic(Fraction(-3, 7)), z**2 - z**10 + 5,
+          Cyclotomic([Fraction(2**70, 9), 0, 1, 0, 0, Fraction(5, 6), 0, -1]), CYC_I]
+    profile = cProfile.Profile()
+    profile.enable()
+    for x in xs:
+        for y in xs:
+            _ = (x * y, x + y, x - y, x / y, -x, x * 3, 2 - x, x == y, hash(x))
+        for k in (5, 7, 11, 13, 17, 19, 23):
+            _ = x.galois(k)
+        _ = (x.inverse(), x**3, x**-2, x.conjugate(), x.is_rational)
+    profile.disable()
+    called = {f"{path.rsplit('/', 1)[-1]}:{name}"
+              for path, _, name in pstats.Stats(profile).stats}
+    assert "fractions.py:__new__" not in called
+
+
+if HAVE_HYPOTHESIS:
+    scalar_coordinates = st.one_of(
+        st.just(Fraction(0)),
+        st.fractions(min_value=-4, max_value=4, max_denominator=12),
+        st.builds(Fraction, st.integers(-2**80, 2**80), st.integers(1, 1000)),
+    )
+    scalar_pairs = st.lists(scalar_coordinates, min_size=8, max_size=8).map(
+        lambda cs: (Cyclotomic(cs), FractionCyclotomic(cs)))
+    zero_pair = st.just((CYC_ZERO, FractionCyclotomic([0] * 8)))
+
+    @given(scalar_pairs, st.one_of(zero_pair, scalar_pairs), st.sampled_from([1, 5, 7, 11, 13, 17, 19, 23, -1]),
+           st.integers(min_value=-2, max_value=3))
+    @settings(max_examples=60, deadline=None)
+    def test_integer_scalar_matches_the_fraction_reference(a, b, k, n):
+        (x, rx), (y, ry) = a, b
+        assert _agrees(x, rx) and _agrees(y, ry)
+        assert _agrees(x + y, rx + ry) and _agrees(x - y, rx - ry)
+        assert _agrees(x * y, rx * ry) and _agrees(-x, -rx)
+        assert _agrees(x.galois(k), rx.galois(k))
+        assert (x == y) == (rx == ry) and (x == x * 1) and hash(x) == hash(x * 1)
+        if not ry:
+            with pytest.raises(ZeroDivisionError):
+                y.inverse()
+            with pytest.raises(ZeroDivisionError):
+                x / y
+            return
+        assert _agrees(y.inverse(), ry.inverse()) and _agrees(x / y, rx / ry)
+        assert _agrees(y**n, ry**n)
+
+
+# ---------------------------------------------------------------------------
 # QSeries
 # ---------------------------------------------------------------------------
 

@@ -313,6 +313,50 @@ def test_center_is_identity_and_kappa_reflection(OQN, AN):
     assert orders == [1, 2]
 
 
+def reference_orthogonal_perms(A):
+    """The generator-image search by XOR echelon reduction and pairwise b
+    lookups, one permutation built per solution: an independent reference
+    for the element list and its order."""
+    k = len(A.orders)
+    gens = [1 << i for i in range(k)]
+    cands = [[x for x in range(1, A.size) if A.q4[x] == A.q4[g]] for g in gens]
+    sols = []
+
+    def reduce_mod(x, echelon):
+        for pivot_bit, row in echelon:
+            if (x >> pivot_bit) & 1:
+                x ^= row
+        return x
+
+    def place(i, imgs, echelon):
+        if i == k:
+            sols.append(list(imgs))
+            return
+        for x in cands[i]:
+            red = reduce_mod(x, echelon)
+            if red == 0:
+                continue
+            if any(A.b4[x, imgs[j]] != A.b4[gens[i], gens[j]] for j in range(i)):
+                continue
+            place(i + 1, imgs + [x], echelon + [(red.bit_length() - 1, red)])
+
+    place(0, [], [])
+    perms = []
+    indices = np.arange(A.size)
+    for sol in sols:
+        perm = np.zeros(A.size, dtype=np.int32)
+        for i, im in enumerate(sol):
+            perm[((indices >> i) & 1).astype(bool)] ^= im
+        perms.append(perm)
+    return np.stack(perms)
+
+
+def test_orthogonal_group_matches_the_reference_search(OQN, AN):
+    perms = np.stack([g.perm for g in OQN.elements])
+    assert perms.dtype == np.int32
+    assert np.array_equal(perms, reference_orthogonal_perms(AN))
+
+
 def test_node_budget_is_enforced(AN):
     with pytest.raises(RuntimeError):
         orthogonal_group(AN, node_budget=10)

@@ -286,6 +286,35 @@ def test_weights_table():
     }
 
 
+def test_obstruction_suite_validates_each_series_once(monkeypatch):
+    from igusa.report import SuiteRunner, obstruction_suite
+
+    calls = []
+    original = obstruction.numeric_double_sum
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(obstruction, "numeric_double_sum", counted)
+    obstruction._eisenstein_G3.cache_clear()
+    try:
+        runner = SuiteRunner()
+        obstruction_suite(runner)
+        assert all(check.status == "pass" for check in runner.checks)
+        assert len(calls) == 6
+        # the same series however written is not validated again ...
+        eisenstein_G3(5, -2, terms=8)
+        eisenstein_G3(1, 2, 8, box=1600, tolerance=1e-6, validate=True)
+        assert len(calls) == 6
+        # ... but another tolerance or box is
+        eisenstein_G3(1, 2, 8, tolerance=1e-5)
+        eisenstein_G3(1, 2, 8, box=800)
+        assert len(calls) == 8
+    finally:
+        obstruction._eisenstein_G3.cache_clear()
+
+
 def test_weight_by_single_elements_matches_class_family():
     A = ambient_module()
     labels = element_types(A)

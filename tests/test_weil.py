@@ -353,7 +353,19 @@ def test_irreducibility_certificate():
 
 def test_character_value_does_not_wrap_past_int64():
     big = CycMatrix.from_rows([[2**62] * 2] * 2)
-    assert weil._character_value(big, [0, 1]).as_rational() == 2**63
+    chars, norm = weil._character_norm(big, np.array([[0, 1], [1, 0]]))
+    assert [chars.entry(i).as_rational() for i in range(2)] == [2**63, 2**63]
+    assert norm == Cyclotomic(2**126)
+    # the packed characters and norm against per-element Cyclotomic sums
+    proj = isotypic_projector(4)
+    perms = np.stack([g.perm for g in ambient_orthogonal_group().elements[:10]])
+    chars, norm = weil._character_norm(proj, perms)
+    reference = [sum((proj.entry(int(p[a]), a) for a in range(64)), CYC_ZERO) for p in perms]
+    assert [chars.entry(i) for i in range(10)] == reference
+    assert norm == sum((c * c.conjugate() for c in reference), CYC_ZERO) / 10
+    first = next(i for i, p in enumerate(perms) if (p == np.arange(64)).all())
+    rep = irreducibility_check()
+    assert rep["identity_character"] == reference[first] == Cyclotomic(5)
 
 
 # ---------------------------------------------------------------------------
