@@ -480,11 +480,6 @@ class QSeries:
         return f"QSeries({body or '0'}; O(q^{self.truncation}))"
 
 
-def qseries_mul(a: QSeries, b: QSeries) -> QSeries:
-    """Cauchy product truncated at the minimum induced truncation order."""
-    return a * b
-
-
 def _entry(components: np.ndarray, den: int) -> Cyclotomic:
     return Cyclotomic._packed(tuple(components.tolist()), den)
 

@@ -207,14 +207,6 @@ class FiniteQuadraticModule:
     def __repr__(self):
         return f"FiniteQuadraticModule(orders={self.orders}, size={self.size})"
 
-    def same_presentation(self, other) -> bool:
-        return (
-            isinstance(other, FiniteQuadraticModule)
-            and self.orders == other.orders
-            and self.q4_gen == other.q4_gen
-            and self.b4_gen == other.b4_gen
-        )
-
 
 def direct_sum(*modules: FiniteQuadraticModule) -> FiniteQuadraticModule:
     """Orthogonal direct sum of finite quadratic modules."""

@@ -351,39 +351,47 @@ def eisenstein_G3(a1: int, a2: int, terms: int = 16, *, box: int = 1600,
     of i*(2*pi)^3 / 2^7.
 
     The expansion is validated against the numeric double sum at tau = i
-    unless validate is False; disagreement raises ValueError.  Results are
-    cached on the reduced residues and the other arguments, however written.
+    unless validate is False; disagreement raises ValueError.  Expansions
+    and validations are cached on the reduced residues and the other
+    arguments, however written, so shorter truncations and unvalidated
+    calls reuse the same expansion.
     """
-    return _eisenstein_G3(a1 % 4, a2 % 4, terms, box, tolerance, validate)
-
-
-@lru_cache(maxsize=None)
-def _eisenstein_G3(a1, a2, terms, box, tolerance, validate) -> EisensteinSeries:
+    a1 %= 4
+    a2 %= 4
     if (a1, a2) == (0, 0):
         raise ValueError(
             "the pair (0, 0) sums to zero identically: opposite pairs cancel"
         )
     if not 1 <= terms <= 64:
         raise ValueError("terms must lie between 1 and 64")
-
     # Always expand far enough that the oracle's series truncation error is
     # far below the tolerance at q^(1/4) = e^(-pi/2).
     work = max(terms, 16)
-    data = {}
-    if a1 == 0:
-        data[Fraction(0)] = _CONSTANT_TERMS[a2]
-    for j in range(1, work + 1):
-        data[Fraction(j, 4)] = _fourier_coefficient(j, a1, a2)
-    full = QSeries(data, Fraction(work + 1, 4))
+    full = _eisenstein_G3(a1, a2, work)
     if validate:
-        _validate_expansion(full, a1, a2, box, tolerance)
-
+        _validated(a1, a2, work, box, tolerance)
     if terms < work:
         cutoff = Fraction(terms + 1, 4)
         full = QSeries(
             {e: c for e, c in full.terms.items() if e < cutoff}, cutoff
         )
     return EisensteinSeries((a1, a2), full)
+
+
+@lru_cache(maxsize=None)
+def _eisenstein_G3(a1, a2, work) -> QSeries:
+    """The expansion through the coefficient of q^(work/4)."""
+    data = {}
+    if a1 == 0:
+        data[Fraction(0)] = _CONSTANT_TERMS[a2]
+    for j in range(1, work + 1):
+        data[Fraction(j, 4)] = _fourier_coefficient(j, a1, a2)
+    return QSeries(data, Fraction(work + 1, 4))
+
+
+@lru_cache(maxsize=None)
+def _validated(a1, a2, work, box, tolerance) -> None:
+    _validate_expansion(_eisenstein_G3(a1, a2, work), a1, a2, box, tolerance)
 
 
 # ---------------------------------------------------------------------------

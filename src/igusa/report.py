@@ -927,7 +927,7 @@ def geometry_suite(runner: SuiteRunner, trials: int = 20,
         return
 
     def witness():
-        report = quartic_point_composition_check(seed=seed)
+        report = quartic_point_composition_check()
         return (
             {"constant_term_exact_zero": True, "leading_term_nonzero": True,
              "witness_within_bound": True},

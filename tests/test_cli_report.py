@@ -1,5 +1,6 @@
 """Report assembly, serialization, and the command-line driver."""
 
+import hashlib
 import json
 from fractions import Fraction
 
@@ -215,6 +216,16 @@ def test_cli_byte_identical_reports_for_same_config(capsys):
     main(["census", "--seed", "11"])
     second = capsys.readouterr().out
     assert first == second
+
+
+ALL_SHA256 = "24a9d4de9a0a92bb5ac03e4ce86cc00f3e66b623a3e9389a3bdad36f3d06e7cf"
+
+
+def test_cli_all_report_is_pinned(capsys):
+    # the full report at default flags is the library's fixed output
+    assert main(["all"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == ALL_SHA256
 
 
 def test_cli_timings_are_recorded_on_request(capsys):

@@ -2,12 +2,13 @@
 
 import os
 import random
+import re
 import subprocess
 import sys
 from fractions import Fraction
+from itertools import combinations
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 import igusa.geometry as geometry
@@ -23,7 +24,6 @@ from igusa.geometry import (
     canonical_polys,
     cubic_base_locus_check,
     cubic_span,
-    curves_agree,
     degree16_check,
     exact_gauge_transport,
     exact_quartic_composition,
@@ -37,7 +37,6 @@ from igusa.geometry import (
     poly_is_squarefree,
     quartic_point_composition_check,
     rational_curve_via_frame,
-    rnc_through_7,
     s6_equivariance,
     singular_inclusion_check,
 )
@@ -377,59 +376,49 @@ def test_exact_gauge_transport_moves_parameters():
     assert all(value[i] == lam * chart[i] for i in range(5))
 
 
-# ---------------------------------------------------------------------------
-# Newton interpolation
-# ---------------------------------------------------------------------------
+def test_frame_curve_solves_only_its_two_inverses(monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return integer_echelon(*args, **kwargs)
+
+    monkeypatch.setattr(geometry, "integer_echelon", counted)
+    rational_curve_via_frame(generic_seven())
+    assert len(calls) == 2
 
 
-def test_newton_interpolation_meets_tolerance_and_gauge():
-    pts = generic_seven()
-    curve = rnc_through_7(pts, seed=0)
-    assert curve.residual <= 1e-9
-    t1, t2, t3 = curve.parameters[:3]
-    assert abs(t1) < 1e-12 and abs(t2 - 1) < 1e-12 and abs(t3 + 1) < 1e-12
-    assert abs(curve.scales[0] - 1) < 1e-12
-    # interpolation holds projectively at every parameter
-    for t, lam, p in zip(curve.parameters, curve.scales, pts):
-        chart = np.array([complex(c) for c in p[:5]])
-        err = np.linalg.norm(curve.chart_point(t) - lam * chart)
-        assert err <= 1e-6 * max(1.0, np.linalg.norm(lam * chart))
-    # ambient polynomials sum to zero (curve lies in the hyperplane)
-    assert np.allclose(curve.ambient_polys().sum(axis=0), 0.0)
+def _dependent_subsets(points):
+    """Every 5-subset of the points whose charts have rank below 5."""
+    charts = [[F(c) for c in p[:5]] for p in points]
+    return [
+        subset for subset in combinations(range(len(points)), 5)
+        if len(integer_echelon([charts[i] for i in subset])[1]) < 5
+    ]
 
 
-def test_newton_agrees_with_exact_frame_curve():
-    pts = generic_seven()
-    newton = rnc_through_7(pts, seed=0)
-    exact = rational_curve_via_frame(pts)
-    charts = [tuple(F(c) for c in p[:5]) for p in pts]
-    moved, _ = exact_gauge_transport(curve=exact, charts=charts,
-                                     gauge=(F(0), F(1), F(-1)))
-    reference = moved.to_param_curve(
-        [np.array([complex(c) for c in ch]) for ch in charts]
-    )
-    assert curves_agree(newton, reference) <= 1e-6
-
-
-def test_newton_cross_gauge_agreement():
-    pts = generic_seven(seed=7)
-    c1 = rnc_through_7(pts, seed=0)
-    c2 = rnc_through_7(pts, seed=0, gauge=(0.0, 2.0, -1.0))
-    assert abs(c2.parameters[1] - 2.0) < 1e-12
-    assert curves_agree(c1, c2) <= 1e-6
-
-
-def test_newton_input_validation():
-    pts = generic_seven()
-    with pytest.raises(ValueError):
-        rnc_through_7(pts[:6])
-    with pytest.raises(ValueError):
-        rnc_through_7(pts, gauge=(0.0, 0.0, 1.0))
+def test_frame_curve_names_each_dependent_subset():
+    # make exactly one of the 21 five-point subsets dependent, by replacing
+    # one of its points with a combination of its other four; the frame
+    # construction must name that subset, whichever test decides it
+    rng = random.Random(5)
+    for subset in combinations(range(7), 5):
+        pts = [tuple(F(c) for c in p) for p in generic_seven()]
+        *others, last = subset
+        weights = [F(rng.choice([-3, -2, -1, 1, 2, 3])) for _ in others]
+        pts[last] = tuple(
+            sum(w * pts[i][k] for w, i in zip(weights, others))
+            for k in range(6)
+        )
+        assert _dependent_subsets(pts) == [subset]
+        with pytest.raises(ValueError, match=re.escape(str(subset))):
+            rational_curve_via_frame(pts)
 
 
 def test_degenerate_configuration_is_rejected_quickly():
-    # seven points whose coordinates repeat pairwise admit no interpolating
-    # curve of degree four; the solver must fail fast, not time out
+    # every 6 of these seven points span the hyperplane, but the 5-subsets
+    # (0, 1, 2, 3, 6) and (0, 2, 3, 4, 5) do not, so no degree-4 curve
+    # passes through all seven; the error must name a dependent subset
     sym = [
         (2, 1, 1, -1, -1, -2),
         (2, 1, -1, 1, -1, -2),
@@ -439,8 +428,14 @@ def test_degenerate_configuration_is_rejected_quickly():
         (2, 1, 1, -1, -2, -1),
         (1, 1, 2, -1, -1, -2),
     ]
-    with pytest.raises(RuntimeError):
-        rnc_through_7(sym, seed=0, max_restarts=10)
+    charts = [[F(c) for c in p[:5]] for p in sym]
+    for skip in range(7):
+        six = [charts[i] for i in range(7) if i != skip]
+        assert len(integer_echelon(six)[1]) == 5
+    assert _dependent_subsets(sym) == [(0, 1, 2, 3, 6), (0, 2, 3, 4, 5)]
+    with pytest.raises(ValueError,
+                       match=r"\(0, 1, 2, 3, 6\)|\(0, 2, 3, 4, 5\)"):
+        rational_curve_via_frame(sym)
 
 
 # ---------------------------------------------------------------------------
@@ -462,7 +457,7 @@ def test_exact_composition_degree_and_squarefree_tools():
 
 
 def test_on_quartic_witness_composition():
-    report = quartic_point_composition_check(seed=0)
+    report = quartic_point_composition_check()
     assert report["constant_term_exact_zero"] is True
     assert report["leading_term_nonzero"] is True
     assert report["witness_residual"] <= report["bound"]
@@ -470,10 +465,10 @@ def test_on_quartic_witness_composition():
 
 DEGREE16_CAUSES = {
     "no_generic_point",
-    "newton_failed",
+    "interpolation_residual",
     "degree_drop_exact",
     "repeated_roots_exact",
-    "degree_drop",
+    "small_float_leading_coefficient",
     "root_clustering",
 }
 
@@ -486,10 +481,42 @@ def test_degree16_counts_sixteen_distinct_roots(seed):
     assert report["success_rate"] >= 0.95
     assert report["residual_tol"] == 1e-9
     assert report["separation_tol"] == 1e-6
-    assert report["worst_newton_residual"] <= 1e-9
+    assert 0 < report["worst_interpolation_residual"] <= 1e-9
     for trial, cause in report["discarded"]:
         assert 0 <= trial < trials
         assert cause in DEGREE16_CAUSES
+
+
+def test_degree16_rejects_exactly_the_draws_with_a_dependent_subset(
+        monkeypatch):
+    # differential: the frame construction's verdict on each draw against a
+    # brute-force rank count over all 21 five-point subsets
+    draws = []
+    original = geometry.rational_curve_via_frame
+
+    def recorded(points):
+        try:
+            curve = original(points)
+        except ValueError as err:
+            draws.append((points, str(err)))
+            raise
+        draws.append((points, None))
+        return curve
+
+    monkeypatch.setattr(geometry, "rational_curve_via_frame", recorded)
+    trials = 40
+    report = degree16_check(trials=trials, seed=0)
+    rejected = [(p, err) for p, err in draws if err is not None]
+    assert report["rejected_draws"]["dependent_5_subset"] == len(rejected)
+    assert len(rejected) == sum(1 for p, _ in draws if _dependent_subsets(p))
+    assert len(rejected) > 0
+    # one construction per accepted draw, each reused for its trial
+    no_point = [c for _, c in report["discarded"]].count("no_generic_point")
+    assert len(draws) - len(rejected) == trials - no_point
+    for points, err in rejected:
+        named = tuple(int(i) for i in re.search(r"\(([\d, ]+)\)", err)
+                      .group(1).split(", "))
+        assert named in _dependent_subsets(points)
 
 
 def test_degree16_rejects_empty_trial_budget():

@@ -296,13 +296,20 @@ def test_obstruction_suite_validates_each_series_once(monkeypatch):
         calls.append(args)
         return original(*args, **kwargs)
 
+    def clear():
+        obstruction._eisenstein_G3.cache_clear()
+        obstruction._validated.cache_clear()
+
     monkeypatch.setattr(obstruction, "numeric_double_sum", counted)
-    obstruction._eisenstein_G3.cache_clear()
+    clear()
     try:
         runner = SuiteRunner()
         obstruction_suite(runner)
         assert all(check.status == "pass" for check in runner.checks)
         assert len(calls) == 6
+        # the unvalidated 4-term and validated 8-term tuples share one
+        # expansion per series
+        assert obstruction._eisenstein_G3.cache_info().misses == 6
         # the same series however written is not validated again ...
         eisenstein_G3(5, -2, terms=8)
         eisenstein_G3(1, 2, 8, box=1600, tolerance=1e-6, validate=True)
@@ -311,8 +318,9 @@ def test_obstruction_suite_validates_each_series_once(monkeypatch):
         eisenstein_G3(1, 2, 8, tolerance=1e-5)
         eisenstein_G3(1, 2, 8, box=800)
         assert len(calls) == 8
+        assert obstruction._eisenstein_G3.cache_info().misses == 6
     finally:
-        obstruction._eisenstein_G3.cache_clear()
+        clear()
 
 
 def test_weight_by_single_elements_matches_class_family():
