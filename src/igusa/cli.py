@@ -10,6 +10,7 @@ that reproducibility.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from . import __version__
@@ -58,12 +59,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common.add_argument(
         "--trials", type=int, default=20, metavar="INT",
-        help="number of degree-16 trials; 0 skips the numeric geometry "
-             "checks (default: 20)",
+        help="number of degree-16 trials, from 0 to 1000; 0 skips the "
+             "numeric geometry checks (default: 20)",
     )
     common.add_argument(
         "--terms", type=int, default=30, metavar="INT",
-        help="q-series truncation for the eta-product oracle (default: 30)",
+        help="q-series truncation for the eta-product oracle, from 1 to "
+             "200 (default: 30)",
     )
     common.add_argument(
         "--tolerance", type=float, default=1e-6, metavar="FLOAT",
@@ -109,10 +111,24 @@ def _validate(parser: argparse.ArgumentParser, args) -> None:
                          f"level sets grow like the fourth power of the box)")
     if args.trials < 0:
         parser.error("--trials must be nonnegative")
+    # as for --box, a cap is imported only when the value exceeds the
+    # default, so a suite never loads a layer it does not run
+    if args.trials > 20:
+        from .geometry import MAX_TRIALS
+
+        if args.trials > MAX_TRIALS:
+            parser.error(f"--trials must be at most {MAX_TRIALS} (each trial "
+                         "is one exact degree-16 composition)")
     if args.terms < 1:
         parser.error("--terms must be positive")
-    if not args.tolerance > 0:
-        parser.error("--tolerance must be positive")
+    if args.terms > 30:
+        from .lifting import MAX_TERMS
+
+        if args.terms > MAX_TERMS:
+            parser.error(f"--terms must be at most {MAX_TERMS} (the eta "
+                         "expansions grow like the square of the terms)")
+    if not (args.tolerance > 0 and math.isfinite(args.tolerance)):
+        parser.error("--tolerance must be positive and finite")
 
 
 def main(argv=None) -> int:

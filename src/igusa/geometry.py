@@ -23,12 +23,13 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, product
+from itertools import combinations
 from numbers import Rational
+from operator import add, mul
 
 import numpy as np
 
-from .exact import integer_echelon
+from .exact import _packed_dtype, integer_echelon
 
 __all__ = [
     "MultiPoly",
@@ -58,7 +59,13 @@ __all__ = [
     "image_relation_equivariance",
     "quartic_point_composition_check",
     "degree16_check",
+    "MAX_TRIALS",
 ]
+
+# Largest trial count of the degree-16 certification; each trial builds one
+# exact frame curve and its degree-16 composition, and
+# `igusa geometry --trials 1000` takes about 8 s and 35 MB.
+MAX_TRIALS = 1000
 
 
 # ---------------------------------------------------------------------------
@@ -75,10 +82,25 @@ def _rational(value):
     return value
 
 
+def _cleared(values) -> tuple:
+    """(integers, D): rationals times their least common denominator D."""
+    values = list(values)
+    den = math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (den // v.denominator) for v in values], den
+
+
 class MultiPoly:
     """Multivariate polynomial over the rationals: exponent tuple -> coefficient.
 
-    Coefficients are ints when integral and Fractions otherwise."""
+    Coefficients are ints when integral and Fractions otherwise.  The
+    constructor validates its input; every operation builds its result with
+    the trusted `_from_terms`, which only drops zero terms and stores
+    integral Fractions as ints.  `compose` substitutes through one power
+    table per variable, and `evaluate_rows` evaluates an integer polynomial
+    at every row of an integer array at once, in int64 while an overflow
+    bound allows and in Python integers beyond it.  These polynomials have
+    at most a few dozen terms, so a dict of terms beats packed numpy arrays
+    operation by operation."""
 
     __slots__ = ("nvars", "terms")
 
@@ -95,21 +117,34 @@ class MultiPoly:
             clean[exps] = clean.get(exps, 0) + coeff
         self.terms = {e: _rational(c) for e, c in clean.items() if c}
 
+    @classmethod
+    def _from_terms(cls, nvars: int, terms: dict) -> "MultiPoly":
+        """Trusted constructor: the exponent tuples are valid and the
+        coefficients ints or Fractions; zero terms are dropped and integral
+        Fractions stored as ints."""
+        poly = object.__new__(cls)
+        poly.nvars = nvars
+        poly.terms = {
+            e: c if type(c) is int or c.denominator != 1 else c.numerator
+            for e, c in terms.items() if c
+        }
+        return poly
+
     # -- constructors --------------------------------------------------------
 
     @classmethod
     def zero(cls, nvars: int) -> "MultiPoly":
-        return cls(nvars, {})
+        return cls._from_terms(nvars, {})
 
     @classmethod
     def constant(cls, nvars: int, value) -> "MultiPoly":
-        return cls(nvars, {(0,) * nvars: value})
+        return cls._from_terms(nvars, {(0,) * nvars: _rational(value)})
 
     @classmethod
     def variable(cls, nvars: int, index: int) -> "MultiPoly":
         exps = [0] * nvars
         exps[index] = 1
-        return cls(nvars, {tuple(exps): 1})
+        return cls._from_terms(nvars, {tuple(exps): 1})
 
     # -- ring operations -----------------------------------------------------
 
@@ -124,39 +159,48 @@ class MultiPoly:
         out = dict(self.terms)
         for e, c in other.terms.items():
             out[e] = out.get(e, 0) + c
-        return MultiPoly(self.nvars, out)
+        return MultiPoly._from_terms(self.nvars, out)
 
     def __sub__(self, other):
         return self + (-other if isinstance(other, MultiPoly) else -_rational(other))
 
     def __neg__(self):
-        return MultiPoly(self.nvars, {e: -c for e, c in self.terms.items()})
+        return MultiPoly._from_terms(
+            self.nvars, {e: -c for e, c in self.terms.items()}
+        )
 
     def __mul__(self, other):
         if not isinstance(other, MultiPoly):
             c = _rational(other)
-            return MultiPoly(self.nvars, {e: v * c for e, v in self.terms.items()})
+            return MultiPoly._from_terms(
+                self.nvars, {e: v * c for e, v in self.terms.items()}
+            )
         self._check(other)
         out = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
+                e = tuple(map(add, e1, e2))
                 out[e] = out.get(e, 0) + c1 * c2
-        return MultiPoly(self.nvars, out)
+        return MultiPoly._from_terms(self.nvars, out)
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
+        """Binary powering: floor(log2 n) squarings, one fewer product than
+        n has set bits."""
         if n < 0:
             raise ValueError("nonnegative powers only")
-        result = MultiPoly.constant(self.nvars, 1)
+        if not n:
+            return MultiPoly.constant(self.nvars, 1)
+        result = None
         base = self
-        while n:
+        while True:
             if n & 1:
-                result = result * base
-            base = base * base
+                result = base if result is None else result * base
             n >>= 1
-        return result
+            if not n:
+                return result
+            base = base * base
 
     def __eq__(self, other):
         return (
@@ -192,16 +236,51 @@ class MultiPoly:
                 raise TypeError(f"cannot evaluate at the non-rational {v!r}")
         if not self.terms:
             return Fraction(0)
-        den = math.lcm(*(v.denominator for v in values))
-        xs = [v.numerator * (den // v.denominator) for v in values]
-        cden = math.lcm(*(c.denominator for c in self.terms.values()))
+        xs, den = _cleared(values)
+        coeffs, cden = _cleared(self.terms.values())
         degrees = [sum(exps) for exps in self.terms]
         deg = max(degrees)
         total = 0
-        for (exps, coeff), d in zip(self.terms.items(), degrees):
-            term = coeff.numerator * (cden // coeff.denominator)
-            total += term * math.prod(map(pow, xs, exps)) * den ** (deg - d)
+        for exps, coeff, d in zip(self.terms, coeffs, degrees):
+            total += coeff * math.prod(map(pow, xs, exps)) * den ** (deg - d)
         return Fraction(total, cden * den**deg)
+
+    def evaluate_rows(self, points) -> np.ndarray:
+        """Values of a polynomial with integer coefficients at every row of
+        an integer array, from one power table per variable.  The sum of
+        |c| prod max(|x_v|, 1)^e_v over the terms bounds every power,
+        product and partial sum, so the arithmetic runs in int64 below
+        2^63 and in Python integers (dtype object) beyond; it never
+        wraps."""
+        points = np.asarray(points)
+        if points.ndim != 2 or points.shape[1] != self.nvars:
+            raise ValueError("expected one row of values per point")
+        if points.dtype.kind not in "iu":
+            raise TypeError("cannot batch-evaluate at non-integer points")
+        if any(type(c) is not int for c in self.terms.values()):
+            raise ValueError("batched evaluation needs integer coefficients")
+        sizes = [
+            max(-int(np.min(col, initial=0)), int(np.max(col, initial=0)), 1)
+            for col in points.T
+        ]
+        bound = sum(abs(c) * math.prod(map(pow, sizes, exps))
+                    for exps, c in self.terms.items())
+        dtype = _packed_dtype(bound, points)
+        points = points.astype(dtype)
+        tables = []
+        for column, top in zip(points.T, map(max, zip(*self.terms))):
+            powers = [None, column]
+            for _ in range(top - 1):
+                powers.append(powers[-1] * column)
+            tables.append(powers)
+        total = np.zeros(len(points), dtype=dtype)
+        for exps, coeff in self.terms.items():
+            term = None
+            for powers, e in zip(tables, exps):
+                if e:
+                    term = powers[e] if term is None else term * powers[e]
+            total += coeff if term is None else coeff * term
+        return total
 
     def partial(self, index: int) -> "MultiPoly":
         out = {}
@@ -213,24 +292,37 @@ class MultiPoly:
             new[index] = e - 1
             key = tuple(new)
             out[key] = out.get(key, 0) + coeff * e
-        return MultiPoly(self.nvars, out)
+        return MultiPoly._from_terms(self.nvars, out)
 
     def compose(self, substitutions) -> "MultiPoly":
         """Substitute a polynomial (all over a common variable set) for each
-        variable."""
+        variable.  The powers 0..maxdeg of each substitution are built once;
+        each term adds coeff * (product of its table entries) into one
+        dict."""
         if len(substitutions) != self.nvars:
             raise ValueError("substitution count mismatch")
         nout = substitutions[0].nvars
         if any(s.nvars != nout for s in substitutions):
             raise ValueError("substitutions disagree on variable count")
-        total = MultiPoly.zero(nout)
+        tables = []
+        for sub, top in zip(substitutions, map(max, zip(*self.terms))):
+            powers = [None, sub]
+            for _ in range(top - 1):
+                powers.append(powers[-1] * sub)
+            tables.append(powers)
+        one = (0,) * nout
+        out = {}
         for exps, coeff in self.terms.items():
-            term = MultiPoly.constant(nout, coeff)
-            for sub, e in zip(substitutions, exps):
+            term = None
+            for powers, e in zip(tables, exps):
                 if e:
-                    term = term * sub**e
-            total = total + term
-        return total
+                    term = powers[e] if term is None else term * powers[e]
+            if term is None:
+                out[one] = out.get(one, 0) + coeff
+                continue
+            for e, c in term.terms.items():
+                out[e] = out.get(e, 0) + coeff * c
+        return MultiPoly._from_terms(nout, out)
 
 
 # ---------------------------------------------------------------------------
@@ -416,7 +508,10 @@ def singular_inclusion_check() -> dict:
     surface cut on the hyperplane: along each line, identically in the two
     parameters, the quartic vanishes and its gradient is proportional to the
     all-ones hyperplane gradient.  Also exhibits quartic points off the
-    lines where the gradient is not proportional."""
+    lines where the gradient is not proportional: every nonzero integer
+    point of the hyperplane with first five entries in [-2, 2] (in
+    itertools.product order) is evaluated at once, and `witnesses` lists
+    those on the quartic and off every line."""
     _, quartic = canonical_polys()
     grad = [quartic.partial(i) for i in range(6)]
     for line in fifteen_lines():
@@ -429,34 +524,27 @@ def singular_inclusion_check() -> dict:
                 )
 
     # rational quartic points off every line must have non-constant gradient
-    witnesses = []
-    lines = fifteen_lines()
-    for head in combinations_with_small_entries():
-        coords = head + (-sum(head),)
-        if all(c == 0 for c in coords):
-            continue
-        if quartic.evaluate(coords) != 0:
-            continue
-        point = ProjPoint(coords)
-        if any(line.contains(point) for line in lines):
-            continue
-        values = [g.evaluate(coords) for g in grad]
-        if len(set(values)) == 1:
-            raise ValueError(f"smooth witness {coords} has proportional gradient")
-        witnesses.append(point)
-    if not witnesses:
+    head = np.indices((5,) * 5).reshape(5, -1).T - 2
+    box = np.column_stack([head, -head.sum(axis=1)])
+    keep = box.any(axis=1) & (quartic.evaluate_rows(box) == 0)
+    # an integer point is on a line when its coordinates agree in pairs
+    for line in fifteen_lines():
+        keep &= ~np.all([box[:, i] == box[:, j] for i, j in line.partition],
+                        axis=0)
+    witnesses = box[keep]
+    values = np.column_stack([g.evaluate_rows(witnesses) for g in grad])
+    flat = np.flatnonzero(np.all(values == values[:, :1], axis=1))
+    if len(flat):
+        coords = tuple(map(int, witnesses[flat[0]]))
+        raise ValueError(f"smooth witness {coords} has proportional gradient")
+    if not len(witnesses):
         raise ValueError("no off-line quartic witness found in the search box")
     return {
         "lines_in_singular_locus": 15,
         "gradient_identity": "symbolic",
         "off_line_witnesses": len(witnesses),
+        "witnesses": tuple(tuple(map(int, row)) for row in witnesses),
     }
-
-
-def combinations_with_small_entries():
-    """Integer 5-tuples with entries in [-2, 2] (the sixth coordinate closes
-    the hyperplane sum)."""
-    return product(range(-2, 3), repeat=5)
 
 
 # ---------------------------------------------------------------------------
@@ -587,12 +675,13 @@ def cubic_base_locus_check() -> dict:
         for cubic in cubics:
             if cubic.compose(list(subs)):
                 raise ValueError(f"cubic does not vanish on base line {four}")
+    gradients = [[cubic.partial(i) for i in range(6)] for cubic in cubics]
     for point in base_points():
-        for cubic in cubics:
+        for cubic, gradient in zip(cubics, gradients):
             if cubic.evaluate(point.coords) != 0:
                 raise ValueError(f"cubic does not vanish at {point.coords}")
-            for i in range(6):
-                if cubic.partial(i).evaluate(point.coords) != 0:
+            for partial in gradient:
+                if partial.evaluate(point.coords) != 0:
                     raise ValueError(
                         f"cubic gradient does not vanish at {point.coords}"
                     )
@@ -613,7 +702,7 @@ def _apply_permutation(poly: MultiPoly, perm) -> MultiPoly:
             new[perm[i]] = e
         key = tuple(new)
         out[key] = out.get(key, 0) + coeff
-    return MultiPoly(poly.nvars, out)
+    return MultiPoly._from_terms(poly.nvars, out)
 
 
 def _partition_image(partition, perm):
@@ -891,15 +980,22 @@ def rational_curve_via_frame(points) -> ExactCurve:
         coeffs=tuple(tuple(row) for row in x_rows),
         parameters=(Fraction(0),) + tuple(a) + (Fraction(1),),
     )
-    # exact verification: the curve hits every input point projectively
+    # exact verification over the integers: the curve hits every input point
+    # projectively.  With D the curve's common denominator and t = p/q,
+    # D q^4 x(t) = sum_k (D A_k) p^k q^(4-k); each chart is cleared of its
+    # denominators as well, and neither nonzero scaling changes the tests
+    rows, _ = _cleared(v for row in x_rows for v in row)
+    rows = [rows[5 * i:5 * i + 5] for i in range(5)]
     for t, chart in zip(curve.parameters, charts):
-        value = curve.chart_point(t)
-        if all(v == 0 for v in value):
+        p, r = t.numerator, t.denominator
+        tpowers = [p**k * r ** (4 - k) for k in range(5)]
+        value = [sum(map(mul, row, tpowers)) for row in rows]
+        if not any(value):
             raise AssertionError("curve evaluates to zero at a node")
-        for r in range(5):
-            for s in range(r + 1, 5):
-                if value[r] * chart[s] != value[s] * chart[r]:
-                    raise AssertionError("frame curve misses an input point")
+        point, _ = _cleared(chart)
+        for i, j in combinations(range(5), 2):
+            if value[i] * point[j] != value[j] * point[i]:
+                raise AssertionError("frame curve misses an input point")
     return curve
 
 
@@ -993,11 +1089,11 @@ def exact_quartic_composition(curve: ExactCurve) -> tuple:
     of the curve, and the quartic's coefficients are divided by D^4."""
     rows = [list(r) for r in curve.coeffs]
     rows.append([-sum(col) for col in zip(*rows)])
-    den = math.lcm(*(c.denominator for row in rows for c in row))
+    flat, den = _cleared(c for row in rows for c in row)
     s2 = [0] * 9
     s4 = [0] * 17
-    for row in rows:
-        ints = [c.numerator * (den // c.denominator) for c in row]
+    for k in range(0, len(flat), 5):
+        ints = flat[k:k + 5]
         sq = _conv(ints, ints)
         for i, v in enumerate(sq):
             s2[i] += v
@@ -1030,9 +1126,7 @@ def poly_is_squarefree(poly) -> bool:
     The gcd comes from a primitive polynomial remainder sequence over the
     integers (coefficients ascending): pseudo-remainders, each divided by
     its content, until the remainder vanishes."""
-    coeffs = [Fraction(c) for c in poly]
-    den = math.lcm(*(c.denominator for c in coeffs))
-    a = _primitive_part([c.numerator * (den // c.denominator) for c in coeffs])
+    a = _primitive_part(_cleared(Fraction(c) for c in poly)[0])
     if len(a) <= 1:
         return len(a) == 1
     b = _primitive_part([i * a[i] for i in range(1, len(a))])
@@ -1128,6 +1222,8 @@ def degree16_check(
     criteria; `discarded` records each with its cause."""
     if trials < 1:
         raise ValueError("at least one trial required")
+    if trials > MAX_TRIALS:
+        raise ValueError(f"at most {MAX_TRIALS} trials")
     _, quartic = canonical_polys()
     bases = [p.coords for p in base_points()]
     rng = random.Random(seed)

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from igusa.cli import main
+from igusa.cli import _validate, build_parser, main
 from igusa.exact import CYC_I, Cyclotomic, QSeries
 from igusa.report import (
     CheckResult,
@@ -16,6 +16,8 @@ from igusa.report import (
     render_markdown,
 )
 from igusa.report import _first_mismatch, _plain
+from igusa.geometry import MAX_TRIALS
+from igusa.lifting import MAX_TERMS
 from igusa.restriction import MAX_BOX
 
 
@@ -172,7 +174,11 @@ def test_cli_usage_errors_exit_2():
         ["restriction", "--box", str(MAX_BOX + 1)],  # box above the cap
         ["census", "--seed", "-1"],  # negative seed
         ["geometry", "--trials", "-3"],
+        ["geometry", "--trials", str(MAX_TRIALS + 1)],  # trials above the cap
+        ["lifting", "--terms", str(MAX_TERMS + 1)],  # terms above the cap
         ["obstruction", "--tolerance", "0"],
+        ["obstruction", "--tolerance", "inf"],  # would make the oracle vacuous
+        ["obstruction", "--tolerance", "nan"],
     ):
         with pytest.raises(SystemExit) as err:
             main(argv)
@@ -183,6 +189,12 @@ def test_cli_usage_errors_exit_2():
     ["restriction", "--box", str(MAX_BOX + 1)],
     ["census", "--box", "2"],
     ["geometry", "--trials", "-3"],
+    pytest.param(["geometry", "--trials", str(MAX_TRIALS + 1)],
+                 id="geometry-trials-cap"),
+    pytest.param(["lifting", "--terms", str(MAX_TERMS + 1)],
+                 id="lifting-terms-cap"),
+    pytest.param(["obstruction", "--tolerance", "inf"],
+                 id="obstruction-infinite-tolerance"),
 ], ids=lambda argv: argv[0])
 def test_cli_flag_errors_show_the_suite_usage(argv, capsys):
     with pytest.raises(SystemExit) as err:
@@ -196,6 +208,22 @@ def test_cli_help_states_the_box_range(capsys):
         main(["restriction", "--help"])
     assert err.value.code == 0
     assert f"from 3 to {MAX_BOX};" in " ".join(capsys.readouterr().out.split())
+
+
+@pytest.mark.parametrize("suite, flag, low, high", [
+    ("geometry", "--trials", 0, MAX_TRIALS),
+    ("lifting", "--terms", 1, MAX_TERMS),
+])
+def test_cli_help_states_the_capped_ranges(suite, flag, low, high, capsys):
+    with pytest.raises(SystemExit) as err:
+        main([suite, "--help"])
+    assert err.value.code == 0
+    assert f"from {low} to {high}" in " ".join(capsys.readouterr().out.split())
+    # the caps themselves pass validation, and admit the values the tests,
+    # demos and benchmark use
+    parser = build_parser()
+    _validate(parser, parser.parse_args([suite, flag, str(high)]))
+    assert MAX_TRIALS >= 40 and MAX_TERMS >= 30
 
 
 def test_cli_failing_check_exits_1(tmp_path):
@@ -226,6 +254,18 @@ def test_cli_all_report_is_pinned(capsys):
     assert main(["all"]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == ALL_SHA256
+
+
+GEOMETRY_SHA256 = (
+    "0f7571f1fe17857cf98ce6f6f1ba4ee39aeb5e8ce418beb08b0e111b88c305cc"
+)
+
+
+def test_cli_geometry_report_is_pinned(capsys):
+    # the curve-sampling run: forty seeded degree-16 trials
+    assert main(["geometry", "--trials", "40", "--seed", "0"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == GEOMETRY_SHA256
 
 
 def test_cli_timings_are_recorded_on_request(capsys):

@@ -6,9 +6,10 @@ import re
 import subprocess
 import sys
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import igusa.geometry as geometry
@@ -95,6 +96,67 @@ def test_multipoly_rejects_mixed_variable_counts():
         _ = a + b
 
 
+def test_constructor_validates_and_normalizes_its_input():
+    for exps in ((1,), (1, 0, 0), (1, -1)):
+        with pytest.raises(ValueError, match="bad exponent vector"):
+            MultiPoly(2, {exps: 1})
+    assert MultiPoly(2, {(1, 0): 0, (0, 1): F(0), (2, 0): 0.0}).terms == {}
+    p = MultiPoly(2, {(1, 0): F(4, 2), (0, 1): F(1, 2), (1, 1): 3})
+    assert p.terms == {(1, 0): 2, (0, 1): F(1, 2), (1, 1): 3}
+    assert [type(c) for c in p.terms.values()] == [int, F, int]
+    # the operations normalize the same way through the trusted constructor
+    x = MultiPoly.variable(2, 0)
+    assert (x * F(1, 2) * 2).terms == {(1, 0): 1}
+    assert type((x * F(1, 2) * 2).terms[(1, 0)]) is int
+    assert (x - x).terms == {}
+    assert (F(3, 3) * x).partial(0).terms == {(0, 0): 1}
+    assert MultiPoly.constant(2, F(6, 3)).terms == {(0, 0): 2}
+    assert MultiPoly.constant(2, 0).terms == {}
+
+
+def test_power_has_no_spare_squaring(monkeypatch):
+    x = MultiPoly.variable(1, 0)
+    calls = 0
+    original = MultiPoly.__mul__
+
+    def counting(self, other):
+        nonlocal calls
+        calls += 1
+        return original(self, other)
+
+    monkeypatch.setattr(MultiPoly, "__mul__", counting)
+    for n, expected in zip(range(1, 9), (0, 1, 2, 2, 3, 3, 4, 3)):
+        calls = 0
+        assert (x**n).terms == {(n,): 1}
+        # floor(log2 n) squarings and one product per further set bit
+        assert calls == expected == n.bit_length() + bin(n).count("1") - 2, n
+    assert (x**0).terms == {(0,): 1}
+
+
+def test_batched_evaluation_stays_exact_past_int64():
+    x = MultiPoly.variable(2, 0)
+    y = MultiPoly.variable(2, 1)
+    big = 3037000499  # big**2 < 2**63 < 2 * big**2
+    cases = [
+        (3 * x**5 * y - y**6, [[2**13, 1], [-(2**13), 3], [1, 2**11]]),
+        (x**2 + y**2, [[big, big], [big, -big]]),
+    ]
+    for poly, rows in cases:
+        values = poly.evaluate_rows(np.array(rows, dtype=np.int64))
+        assert values.dtype == object
+        assert list(values) == [poly.evaluate(row) for row in rows]
+        assert max(abs(v) for v in values) >= 2**63
+    # small values stay in int64
+    values = (x**2 - 3 * y).evaluate_rows(np.array([[1, 2], [-3, 4]]))
+    assert values.dtype == np.int64 and list(values) == [-5, -3]
+    with pytest.raises(TypeError):
+        x.evaluate_rows(np.array([[0.5, 1.0]]))
+    with pytest.raises(ValueError, match="integer coefficients"):
+        (x * F(1, 2)).evaluate_rows(np.array([[1, 2]]))
+    with pytest.raises(ValueError):
+        x.evaluate_rows(np.array([[1, 2, 3]]))
+
+
 def test_canonical_values_at_reference_points():
     cubes, quartic = canonical_polys()
     assert quartic.is_homogeneous() and quartic.degree() == 4
@@ -179,6 +241,28 @@ def test_boundary_points_and_incidence():
     row_q = [1 if line.contains(q) else 0 for line in fifteen_lines()]
     expect_q = [1 if (0, 1) in part else 0 for part in PAIR_PARTITIONS]
     assert row_q == expect_q
+
+
+def test_singular_gradient_witnesses_are_pinned():
+    report = singular_inclusion_check()
+    assert report["off_line_witnesses"] == 180 == len(report["witnesses"])
+    # the scalar search over the same box, in itertools.product order
+    _, quartic = canonical_polys()
+    grad = [quartic.partial(i) for i in range(6)]
+    lines = fifteen_lines()
+    expected = []
+    for head in product(range(-2, 3), repeat=5):
+        coords = head + (-sum(head),)
+        if not any(coords) or quartic.evaluate(coords) != 0:
+            continue
+        if not any(line.contains(ProjPoint(coords)) for line in lines):
+            expected.append(coords)
+    assert list(report["witnesses"]) == expected
+    for coords in report["witnesses"]:
+        assert all(type(c) is int for c in coords) and sum(coords) == 0
+        assert quartic.evaluate(coords) == 0
+        assert not any(line.contains(ProjPoint(coords)) for line in lines)
+        assert len({g.evaluate(coords) for g in grad}) > 1
 
 
 def test_singular_locus_contains_all_lines():
@@ -687,6 +771,59 @@ if HAVE_HYPOTHESIS:
             expected += term
         value = poly.evaluate(point)
         assert type(value) is F and value == expected
+
+
+    def reference_compose(poly, substitutions):
+        """Term by term: each coefficient times the substitutions multiplied
+        out one factor at a time, summed."""
+        nout = substitutions[0].nvars
+        total = MultiPoly.zero(nout)
+        for exps, coeff in poly.terms.items():
+            term = MultiPoly.constant(nout, coeff)
+            for sub, e in zip(substitutions, exps):
+                for _ in range(e):
+                    term = term * sub
+            total = total + term
+        return total
+
+    @st.composite
+    def small_polys(draw, nvars, max_exp, integer=False):
+        """A zero, a constant or a general polynomial."""
+        coeffs = st.integers(-9, 9) if integer else rationals
+        kind = draw(st.sampled_from(("zero", "constant", "general")))
+        if kind == "zero":
+            return MultiPoly(nvars, {})
+        if kind == "constant":
+            return MultiPoly(nvars, {(0,) * nvars: draw(coeffs)})
+        exps = st.tuples(*[st.integers(0, max_exp)] * nvars)
+        return MultiPoly(nvars, draw(st.dictionaries(exps, coeffs,
+                                                     max_size=6)))
+
+    @given(st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_compose_matches_term_by_term_reference(data):
+        nvars = data.draw(st.integers(1, 3))
+        nout = data.draw(st.integers(1, 3))
+        poly = data.draw(small_polys(nvars, 3))
+        subs = [data.draw(small_polys(nout, 2)) for _ in range(nvars)]
+        composed = poly.compose(subs)
+        assert composed == reference_compose(poly, subs)
+        assert composed.nvars == nout
+        assert all(type(c) is int or c.denominator > 1
+                   for c in composed.terms.values())
+
+    @given(st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_batched_evaluation_matches_scalar_evaluate(data):
+        nvars = data.draw(st.integers(1, 4))
+        poly = data.draw(small_polys(nvars, 4, integer=True))
+        rows = data.draw(st.lists(
+            st.lists(st.integers(-50, 50), min_size=nvars, max_size=nvars),
+            max_size=6))
+        points = np.array(rows, dtype=np.int64).reshape(len(rows), nvars)
+        values = poly.evaluate_rows(points)
+        assert values.shape == (len(rows),)
+        assert list(values) == [poly.evaluate(row) for row in rows]
 
 
 def test_evaluate_rejects_non_rational_inputs():
