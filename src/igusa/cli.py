@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 
 from . import __version__
@@ -129,6 +130,15 @@ def _validate(parser: argparse.ArgumentParser, args) -> None:
                          "expansions grow like the square of the terms)")
     if not (args.tolerance > 0 and math.isfinite(args.tolerance)):
         parser.error("--tolerance must be positive and finite")
+    if args.out:
+        # checked before the suite runs; nothing is created here
+        directory = os.path.dirname(os.path.abspath(args.out))
+        if (os.path.isdir(args.out) or not os.path.isdir(directory)
+                or not os.access(directory, os.W_OK)
+                or (os.path.exists(args.out)
+                    and not os.access(args.out, os.W_OK))):
+            parser.error(f"--out {args.out!r} is not a writable file in an "
+                         "existing directory")
 
 
 def main(argv=None) -> int:

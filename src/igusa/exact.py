@@ -11,6 +11,7 @@ from __future__ import annotations
 import cmath
 import math
 from fractions import Fraction
+from operator import mul
 from typing import Iterable, Sequence, Union
 
 import numpy as np
@@ -789,3 +790,98 @@ def integer_echelon(rows: Sequence[Sequence], width: int = None):
         if len(pivots) == len(mat):
             break
     return mat, pivots
+
+
+# A Mersenne prime: the modular elimination of `kernel_vector` runs in it.
+KERNEL_PRIME = 2**61 - 1
+
+
+def _modular_kernel(rows: Sequence[Sequence[int]], p: int):
+    """The kernel vector modulo p of an integer matrix whose nullity modulo
+    p is exactly 1, scaled so its free coordinate is 1; None when the
+    nullity modulo p is any other number."""
+    mat = [[v % p for v in row] for row in rows]
+    width = len(mat[0])
+    pivots = []
+    free = []
+    for col in range(width):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(mat)) if mat[i][col]), None)
+        if piv is None:
+            free.append(col)
+            continue
+        mat[r], mat[piv] = mat[piv], mat[r]
+        # every entry of the pivot row left of col is zero
+        inv = pow(mat[r][col], -1, p)
+        prow = [v * inv % p for v in mat[r][col:]]
+        mat[r][col:] = prow
+        for i, row in enumerate(mat):
+            f = row[col]
+            if f and i != r:
+                row[col:] = [(v - f * w) % p for v, w in zip(row[col:], prow)]
+        pivots.append(col)
+    if len(free) != 1:
+        return None
+    (fc,) = free
+    vec = [0] * width
+    vec[fc] = 1
+    for r, col in enumerate(pivots):
+        vec[col] = -mat[r][fc] % p
+    return vec
+
+
+def _rational_reconstruction(a: int, p: int) -> tuple:
+    """(n, d), d nonzero, with n = a d mod p and |n| at most sqrt(p/2): the
+    half extended Euclidean algorithm.  When a comes from a rational with
+    numerator and denominator at most sqrt(p/2), n / d is that rational;
+    otherwise n / d is only a candidate, which the caller checks."""
+    bound = math.isqrt(p // 2)
+    r0, r1, s0, s1 = p, a, 0, 1
+    while r1 > bound:
+        q = r0 // r1
+        r0, r1, s0, s1 = r1, r0 - q * r1, s1, s0 - q * s1
+    return r1, s1
+
+
+def _echelon_kernel(rows: Sequence[Sequence]) -> list[int]:
+    """The kernel vector of a nullity-1 rational matrix from
+    `integer_echelon`, its free coordinate positive, not yet primitive."""
+    reduced, pivots = integer_echelon(rows)
+    width = len(rows[0])
+    pivot_cols = {col for _, col in pivots}
+    free = [c for c in range(width) if c not in pivot_cols]
+    if len(free) != 1:
+        raise ValueError(f"nullity is {len(free)}, expected exactly 1")
+    (fc,) = free
+    scale = math.lcm(*(reduced[p][col] for p, col in pivots))
+    vec = [0] * width
+    vec[fc] = scale
+    for p, col in pivots:
+        vec[col] = -reduced[p][fc] * (scale // reduced[p][col])
+    return vec
+
+
+def kernel_vector(rows: Sequence[Sequence[int]]) -> list[int]:
+    """The unique primitive integer vector v with rows . v = 0 and its last
+    nonzero entry positive, for an integer matrix of nullity exactly 1 over
+    the rationals; raises ValueError naming the nullity otherwise.
+
+    The certificate: nullity 1 modulo KERNEL_PRIME bounds the rational rank
+    below by width - 1; the modular kernel vector is lifted by rational
+    reconstruction and checked exactly against every row, which bounds the
+    rank above by width - 1.  When either half fails (the matrix has
+    another nullity, is singular modulo the prime only, or has a kernel
+    vector too large to reconstruct), `integer_echelon` decides."""
+    vec = _modular_kernel(rows, KERNEL_PRIME)
+    if vec is not None:
+        pairs = [_rational_reconstruction(v, KERNEL_PRIME) for v in vec]
+        den = math.lcm(*(d for _, d in pairs))
+        vec = [n * (den // d) for n, d in pairs]
+        if any(sum(map(mul, row, vec)) for row in rows):
+            vec = None
+    if vec is None:
+        vec = _echelon_kernel(rows)
+    g = math.gcd(*vec)
+    if next(v for v in reversed(vec) if v) < 0:
+        g = -g
+    return [v // g for v in vec]

@@ -25,11 +25,11 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from numbers import Rational
-from operator import add, mul
+from operator import add, getitem, mul
 
 import numpy as np
 
-from .exact import _packed_dtype, integer_echelon
+from .exact import _packed_dtype, integer_echelon, kernel_vector
 
 __all__ = [
     "MultiPoly",
@@ -784,18 +784,27 @@ def _random_hyperplane_point(rng) -> tuple:
     return tuple(head) + (-sum(head),)
 
 
-def _image_coordinates(point) -> tuple:
-    span = cubic_span()
+def _image_values(points) -> np.ndarray:
+    """Integer images of rational hyperplane points under the five basis
+    cubics, one row per point.  Each point is first cleared of its
+    denominators; that positive scaling multiplies its image by the cube of
+    the scale, so the image point is unchanged."""
+    ints = np.array([_cleared(point)[0] for point in points])
     cubics = fifteen_cubics()
-    return tuple(cubics[i].evaluate(point) for i in span["basis_indices"])
+    return np.column_stack([cubics[i].evaluate_rows(ints)
+                            for i in cubic_span()["basis_indices"]])
 
 
 def image_cubic_relation(samples: int = 60, seed: int = 0) -> MultiPoly:
     """The unique (up to scale) cubic relation among the five basis cubics:
-    evaluates the basis at random rational hyperplane points, solves the
-    exact nullspace of the samples x 35 monomial matrix, asserts nullity 1,
-    validates the relation on 50 fresh holdout samples, and returns the
-    relation with primitive integer coefficients."""
+    evaluates the basis at random rational hyperplane points, each cleared
+    to integers, and takes the kernel of the samples x 35 integer monomial
+    matrix with `exact.kernel_vector`.  Its certificate makes the nullity
+    exactly 1 over the rationals: nullity 1 modulo a large prime bounds the
+    rank below by 34, and the reconstructed kernel vector, checked exactly
+    against every sample row, bounds it above.  The relation is validated
+    on 50 fresh holdout samples and returned with primitive integer
+    coefficients, its last nonzero coefficient positive."""
     if samples < 60:
         raise ValueError("at least 60 samples required")
     rng = random.Random(seed)
@@ -805,37 +814,28 @@ def image_cubic_relation(samples: int = 60, seed: int = 0) -> MultiPoly:
 
     rows = []
     while len(rows) < samples:
-        point = _random_hyperplane_point(rng)
-        y = _image_coordinates(point)
-        if not any(y):
-            continue
-        rows.append([math.prod(v**e for v, e in zip(y, exps) if e)
-                     for exps in monomials])
+        # as many draws as rows are missing; the draws with a zero image
+        # are skipped, so the rows are those of drawing one at a time
+        points = [_random_hyperplane_point(rng)
+                  for _ in range(samples - len(rows))]
+        for y in _image_values(points).tolist():
+            if any(y):
+                powers = [(1, v, v * v, v * v * v) for v in y]
+                rows.append([math.prod(map(getitem, powers, exps))
+                             for exps in monomials])
+    try:
+        ints = kernel_vector(rows)
+    except ValueError as err:
+        raise ValueError(f"cubic-relation {err}") from None
+    relation = MultiPoly._from_terms(5, dict(zip(monomials, ints)))
 
-    # exact nullspace of the sample matrix
-    reduced, pivots = integer_echelon(rows)
-    pivot_cols = {col for _, col in pivots}
-    free = [c for c in range(35) if c not in pivot_cols]
-    if len(free) != 1:
-        raise ValueError(
-            f"cubic-relation nullity is {len(free)}, expected exactly 1"
-        )
-    fc = free[0]
-    # the kernel vector with a positive free coordinate, primitive over Z
-    scale = math.lcm(*(reduced[p][col] for p, col in pivots))
-    ints = [0] * 35
-    ints[fc] = scale
-    for p, col in pivots:
-        ints[col] = -reduced[p][fc] * (scale // reduced[p][col])
-    g = math.gcd(*ints)
-    relation = MultiPoly(5, {m: c // g for m, c in zip(monomials, ints)})
-
-    # holdout validation on fresh samples
-    for _ in range(50):
-        point = _random_hyperplane_point(rng)
-        y = _image_coordinates(point)
-        if relation.evaluate(y) != 0:
-            raise ValueError(f"holdout sample violates the relation: {point}")
+    # holdout validation on fresh samples; the relation is homogeneous, so
+    # it vanishes at the cleared image exactly when at the rational one
+    points = [_random_hyperplane_point(rng) for _ in range(50)]
+    missed = np.flatnonzero(relation.evaluate_rows(_image_values(points)))
+    if len(missed):
+        point = points[missed[0]]
+        raise ValueError(f"holdout sample violates the relation: {point}")
     return relation
 
 
@@ -873,16 +873,21 @@ def image_relation_equivariance(relation: MultiPoly) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _exact_inverse(matrix):
-    """Inverse of a square rational matrix, as rows of Fractions."""
+def _integer_inverse(matrix) -> tuple:
+    """(N, den) with N an integer matrix and den the least positive integer
+    such that N / den is the inverse of the square rational matrix; one
+    `integer_echelon` of [matrix | identity]."""
     n = len(matrix)
     aug = [list(row) + [int(i == j) for j in range(n)]
            for i, row in enumerate(matrix)]
     reduced, pivots = integer_echelon(aug, width=n)
     if len(pivots) != n:
         raise ValueError("matrix is singular")
-    return [[Fraction(v, reduced[p][col]) for v in reduced[p][n:]]
+    den = math.lcm(*(reduced[p][col] for p, col in pivots))
+    rows = [[v * (den // reduced[p][col]) for v in reduced[p][n:]]
             for p, col in pivots]
+    g = math.gcd(den, *(v for row in rows for v in row))
+    return [[v // g for v in row] for row in rows], den // g
 
 
 @dataclass(frozen=True)
@@ -907,6 +912,43 @@ def _dependent(subset) -> ValueError:
     )
 
 
+@lru_cache(maxsize=16)
+def _frame(points) -> tuple:
+    """The frame of `rational_curve_via_frame` on its points 1..6, given
+    as six tuples, over the integers: (charts, MD, e, (T, t)).
+
+    charts are the six charts cleared of denominators.  M has the cleared
+    charts of points 1..5 as columns; scaling a column of M by a positive
+    integer divides the matching entry of d = M^-1 (chart of point 6) by it
+    and leaves M D unchanged.  With N / n the inverse of M and c / m the
+    chart of point 6, d = N c / (n m), so M D = MD / e with MD = M diag(N c)
+    and e = n m, and (M D)^-1 = T / t.  Raises ValueError naming the
+    dependent subset when M is singular or some d_i is zero; errors are
+    not cached, so every call on a dependent frame raises again."""
+    charts = []
+    for p in points:
+        values = [Fraction(c) for c in p]
+        if sum(values) != 0:
+            raise ValueError("points must lie on the hyperplane")
+        charts.append(_cleared(values[:5]))
+    frame = range(1, 6)
+    M = [[charts[j][0][i] for j in range(5)] for i in range(5)]
+    try:
+        Minv, n = _integer_inverse(M)
+    except ValueError:
+        raise _dependent(frame) from None
+    unit, unit_den = charts[5]
+    d = [sum(map(mul, row, unit)) for row in Minv]
+    for i, v in enumerate(d):
+        if v == 0:  # point 6 lies in the span of the other four frame points
+            raise _dependent({6, *frame} - {1 + i})
+    MD = [[M[i][j] * d[j] for j in range(5)] for i in range(5)]
+    e = n * unit_den
+    T, t = _integer_inverse(MD)
+    return (tuple(c for c, _ in charts), MD, e,
+            ([[e * v for v in row] for row in T], t))
+
+
 def rational_curve_via_frame(points) -> ExactCurve:
     """Exact degree-4 rational normal curve through 7 rational hyperplane
     points, by the classical frame construction: send points 1..5 to the
@@ -919,80 +961,69 @@ def rational_curve_via_frame(points) -> ExactCurve:
     invertible is the subset 1..5, d_i != 0 the five subsets with point 6
     but not 0, q_i != 0 the five with point 0 but not 6, and q_i != q_j the
     ten with both.  A failure raises ValueError naming a dependent subset.
-    The interpolation is verified exactly before returning."""
+
+    Everything runs over the integers.  The frame of points 1..6 (M, d,
+    M D and its inverse, over one denominator each) is cached per six-point
+    tuple, so curves through the same six points solve its two inverses
+    once.  With q = (M D)^-1 (point 0) = Q / s, the gauge rho = r_n / r_d,
+    u = r_d s and w_i = u - r_n Q_i, the parameters are a_i = u / w_i and
+    the curve's rows are x = (M D) y with W y_i(t) = -r_n Q_i prod_{j != i}
+    (w_j t - u), W = prod w_j; only the returned coefficients and
+    parameters are Fractions.  The interpolation is verified exactly, on
+    those integer rows, before returning."""
     if len(points) != 7:
         raise ValueError("exactly 7 points required")
-    charts = [tuple(Fraction(c) for c in p[:5]) for p in points]
-    for p, chart in zip(points, charts):
-        if sum(Fraction(c) for c in p) != 0:
-            raise ValueError("points must lie on the hyperplane")
+    values = [Fraction(c) for c in points[0]]
+    if sum(values) != 0:
+        raise ValueError("points must lie on the hyperplane")
+    charts, MD, e, (T, t) = _frame(tuple(map(tuple, points[1:])))
     frame = range(1, 6)
-    # frame: columns are the charts of points 1..5; unit point is points[6]
-    M = [[charts[1 + j][i] for j in range(5)] for i in range(5)]
-    try:
-        Minv = _exact_inverse(M)
-    except ValueError:
-        raise _dependent(frame) from None
-    d = [sum(Minv[i][j] * charts[6][j] for j in range(5)) for i in range(5)]
-    for i, v in enumerate(d):
-        if v == 0:  # point 6 lies in the span of the other four frame points
-            raise _dependent({6, *frame} - {1 + i})
-    MD = [[M[i][j] * d[j] for j in range(5)] for i in range(5)]
-    T = _exact_inverse(MD)
-    q = [sum(T[i][j] * charts[0][j] for j in range(5)) for i in range(5)]
-    for i, v in enumerate(q):
+    chart, s = _cleared(values[:5])
+    s *= t
+    Q = [sum(map(mul, row, chart)) for row in T]
+    for i, v in enumerate(Q):
         if v == 0:  # point 0 lies in the span of the other four frame points
             raise _dependent({0, *frame} - {1 + i})
     for i, j in combinations(range(5), 2):
-        if q[i] == q[j]:  # point 0 - q_i * point 6 lies in a 3-point span
+        if Q[i] == Q[j]:  # point 0 - q_i * point 6 lies in a 3-point span
             raise _dependent({0, 6, *frame} - {1 + i, 1 + j})
-    # rescale q so that the interpolation parameters a_i = 1/(1 - q_i) are
-    # finite (a gauge choice); the q_i are distinct and nonzero, so at most
-    # five of the seven candidates are excluded
-    rho = next(
-        cand for cand in (Fraction(1), Fraction(2), Fraction(1, 2),
-                          Fraction(3), Fraction(1, 3), Fraction(5),
-                          Fraction(2, 5))
-        if all(cand * v != 1 for v in q)
+    # rescale q so that the interpolation parameters a_i = 1/(1 - rho q_i)
+    # are finite (a gauge choice); the q_i are distinct and nonzero, so at
+    # most five of the seven candidates are excluded
+    rn, rd = next(
+        (rn, rd) for rn, rd in ((1, 1), (2, 1), (1, 2), (3, 1), (1, 3),
+                                (5, 1), (2, 5))
+        if all(rn * v != rd * s for v in Q)
     )
-    q = [rho * v for v in q]
-    a = [1 / (1 - v) for v in q]
-    c = [-q[i] * a[i] for i in range(5)]
-    # y_i(t) = c_i * prod_{j != i} (t - a_j), expanded exactly
+    u = rd * s
+    w = [u - rn * v for v in Q]
+    # W y_i(t) = -rn Q_i prod_{j != i} (w_j t - u), ascending powers
     y_rows = []
     for i in range(5):
-        poly = [c[i]]
+        poly = [-rn * Q[i]]
         for j in range(5):
-            if j == i:
-                continue
-            poly = [
-                (poly[k - 1] if k else Fraction(0))
-                - a[j] * (poly[k] if k < len(poly) else Fraction(0))
-                for k in range(len(poly) + 1)
-            ]
-        y_rows.append(poly + [Fraction(0)] * (5 - len(poly)))
-    # back to the original chart: x = (M D) y
-    x_rows = [
-        [sum(MD[i][j] * y_rows[j][k] for j in range(5)) for k in range(5)]
-        for i in range(5)
-    ]
+            if j != i:
+                poly = _conv(poly, [-u, w[j]])
+        y_rows.append(poly)
+    # back to the original chart: x = (M D) y = X / (e W)
+    X = [[sum(MD[i][j] * y_rows[j][k] for j in range(5)) for k in range(5)]
+         for i in range(5)]
+    den = e * math.prod(w)
     curve = ExactCurve(
-        coeffs=tuple(tuple(row) for row in x_rows),
-        parameters=(Fraction(0),) + tuple(a) + (Fraction(1),),
+        coeffs=tuple(tuple(Fraction(v, den) for v in row) for row in X),
+        parameters=(Fraction(0),) + tuple(Fraction(u, v) for v in w)
+        + (Fraction(1),),
     )
     # exact verification over the integers: the curve hits every input point
-    # projectively.  With D the curve's common denominator and t = p/q,
-    # D q^4 x(t) = sum_k (D A_k) p^k q^(4-k); each chart is cleared of its
-    # denominators as well, and neither nonzero scaling changes the tests
-    rows, _ = _cleared(v for row in x_rows for v in row)
-    rows = [rows[5 * i:5 * i + 5] for i in range(5)]
-    for t, chart in zip(curve.parameters, charts):
-        p, r = t.numerator, t.denominator
+    # projectively.  At t = p/r, r^4 e W x(t) = sum_k X_k p^k r^(4-k); the
+    # nonzero factors r^4 e W and the cleared charts' denominators change
+    # none of the tests
+    nodes = [(0, 1)] + [(u, v) for v in w] + [(1, 1)]
+    for (p, r), point in zip(nodes, (chart,) + charts):
         tpowers = [p**k * r ** (4 - k) for k in range(5)]
-        value = [sum(map(mul, row, tpowers)) for row in rows]
+        value = [sum(map(mul, row, tpowers)) for row in X]
         if not any(value):
             raise AssertionError("curve evaluates to zero at a node")
-        point, _ = _cleared(chart)
         for i, j in combinations(range(5), 2):
             if value[i] * point[j] != value[j] * point[i]:
                 raise AssertionError("frame curve misses an input point")
@@ -1035,51 +1066,61 @@ def _exact_mobius_through(pairs):
 def exact_gauge_transport(curve: ExactCurve, charts, gauge):
     """Reparametrize an exact curve so its first three interpolation
     parameters take the requested rational values, normalizing the first
-    scale to 1; returns (curve, scales), both exact and exactly verified."""
+    scale to 1; returns (curve, scales), both exact and exactly verified.
+
+    The Mobius map and the curve's rows are cleared to integers, scalings
+    that the normalization removes: the transported rows are expanded and
+    evaluated over the integers, and only the returned coefficients,
+    parameters and scales are Fractions."""
     g = [Fraction(v) for v in gauge]
     mob = _exact_mobius_through(tuple(zip(curve.parameters[:3], g)))
-    (m00, m01), (m10, m11) = mob
+    (m00, m01, m10, m11), _ = _cleared(v for row in mob for v in row)
     params = []
+    nodes = []  # each new parameter as an unreduced ratio p / r
     for s in curve.parameters:
-        den = m10 * s + m11
-        if den == 0:
+        p = m00 * s.numerator + m01 * s.denominator
+        r = m10 * s.numerator + m11 * s.denominator
+        if r == 0:
             raise ValueError("a parameter is transported to infinity")
-        params.append((m00 * s + m01) / den)
+        params.append(Fraction(p, r))
+        nodes.append((p, r))
     # x_new(s) = (gamma s + delta)^4 * x((alpha s + beta)/(gamma s + delta))
     alpha, beta, gamma, delta = m11, -m01, -m10, m00
-    rows = []
-    for row in curve.coeffs:
-        acc = [Fraction(0)] * 5
-        for k in range(5):
-            if not row[k]:
-                continue
-            term = [Fraction(1)]
-            for _ in range(k):
-                term = _conv(term, [beta, alpha])
-            for _ in range(4 - k):
-                term = _conv(term, [delta, gamma])
-            for j, c in enumerate(term):
-                acc[j] += row[k] * c
-        rows.append(acc)
+    basis = []
+    for k in range(5):
+        term = [1]
+        for _ in range(k):
+            term = _conv(term, [beta, alpha])
+        for _ in range(4 - k):
+            term = _conv(term, [delta, gamma])
+        basis.append(term)
+    flat, _ = _cleared(v for row in curve.coeffs for v in row)
+    rows = [[sum(flat[5 * i + k] * basis[k][j] for k in range(5))
+             for j in range(5)] for i in range(5)]
+    # r^4 times the rows' values at p / r, and the scale onto each chart as
+    # the pair (numerator, denominator); the common factors cancel when the
+    # scales and rows are divided by the first scale
+    hits = []
     scales = []
-    for t, chart in zip(params, charts):
-        value = [sum(rows[i][k] * t**k for k in range(5)) for i in range(5)]
-        k = max(range(5), key=lambda i: abs(chart[i]))
-        scales.append(value[k] / chart[k])
-    if scales[0] == 0:
+    for (p, r), chart in zip(nodes, charts):
+        tpowers = [p**k * r ** (4 - k) for k in range(5)]
+        value = [sum(map(mul, row, tpowers)) for row in rows]
+        point, den = _cleared(chart)
+        k = max(range(5), key=lambda i: abs(point[i]))
+        hits.append((value, point, k))
+        scales.append((value[k] * den, r**4 * point[k]))
+    n0, d0 = scales[0]
+    if n0 == 0:
         raise ValueError("degenerate gauge normalization")
-    s0 = scales[0]
-    rows = [[c / s0 for c in row] for row in rows]
-    scales = [s / s0 for s in scales]
-    for t, chart, lam in zip(params, charts, scales):
-        for i in range(5):
-            value_i = sum(rows[i][k] * t**k for k in range(5))
-            if value_i != lam * chart[i]:
-                raise AssertionError("gauge transport verification failed")
+    # each node's value is its scale times its chart: proportional charts
+    for value, point, k in hits:
+        if any(value[i] * point[k] != value[k] * point[i] for i in range(5)):
+            raise AssertionError("gauge transport verification failed")
     transported = ExactCurve(
-        coeffs=tuple(tuple(r) for r in rows), parameters=tuple(params)
+        coeffs=tuple(tuple(Fraction(v * d0, n0) for v in row) for row in rows),
+        parameters=tuple(params),
     )
-    return transported, tuple(scales)
+    return transported, tuple(Fraction(n * d0, d * n0) for n, d in scales)
 
 
 def exact_quartic_composition(curve: ExactCurve) -> tuple:
@@ -1249,9 +1290,7 @@ def degree16_check(
         if exact_curve is None:
             discarded.append((trial, "no_generic_point"))
             continue
-        charts_exact = [
-            tuple(Fraction(c) for c in p[:5]) for p in [cand] + bases
-        ]
+        charts_exact = [p[:5] for p in [cand] + bases]
         residual = interpolation_residual(exact_curve, charts_exact)
         worst_residual = max(worst_residual, residual)
         if residual > residual_tol:

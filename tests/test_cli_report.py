@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import os
 from fractions import Fraction
 
 import pytest
@@ -165,7 +166,11 @@ def test_cli_census_markdown_to_stdout(capsys):
     assert text.startswith("# Verification report: census")
 
 
-def test_cli_usage_errors_exit_2():
+def test_cli_usage_errors_exit_2(tmp_path, monkeypatch):
+    suites_run = []
+    monkeypatch.setattr("igusa.cli.build_report",
+                        lambda *args, **kwargs: suites_run.append(args))
+    missing = tmp_path / "missing" / "report.json"
     for argv in (
         [],                          # missing suite
         ["bogus"],                   # unknown suite
@@ -179,10 +184,15 @@ def test_cli_usage_errors_exit_2():
         ["obstruction", "--tolerance", "0"],
         ["obstruction", "--tolerance", "inf"],  # would make the oracle vacuous
         ["obstruction", "--tolerance", "nan"],
+        ["census", "--out", str(missing)],  # no such directory
+        ["census", "--out", str(tmp_path)],  # a directory, not a file
     ):
         with pytest.raises(SystemExit) as err:
             main(argv)
         assert err.value.code == 2, argv
+    # a usage error runs no suite and writes nothing
+    assert not suites_run
+    assert not missing.parent.exists() and not any(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize("argv", [
@@ -195,6 +205,8 @@ def test_cli_usage_errors_exit_2():
                  id="lifting-terms-cap"),
     pytest.param(["obstruction", "--tolerance", "inf"],
                  id="obstruction-infinite-tolerance"),
+    pytest.param(["census", "--out", os.path.join(os.devnull, "report.json")],
+                 id="census-unwritable-out"),
 ], ids=lambda argv: argv[0])
 def test_cli_flag_errors_show_the_suite_usage(argv, capsys):
     with pytest.raises(SystemExit) as err:

@@ -1,11 +1,13 @@
 """Tests for the exact arithmetic kernel: cyclotomic numbers, fractional-exponent
 series, and packed cyclotomic matrices."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+import igusa.exact as exact
 from igusa.exact import (
     CYC_I,
     CYC_ONE,
@@ -13,10 +15,13 @@ from igusa.exact import (
     Cyclotomic,
     CycArray,
     CycMatrix,
+    KERNEL_PRIME,
     QSeries,
     cyclotomic_root,
     eigenphase_sum,
     field_rref,
+    integer_echelon,
+    kernel_vector,
     matrix_eigenphase_multiplicities,
     matrix_rank,
     nullspace,
@@ -535,3 +540,125 @@ def test_cyclotomic_rref():
     ]  # second row = -i * first: rank 1
     reduced, pivots = field_rref(rows, 2)
     assert len(pivots) == 1
+
+
+# ---------------------------------------------------------------------------
+# The certified integer kernel, against integer_echelon
+# ---------------------------------------------------------------------------
+
+
+def reference_kernel(rows):
+    """The primitive kernel vector of a nullity-1 matrix with its last
+    nonzero entry positive, read off `integer_echelon` over Fractions; the
+    nullity itself for any other nullity."""
+    reduced, pivots = integer_echelon(rows)
+    width = len(rows[0])
+    pivot_cols = {col for _, col in pivots}
+    free = [c for c in range(width) if c not in pivot_cols]
+    if len(free) != 1:
+        return len(free)
+    vec = [Fraction(0)] * width
+    vec[free[0]] = Fraction(1)
+    for p, col in pivots:
+        vec[col] = Fraction(-reduced[p][free[0]], reduced[p][col])
+    den = math.lcm(*(v.denominator for v in vec))
+    ints = [int(v * den) for v in vec]
+    g = math.gcd(*ints)
+    sign = 1 if [v for v in ints if v][-1] > 0 else -1
+    return [sign * v // g for v in ints]
+
+
+def kernel_outcome(rows):
+    try:
+        return kernel_vector(rows)
+    except ValueError as err:
+        return str(err)
+
+
+def expected_outcome(rows):
+    expected = reference_kernel(rows)
+    if isinstance(expected, int):
+        return f"nullity is {expected}, expected exactly 1"
+    return expected
+
+
+@pytest.fixture
+def fallbacks(monkeypatch):
+    """Records every call of the integer elimination inside `exact`."""
+    calls = []
+    original = exact.integer_echelon
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(exact, "integer_echelon", counted)
+    return calls
+
+
+def test_kernel_vector_certifies_without_elimination(fallbacks):
+    rows = [[2, 1, 0, -3], [1, 0, 1, 1], [0, 5, -1, 2]]
+    assert kernel_vector(rows) == reference_kernel(rows)
+    assert kernel_vector([[1, 1]]) == [-1, 1]  # last nonzero entry positive
+    assert kernel_vector([[3, 0, 0], [0, 0, 2**80]]) == [0, 1, 0]
+    assert fallbacks == []
+
+
+def test_kernel_vector_falls_back_when_the_certificate_fails(fallbacks):
+    p = KERNEL_PRIME
+    # nullity 2 modulo p, 1 over the rationals: the rational answer
+    assert kernel_vector([[1, 0, 0], [0, p, 0]]) == [0, 0, 1]
+    assert kernel_vector([[1, 0, 0], [2, 1, p + 1]]) == [0, -p - 1, 1]
+    # nullity 1 modulo p, 0 over the rationals: the exact check refuses
+    assert kernel_outcome([[1, 0], [0, p]]) == (
+        "nullity is 0, expected exactly 1")
+    # a kernel vector too large for rational reconstruction
+    assert kernel_vector([[1, -(2**40 + 1)]]) == [2**40 + 1, 1]
+    # nullity 2 over the rationals as well
+    assert kernel_outcome([[1, 2, 3]]) == "nullity is 2, expected exactly 1"
+    assert len(fallbacks) == 5
+
+
+if HAVE_HYPOTHESIS:
+
+    @st.composite
+    def planted_kernel_matrices(draw):
+        """Integer matrices with entries up to 2^70 and nullity 0, 1 or 2
+        planted: either every row is orthogonal to that many small kernel
+        vectors (which the certificate reconstructs), or every row is a
+        small combination of width - nullity random rows (whose kernel is
+        too large to reconstruct).  One row may be multiplied by the modulus
+        of the certificate."""
+        nullity = draw(st.integers(0, 2))
+        width = draw(st.integers(nullity + 1, 7))
+        rank = width - nullity
+        entries = st.integers(-2**70, 2**70) | st.integers(-9, 9)
+        nrows = draw(st.integers(rank, rank + 3))
+        if draw(st.booleans()):
+            # kernel vectors (w_i, e_i), w_i small: the last nullity
+            # entries of a row are fixed by its first rank entries
+            kernel = [draw(st.lists(st.integers(-5, 5), min_size=rank,
+                                    max_size=rank)) for _ in range(nullity)]
+            rows = []
+            for _ in range(nrows):
+                head = draw(st.lists(entries, min_size=rank, max_size=rank))
+                rows.append(head + [-sum(a * b for a, b in zip(head, w))
+                                    for w in kernel])
+        else:
+            basis = [draw(st.lists(entries, min_size=width, max_size=width))
+                     for _ in range(rank)]
+            rows = []
+            for _ in range(nrows):
+                coeffs = draw(st.lists(st.integers(-3, 3), min_size=rank,
+                                       max_size=rank))
+                rows.append([sum(c * b[k] for c, b in zip(coeffs, basis))
+                             for k in range(width)])
+        if draw(st.booleans()):
+            i = draw(st.integers(0, len(rows) - 1))
+            rows[i] = [KERNEL_PRIME * v for v in rows[i]]
+        return rows
+
+    @given(planted_kernel_matrices())
+    @settings(max_examples=150, deadline=None)
+    def test_kernel_vector_matches_integer_echelon(rows):
+        assert kernel_outcome(rows) == expected_outcome(rows)

@@ -7,11 +7,13 @@ import subprocess
 import sys
 from fractions import Fraction
 from itertools import combinations, product
+from math import gcd
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import igusa.exact as exact
 import igusa.geometry as geometry
 from igusa.exact import integer_echelon
 from igusa.geometry import (
@@ -400,6 +402,43 @@ def test_image_cubic_relation_rejects_small_sample_counts():
         image_cubic_relation(samples=59)
 
 
+def test_image_cubic_relation_is_certified_without_elimination(monkeypatch):
+    # the modular rank bound and the exact kernel check decide the sample
+    # matrix; the integer elimination is only a fallback
+    calls = []
+    fallback = exact.integer_echelon
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return fallback(*args, **kwargs)
+
+    monkeypatch.setattr(exact, "integer_echelon", counted)
+    relation = image_cubic_relation(samples=60, seed=0)
+    assert calls == []
+    assert relation.terms == {
+        (0, 1, 1, 0, 1): -1, (0, 1, 1, 1, 0): 1, (1, 0, 0, 1, 1): 1,
+        (1, 0, 1, 1, 0): -1, (1, 1, 0, 1, 0): -1, (2, 0, 0, 1, 0): 1,
+    }
+
+
+def test_image_cubic_relation_reports_its_nullity(monkeypatch):
+    # one repeated sample point leaves rank 1 (nullity 34); samples off the
+    # image of the cubics leave no relation (nullity 0)
+    point = generic_seven()[0]
+    monkeypatch.setattr(geometry, "_random_hyperplane_point",
+                        lambda rng: point)
+    with pytest.raises(ValueError, match=re.escape(
+            "cubic-relation nullity is 34, expected exactly 1")):
+        image_cubic_relation()
+    monkeypatch.undo()
+    rng = np.random.default_rng(3)
+    monkeypatch.setattr(geometry, "_image_values", lambda points: rng.integers(
+        -50, 50, size=(len(points), 5)))
+    with pytest.raises(ValueError, match=re.escape(
+            "cubic-relation nullity is 0, expected exactly 1")):
+        image_cubic_relation()
+
+
 def test_image_relation_equivariance_signs():
     relation = image_cubic_relation(samples=60, seed=0)
     outcomes = image_relation_equivariance(relation)
@@ -461,6 +500,8 @@ def test_exact_gauge_transport_moves_parameters():
 
 
 def test_frame_curve_solves_only_its_two_inverses(monkeypatch):
+    # the frame of points 1..6 is cached: a cold frame solves its two
+    # inverses (M and M D), a second curve on the same six points none
     calls = []
 
     def counted(*args, **kwargs):
@@ -468,8 +509,33 @@ def test_frame_curve_solves_only_its_two_inverses(monkeypatch):
         return integer_echelon(*args, **kwargs)
 
     monkeypatch.setattr(geometry, "integer_echelon", counted)
-    rational_curve_via_frame(generic_seven())
+    geometry._frame.cache_clear()
+    pts = generic_seven()
+    rational_curve_via_frame(pts)
     assert len(calls) == 2
+    other = generic_seven(seed=43)[0]
+    rational_curve_via_frame([other] + pts[1:])
+    assert len(calls) == 2
+    # a different six-point frame gets its own entry
+    rational_curve_via_frame(generic_seven(seed=44))
+    assert len(calls) == 4
+    assert geometry._frame.cache_info().currsize == 2
+    rational_curve_via_frame(pts)
+    assert len(calls) == 4
+    # a dependent frame is not cached: M singular (points 1..5 dependent),
+    # or d_5 = 0 (point 6 in the span of points 1..4), raises every time
+    singular = list(pts)
+    singular[5] = tuple(a + b for a, b in zip(pts[1], pts[2]))
+    unit = list(pts)
+    unit[6] = tuple(a + b - c + 2 * d
+                    for a, b, c, d in zip(pts[1], pts[2], pts[3], pts[4]))
+    for points, subset in ((singular, (1, 2, 3, 4, 5)),
+                           (unit, (1, 2, 3, 4, 6))):
+        for _ in range(2):
+            with pytest.raises(ValueError) as err:
+                rational_curve_via_frame(points)
+            assert str(err.value) == str(geometry._dependent(subset))
+    assert geometry._frame.cache_info().currsize == 2
 
 
 def _dependent_subsets(points):
@@ -520,6 +586,173 @@ def test_degenerate_configuration_is_rejected_quickly():
     with pytest.raises(ValueError,
                        match=r"\(0, 1, 2, 3, 6\)|\(0, 2, 3, 4, 5\)"):
         rational_curve_via_frame(sym)
+
+
+def reference_inverse(matrix):
+    """Inverse of a square rational matrix over Fractions, or None."""
+    n = len(matrix)
+    aug = [list(row) + [int(i == j) for j in range(n)]
+           for i, row in enumerate(matrix)]
+    reduced, pivots = reference_gauss_jordan(aug, width=n)
+    return None if len(pivots) < n else [reduced[p][n:] for p, _ in pivots]
+
+
+def reference_frame_curve(points):
+    """The frame construction over Fractions, step by step: M, d, M D and
+    its inverse, q, the gauge rho, the y-rows and x = (M D) y."""
+    charts = [tuple(F(c) for c in p[:5]) for p in points]
+    frame = range(1, 6)
+    M = [[charts[1 + j][i] for j in range(5)] for i in range(5)]
+    Minv = reference_inverse(M)
+    if Minv is None:
+        raise geometry._dependent(frame)
+    d = [sum(Minv[i][j] * charts[6][j] for j in range(5)) for i in range(5)]
+    for i, v in enumerate(d):
+        if v == 0:
+            raise geometry._dependent({6, *frame} - {1 + i})
+    MD = [[M[i][j] * d[j] for j in range(5)] for i in range(5)]
+    T = reference_inverse(MD)
+    q = [sum(T[i][j] * charts[0][j] for j in range(5)) for i in range(5)]
+    for i, v in enumerate(q):
+        if v == 0:
+            raise geometry._dependent({0, *frame} - {1 + i})
+    for i, j in combinations(range(5), 2):
+        if q[i] == q[j]:
+            raise geometry._dependent({0, 6, *frame} - {1 + i, 1 + j})
+    rho = next(cand for cand in (F(1), F(2), F(1, 2), F(3), F(1, 3), F(5),
+                                 F(2, 5))
+               if all(cand * v != 1 for v in q))
+    q = [rho * v for v in q]
+    a = [1 / (1 - v) for v in q]
+    y_rows = []
+    for i in range(5):
+        poly = [-q[i] * a[i]]
+        for j in range(5):
+            if j != i:  # times (t - a_j)
+                poly = [(poly[k - 1] if k else F(0))
+                        - a[j] * (poly[k] if k < len(poly) else F(0))
+                        for k in range(len(poly) + 1)]
+        y_rows.append(poly)
+    x_rows = [[sum(MD[i][j] * y_rows[j][k] for j in range(5))
+               for k in range(5)] for i in range(5)]
+    return ExactCurve(coeffs=tuple(tuple(row) for row in x_rows),
+                      parameters=(F(0),) + tuple(a) + (F(1),))
+
+
+def outcome(build, *args):
+    """What a construction returns, or the type and message it raises."""
+    try:
+        return build(*args)
+    except ValueError as err:
+        return ValueError, str(err)
+
+
+def test_integer_frame_curve_matches_fraction_reference():
+    # seeded draws through the six base points (the degree-16 frame, cached),
+    # seven fresh points, and each of the 21 five-point subsets made
+    # dependent in turn: the same curve, or the same message
+    rng = random.Random(11)
+    bases = [p.coords for p in base_points()]
+    cases = [[generic_seven(seed)[0]] + bases for seed in range(30)]
+    cases += [generic_seven(seed) for seed in range(100, 110)]
+    for subset in combinations(range(7), 5):
+        pts = list(generic_seven(rng.randrange(1000)))
+        *others, last = subset
+        weights = [rng.choice([-2, -1, 1, 3]) for _ in others]
+        pts[last] = tuple(sum(w * pts[i][k] for w, i in zip(weights, others))
+                          for k in range(6))
+        cases.append(pts)
+    # points 0 with prescribed frame coordinates q = (M D)^-1 (point 0),
+    # some of them 1, 2 or 1/2: the gauge rho must skip 1, then 2, ...
+    for q in ((1, 3, 4, 5, 6), (1, F(1, 2), 2, F(1, 3), 3),
+              (F(1, 2), 1, 7, 2, -1)):
+        pts = generic_seven(7)
+        charts = [[F(c) for c in p[:5]] for p in pts]
+        M = [[charts[1 + j][i] for j in range(5)] for i in range(5)]
+        d = [sum(a * b for a, b in zip(row, charts[6]))
+             for row in reference_inverse(M)]
+        head = [sum(M[i][j] * d[j] * q[j] for j in range(5))
+                for i in range(5)]
+        cases.append([tuple(head) + (-sum(head),)] + pts[1:])
+    messages = set()
+    for pts in cases:
+        expected = outcome(reference_frame_curve, pts)
+        assert outcome(rational_curve_via_frame, pts) == expected
+        if isinstance(expected, tuple):
+            messages.add(expected[1])
+    assert messages == {str(geometry._dependent(subset))
+                        for subset in combinations(range(7), 5)}
+
+
+def reference_gauge_transport(curve, charts, gauge):
+    """The gauge transport over Fractions: expand (gamma s + delta)^4 x(...)
+    term by term, then normalize by the first scale and verify."""
+    g = [F(v) for v in gauge]
+    mob = geometry._exact_mobius_through(tuple(zip(curve.parameters[:3], g)))
+    (m00, m01), (m10, m11) = mob
+    params = []
+    for s in curve.parameters:
+        den = m10 * s + m11
+        if den == 0:
+            raise ValueError("a parameter is transported to infinity")
+        params.append((m00 * s + m01) / den)
+    alpha, beta, gamma, delta = m11, -m01, -m10, m00
+    rows = []
+    for row in curve.coeffs:
+        acc = [F(0)] * 5
+        for k in range(5):
+            term = [F(1)]
+            for _ in range(k):
+                term = geometry._conv(term, [beta, alpha])
+            for _ in range(4 - k):
+                term = geometry._conv(term, [delta, gamma])
+            for j, c in enumerate(term):
+                acc[j] += row[k] * c
+        rows.append(acc)
+    scales = []
+    for t, chart in zip(params, charts):
+        value = [sum(rows[i][k] * t**k for k in range(5)) for i in range(5)]
+        k = max(range(5), key=lambda i: abs(chart[i]))
+        scales.append(value[k] / chart[k])
+    if scales[0] == 0:
+        raise ValueError("degenerate gauge normalization")
+    rows = [[c / scales[0] for c in row] for row in rows]
+    scales = [s / scales[0] for s in scales]
+    for t, chart, lam in zip(params, charts, scales):
+        for i in range(5):
+            assert sum(rows[i][k] * t**k for k in range(5)) == lam * chart[i]
+    return (ExactCurve(coeffs=tuple(tuple(r) for r in rows),
+                       parameters=tuple(params)), tuple(scales))
+
+
+def test_gauge_transport_matches_fraction_reference():
+    # seeded curves and gauge triples, a triple sending the fourth parameter
+    # to infinity and a repeated triple: the same curve and scales, or the
+    # same message
+    rng = random.Random(12)
+    bases = [p.coords for p in base_points()]
+    results = []
+    for seed in range(12):
+        pts = [generic_seven(seed)[0]] + bases if seed % 2 else \
+            generic_seven(seed)
+        curve = outcome(rational_curve_via_frame, pts)
+        if type(curve) is tuple:
+            continue  # a dependent draw has no curve
+        charts = [p[:5] for p in pts]
+        triples = [tuple(F(rng.randint(-6, 6), rng.randint(1, 3))
+                         for _ in range(3)) for _ in range(4)]
+        pole = curve.parameters[3]
+        triples.append(tuple(1 / (s - pole) for s in curve.parameters[:3]))
+        triples.append((F(1), F(1), F(2)))
+        for triple in triples:
+            expected = outcome(reference_gauge_transport, curve, charts,
+                               triple)
+            assert outcome(exact_gauge_transport, curve, charts,
+                           triple) == expected
+            results.append(expected)
+    assert sum(type(r[0]) is ExactCurve for r in results) >= 30
+    assert (ValueError, "a parameter is transported to infinity") in results
+    assert (ValueError, "gauge triple is degenerate") in results
 
 
 # ---------------------------------------------------------------------------
@@ -661,9 +894,12 @@ def test_reference_kernels_on_a_fixed_case():
     reduced, pivots = integer_echelon(rows)
     assert pivots == [(0, 0), (2, 1)]
     assert reduced[1] == [0, 0, 0]
-    assert geometry._exact_inverse([[2, 1], [1, 1]]) == [[1, -1], [-1, 2]]
+    assert geometry._integer_inverse([[2, 1], [1, 1]]) == (
+        [[1, -1], [-1, 2]], 1)
+    assert geometry._integer_inverse([[2, 0], [0, F(1, 3)]]) == (
+        [[1, 0], [0, 6]], 2)
     with pytest.raises(ValueError, match="singular"):
-        geometry._exact_inverse([[1, 2], [2, 4]])
+        geometry._integer_inverse([[1, 2], [2, 4]])
     assert geometry._solve_in_span([[1, 0, 1], [0, 1, 1]], [2, 3, 5]) == (2, 3)
     with pytest.raises(ValueError, match="outside the span"):
         geometry._solve_in_span([[1, 0, 1], [0, 1, 1]], [2, 3, 4])
@@ -731,11 +967,15 @@ if HAVE_HYPOTHESIS:
         reduced, pivots = reference_gauss_jordan(aug, width=n)
         if len(pivots) < n:
             with pytest.raises(ValueError, match="singular"):
-                geometry._exact_inverse(matrix)
+                geometry._integer_inverse(matrix)
             return
-        inverse = geometry._exact_inverse(matrix)
-        assert inverse == [reduced[p][n:] for p, _ in pivots]
-        assert all(type(v) is F for row in inverse for v in row)
+        numerators, den = geometry._integer_inverse(matrix)
+        assert [[F(v, den) for v in row] for row in numerators] == [
+            reduced[p][n:] for p, _ in pivots]
+        # integers over the least positive common denominator
+        assert all(type(v) is int for row in numerators for v in row)
+        assert type(den) is int and den > 0
+        assert gcd(den, *(v for row in numerators for v in row)) == 1
 
     @given(st.lists(rationals, max_size=7),
            st.lists(st.integers(0, 6), max_size=3), rationals.filter(bool))
