@@ -53,13 +53,11 @@ def main():
 
     print()
     print("=== Restriction case table, stable across boxes ===")
-    tables = {}
+    tables = heegner_restriction_cases(5)["by_box"]
     for bound in (3, 4, 5):
-        report = heegner_restriction_cases(bound)
-        tables[bound] = report["cases"]
         print(f"box half-width {bound}:")
         for norm in (-4, -2, -6):
-            case = report["cases"][norm]
+            case = tables[bound][norm]
             print(f"  r^2 = {norm}: {case['vectors_in_box']:6d} vectors, "
                   f"{case['relevant']:5d} relevant, m in {case['m_values']}, "
                   f"r1^2 in {case['r1_norms']}, "

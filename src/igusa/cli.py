@@ -130,10 +130,11 @@ def _validate(parser: argparse.ArgumentParser, args) -> None:
                          "expansions grow like the square of the terms)")
     if not (args.tolerance > 0 and math.isfinite(args.tolerance)):
         parser.error("--tolerance must be positive and finite")
-    if args.out:
+    if args.out is not None:
         # checked before the suite runs; nothing is created here
         directory = os.path.dirname(os.path.abspath(args.out))
-        if (os.path.isdir(args.out) or not os.path.isdir(directory)
+        if (not args.out or os.path.isdir(args.out)
+                or not os.path.isdir(directory)
                 or not os.access(directory, os.W_OK)
                 or (os.path.exists(args.out)
                     and not os.access(args.out, os.W_OK))):
@@ -161,7 +162,7 @@ def main(argv=None) -> int:
     else:
         text = document.to_json()
 
-    if args.out:
+    if args.out is not None:
         with open(args.out, "w", encoding="utf-8") as handle:
             handle.write(text)
     else:

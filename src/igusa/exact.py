@@ -753,6 +753,13 @@ def _primitive(row: list[int]) -> list[int]:
     return [v // g for v in row] if g > 1 else row
 
 
+def clear_denominators(values: Iterable) -> tuple[list[int], int]:
+    """Integers X and the least positive denominator d with values == X / d."""
+    values = [v if isinstance(v, (int, Fraction)) else Fraction(v) for v in values]
+    d = math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (d // v.denominator) for v in values], d
+
+
 def integer_echelon(rows: Sequence[Sequence], width: int = None):
     """Gauss-Jordan reduction of a rational matrix (int or Fraction entries)
     by fraction-free elimination over the integers.
@@ -767,8 +774,7 @@ def integer_echelon(rows: Sequence[Sequence], width: int = None):
     """
     mat = []
     for row in rows:
-        den = math.lcm(*(v.denominator for v in row))
-        mat.append(_primitive([v.numerator * (den // v.denominator) for v in row]))
+        mat.append(_primitive(clear_denominators(row)[0]))
     if not mat:
         return [], []
     used = [False] * len(mat)

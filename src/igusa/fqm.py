@@ -16,6 +16,8 @@ from math import gcd, prod
 
 import numpy as np
 
+from .exact import clear_denominators
+
 __all__ = [
     "FiniteQuadraticModule",
     "FqmAutomorphism",
@@ -110,6 +112,7 @@ class FiniteQuadraticModule:
             oi = np.array([di // gcd(int(c), di) for c in ci], dtype=np.int64)
             elt_orders = np.lcm(elt_orders, oi)
         self.element_orders = elt_orders
+        self._types = self._radical = None  # see element_types, radical_class
 
         # optional lattice provenance (set by lattice_core.discriminant_module)
         self._lattice = None
@@ -173,19 +176,20 @@ class FiniteQuadraticModule:
         return self._lattice
 
     def class_of_vector(self, coords) -> int:
-        """The class of a dual-lattice vector given in lattice coordinates."""
+        """The class of a dual-lattice vector x = X / d (X integral) given in
+        lattice coordinates; x is in the dual exactly when d divides G X."""
         if self._lattice is None:
             raise ValueError("module has no attached lattice")
-        x = [Fraction(c) for c in coords]
+        x, d = clear_denominators(coords)
         gram = self._lattice.gram
         n = len(gram)
         if len(x) != n:
             raise ValueError("coordinate length mismatch")
-        k = [sum(Fraction(gram[i][j]) * x[j] for j in range(n)) for i in range(n)]
-        if any(v.denominator != 1 for v in k):
+        k = [sum(g * v for g, v in zip(row, x)) for row in gram]
+        if any(v % d for v in k):
             raise ValueError("vector is not in the dual lattice")
         s = [
-            sum(self._push_mat[i][j] * int(k[j]) for j in range(n))
+            sum(self._push_mat[i][j] * (k[j] // d) for j in range(n))
             for i in range(n)
         ]
         digits = [s[i] % self.orders[pos] for pos, i in enumerate(self._kept)]
@@ -241,18 +245,18 @@ def radical_class(A: FiniteQuadraticModule) -> int:
     For the rank-6 ambient discriminant form this is the radical of the
     index-2 subgroup of integral-norm classes; for the restriction form it is
     the radical of the whole 2-torsion subgroup. Raises if no such class or
-    more than one exists.
+    more than one exists; computed once per module.
     """
-    two_torsion = [x for x in A.elements() if A.order_of(x) <= 2]
-    S = [x for x in two_torsion if A.q4[x] % 4 == 0]
-    radicals = [
-        x for x in S if x != 0 and all(A.b4[x, y] == 0 for y in S)
-    ]
-    if len(radicals) != 1:
-        raise ValueError(
-            f"radical is not unique: found {len(radicals)} candidate classes"
-        )
-    return radicals[0]
+    if A._radical is None:
+        two_torsion = [x for x in A.elements() if A.order_of(x) <= 2]
+        S = [x for x in two_torsion if A.q4[x] % 4 == 0]
+        radicals = [x for x in S if x != 0 and all(A.b4[x, y] == 0 for y in S)]
+        if len(radicals) != 1:
+            raise ValueError(
+                f"radical is not unique: found {len(radicals)} candidate classes"
+            )
+        A._radical = radicals[0]
+    return A._radical
 
 
 def _type_label(A: FiniteQuadraticModule, x: int, kappa: int) -> str:
@@ -269,10 +273,12 @@ def _type_label(A: FiniteQuadraticModule, x: int, kappa: int) -> str:
     raise ValueError(f"element with unsupported q-value {Fraction(q4, 4)}")
 
 
-def element_types(A: FiniteQuadraticModule) -> list:
-    """Type label of every element, indexed by element."""
-    kappa = radical_class(A)
-    return [_type_label(A, x, kappa) for x in A.elements()]
+def element_types(A: FiniteQuadraticModule) -> tuple:
+    """Type label of every element, indexed by element; computed once per module."""
+    if A._types is None:
+        kappa = radical_class(A)
+        A._types = tuple(_type_label(A, x, kappa) for x in A.elements())
+    return A._types
 
 
 def type_census(A: FiniteQuadraticModule, order=TYPE_ORDER_AMBIENT) -> dict:

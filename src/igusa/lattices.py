@@ -9,6 +9,7 @@ lattice together with the projection map from dual vectors to classes.
 from fractions import Fraction
 from math import prod
 
+from .exact import clear_denominators
 from .fqm import FiniteQuadraticModule
 
 __all__ = [
@@ -65,17 +66,15 @@ class Lattice:
         return tuple(out)
 
     def ip(self, x, y) -> Fraction:
-        """Inner product of two vectors in lattice coordinates."""
+        """Inner product of two vectors in lattice coordinates: both are
+        cleared to integers over one denominator each, so the bilinear sum
+        is taken over the integers and one Fraction is built."""
         n = self.rank
         if len(x) != n or len(y) != n:
             raise ValueError("coordinate length mismatch")
-        total = Fraction(0)
-        for i in range(n):
-            xi = Fraction(x[i])
-            if not xi:
-                continue
-            total += xi * sum(self.gram[i][j] * Fraction(y[j]) for j in range(n))
-        return total
+        (x, dx), (y, dy) = clear_denominators(x), clear_denominators(y)
+        total = sum(g * a * b for row, a in zip(self.gram, x) for g, b in zip(row, y))
+        return Fraction(total, dx * dy)
 
     def norm(self, x) -> Fraction:
         return self.ip(x, x)

@@ -712,8 +712,8 @@ def restriction_suite(runner: SuiteRunner, box: int = 3) -> None:
 
     def heegner_cases():
         actual = {}
-        for bound in bounds:
-            cases = heegner_restriction_cases(bound=bound)["cases"]
+        by_box = heegner_restriction_cases(bound=bounds[-1])["by_box"]
+        for bound, cases in by_box.items():
             table = {}
             for norm, case in sorted(cases.items()):
                 table[str(norm)] = {

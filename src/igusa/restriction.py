@@ -18,6 +18,7 @@ from itertools import combinations
 
 import numpy as np
 
+from .exact import integer_echelon
 from .fqm import (
     TYPE_ORDER_RESTRICTION,
     element_types,
@@ -110,38 +111,18 @@ class EmbeddedSublattice:
 
     def member_coordinates(self, ambient_coords) -> tuple:
         """Member coordinates of an ambient vector in the member's rational
-        span (exact Gaussian solve; raises if outside the span)."""
-        basis = self.member_basis
-        n = self.ambient.rank
-        k = len(basis)
-        # augmented system: columns are basis vectors
+        span (exact integer Gauss-Jordan solve; raises if outside the span)."""
+        k = len(self.member_basis)
         rows = [
-            [Fraction(basis[j][i]) for j in range(k)] + [Fraction(ambient_coords[i])]
-            for i in range(n)
+            [v[i] for v in self.member_basis] + [ambient_coords[i]]
+            for i in range(self.ambient.rank)
         ]
-        pivots = []
-        r = 0
-        for col in range(k):
-            piv = next((i for i in range(r, n) if rows[i][col]), None)
-            if piv is None:
-                continue
-            rows[r], rows[piv] = rows[piv], rows[r]
-            inv = 1 / rows[r][col]
-            rows[r] = [v * inv for v in rows[r]]
-            for i in range(n):
-                if i != r and rows[i][col]:
-                    f = rows[i][col]
-                    rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-            pivots.append(col)
-            r += 1
-        if len(pivots) != k:
+        reduced, pivots = integer_echelon(rows)
+        if [c for _, c in pivots[:k]] != list(range(k)):
             raise AssertionError("member basis must have full rank")
-        if any(rows[i][k] for i in range(r, n)):
+        if len(pivots) > k:
             raise ValueError("vector lies outside the member span")
-        sol = [Fraction(0)] * k
-        for i, col in enumerate(pivots):
-            sol[col] = rows[i][k]
-        return tuple(sol)
+        return tuple(Fraction(reduced[r][k], reduced[r][c]) for r, c in pivots)
 
 
 @lru_cache(maxsize=1)
@@ -416,9 +397,10 @@ def heegner_restriction_cases(bound: int = 3) -> dict:
 
     and that for the odd-m cases the vectors pair off (same member
     component, m = +1 and m = -1), giving each hyperplane multiplicity 2.
-    The three norm level sets of the box are enumerated exactly, without
-    visiting the rest of the box.  Any violation raises with the witness
-    vector."""
+    The three norm level sets of the box are enumerated once, without
+    visiting the rest of the box, and the table of every half-width
+    3..bound ("by_box"; "cases" is the top one) is read off and verified
+    by a max-norm mask.  Any violation raises with the witness vector."""
     if bound < 3:
         raise ValueError("bound must be at least 3")
     if bound > MAX_BOX:
@@ -427,17 +409,22 @@ def heegner_restriction_cases(bound: int = 3) -> dict:
     AN = ambient_module()
     AM = restriction_module()
     an_types = element_types(AN)
-    am_types = np.array(element_types(AM))
+    am_labels = element_types(AM)
+    am_types = np.array(am_labels)
     kappa_n = radical_class(AN)
 
-    cases = {}
-    witnesses = []
-    for target, rows in _level_sets(bound, _CASE_NORMS).items():
-        total = len(rows)
+    level_sets = _level_sets(bound, _CASE_NORMS)
+    levels = []
+    for target in _CASE_NORMS:
+        rows = level_sets.pop(target)  # drop each full level set once read
+        width = np.abs(rows).max(axis=1)
+        totals = np.cumsum(np.bincount(width, minlength=bound + 1))
         # relevant: the member component has norm r1^2 = r^2 + m^2 < 0
-        rows = rows[(rows[:, 4] + rows[:, 5]) ** 2 < -target]
+        relevant = (rows[:, 4] + rows[:, 5]) ** 2 < -target
+        rows, width = rows[relevant], width[relevant]
         m, cn, cm = _split_classes(rows)
         b_type = am_types[cm]
+        keys = None
         if target == -4:
             failures = [
                 (m != 0, "norm -4 case with m != 0"),
@@ -453,56 +440,74 @@ def heegner_restriction_cases(bound: int = 3) -> dict:
                 (np.abs(m) != 1, f"norm {target} case with m = {{m}}"),
                 (b_type != expected, f"norm {target} member class of type {{b}}"),
             ]
-        _raise_first(rows, failures, m=m, b=b_type)
-
-        paired = None
-        if target != -4:
-            # every odd-m hyperplane is hit by exactly the pair m = +1, m = -1
+            # equal keys <=> equal member components (x1, x2, x3, x4, x5 - x6)
             member = np.concatenate(
                 [rows[:, :4], rows[:, 4:5] - rows[:, 5:6]], axis=1
             )
             keys = np.ravel_multi_index(
                 tuple((member + 2 * bound).T), (4 * bound + 1,) * 5
             )
-            _, inverse, counts = np.unique(keys, return_inverse=True, return_counts=True)
-            m_sums = np.bincount(inverse, weights=m, minlength=len(counts))
-            unpaired = ((counts != 2) | (m_sums != 0))[inverse]
-            if unpaired.any():
-                i = int(np.flatnonzero(unpaired)[0])
-                key = tuple(int(v) for v in member[i])
-                raise ValueError(
-                    f"multiplicity pairing fails for member component {key}: "
-                    f"m values {sorted(int(v) for v in m[inverse == inverse[i]])}"
+        levels.append((target, totals, rows, width, m, cn, cm, b_type, failures, keys))
+
+    by_box = {}
+    for box in range(3, bound + 1):
+        cases = by_box[box] = {}
+        witnesses = []
+        for target, totals, rows, width, m, cn, cm, b_type, failures, keys in levels:
+            inside = width <= box  # a mask keeps lexicographic order
+            _raise_first(rows, [(f & inside, t) for f, t in failures], m=m, b=b_type)
+            paired = None
+            if keys is not None:
+                # every odd-m hyperplane is hit by exactly the pair m = +1, m = -1
+                m_in = m[inside]
+                _, inverse, counts = np.unique(
+                    keys[inside], return_inverse=True, return_counts=True
                 )
-            paired = len(counts)
+                m_sums = np.bincount(inverse, weights=m_in, minlength=len(counts))
+                unpaired = ((counts != 2) | (m_sums != 0))[inverse]
+                if unpaired.any():
+                    i = int(np.flatnonzero(unpaired)[0])
+                    r = [int(v) for v in rows[np.flatnonzero(inside)[i]]]
+                    raise ValueError(
+                        f"multiplicity pairing fails for member component "
+                        f"{(*r[:4], r[4] - r[5])}: m values "
+                        f"{sorted(int(v) for v in m_in[inverse == inverse[i]])}"
+                    )
+                paired = len(counts)
+            first = np.flatnonzero(inside)[:60]
+            witnesses.append((rows[first], m[first], cn[first], b_type[first]))
+            # value sets without np.unique, whose first plain call loads numpy.ma
+            m_values = tuple(sorted(set(m[inside].tolist())))
+            cases[target] = {
+                "vectors_in_box": int(totals[box]),
+                "relevant": int(np.count_nonzero(inside)),
+                "m_values": m_values,
+                "r1_norms": tuple(sorted({target + v * v for v in m_values})),
+                "ambient_types": tuple(sorted(
+                    {an_types[c] for c in np.flatnonzero(np.bincount(cn[inside]))}
+                )),
+                "beta_types": tuple(sorted(
+                    {am_labels[c] for c in np.flatnonzero(np.bincount(cm[inside]))}
+                )),
+                "hyperplane_multiplicity": 1 if target == -4 else 2,
+                "paired_hyperplanes": paired,
+            }
 
-        witnesses.append((rows[:60], m[:60], cn[:60], b_type[:60]))
-        cases[target] = {
-            "vectors_in_box": total,
-            "relevant": len(rows),
-            "m_values": tuple(int(v) for v in np.unique(m)),
-            "r1_norms": tuple(int(v) for v in np.unique(target + m * m)),
-            "ambient_types": tuple(sorted({an_types[c] for c in np.unique(cn)})),
-            "beta_types": tuple(str(b) for b in np.unique(b_type)),
-            "hyperplane_multiplicity": 1 if target == -4 else 2,
-            "paired_hyperplanes": paired,
-        }
-
-    # exact-arithmetic spot check of the vectorized classification: every
-    # 7th of the first 60 relevant vectors, ordered by x1, then by norm
-    # (-4, -2, -6), then lexicographically
-    rows, m, cn, b_type = (np.concatenate(parts) for parts in zip(*witnesses))
-    for i in np.argsort(rows[:, 0], kind="stable")[:60:7]:
-        witness = tuple(int(v) for v in rows[i])
-        case = restriction_case(witness)
-        if (case.m, case.ambient_type, case.beta_type) != (
-            int(m[i]), an_types[cn[i]], b_type[i]
-        ):
-            raise AssertionError(
-                f"vectorized classification disagrees with the exact path "
-                f"at r = {witness}"
-            )
-    return {"bound": bound, "cases": cases}
+        # exact-arithmetic spot check of the vectorized classification: every
+        # 7th of the first 60 relevant vectors, ordered by x1, then by norm
+        # (-4, -2, -6), then lexicographically
+        rows, m, cn, b_type = (np.concatenate(parts) for parts in zip(*witnesses))
+        for i in np.argsort(rows[:, 0], kind="stable")[:60:7]:
+            witness = tuple(int(v) for v in rows[i])
+            case = restriction_case(witness)
+            if (case.m, case.ambient_type, case.beta_type) != (
+                int(m[i]), an_types[cn[i]], b_type[i]
+            ):
+                raise AssertionError(
+                    f"vectorized classification disagrees with the exact path "
+                    f"at r = {witness}"
+                )
+    return {"bound": bound, "cases": by_box[bound], "by_box": by_box}
 
 
 # ---------------------------------------------------------------------------

@@ -186,6 +186,7 @@ def test_cli_usage_errors_exit_2(tmp_path, monkeypatch):
         ["obstruction", "--tolerance", "nan"],
         ["census", "--out", str(missing)],  # no such directory
         ["census", "--out", str(tmp_path)],  # a directory, not a file
+        ["census", "--out", ""],  # an empty path names no file
     ):
         with pytest.raises(SystemExit) as err:
             main(argv)
@@ -207,6 +208,7 @@ def test_cli_usage_errors_exit_2(tmp_path, monkeypatch):
                  id="obstruction-infinite-tolerance"),
     pytest.param(["census", "--out", os.path.join(os.devnull, "report.json")],
                  id="census-unwritable-out"),
+    pytest.param(["census", "--out", ""], id="census-empty-out"),
 ], ids=lambda argv: argv[0])
 def test_cli_flag_errors_show_the_suite_usage(argv, capsys):
     with pytest.raises(SystemExit) as err:
@@ -278,6 +280,37 @@ def test_cli_geometry_report_is_pinned(capsys):
     assert main(["geometry", "--trials", "40", "--seed", "0"]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == GEOMETRY_SHA256
+
+
+RESTRICTION_SHA256 = (
+    "50e35852335147381b6a717dd1de73bc1b18bfec442ce43754793db880f8bc9f"
+)
+
+
+def test_cli_restriction_report_is_pinned(capsys):
+    # the enumeration-sweep run: every box half-width from 3 to 7
+    assert main(["restriction", "--box", "7", "--seed", "0"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == RESTRICTION_SHA256
+
+
+def test_cli_restriction_enumerates_the_level_sets_once(monkeypatch, capsys):
+    import igusa.restriction as restriction
+
+    calls = []
+    original = restriction._level_sets
+
+    def counted(bound, targets):
+        calls.append((bound, tuple(targets)))
+        return original(bound, targets)
+
+    # the bound-2 boundary projection is cached: drop it so it is counted
+    restriction._norm_minus4_projection.cache_clear()
+    monkeypatch.setattr(restriction, "_level_sets", counted)
+    assert main(["restriction", "--box", "5"]) == 0
+    capsys.readouterr()
+    # one enumeration for the case table of boxes 3..5, one for the projection
+    assert sorted(calls) == [(2, (-4,)), (5, (-4, -2, -6))]
 
 
 def test_cli_timings_are_recorded_on_request(capsys):

@@ -109,6 +109,32 @@ def test_radical_class_missing_is_an_error():
     AU2 = discriminant_module(standard("U", 2))
     with pytest.raises(ValueError):
         radical_class(AU2)
+    # a failure is not cached: the same error on every call
+    for _ in range(2):
+        with pytest.raises(ValueError, match="found 0 candidate classes"):
+            radical_class(AU2)
+        with pytest.raises(ValueError, match="found 0 candidate classes"):
+            element_types(AU2)
+
+
+def test_element_types_are_computed_once_per_module(monkeypatch):
+    import igusa.fqm as fqm
+
+    A = discriminant_module(ambient_lattice())
+    kappa = radical_class(A)
+    labels = element_types(A)
+    assert isinstance(labels, tuple) and len(labels) == A.size
+    assert labels == tuple(fqm._type_label(A, x, kappa) for x in A.elements())
+    # every module keeps its own labels
+    assert element_types(discriminant_module(restriction_lattice())) != labels
+
+    def rescan(*args):
+        raise AssertionError("the elements were scanned again")
+
+    monkeypatch.setattr(fqm, "_type_label", rescan)
+    monkeypatch.setattr(A, "order_of", rescan)
+    assert element_types(A) is labels
+    assert radical_class(A) == kappa
 
 
 # ---------------------------------------------------------------------------

@@ -87,6 +87,48 @@ def test_inner_products():
     assert N.norm(v) == Fraction(3, 2)
 
 
+def test_inner_product_matches_the_fraction_sum():
+    # the rational bilinear sum that the integer path replaces
+    rng = random.Random(7)
+    for L in (ambient_lattice(), restriction_lattice(), standard("E8", 2)):
+        n = L.rank
+        for _ in range(40):
+            x = [Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(n)]
+            y = [rng.choice([rng.randint(-9, 9), Fraction(rng.randint(-9, 9), 4)])
+                 for _ in range(n)]
+            expected = sum(
+                x[i] * L.gram[i][j] * Fraction(y[j]) for i in range(n) for j in range(n)
+            )
+            value = L.ip(x, y)
+            assert type(value) is Fraction and value == expected
+            assert L.norm(x) == L.ip(x, x)
+    with pytest.raises(ValueError, match="length"):
+        ambient_lattice().ip((1, 2), (1, 2))
+
+
+def test_class_of_vector_agrees_with_rational_dual_membership():
+    # a vector is in the dual exactly when G x is integral; its class then
+    # depends only on x modulo the lattice
+    rng = random.Random(11)
+    for L in (ambient_lattice(), restriction_lattice()):
+        A = discriminant_module(L)
+        n = L.rank
+        for _ in range(60):
+            x = [Fraction(rng.randint(-8, 8), rng.choice((1, 2, 3, 4))) for _ in range(n)]
+            k = [sum(L.gram[i][j] * x[j] for j in range(n)) for i in range(n)]
+            if all(v.denominator == 1 for v in k):
+                shifted = [c + rng.randint(-2, 2) for c in x]
+                assert A.class_of_vector(x) == A.class_of_vector(shifted)
+                assert A.class_of_vector(A.lift_vector(A.class_of_vector(x))) == (
+                    A.class_of_vector(x)
+                )
+            else:
+                with pytest.raises(ValueError, match="not in the dual lattice"):
+                    A.class_of_vector(x)
+        with pytest.raises(ValueError, match="length"):
+            A.class_of_vector((0,) * (n - 1))
+
+
 def test_smith_normal_form_identity_random():
     rng = random.Random(7)
     for _ in range(25):

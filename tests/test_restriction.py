@@ -3,6 +3,7 @@
 from fractions import Fraction
 from itertools import product
 
+import numpy as np
 import pytest
 
 import igusa.restriction as restriction
@@ -223,6 +224,208 @@ def test_bound_guard():
         heegner_restriction_cases(2)
     with pytest.raises(ValueError, match=f"at most {MAX_BOX}"):
         heegner_restriction_cases(MAX_BOX + 1)
+
+
+def _reference_cases(bound):
+    """The per-box loop that enumerated each box on its own: one call per
+    half-width, kept as the reference for the single enumeration.  Library
+    names are looked up on the module so planted faults reach both."""
+    restriction.build_embedding()
+    AN = ambient_module()
+    AM = restriction.restriction_module()
+    an_types = restriction.element_types(AN)
+    am_types = np.array(restriction.element_types(AM))
+    kappa_n = restriction.radical_class(AN)
+
+    cases = {}
+    witnesses = []
+    for target, rows in restriction._level_sets(bound, (-4, -2, -6)).items():
+        total = len(rows)
+        rows = rows[(rows[:, 4] + rows[:, 5]) ** 2 < -target]
+        m, cn, cm = restriction._split_classes(rows)
+        b_type = am_types[cm]
+        if target == -4:
+            failures = [
+                (m != 0, "norm -4 case with m != 0"),
+                (
+                    (cn == kappa_n) != (b_type == "10"),
+                    "characteristic-class bookkeeping fails",
+                ),
+                (~np.isin(b_type, ("1", "10")), "norm -4 member class of type {b}"),
+            ]
+        else:
+            expected = "7/4" if target == -2 else "3/4"
+            failures = [
+                (np.abs(m) != 1, f"norm {target} case with m = {{m}}"),
+                (b_type != expected, f"norm {target} member class of type {{b}}"),
+            ]
+        restriction._raise_first(rows, failures, m=m, b=b_type)
+
+        paired = None
+        if target != -4:
+            member = np.concatenate(
+                [rows[:, :4], rows[:, 4:5] - rows[:, 5:6]], axis=1
+            )
+            keys = np.ravel_multi_index(
+                tuple((member + 2 * bound).T), (4 * bound + 1,) * 5
+            )
+            _, inverse, counts = np.unique(keys, return_inverse=True, return_counts=True)
+            m_sums = np.bincount(inverse, weights=m, minlength=len(counts))
+            unpaired = ((counts != 2) | (m_sums != 0))[inverse]
+            if unpaired.any():
+                i = int(np.flatnonzero(unpaired)[0])
+                key = tuple(int(v) for v in member[i])
+                raise ValueError(
+                    f"multiplicity pairing fails for member component {key}: "
+                    f"m values {sorted(int(v) for v in m[inverse == inverse[i]])}"
+                )
+            paired = len(counts)
+
+        witnesses.append((rows[:60], m[:60], cn[:60], b_type[:60]))
+        cases[target] = {
+            "vectors_in_box": total,
+            "relevant": len(rows),
+            "m_values": tuple(int(v) for v in np.unique(m)),
+            "r1_norms": tuple(int(v) for v in np.unique(target + m * m)),
+            "ambient_types": tuple(sorted({an_types[c] for c in np.unique(cn)})),
+            "beta_types": tuple(str(b) for b in np.unique(b_type)),
+            "hyperplane_multiplicity": 1 if target == -4 else 2,
+            "paired_hyperplanes": paired,
+        }
+
+    rows, m, cn, b_type = (np.concatenate(parts) for parts in zip(*witnesses))
+    for i in np.argsort(rows[:, 0], kind="stable")[:60:7]:
+        witness = tuple(int(v) for v in rows[i])
+        case = restriction.restriction_case(witness)
+        if (case.m, case.ambient_type, case.beta_type) != (
+            int(m[i]), an_types[cn[i]], b_type[i]
+        ):
+            raise AssertionError(
+                f"vectorized classification disagrees with the exact path "
+                f"at r = {witness}"
+            )
+    return {"bound": bound, "cases": cases}
+
+
+def _reference_sweep(bound):
+    """Boxes 3..bound one by one, as the report used to run them."""
+    return {k: _reference_cases(k)["cases"] for k in range(3, bound + 1)}
+
+
+def _outcome(run, bound):
+    try:
+        run(bound)
+    except (AssertionError, ValueError) as err:
+        return type(err).__name__, str(err)
+    return None
+
+
+def test_every_box_table_matches_the_per_box_reference():
+    rep = heegner_restriction_cases(6)
+    assert sorted(rep["by_box"]) == [3, 4, 5, 6]
+    assert rep["cases"] == rep["by_box"][6]
+    reference = _reference_sweep(6)
+    for k in range(3, 7):
+        assert rep["by_box"][k] == reference[k], k
+
+
+def _shift_classes(module_of, where):
+    """A _vectorized_classes that moves the class of the rows picked by
+    where(K) (K the integer pairing vectors) for the module module_of()."""
+    original = restriction._vectorized_classes
+
+    def planted(module, K):
+        out = original(module, K)
+        if module is module_of():
+            out = np.where(where(K), (out + 1) % module.size, out)
+        return out
+
+    return planted
+
+
+# The ambient pairing vector of r is (x2, x1, x4, x3, -x5, -x6) and the
+# member one (x2, x1, x4, x3, x6 - x5), so max |K| is the box of r or bounds
+# it from below.
+_PLANTED = {
+    "ambient-outside-box-3": (ambient_module, lambda K: abs(K).max(axis=1) > 3),
+    "ambient-inside-box-3": (
+        ambient_module,
+        lambda K: (abs(K).max(axis=1) <= 3) & (K[:, 0] == 2),
+    ),
+    "member-outside-box-3": (
+        restriction_module,
+        lambda K: abs(K[:, :4]).max(axis=1) > 3,
+    ),
+    # x5 - x6 is odd exactly on the odd-m norms -2 and -6
+    "member-two-norms": (restriction_module, lambda K: K[:, 4] % 2 == 1),
+    "member-inside-box-3-all-norms": (
+        restriction_module,
+        lambda K: (abs(K[:, :4]).max(axis=1) <= 3) & (K[:, 1] == -1),
+    ),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(_PLANTED))
+def test_planted_class_faults_raise_as_the_per_box_reference(fault, monkeypatch):
+    module_of, where = _PLANTED[fault]
+    monkeypatch.setattr(
+        restriction, "_vectorized_classes", _shift_classes(module_of, where)
+    )
+    expected = _outcome(_reference_sweep, 5)
+    assert expected is not None, "the planted fault must be detected"
+    assert _outcome(heegner_restriction_cases, 5) == expected
+    if "outside" in fault:
+        assert _outcome(heegner_restriction_cases, 3) is None
+
+
+def test_planted_pairing_fault_raises_as_the_per_box_reference(monkeypatch):
+    original = restriction._split_classes
+
+    def planted(rows):
+        m, cn, cm = original(rows)
+        # m = +1 becomes -1 where x1 = -4: |m| stays 1, but those pairs break
+        return np.where((rows[:, 0] == -4) & (m == 1), -m, m), cn, cm
+
+    monkeypatch.setattr(restriction, "_split_classes", planted)
+    expected = _outcome(_reference_sweep, 5)
+    assert expected[1].startswith("multiplicity pairing fails")
+    assert _outcome(heegner_restriction_cases, 5) == expected
+
+
+def test_planted_fault_seen_only_by_the_exact_spot_check(monkeypatch):
+    original = restriction._vectorized_classes
+    kappa = radical_class(ambient_module())
+
+    def planted(module, K):
+        out = original(module, K)
+        if module is ambient_module():
+            # outside box 3 every non-characteristic class becomes 0: the
+            # table checks still pass, the exact path finds another type
+            out = np.where((abs(K).max(axis=1) > 3) & (out != kappa), 0, out)
+        return out
+
+    monkeypatch.setattr(restriction, "_vectorized_classes", planted)
+    expected = _outcome(_reference_sweep, 5)
+    assert expected[0] == "AssertionError"
+    assert _outcome(heegner_restriction_cases, 5) == expected
+    assert _outcome(heegner_restriction_cases, 3) is None
+
+
+@pytest.mark.parametrize("swap", [("7/4", "3/4"), ("1", "10"), ("3/4", "0")])
+def test_planted_label_faults_raise_as_the_per_box_reference(swap, monkeypatch):
+    original = restriction.element_types
+    relabel = {swap[0]: swap[1], swap[1]: swap[0]}
+
+    def planted(A):
+        labels = original(A)
+        if A is restriction_module():
+            labels = tuple(relabel.get(t, t) for t in labels)
+        return labels
+
+    monkeypatch.setattr(restriction, "element_types", planted)
+    expected = _outcome(_reference_sweep, 4)
+    assert expected is not None, "the planted fault must be detected"
+    assert _outcome(heegner_restriction_cases, 4) == expected
 
 
 def test_vectorized_classification_is_cross_checked(monkeypatch):
