@@ -182,13 +182,6 @@ class Cyclotomic:
         return cls(_ZPOW[k % _CONDUCTOR])
 
     @classmethod
-    def root_of_unity(cls, order: int, power: int = 1) -> "Cyclotomic":
-        """e^(2 pi i power/order); requires order dividing 24."""
-        if order <= 0 or _CONDUCTOR % order != 0:
-            raise ValueError(f"order {order} does not divide {_CONDUCTOR}")
-        return cls.root((_CONDUCTOR // order) * power)
-
-    @classmethod
     def e(cls, t: Fraction) -> "Cyclotomic":
         """e^(2 pi i t) for rational t with 24t integral."""
         t = Fraction(t)
@@ -196,10 +189,6 @@ class Cyclotomic:
         if k.denominator != 1:
             raise ValueError(f"e^(2 pi i {t}) is outside the conductor-24 field")
         return cls.root(int(k))
-
-    @classmethod
-    def from_rational(cls, value: Union[int, Fraction]) -> "Cyclotomic":
-        return cls(value)
 
     @staticmethod
     def coerce(value: "Scalar") -> "Cyclotomic":
@@ -698,56 +687,6 @@ def eigenphase_sum(a: CycMatrix) -> Fraction:
                 matrix_eigenphase_multiplicities(a)), Fraction(0))
 
 
-def field_rref(rows: list[list], width: int = None):
-    """Reduced row echelon form over an exact field (Fraction or Cyclotomic
-    entries). Returns (reduced rows, pivot column indices). Input unchanged.
-    """
-    mat = [list(r) for r in rows]
-    if not mat:
-        return [], []
-    w = width if width is not None else len(mat[0])
-    pivots = []
-    r = 0
-    for col in range(w):
-        piv = next((i for i in range(r, len(mat)) if mat[i][col]), None)
-        if piv is None:
-            continue
-        mat[r], mat[piv] = mat[piv], mat[r]
-        inv = (1 / mat[r][col]) if isinstance(mat[r][col], Fraction) else mat[r][col].inverse()
-        mat[r] = [v * inv for v in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][col]:
-                f = mat[i][col]
-                mat[i] = [v - f * w2 for v, w2 in zip(mat[i], mat[r])]
-        pivots.append(col)
-        r += 1
-        if r == len(mat):
-            break
-    return mat, pivots
-
-
-def matrix_rank(rows: list[list]) -> int:
-    return len(field_rref(rows)[1])
-
-
-def nullspace(rows: list[list], width: int):
-    """Basis of the right kernel of the matrix with the given row list."""
-    red, pivots = field_rref(rows, width)
-    zero = Fraction(0)
-    one = Fraction(1)
-    if red and isinstance(red[0][0], Cyclotomic):
-        zero, one = CYC_ZERO, CYC_ONE
-    free = [c for c in range(width) if c not in pivots]
-    basis = []
-    for fc in free:
-        vec = [zero] * width
-        vec[fc] = one
-        for r, pc in enumerate(pivots):
-            vec[pc] = -red[r][fc]
-        basis.append(vec)
-    return basis
-
-
 def _primitive(row: list[int]) -> list[int]:
     g = math.gcd(*row)
     return [v // g for v in row] if g > 1 else row
@@ -849,22 +788,22 @@ def _rational_reconstruction(a: int, p: int) -> tuple:
     return r1, s1
 
 
-def _echelon_kernel(rows: Sequence[Sequence]) -> list[int]:
-    """The kernel vector of a nullity-1 rational matrix from
-    `integer_echelon`, its free coordinate positive, not yet primitive."""
-    reduced, pivots = integer_echelon(rows)
-    width = len(rows[0])
+def _echelon_kernel(reduced: Sequence[Sequence[int]], pivots, width: int) -> dict:
+    """The kernel basis read off `integer_echelon` output over all ``width``
+    columns: each free column, in order, mapped to an integer vector that is
+    positive there and zero at the other free columns (the reduced row
+    echelon kernel basis, each vector scaled to integers)."""
     pivot_cols = {col for _, col in pivots}
-    free = [c for c in range(width) if c not in pivot_cols]
-    if len(free) != 1:
-        raise ValueError(f"nullity is {len(free)}, expected exactly 1")
-    (fc,) = free
     scale = math.lcm(*(reduced[p][col] for p, col in pivots))
-    vec = [0] * width
-    vec[fc] = scale
-    for p, col in pivots:
-        vec[col] = -reduced[p][fc] * (scale // reduced[p][col])
-    return vec
+    basis = {}
+    for fc in range(width):
+        if fc in pivot_cols:
+            continue
+        vec = basis[fc] = [0] * width
+        vec[fc] = scale
+        for p, col in pivots:
+            vec[col] = -reduced[p][fc] * (scale // reduced[p][col])
+    return basis
 
 
 def kernel_vector(rows: Sequence[Sequence[int]]) -> list[int]:
@@ -886,8 +825,32 @@ def kernel_vector(rows: Sequence[Sequence[int]]) -> list[int]:
         if any(sum(map(mul, row, vec)) for row in rows):
             vec = None
     if vec is None:
-        vec = _echelon_kernel(rows)
+        kernel = _echelon_kernel(*integer_echelon(rows), len(rows[0]))
+        if len(kernel) != 1:
+            raise ValueError(f"nullity is {len(kernel)}, expected exactly 1")
+        (vec,) = kernel.values()
     g = math.gcd(*vec)
     if next(v for v in reversed(vec) if v) < 0:
         g = -g
     return [v // g for v in vec]
+
+
+def nullspace(matrix: CycArray) -> list[CycArray]:
+    """The reduced row echelon basis of the right kernel of an m x n matrix
+    over the conductor-24 field (num of shape (m, n, 8)): one vector per
+    free column, 1 there and 0 at the other free columns.
+
+    By restriction of scalars the matrix is the 8m x 8n rational matrix
+    whose column (j, k) holds the numerators of zeta^k times column j.  Its
+    pivots come in whole blocks of 8, one block per pivot column over the
+    field, so the field-free columns are the rational free columns with
+    k = 0, and each basis vector is the rational kernel vector of one of
+    them divided by its entry there."""
+    m, n = matrix.num.shape[:2]
+    columns = _packed_product(packed_roots(np.arange(_DEGREE))[:, None, None],
+                              matrix.num, (_DEGREE, m, n))
+    # rows (i, c), columns (j, k): component c of zeta^k a_ij
+    rows = columns.transpose(1, 3, 2, 0).reshape(_DEGREE * m, _DEGREE * n)
+    kernel = _echelon_kernel(*integer_echelon(rows.tolist()), _DEGREE * n)
+    return [CycArray(np.array(vec, dtype=object).reshape(n, _DEGREE), vec[fc])
+            for fc, vec in kernel.items() if fc % _DEGREE == 0]

@@ -197,12 +197,7 @@ def dimension_formula_data() -> dict:
 
     # d = dimension of the (-1)^k eigenspace of the image of -E; the image of
     # -E is S^2, which is minus the identity, so for odd k this is everything.
-    minus_e = s6 @ s6
-    rows = [
-        [minus_e.entry(i, j) - ((-CYC_ONE) if i == j else CYC_ZERO) for j in range(6)]
-        for i in range(6)
-    ]
-    d = len(nullspace(rows, 6))
+    d = len(nullspace(s6 @ s6 + CycMatrix.identity(6)))
 
     alpha_s = eigenphase_sum(s6.scale(-CYC_I))  # e^(pi i k/2) = -i at k = 3
     st_scaled = (s6 @ t6).scale(-CYC_ONE)  # e^(pi i k/3) = -1 at k = 3
@@ -239,18 +234,12 @@ def eisenstein_subspace() -> tuple:
     (-1)^k (automatic at odd weight).  Returned as coordinate tuples in
     TYPE_ORDER."""
     rep = collapsed_rep()
-    t6 = rep.T_matrix
-    rows = [
-        [t6.entry(i, j) - (CYC_ONE if i == j else CYC_ZERO) for j in range(6)]
-        for i in range(6)
-    ]
-    basis = nullspace(rows, 6)
+    basis = nullspace(rep.T_matrix - CycMatrix.identity(6))
     minus_e = rep.S_matrix @ rep.S_matrix
     for vec in basis:
-        packed = CycArray.from_values(vec)
-        if minus_e.apply(packed) != -packed:
+        if minus_e.apply(vec) != -vec:
             raise ValueError("T-fixed vector escapes the odd-weight eigenspace")
-    return tuple(tuple(Cyclotomic.coerce(v) for v in vec) for vec in basis)
+    return tuple(tuple(vec.entry(i) for i in range(6)) for vec in basis)
 
 
 def cusp_dimension() -> Fraction:

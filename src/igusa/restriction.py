@@ -474,8 +474,13 @@ def heegner_restriction_cases(bound: int = 3) -> dict:
                         f"{sorted(int(v) for v in m_in[inverse == inverse[i]])}"
                     )
                 paired = len(counts)
-            first = np.flatnonzero(inside)[:60]
-            witnesses.append((rows[first], m[first], cn[first], b_type[first]))
+            # exact spot check witnesses: the first, middle and last relevant
+            # vector of this norm in the box, in lexicographic order
+            kept = np.flatnonzero(inside)
+            witnesses += [
+                (tuple(int(v) for v in rows[i]), int(m[i]), an_types[cn[i]], b_type[i])
+                for i in kept[[0, len(kept) // 2, -1]]
+            ]
             # value sets without np.unique, whose first plain call loads numpy.ma
             m_values = tuple(sorted(set(m[inside].tolist())))
             cases[target] = {
@@ -493,16 +498,11 @@ def heegner_restriction_cases(bound: int = 3) -> dict:
                 "paired_hyperplanes": paired,
             }
 
-        # exact-arithmetic spot check of the vectorized classification: every
-        # 7th of the first 60 relevant vectors, ordered by x1, then by norm
-        # (-4, -2, -6), then lexicographically
-        rows, m, cn, b_type = (np.concatenate(parts) for parts in zip(*witnesses))
-        for i in np.argsort(rows[:, 0], kind="stable")[:60:7]:
-            witness = tuple(int(v) for v in rows[i])
+        # exact-arithmetic spot check of the vectorized classification, by
+        # norm (-4, -2, -6)
+        for witness, *classified in witnesses:
             case = restriction_case(witness)
-            if (case.m, case.ambient_type, case.beta_type) != (
-                int(m[i]), an_types[cn[i]], b_type[i]
-            ):
+            if [case.m, case.ambient_type, case.beta_type] != classified:
                 raise AssertionError(
                     f"vectorized classification disagrees with the exact path "
                     f"at r = {witness}"
@@ -612,6 +612,7 @@ def v_to_v1(plane) -> frozenset:
     return frozenset(v1)
 
 
+@lru_cache(maxsize=1)
 def all_v1_images() -> dict:
     """The images of all 15 planes; verifies they are pairwise distinct."""
     AN = ambient_module()

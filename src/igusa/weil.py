@@ -412,8 +412,11 @@ def isotypic_projector(character_index: int) -> CycMatrix:
 
 
 def isotypic_subspace(character_index: int, expected_dim=None) -> list:
-    """A basis of the chi-isotypic component, as GroupRingVectors, obtained
-    from the projector's column space by incremental exact elimination."""
+    """A basis of the chi-isotypic component, as GroupRingVectors: the
+    projector columns at the pivots of `integer_echelon`, i.e. each column
+    independent of the ones before it.  The projector must be rational, and
+    its trace must equal mult * deg, which certifies the rank: an
+    idempotent has rank equal to its trace."""
     A = ambient_module()
     proj = isotypic_projector(character_index)
     mults = decompose_character()
@@ -423,29 +426,13 @@ def isotypic_subspace(character_index: int, expected_dim=None) -> list:
         raise ValueError(
             f"isotypic dimension is {dim}, expected {expected_dim}"
         )
-    basis_rows = []  # rows in reduced form for the membership test
-    basis_vectors = []
-    for j in range(A.size):
-        col = GroupRingVector.packed(A, proj.num[:, j], proj.den)
-        red = list(col.dense)
-        for prow in basis_rows:
-            lead = next(k for k, v in enumerate(prow) if v)
-            if red[lead]:
-                factor = red[lead]
-                red = [a - factor * b for a, b in zip(red, prow)]
-        if any(red):
-            lead = next(k for k, v in enumerate(red) if v)
-            inv = red[lead].inverse()
-            red = [a * inv for a in red]
-            basis_rows.append(red)
-            basis_vectors.append(col)
-            if len(basis_vectors) == dim:
-                break
-    if len(basis_vectors) != dim:
-        raise AssertionError(
-            f"projector column space has rank {len(basis_vectors)}, expected {dim}"
-        )
-    return basis_vectors
+    if proj.num[..., 1:].any():
+        raise ValueError(f"isotypic projector {character_index} has an irrational entry")
+    trace = proj.trace().as_rational()
+    if trace != dim:
+        raise ValueError(f"isotypic projector has trace {trace}, expected rank {dim}")
+    pivots = integer_echelon(proj.num[..., 0].tolist())[1]
+    return [GroupRingVector.packed(A, proj.num[:, j], proj.den) for _, j in pivots]
 
 
 # ---------------------------------------------------------------------------

@@ -304,13 +304,33 @@ def test_cli_restriction_enumerates_the_level_sets_once(monkeypatch, capsys):
         calls.append((bound, tuple(targets)))
         return original(bound, targets)
 
-    # the bound-2 boundary projection is cached: drop it so it is counted
+    # the bound-2 boundary projection and the plane images built from it are
+    # cached: drop them so the projection is counted
     restriction._norm_minus4_projection.cache_clear()
+    restriction.all_v1_images.cache_clear()
     monkeypatch.setattr(restriction, "_level_sets", counted)
     assert main(["restriction", "--box", "5"]) == 0
     capsys.readouterr()
     # one enumeration for the case table of boxes 3..5, one for the projection
     assert sorted(calls) == [(2, (-4,)), (5, (-4, -2, -6))]
+
+
+def test_cli_restriction_builds_the_plane_images_once(monkeypatch, capsys):
+    import igusa.restriction as restriction
+
+    calls = []
+    original = restriction.v_to_v1
+
+    def counted(plane):
+        calls.append(plane)
+        return original(plane)
+
+    restriction.all_v1_images.cache_clear()
+    monkeypatch.setattr(restriction, "v_to_v1", counted)
+    assert main(["restriction"]) == 0
+    capsys.readouterr()
+    # one image per isotropic plane, shared by the two checks that read them
+    assert len(calls) == 15 and len(set(calls)) == 15
 
 
 def test_cli_timings_are_recorded_on_request(capsys):

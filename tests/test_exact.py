@@ -19,11 +19,9 @@ from igusa.exact import (
     QSeries,
     cyclotomic_root,
     eigenphase_sum,
-    field_rref,
     integer_echelon,
     kernel_vector,
     matrix_eigenphase_multiplicities,
-    matrix_rank,
     nullspace,
     packed_sum,
 )
@@ -50,17 +48,10 @@ def test_roots_of_unity_fixed_points():
     assert cyclotomic_root(6) == CYC_I
     assert CYC_I * CYC_I == -CYC_ONE
     # primitive cube root of unity
-    w = Cyclotomic.root_of_unity(3, 1)
+    w = Cyclotomic.e(Fraction(1, 3))
     assert w**3 == CYC_ONE
     assert w != CYC_ONE
     assert (w**2 + w + 1) == CYC_ZERO
-
-
-def test_root_of_unity_requires_divisor_of_24():
-    with pytest.raises(ValueError):
-        Cyclotomic.root_of_unity(5, 1)
-    with pytest.raises(ValueError):
-        Cyclotomic.root_of_unity(48, 1)
 
 
 def test_e_and_e_half():
@@ -71,10 +62,12 @@ def test_e_and_e_half():
     assert Cyclotomic.e_half(Fraction(1, 2)) == CYC_I
     with pytest.raises(ValueError):
         Cyclotomic.e(Fraction(1, 5))
+    with pytest.raises(ValueError):
+        Cyclotomic.e(Fraction(1, 48))
 
 
 def test_rational_detection():
-    x = Cyclotomic.from_rational(Fraction(3, 7))
+    x = Cyclotomic(Fraction(3, 7))
     assert x.is_rational
     assert x.as_rational() == Fraction(3, 7)
     assert not CYC_I.is_rational
@@ -351,8 +344,8 @@ def test_hand_expanded_square():
     )
     sq = f * f
     assert sq.coefficient(Fraction(3, 2)) == CYC_ONE
-    assert sq.coefficient(Fraction(5, 2)) == Cyclotomic.from_rational(-36)
-    assert sq.coefficient(Fraction(7, 2)) == Cyclotomic.from_rational(324)
+    assert sq.coefficient(Fraction(5, 2)) == Cyclotomic(-36)
+    assert sq.coefficient(Fraction(7, 2)) == Cyclotomic(324)
 
 
 def test_truncation_propagates_through_products():
@@ -519,18 +512,24 @@ if HAVE_HYPOTHESIS:
 # ---------------------------------------------------------------------------
 
 
+def annihilates(rows, vec) -> bool:
+    """Whether every row kills vec, by scalar arithmetic entry by entry."""
+    entries = [vec.entry(j) for j in range(len(vec.num))]
+    return all(sum((a * b for a, b in zip(row, entries)), CYC_ZERO) == CYC_ZERO
+               for row in rows)
+
+
 def test_rational_rank_and_nullspace():
     rows = [
         [Fraction(1), Fraction(2), Fraction(3)],
         [Fraction(2), Fraction(4), Fraction(6)],
         [Fraction(0), Fraction(1), Fraction(1)],
-    ]
-    assert matrix_rank(rows) == 2
-    null = nullspace(rows, 3)
+    ]  # rank 2
+    null = nullspace(CycMatrix.from_rows(rows))
     assert len(null) == 1
-    v = null[0]
-    for row in rows:
-        assert sum(a * b for a, b in zip(row, v)) == 0
+    assert annihilates(rows, null[0])
+    # the reduced row echelon basis vector of the free column 2
+    assert null[0] == CycArray.from_values([-1, -1, 1])
 
 
 def test_cyclotomic_rref():
@@ -538,8 +537,55 @@ def test_cyclotomic_rref():
         [CYC_I, CYC_ONE],
         [CYC_ONE, -CYC_I],
     ]  # second row = -i * first: rank 1
-    reduced, pivots = field_rref(rows, 2)
-    assert len(pivots) == 1
+    null = nullspace(CycMatrix.from_rows(rows))
+    assert len(null) == 1
+    assert annihilates(rows, null[0])
+    assert null[0] == CycArray.from_values([CYC_I, CYC_ONE])
+    assert nullspace(CycMatrix.from_rows([[CYC_I, CYC_ONE], [CYC_ONE, CYC_I]])) == []
+    assert len(nullspace(CycMatrix.from_rows([[0, 0], [0, 0]]))) == 2
+
+
+if HAVE_HYPOTHESIS:
+
+    @st.composite
+    def deficient_matrices(draw):
+        """m x n cyclotomic matrices, m, n <= 4, in which some rows are
+        zeta^k-multiples, or sums of zeta^k-multiples, of earlier rows."""
+        m, n = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+        entries = st.one_of(st.just(CYC_ZERO), cyclotomics())
+        rows = [[draw(entries) for _ in range(n)]]
+        for _ in range(m - 1):
+            kind = draw(st.sampled_from(["random", "multiple", "sum"]))
+            if kind == "random":
+                rows.append([draw(entries) for _ in range(n)])
+                continue
+            picks = draw(st.lists(st.integers(0, len(rows) - 1), min_size=1,
+                                  max_size=1 if kind == "multiple" else 2))
+            row = [CYC_ZERO] * n
+            for i in picks:
+                z = cyclotomic_root(draw(st.integers(0, 23)))
+                row = [a + z * b for a, b in zip(row, rows[i])]
+            rows.append(row)
+        return rows
+
+    @given(deficient_matrices())
+    @settings(max_examples=60, deadline=None)
+    def test_nullspace_is_the_reduced_kernel_basis(rows):
+        m, n = len(rows), len(rows[0])
+        flat = CycArray.from_values([v for row in rows for v in row])
+        null = nullspace(CycArray(flat.num.reshape(m, n, 8), flat.den))
+        complex_rows = np.array([[v.to_complex() for v in row] for row in rows])
+        assert len(null) == n - np.linalg.matrix_rank(complex_rows)
+        own = []
+        for vec in null:
+            assert annihilates(rows, vec)
+            # the RREF pattern: 1 at the vector's own free column, its last
+            # nonzero entry, and 0 there in every other vector
+            own.append(max(j for j in range(n) if vec.entry(j)))
+            assert vec.entry(own[-1]) == CYC_ONE
+        assert own == sorted(set(own))
+        for vec, col in zip(null, own):
+            assert all(not other.entry(col) for other in null if other is not vec)
 
 
 # ---------------------------------------------------------------------------

@@ -30,6 +30,8 @@ from igusa.obstruction import (
 )
 from igusa.weil import ambient_module, weil_generator
 
+from test_weil import run_demo
+
 MINUS_I_OVER_8 = Cyclotomic(Fraction(-1, 8)) * CYC_I
 
 S_INTEGERS = (
@@ -119,8 +121,19 @@ def test_eisenstein_subspace_and_cusp():
         tuple(TYPE_ORDER[i] for i, c in enumerate(vec) if c) for vec in basis
     )
     assert supports == [("0",), ("00",)]
+    # the reduced row echelon basis of the T-fixed space: unit vectors
+    assert basis == tuple(
+        tuple(CYC_ONE if i == j else CYC_ZERO for i in range(6)) for j in range(2)
+    )
     assert cusp_dimension() == 0
     assert dim_modular_forms(3) == len(basis) + cusp_dimension()
+
+
+def test_obstruction_demo_runs():
+    out = run_demo("04_obstruction_and_weights.py")
+    assert "collapsed dimension d = 6\n" in out
+    assert "weight-3 dimension: 2\n" in out
+    assert "cusp dimension: 0 " in out
 
 
 def test_e2_expansion():

@@ -281,7 +281,8 @@ def _reference_cases(bound):
                 )
             paired = len(counts)
 
-        witnesses.append((rows[:60], m[:60], cn[:60], b_type[:60]))
+        for i in (0, len(rows) // 2, len(rows) - 1):
+            witnesses.append((tuple(int(v) for v in rows[i]), int(m[i]), cn[i], b_type[i]))
         cases[target] = {
             "vectors_in_box": total,
             "relevant": len(rows),
@@ -293,13 +294,9 @@ def _reference_cases(bound):
             "paired_hyperplanes": paired,
         }
 
-    rows, m, cn, b_type = (np.concatenate(parts) for parts in zip(*witnesses))
-    for i in np.argsort(rows[:, 0], kind="stable")[:60:7]:
-        witness = tuple(int(v) for v in rows[i])
+    for witness, m, cn, b_type in witnesses:
         case = restriction.restriction_case(witness)
-        if (case.m, case.ambient_type, case.beta_type) != (
-            int(m[i]), an_types[cn[i]], b_type[i]
-        ):
+        if (case.m, case.ambient_type, case.beta_type) != (m, an_types[cn], b_type):
             raise AssertionError(
                 f"vectorized classification disagrees with the exact path "
                 f"at r = {witness}"
@@ -411,6 +408,22 @@ def test_planted_fault_seen_only_by_the_exact_spot_check(monkeypatch):
     assert _outcome(heegner_restriction_cases, 3) is None
 
 
+def test_exact_spot_check_classifies_the_odd_m_norms(monkeypatch):
+    original = restriction._split_classes
+
+    def planted(rows):
+        # the ambient class of every odd-m vector (norms -2 and -6) becomes
+        # 0; no table check reads it, only the exact spot check
+        m, cn, cm = original(rows)
+        return m, np.where(m % 2 == 1, 0, cn), cm
+
+    monkeypatch.setattr(restriction, "_split_classes", planted)
+    with pytest.raises(AssertionError, match="disagrees with the exact path") as err:
+        heegner_restriction_cases(3)
+    r = [int(v) for v in str(err.value).split("r = (")[1].rstrip(")").split(",")]
+    assert ambient_lattice().norm(r) in (-2, -6)
+
+
 @pytest.mark.parametrize("swap", [("7/4", "3/4"), ("1", "10"), ("3/4", "0")])
 def test_planted_label_faults_raise_as_the_per_box_reference(swap, monkeypatch):
     original = restriction.element_types
@@ -438,14 +451,16 @@ def test_vectorized_classification_is_cross_checked(monkeypatch):
     monkeypatch.setattr(restriction, "_vectorized_classes", corrupted)
     with pytest.raises((AssertionError, ValueError)):
         heegner_restriction_cases(3)
-    # the boundary projection is cached: drop it so the corrupted
-    # classification is used, and drop what that run leaves behind
+    # the boundary projection and the images are cached: drop them so the
+    # corrupted classification is used, and drop what that run leaves behind
     restriction._norm_minus4_projection.cache_clear()
+    all_v1_images.cache_clear()
     try:
         with pytest.raises((AssertionError, ValueError)):
             all_v1_images()
     finally:
         restriction._norm_minus4_projection.cache_clear()
+        all_v1_images.cache_clear()
 
 
 def test_norm_minus4_projection_matches_the_exact_path():

@@ -217,6 +217,55 @@ def test_isotypic_dimensions():
         isotypic_subspace(4, expected_dim=7)
 
 
+def reference_isotypic_basis(character_index):
+    """The first independent projector columns, found by incremental
+    elimination over the cyclotomic field against the reduced rows kept so
+    far: the basis before it was read off the rational echelon pivots."""
+    A = ambient_module()
+    proj = isotypic_projector(character_index)
+    rows, basis = [], []
+    for j in range(A.size):
+        col = GroupRingVector.packed(A, proj.num[:, j], proj.den)
+        red = list(col.dense)
+        for prow in rows:
+            lead = next(k for k, v in enumerate(prow) if v)
+            if red[lead]:
+                factor = red[lead]
+                red = [a - factor * b for a, b in zip(red, prow)]
+        if any(red):
+            lead = next(k for k, v in enumerate(red) if v)
+            inv = red[lead].inverse()
+            rows.append([a * inv for a in red])
+            basis.append(col)
+    return basis
+
+
+@pytest.mark.parametrize("character_index", [3, 4, 6, 9, 10])
+def test_isotypic_basis_matches_the_incremental_elimination(character_index):
+    basis = isotypic_subspace(character_index)
+    assert basis == reference_isotypic_basis(character_index)
+    mult = decompose_character()[character_index - 1]
+    assert len(basis) == mult * character_degrees()[character_index - 1]
+
+
+@pytest.mark.parametrize("stated", [4, 6])
+def test_isotypic_trace_certificate_rejects_a_misstated_multiplicity(stated, monkeypatch):
+    # an understated multiplicity passed the incremental elimination, which
+    # stopped at the stated number of independent columns
+    mults = list(decompose_character())
+    assert mults[3] == 5  # chi_4 has degree 1: the projector has trace 5
+    mults[3] = stated
+    monkeypatch.setattr(weil, "decompose_character", lambda: mults)
+    with pytest.raises(ValueError, match=f"trace 5, expected rank {stated}"):
+        isotypic_subspace(4)
+
+
+def test_isotypic_subspace_rejects_an_irrational_projector(monkeypatch):
+    monkeypatch.setattr(weil, "isotypic_projector", lambda i: weil_generator("T"))
+    with pytest.raises(ValueError, match="irrational entry"):
+        isotypic_subspace(4)
+
+
 # ---------------------------------------------------------------------------
 # theta vectors
 # ---------------------------------------------------------------------------
