@@ -29,7 +29,7 @@ from operator import add, getitem, mul
 
 import numpy as np
 
-from .exact import _packed_dtype, integer_echelon, kernel_vector
+from .exact import KERNEL_PRIME, _packed_dtype, integer_echelon, kernel_vector
 
 __all__ = [
     "MultiPoly",
@@ -51,7 +51,6 @@ __all__ = [
     "base_lines",
     "ExactCurve",
     "rational_curve_via_frame",
-    "exact_gauge_transport",
     "interpolation_residual",
     "exact_quartic_composition",
     "poly_is_squarefree",
@@ -64,7 +63,8 @@ __all__ = [
 
 # Largest trial count of the degree-16 certification; each trial builds one
 # exact frame curve and its degree-16 composition, and
-# `igusa geometry --trials 1000` takes about 8 s and 35 MB.
+# `igusa geometry --trials 1000` takes about 2.5 s and 38 MB (CPython 3.11
+# on one Xeon core).
 MAX_TRIALS = 1000
 
 
@@ -1040,97 +1040,51 @@ def _conv(a, b):
     return out
 
 
-def _exact_mobius_through(pairs):
-    """2x2 rational matrix of the Mobius map sending three source values to
-    three targets."""
-    (s0, t0), (s1, t1), (s2, t2) = [
-        (Fraction(a), Fraction(b)) for a, b in pairs
-    ]
+def _mobius_chart(form, parameters, gauge) -> tuple:
+    """The integer form (ascending) in the chart s where the three
+    parameters t take the gauge values: G(s) = sum_k f_k (alpha s + beta)^k
+    (gamma s + delta)^(n - k) for the Mobius map t = (alpha s + beta) /
+    (gamma s + delta), divided by its content.  A rescaled map scales G by
+    an even power, so G is unique.  ValueError if the gauge repeats."""
 
     def basis(z0, z1, z2):
         # sends z0, z1, z2 to 0, 1, infinity
         return ((z1 - z2, -z0 * (z1 - z2)), (z1 - z0, -z2 * (z1 - z0)))
 
-    src = basis(s0, s1, s2)
-    (a, b), (c, d) = basis(t0, t1, t2)
+    (a, b), (c, d) = basis(*map(Fraction, parameters))
+    src = basis(*map(Fraction, gauge))
     inv = ((d, -b), (-c, a))
-    m = tuple(
-        tuple(sum(inv[i][k] * src[k][j] for k in range(2)) for j in range(2))
-        for i in range(2)
+    (alpha, beta, gamma, delta), _ = _cleared(
+        sum(inv[i][k] * src[k][j] for k in range(2))
+        for i in range(2) for j in range(2)
     )
-    if m[0][0] * m[1][1] - m[0][1] * m[1][0] == 0:
+    if alpha * delta == beta * gamma:
         raise ValueError("gauge triple is degenerate")
-    return m
-
-
-def exact_gauge_transport(curve: ExactCurve, charts, gauge):
-    """Reparametrize an exact curve so its first three interpolation
-    parameters take the requested rational values, normalizing the first
-    scale to 1; returns (curve, scales), both exact and exactly verified.
-
-    The Mobius map and the curve's rows are cleared to integers, scalings
-    that the normalization removes: the transported rows are expanded and
-    evaluated over the integers, and only the returned coefficients,
-    parameters and scales are Fractions."""
-    g = [Fraction(v) for v in gauge]
-    mob = _exact_mobius_through(tuple(zip(curve.parameters[:3], g)))
-    (m00, m01, m10, m11), _ = _cleared(v for row in mob for v in row)
-    params = []
-    nodes = []  # each new parameter as an unreduced ratio p / r
-    for s in curve.parameters:
-        p = m00 * s.numerator + m01 * s.denominator
-        r = m10 * s.numerator + m11 * s.denominator
-        if r == 0:
-            raise ValueError("a parameter is transported to infinity")
-        params.append(Fraction(p, r))
-        nodes.append((p, r))
-    # x_new(s) = (gamma s + delta)^4 * x((alpha s + beta)/(gamma s + delta))
-    alpha, beta, gamma, delta = m11, -m01, -m10, m00
-    basis = []
-    for k in range(5):
-        term = [1]
-        for _ in range(k):
-            term = _conv(term, [beta, alpha])
-        for _ in range(4 - k):
-            term = _conv(term, [delta, gamma])
-        basis.append(term)
-    flat, _ = _cleared(v for row in curve.coeffs for v in row)
-    rows = [[sum(flat[5 * i + k] * basis[k][j] for k in range(5))
-             for j in range(5)] for i in range(5)]
-    # r^4 times the rows' values at p / r, and the scale onto each chart as
-    # the pair (numerator, denominator); the common factors cancel when the
-    # scales and rows are divided by the first scale
-    hits = []
-    scales = []
-    for (p, r), chart in zip(nodes, charts):
-        tpowers = [p**k * r ** (4 - k) for k in range(5)]
-        value = [sum(map(mul, row, tpowers)) for row in rows]
-        point, den = _cleared(chart)
-        k = max(range(5), key=lambda i: abs(point[i]))
-        hits.append((value, point, k))
-        scales.append((value[k] * den, r**4 * point[k]))
-    n0, d0 = scales[0]
-    if n0 == 0:
-        raise ValueError("degenerate gauge normalization")
-    # each node's value is its scale times its chart: proportional charts
-    for value, point, k in hits:
-        if any(value[i] * point[k] != value[k] * point[i] for i in range(5)):
-            raise AssertionError("gauge transport verification failed")
-    transported = ExactCurve(
-        coeffs=tuple(tuple(Fraction(v * d0, n0) for v in row) for row in rows),
-        parameters=tuple(params),
-    )
-    return transported, tuple(Fraction(n * d0, d * n0) for n, d in scales)
+    n = len(form) - 1
+    num = [[1]]
+    den = [[1]]
+    for _ in range(n):
+        num.append(_conv(num[-1], [beta, alpha]))
+        den.append(_conv(den[-1], [delta, gamma]))
+    poly = [0] * (n + 1)
+    for k, f in enumerate(form):
+        if f:
+            for j, v in enumerate(_conv(num[k], den[n - k])):
+                poly[j] += f * v
+    g = math.gcd(*poly) or 1
+    return tuple(v // g for v in poly)
 
 
 def exact_quartic_composition(curve: ExactCurve) -> tuple:
-    """Exact rational coefficients (ascending, length 17) of the quartic
-    evaluated along the curve's six ambient coordinate polynomials; the
-    products run over the integers after clearing the common denominator D
-    of the curve, and the quartic's coefficients are divided by D^4."""
+    """The quartic evaluated along the curve's six ambient coordinate
+    polynomials, as 17 integers (ascending powers) with no content: a
+    positive multiple of the rational composition.  The products run over
+    the integers after clearing the common denominator D of the curve,
+    which scales the composition by D^4, and the positive content of the
+    result is divided out."""
     rows = [list(r) for r in curve.coeffs]
     rows.append([-sum(col) for col in zip(*rows)])
-    flat, den = _cleared(c for row in rows for c in row)
+    flat, _ = _cleared(c for row in rows for c in row)
     s2 = [0] * 9
     s4 = [0] * 17
     for k in range(0, len(flat), 5):
@@ -1141,9 +1095,9 @@ def exact_quartic_composition(curve: ExactCurve) -> tuple:
         f4 = _conv(sq, sq)
         for i, v in enumerate(f4):
             s4[i] += v
-    return tuple(
-        Fraction(a - 4 * b, den**4) for a, b in zip(_conv(s2, s2), s4)
-    )
+    poly = [a - 4 * b for a, b in zip(_conv(s2, s2), s4)]
+    g = math.gcd(*poly) or 1
+    return tuple(v // g for v in poly)
 
 
 def _poly_degree(p) -> int:
@@ -1160,16 +1114,29 @@ def _primitive_part(p) -> list:
     return [c // g for c in p] if g > 1 else p
 
 
-def poly_is_squarefree(poly) -> bool:
-    """Exact squarefree test over the rationals: gcd with the derivative is
-    constant.  Squarefree is equivalent to all complex roots distinct.
+def _coprime_to_derivative_mod(a, p: int) -> bool:
+    """gcd(a, a') = 1 over F_p, by the Euclidean algorithm, for integer
+    coefficients a (ascending) whose leading coefficient p does not divide."""
+    f = [c % p for c in a]
+    g = [i * c % p for i, c in enumerate(f)][1:]
+    while any(g):
+        while not g[-1]:
+            g.pop()
+        inv = pow(g[-1], -1, p)
+        while len(f) >= len(g):  # f := f mod g
+            q = f.pop() * inv % p
+            shift = len(f) + 1 - len(g)
+            for i, y in enumerate(g[:-1]):
+                f[shift + i] = (f[shift + i] - q * y) % p
+        f, g = g, f
+    return len(f) == 1
 
-    The gcd comes from a primitive polynomial remainder sequence over the
-    integers (coefficients ascending): pseudo-remainders, each divided by
-    its content, until the remainder vanishes."""
-    a = _primitive_part(_cleared(Fraction(c) for c in poly)[0])
-    if len(a) <= 1:
-        return len(a) == 1
+
+def _prs_is_squarefree(a) -> bool:
+    """gcd(a, a') is constant, for a primitive integer polynomial a
+    (ascending, degree >= 1): a primitive polynomial remainder sequence
+    over the integers, pseudo-remainders each divided by its content until
+    the remainder vanishes."""
     b = _primitive_part([i * a[i] for i in range(1, len(a))])
     while b:
         # a := prem(a, b), scaled by nonzero integers only
@@ -1184,6 +1151,24 @@ def poly_is_squarefree(poly) -> bool:
             a = a[: _poly_degree(a) + 1]
         a, b = b, _primitive_part(a)
     return len(a) == 1
+
+
+def poly_is_squarefree(poly) -> bool:
+    """Exact squarefree test over the rationals (coefficients ascending):
+    gcd with the derivative is constant, i.e. all complex roots distinct.
+
+    Certificate: if p = KERNEL_PRIME does not divide the leading
+    coefficient and gcd(f, f') = 1 over F_p, f is squarefree over Q, since
+    f = G^2 H over Z would reduce with deg G unchanged.  Otherwise a
+    primitive polynomial remainder sequence over Z decides."""
+    if not all(type(c) is int for c in poly):
+        poly = _cleared(Fraction(c) for c in poly)[0]
+    a = _primitive_part(poly)
+    if len(a) <= 1:
+        return len(a) == 1
+    if a[-1] % KERNEL_PRIME and _coprime_to_derivative_mod(a, KERNEL_PRIME):
+        return True
+    return _prs_is_squarefree(a)
 
 
 def _float_values(coeffs: np.ndarray, ts) -> np.ndarray:
@@ -1260,7 +1245,9 @@ def degree16_check(
     8 per trial; `rejected_draws` counts them by cause.  A trial whose exact
     frame curve misses its seven points in floats by more than residual_tol
     (relative) is discarded, as is one that fails the exact or numeric
-    criteria; `discarded` records each with its cause."""
+    criteria; `discarded` records each with its cause.  Each trial composes
+    once, to the integers of `exact_quartic_composition`; other charts for
+    the float criteria are Mobius substitutions into that form."""
     if trials < 1:
         raise ValueError("at least one trial required")
     if trials > MAX_TRIALS:
@@ -1296,13 +1283,14 @@ def degree16_check(
         if residual > residual_tol:
             discarded.append((trial, "interpolation_residual"))
             continue
-        # exact certification on the frame curve, then the numeric criteria;
-        # the parametrization is a gauge choice, so a failed numeric
-        # criterion earns a fresh exact reparametrization before giving up
+        # exact certification of the composed form, then the numeric
+        # criteria; a failed numeric criterion earns a fresh Mobius chart
+        # of the form
+        form = exact_quartic_composition(exact_curve)
         succeeded = False
         cause = None
-        current = exact_curve
         for attempt in range(3):
+            poly = form
             if attempt:
                 while True:
                     triple = tuple(
@@ -1311,21 +1299,15 @@ def degree16_check(
                     )
                     if len(set(triple)) == 3:
                         break
-                try:
-                    current, _ = exact_gauge_transport(
-                        exact_curve, charts_exact, triple
-                    )
-                except (ValueError, AssertionError):
-                    continue
-            poly = exact_quartic_composition(current)
+                poly = _mobius_chart(form, exact_curve.parameters[:3], triple)
             if poly[16] == 0:
                 cause = "degree_drop_exact"
                 continue
             if not poly_is_squarefree(poly):
                 cause = "repeated_roots_exact"
                 break  # gauge-invariant: the 16 intersections collide
-            cmax = max(abs(c) for c in poly)
-            coeffs = np.array([float(c / cmax) for c in poly])
+            cmax = max(map(abs, poly))
+            coeffs = np.array([c / cmax for c in poly])
             if abs(coeffs[16]) <= 1e-8 * float(np.max(np.abs(coeffs))):
                 cause = "small_float_leading_coefficient"
                 continue

@@ -28,7 +28,6 @@ from igusa.geometry import (
     cubic_base_locus_check,
     cubic_span,
     degree16_check,
-    exact_gauge_transport,
     exact_quartic_composition,
     fifteen_cubics,
     fifteen_lines,
@@ -480,25 +479,6 @@ def test_exact_frame_curve_rejects_bad_inputs():
         rational_curve_via_frame(off)
 
 
-def test_exact_gauge_transport_moves_parameters():
-    pts = generic_seven()
-    curve = rational_curve_via_frame(pts)
-    charts = [tuple(F(c) for c in p[:5]) for p in pts]
-    gauge = (F(0), F(1), F(-1))
-    moved, scales = exact_gauge_transport(curve, charts, gauge)
-    assert moved.parameters[:3] == gauge
-    assert scales[0] == 1
-    assert len(set(moved.parameters)) == 7
-    # transported curve still interpolates (the transport verifies this
-    # internally; double-check one point here)
-    t = moved.parameters[4]
-    value = moved.chart_point(t)
-    chart = charts[4]
-    k = max(range(5), key=lambda i: abs(chart[i]))
-    lam = value[k] / chart[k]
-    assert all(value[i] == lam * chart[i] for i in range(5))
-
-
 def test_frame_curve_solves_only_its_two_inverses(monkeypatch):
     # the frame of points 1..6 is cached: a cold frame solves its two
     # inverses (M and M D), a second curve on the same six points none
@@ -684,11 +664,32 @@ def test_integer_frame_curve_matches_fraction_reference():
                         for subset in combinations(range(7), 5)}
 
 
+def reference_mobius_through(pairs):
+    """2x2 rational matrix of the Mobius map sending three source values to
+    three targets."""
+    (s0, t0), (s1, t1), (s2, t2) = [(F(a), F(b)) for a, b in pairs]
+
+    def basis(z0, z1, z2):
+        # sends z0, z1, z2 to 0, 1, infinity
+        return ((z1 - z2, -z0 * (z1 - z2)), (z1 - z0, -z2 * (z1 - z0)))
+
+    src = basis(s0, s1, s2)
+    (a, b), (c, d) = basis(t0, t1, t2)
+    inv = ((d, -b), (-c, a))
+    m = tuple(
+        tuple(sum(inv[i][k] * src[k][j] for k in range(2)) for j in range(2))
+        for i in range(2)
+    )
+    if m[0][0] * m[1][1] - m[0][1] * m[1][0] == 0:
+        raise ValueError("gauge triple is degenerate")
+    return m
+
+
 def reference_gauge_transport(curve, charts, gauge):
     """The gauge transport over Fractions: expand (gamma s + delta)^4 x(...)
     term by term, then normalize by the first scale and verify."""
     g = [F(v) for v in gauge]
-    mob = geometry._exact_mobius_through(tuple(zip(curve.parameters[:3], g)))
+    mob = reference_mobius_through(tuple(zip(curve.parameters[:3], g)))
     (m00, m01), (m10, m11) = mob
     params = []
     for s in curve.parameters:
@@ -726,12 +727,17 @@ def reference_gauge_transport(curve, charts, gauge):
 
 
 def test_gauge_transport_matches_fraction_reference():
-    # seeded curves and gauge triples, a triple sending the fourth parameter
-    # to infinity and a repeated triple: the same curve and scales, or the
-    # same message
+    # seeded curves and gauge triples: the Mobius chart of the integer
+    # composition against the composition along the Fraction reference's
+    # transported curve.  Both are primitive, so a positive multiple is
+    # equality.  A triple sending the fourth parameter to infinity, which
+    # the curve transport refuses, is a valid chart whose degree-16
+    # coefficient has the sign of the form at that parameter; a repeated
+    # triple raises in both
     rng = random.Random(12)
     bases = [p.coords for p in base_points()]
     results = []
+    poles = 0
     for seed in range(12):
         pts = [generic_seven(seed)[0]] + bases if seed % 2 else \
             generic_seven(seed)
@@ -739,6 +745,7 @@ def test_gauge_transport_matches_fraction_reference():
         if type(curve) is tuple:
             continue  # a dependent draw has no curve
         charts = [p[:5] for p in pts]
+        form = exact_quartic_composition(curve)
         triples = [tuple(F(rng.randint(-6, 6), rng.randint(1, 3))
                          for _ in range(3)) for _ in range(4)]
         pole = curve.parameters[3]
@@ -747,11 +754,22 @@ def test_gauge_transport_matches_fraction_reference():
         for triple in triples:
             expected = outcome(reference_gauge_transport, curve, charts,
                                triple)
-            assert outcome(exact_gauge_transport, curve, charts,
-                           triple) == expected
+            chart = outcome(geometry._mobius_chart, form,
+                            curve.parameters[:3], triple)
+            if expected == (ValueError,
+                            "a parameter is transported to infinity"):
+                value = sum(c * pole**k for k, c in enumerate(form))
+                assert (chart[16] > 0) - (chart[16] < 0) == \
+                    (value > 0) - (value < 0)
+                poles += 1
+            elif expected[0] is ValueError:
+                assert chart == expected
+            else:
+                assert chart == exact_quartic_composition(expected[0])
+                assert len(chart) == 17 and gcd(*chart) == 1
             results.append(expected)
     assert sum(type(r[0]) is ExactCurve for r in results) >= 30
-    assert (ValueError, "a parameter is transported to infinity") in results
+    assert poles > 0
     assert (ValueError, "gauge triple is degenerate") in results
 
 
@@ -767,6 +785,18 @@ def test_exact_composition_degree_and_squarefree_tools():
     assert len(poly) == 17
     assert poly[16] != 0
     assert poly_is_squarefree(poly)
+    # integers with no content, a positive multiple of the composition
+    # over Fractions
+    assert all(type(c) is int for c in poly) and gcd(*poly) == 1
+    rows = [list(r) for r in curve.coeffs]
+    rows.append([-sum(col) for col in zip(*rows)])
+    squares = [geometry._conv(r, r) for r in rows]
+    s2 = [sum(col) for col in zip(*squares)]
+    s4 = [sum(col) for col in zip(*(geometry._conv(q, q) for q in squares))]
+    reference = [a - 4 * b for a, b in zip(geometry._conv(s2, s2), s4)]
+    ratio = reference[16] / poly[16]
+    assert ratio > 0
+    assert reference == [ratio * c for c in poly]
     # squarefree detector: controls with known root structure
     assert poly_is_squarefree([F(2), F(-3), F(1)])  # (t-1)(t-2)
     assert not poly_is_squarefree([F(1), F(-2), F(1)])  # (t-1)^2
@@ -839,6 +869,77 @@ def test_degree16_rejects_exactly_the_draws_with_a_dependent_subset(
 def test_degree16_rejects_empty_trial_budget():
     with pytest.raises(ValueError):
         degree16_check(trials=0)
+
+
+def counted_remainder_sequence(monkeypatch):
+    """Count the runs of the integer remainder sequence behind the modular
+    squarefree certificate."""
+    calls = []
+    original = geometry._prs_is_squarefree
+
+    def counted(a):
+        calls.append(tuple(a))
+        return original(a)
+
+    monkeypatch.setattr(geometry, "_prs_is_squarefree", counted)
+    return calls
+
+
+def test_squarefree_certificate_falls_back_exactly(monkeypatch):
+    p = exact.KERNEL_PRIME
+    calls = counted_remainder_sequence(monkeypatch)
+    # t (t - p) is t^2 modulo p: the certificate fails, the fallback decides
+    assert poly_is_squarefree([0, -p, 1])
+    assert len(calls) == 1
+    # p t^2 - 1: p divides the leading coefficient, the certificate is
+    # skipped
+    assert poly_is_squarefree([-1, 0, p])
+    assert len(calls) == 2
+    assert not poly_is_squarefree([p * p, -2 * p, 1])  # (t - p)^2
+    assert len(calls) == 3
+    # certified without the fallback: (t - 1)(t - 2), and as Fractions
+    assert poly_is_squarefree([2, -3, 1])
+    assert poly_is_squarefree([F(2, 3), F(-1), F(1, 3)])
+    assert len(calls) == 3
+
+
+@pytest.mark.parametrize("seed, runs", [(0, 0), (3, 1)])
+def test_degree16_runs_the_remainder_sequence_only_on_repeated_roots(
+        monkeypatch, seed, runs):
+    calls = counted_remainder_sequence(monkeypatch)
+    report = degree16_check(trials=40, seed=seed)
+    assert len(calls) == runs
+    assert report["discarded"] == (
+        ((27, "repeated_roots_exact"),) if runs else ())
+
+
+# (successes, discarded, dependent_5_subset rejections) of
+# degree16_check(trials=40, seed=s) for s = 0..11
+DEGREE16_OUTCOMES_40 = [
+    (40, (), 16),
+    (40, (), 11),
+    (40, (), 19),
+    (39, ((27, "repeated_roots_exact"),), 13),
+    (40, (), 21),
+    (39, ((9, "small_float_leading_coefficient"),), 22),
+    (40, (), 13),
+    (39, ((15, "repeated_roots_exact"),), 19),
+    (40, (), 10),
+    (40, (), 11),
+    (40, (), 13),
+    (40, (), 9),
+]
+
+
+def test_degree16_sampled_outcomes_are_pinned():
+    for seed, (successes, discarded, dependent) in enumerate(
+            DEGREE16_OUTCOMES_40):
+        report = degree16_check(trials=40, seed=seed)
+        assert (report["successes"], report["discarded"],
+                report["rejected_draws"]) == (
+            successes, discarded,
+            {"on_quartic": 0, "on_base_line": 0,
+             "dependent_5_subset": dependent})
 
 
 # ---------------------------------------------------------------------------
