@@ -132,6 +132,11 @@ class FiniteQuadraticModule:
     def elements(self):
         return range(self.size)
 
+    def generators(self) -> list:
+        """The indices of the defining generators g_1, ..., g_k."""
+        k = len(self.orders)
+        return [self.from_coords([int(i == j) for j in range(k)]) for i in range(k)]
+
     def add(self, x: int, y: int) -> int:
         return int(self.add_table[x, y])
 
@@ -450,18 +455,19 @@ class FqmAutomorphism:
 
 
 def reflection(A: FiniteQuadraticModule, alpha: int) -> FqmAutomorphism:
-    """The involution x -> x + (2 b(x, alpha)) alpha for a class with
-    q(alpha) = 1; the coefficient 2 b(x, alpha) must be an integer."""
+    """The involution x -> x + c(x) alpha, c(x) = 2 b(x, alpha), for a class
+    with q(alpha) = 1; the coefficient must be an integer for every x.
+
+    Integrality is tested on the whole b-column of alpha at once; c(x) is
+    then 0 or 1, and the permutation is one gather add_table[x, c(x) alpha].
+    The result is checked to be an involution that preserves q and b."""
     if int(A.q4[alpha]) != 4:
         raise ValueError(f"reflection requires q(alpha) = 1, got {A.q(alpha)}")
-    perm = np.empty(A.size, dtype=np.int32)
-    for x in A.elements():
-        b4 = int(A.b4[x, alpha])
-        if b4 % 2 != 0:
-            raise ValueError("reflection coefficient 2 b(x, alpha) is not integral")
-        c = b4 // 2
-        perm[x] = A.add(x, A.scalar_mul(c, alpha))
-    t = FqmAutomorphism(A, perm)
+    column = A.b4[:, alpha]
+    if np.any(column % 2):
+        raise ValueError("reflection coefficient 2 b(x, alpha) is not integral")
+    shift = np.where(column == 2, alpha, 0)
+    t = FqmAutomorphism(A, A.add_table[np.arange(A.size), shift])
     if not (t * t).is_identity():
         raise AssertionError("reflection must be an involution")
     if not t.preserves_form():
@@ -495,14 +501,31 @@ class AutomorphismGroup:
         return out
 
     def is_closed(self) -> bool:
-        """Full closure check: every pairwise product is a member."""
+        """Full closure check: each of the order**2 products h * g is looked
+        up among the members and compared with the member entry by entry.
+
+        The lookup key of a permutation is a fixed linear form in its values
+        on the module's generators, which tell automorphisms apart; distinct
+        members with equal keys raise ValueError.  The entrywise comparison
+        makes the check exact whatever the key."""
+        A = self.module
         perms = np.stack([g.perm for g in self.elements])
-        keys = set(self._index)
-        for g in self.elements:
-            prods = perms[:, g.perm]  # each row: h(g(x)) = (h * g)
-            for row in prods:
-                if row.tobytes() not in keys:
-                    return False
+        n = len(perms)
+        base = A.generators()
+        weights = np.random.default_rng(0).integers(1, 2**40, size=len(base))
+        keys = perms[:, base].astype(np.int64) @ weights
+        order = np.argsort(keys)
+        sorted_keys = keys[order]
+        if len(np.unique(sorted_keys)) != len(self._index):
+            raise ValueError("distinct members share a lookup key")
+        rows = perms.astype(np.uint8 if A.size <= 256 else np.int32)
+        members = rows[order]
+        for start in range(0, n, 128):
+            # products[h, j] = h(g_j(x)) for the members g_j of this chunk
+            products = rows.take(perms[start:start + 128], axis=1)
+            where = np.searchsorted(sorted_keys, products[:, :, base].astype(np.int64) @ weights)
+            if not np.array_equal(members[np.minimum(where, n - 1)], products):
+                return False
         return True
 
     def generating_set(self) -> list:
@@ -545,56 +568,63 @@ def orthogonal_group(
     A: FiniteQuadraticModule, node_budget: int = 5_000_000
 ) -> AutomorphismGroup:
     """The full orthogonal group of a 2-elementary module of dimension <= 6,
-    by backtracking over generator images constrained by q-values and
-    pairwise b-values."""
+    from a search over generator images run level by level.
+
+    Level i holds every partial solution (images of g_0, ..., g_{i-1}) as a
+    row of one array, next to its span as a boolean membership row.  A
+    candidate image x of g_i has q(x) = q(g_i), lies outside the span (one
+    lookup in the row) and pairs with the images placed so far as g_i pairs
+    with g_0, ..., g_{i-1} (one gather from the b-table for the whole
+    level); a child's span is its parent's row OR that row permuted by XOR
+    with x.  Children follow their parents and the candidates in increasing
+    order, so the members come out in the lexicographic order of a
+    depth-first search, and each partial solution (the empty one included)
+    counts as one node against node_budget, as it would there.  The
+    permutations are built in one vectorised XOR, and every member is
+    checked exhaustively to preserve q and b."""
     if any(d != 2 for d in A.orders):
         raise ValueError("orthogonal_group supports 2-elementary modules only")
     k = len(A.orders)
     if k > 6:
         raise ValueError("orthogonal_group supports dimension <= 6 only")
-    gens = [A.from_coords([1 if i == j else 0 for j in range(k)]) for i in range(k)]
+    gens = A.generators()
     # for all orders 2 the mixed-radix index is a bitmask and addition is XOR
-    assert all(g == 1 << i for i, g in enumerate(gens))
+    if any(g != 1 << i for i, g in enumerate(gens)):
+        raise AssertionError("generator indices must be the bitmasks 1 << i")
 
     q4 = A.q4
     b4 = A.b4
-    cands = [[x for x in range(1, A.size) if q4[x] == q4[g]] for g in gens]
-    b_rows = b4.tolist()
-    # generator i's image must pair with the images before it as g_i does
-    targets = [[b_rows[gens[i]][gens[j]] for j in range(i)] for i in range(k)]
-
-    sols = []
-    nodes = 0
-
-    def place(i, imgs, span):
-        nonlocal nodes
-        nodes += 1
+    points = np.arange(A.size, dtype=np.int32)
+    imgs = np.zeros((1, 0), dtype=np.int32)
+    span = points[None, :] == 0
+    nodes = 1
+    for i, g in enumerate(gens):
+        # 0 has the right q-value only if g does, and it lies in every span
+        cands = np.flatnonzero(q4 == q4[g]).astype(np.int32)
+        ok = ~span[:, cands]
+        if i:
+            ok &= np.all(b4[cands[None, :, None], imgs[:, None, :]] == b4[g, gens[:i]], axis=2)
+        parent, pick = np.nonzero(ok)
+        nodes += len(parent)
         if nodes > node_budget:
             raise RuntimeError(f"orthogonal group search exceeded {node_budget} nodes")
-        if i == k:
-            sols.append(imgs)
-            return
-        for x in cands[i]:
-            # x must lie outside the span of the images placed so far
-            if x not in span:
-                row = b_rows[x]
-                if [row[y] for y in imgs] == targets[i]:
-                    place(i + 1, imgs + [x], span | {s ^ x for s in span})
-
-    place(0, [], {0})
+        x = cands[pick]
+        imgs = np.column_stack([imgs[parent], x])
+        span = span[parent]
+        span |= span[np.arange(len(x))[:, None], points ^ x[:, None]]
 
     # the image of element e is the XOR of the images of its set bits
-    bits = (np.arange(A.size, dtype=np.int32)[:, None] >> np.arange(k, dtype=np.int32)) & 1
-    perms = np.bitwise_xor.reduce(np.array(sols, dtype=np.int32)[:, None, :] * bits, axis=2)
+    bits = (points[:, None] >> np.arange(k, dtype=np.int32)) & 1
+    perms = np.bitwise_xor.reduce(imgs[:, None, :] * bits, axis=2)
     elements = [FqmAutomorphism(A, perm) for perm in perms]
 
     group = AutomorphismGroup(A, elements)
-    # exhaustive q/b preservation for every member (vectorized, in chunks)
+    # exhaustive q/b preservation for every member
     if not np.all(q4[perms] == q4[None, :]):
         raise AssertionError("an automorphism candidate fails to preserve q")
     b8 = b4.astype(np.int8)
-    for chunk in np.array_split(perms, -(-len(perms) // 128)):
-        if not np.all(b8[chunk[:, :, None], chunk[:, None, :]] == b8):
+    for perm in perms:
+        if not np.array_equal(b8.take(perm, axis=0).take(perm, axis=1), b8):
             raise AssertionError("an automorphism candidate fails to preserve b")
     return group
 
@@ -610,7 +640,7 @@ def find_isomorphism(A: FiniteQuadraticModule, B: FiniteQuadraticModule):
     if A.size != B.size:
         return None
     k = len(A.orders)
-    gens = [A.from_coords([1 if i == j else 0 for j in range(k)]) for i in range(k)]
+    gens = A.generators()
 
     def build_map(imgs):
         out = np.zeros(A.size, dtype=np.int32)

@@ -233,7 +233,8 @@ def determinant(L: Lattice) -> int:
             if factor:
                 for c in range(col, n):
                     a[r][c] -= factor * a[col][c]
-    assert det.denominator == 1
+    if det.denominator != 1:
+        raise AssertionError("the determinant of an integer Gram matrix must be an integer")
     return int(det)
 
 

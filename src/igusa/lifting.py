@@ -42,7 +42,7 @@ __all__ = [
 
 # Largest q-series truncation of the eta powers.  The expansion of eta^m
 # through q^terms costs about terms^2 m coefficient products;
-# `igusa lifting --terms 200` takes about 2.6 s and 56 MB.
+# `igusa lifting --terms 200` takes about 1.6 s and 57 MB on a 2-vCPU Xeon.
 MAX_TERMS = 200
 
 

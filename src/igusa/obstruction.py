@@ -53,6 +53,7 @@ __all__ = [
     "E_LABELS",
     "f_tuple",
     "transformation_bookkeeping",
+    "class_orbits",
     "type_orbit_check",
     "per_element_coefficient",
     "DivisorSpec",
@@ -297,7 +298,10 @@ def _fourier_coefficient(j: int, a1: int, a2: int) -> Cyclotomic:
 def numeric_double_sum(a1: int, a2: int, box: int = 1600) -> complex:
     """Truncated absolutely convergent double sum over pairs congruent to
     (a1, a2) mod 4 inside the square max(|m1|, |m2|) <= box, evaluated at the
-    point tau = i of the upper half plane."""
+    point tau = i of the upper half plane.
+
+    Each term z^-3 is the reciprocal of z*z*z, taken in place in the one
+    array that holds the cubes; the pair (0, 0) is left out."""
     a1 %= 4
     a2 %= 4
     m1 = np.arange(-box, box + 1, dtype=np.int64)
@@ -305,13 +309,12 @@ def numeric_double_sum(a1: int, a2: int, box: int = 1600) -> complex:
     m2 = np.arange(-box, box + 1, dtype=np.int64)
     m2 = m2[m2 % 4 == a2]
     z = m1[:, None] * 1j + m2[None, :]
-    if a1 == 0 and a2 == 0:
-        mask = (m1[:, None] == 0) & (m2[None, :] == 0)
-        z = np.where(mask, 1.0, z)
-        values = z**-3.0
-        values = np.where(mask, 0.0, values)
-    else:
-        values = z**-3.0
+    origin = (np.flatnonzero(m1 == 0), np.flatnonzero(m2 == 0))
+    z[origin] = 1.0
+    values = z * z
+    values *= z
+    np.reciprocal(values, out=values)
+    values[origin] = 0.0
     return complex(values.sum())
 
 
@@ -522,38 +525,31 @@ def transformation_bookkeeping() -> dict:
 # ---------------------------------------------------------------------------
 
 
+def class_orbits(perms: np.ndarray, labels: Sequence[str]) -> np.ndarray:
+    """The orbit of every element under the group whose members are the rows
+    of perms, named by its least element: the orbit of x is column x of the
+    stacked permutations.  Raises ValueError unless the orbits are exactly
+    the value classes given by labels, one orbit per class."""
+    orbit = perms.min(axis=0)
+    kinds = {}
+    for x, o in enumerate(orbit.tolist()):
+        kinds.setdefault(o, set()).add(labels[x])
+    if len(kinds) != len(TYPE_ORDER):
+        raise ValueError(f"expected {len(TYPE_ORDER)} orbits, found {len(kinds)}")
+    if any(len(k) != 1 for k in kinds.values()):
+        raise ValueError("an orbit mixes distinct value classes")
+    return orbit
+
+
 @lru_cache(maxsize=1)
 def type_orbit_check() -> bool:
     """The orthogonal group of the ambient discriminant form is transitive
-    on each value class: its orbit partition equals the class partition.
-    This justifies recovering a per-element Fourier coefficient as the class
-    aggregate divided by the class size."""
-    A = ambient_module()
-    labels = element_types(A)
-    group = ambient_orthogonal_group()
-    gens = group.generating_set()
-    orbit = np.full(A.size, -1, dtype=np.int64)
-    n_orbits = 0
-    for start in range(A.size):
-        if orbit[start] >= 0:
-            continue
-        stack = [start]
-        orbit[start] = n_orbits
-        while stack:
-            x = stack.pop()
-            for g in gens:
-                y = int(g.perm[x])
-                if orbit[y] < 0:
-                    orbit[y] = n_orbits
-                    stack.append(y)
-        n_orbits += 1
-    by_orbit = {}
-    for x in range(A.size):
-        by_orbit.setdefault(int(orbit[x]), set()).add(labels[x])
-    if n_orbits != len(TYPE_ORDER):
-        raise ValueError(f"expected {len(TYPE_ORDER)} orbits, found {n_orbits}")
-    if any(len(kinds) != 1 for kinds in by_orbit.values()):
-        raise ValueError("an orbit mixes distinct value classes")
+    on each value class: its orbit partition, read off the stacked
+    permutations of all 1440 members (``class_orbits``), equals the class
+    partition.  This justifies recovering a per-element Fourier coefficient
+    as the class aggregate divided by the class size."""
+    perms = np.stack([g.perm for g in ambient_orthogonal_group().elements])
+    class_orbits(perms, element_types(ambient_module()))
     return True
 
 

@@ -42,6 +42,7 @@ __all__ = [
     "weil_suite",
     "obstruction_suite",
     "lifting_suite",
+    "eta_product_mismatches",
     "restriction_suite",
     "geometry_suite",
 ]
@@ -563,6 +564,23 @@ def obstruction_suite(runner: SuiteRunner, tolerance: float = 1e-6) -> None:
     )
 
 
+def eta_product_mismatches(unit: QSeries, m: int, terms: int) -> list:
+    """The exponents k <= terms at which the series unit differs from
+    prod_{n>=1} (1 - q^n)^m.  The oracle multiplies the product out factor
+    by factor on Python integers and shares no code with the
+    pentagonal-number expansion it checks."""
+    coeffs = [1] + [0] * terms
+    for n in range(1, terms + 1):
+        for _ in range(m):
+            # times (1 - q^n) in place, highest exponent first
+            for k in range(terms, n - 1, -1):
+                coeffs[k] -= coeffs[k - n]
+    return [
+        k for k in range(terms + 1)
+        if unit.coefficient(Fraction(k)) != Cyclotomic(coeffs[k])
+    ]
+
+
 def lifting_suite(runner: SuiteRunner, terms: int = 30) -> None:
     from .lifting import (
         eta_power,
@@ -575,23 +593,11 @@ def lifting_suite(runner: SuiteRunner, terms: int = 30) -> None:
     from .weil import theta_vectors, w0_vector
 
     def eta_oracle():
-        outcomes = {}
-        for m in (18, 6):
-            unit = eta_power(m, terms=terms).unit_series
-            # independent oracle: multiply the product out factor by factor
-            coeffs = [Fraction(0)] * (terms + 1)
-            coeffs[0] = Fraction(1)
-            for n in range(1, terms + 1):
-                for _ in range(m):
-                    nxt = list(coeffs)
-                    for k in range(n, terms + 1):
-                        nxt[k] -= coeffs[k - n]
-                    coeffs = nxt
-            mismatches = [
-                k for k in range(terms + 1)
-                if unit.coefficient(Fraction(k)) != Cyclotomic(coeffs[k])
-            ]
-            outcomes[f"eta^{m}"] = mismatches
+        outcomes = {
+            f"eta^{m}": eta_product_mismatches(
+                eta_power(m, terms=terms).unit_series, m, terms)
+            for m in (18, 6)
+        }
         return ({"eta^18": [], "eta^6": []}, outcomes)
 
     runner.run(

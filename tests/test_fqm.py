@@ -10,6 +10,7 @@ import pytest
 from igusa.fqm import (
     TYPE_ORDER_AMBIENT,
     TYPE_ORDER_RESTRICTION,
+    AutomorphismGroup,
     FiniteQuadraticModule,
     FqmAutomorphism,
     direct_sum,
@@ -250,6 +251,40 @@ def test_reflection_fixes_orthogonal_elements(AN):
             assert t(beta) == AN.add(beta, alpha)
 
 
+def reference_reflection(A, alpha):
+    """x -> x + (2 b(x, alpha)) alpha one element at a time, with the
+    integrality of the coefficient tested per element."""
+    perm = np.empty(A.size, dtype=np.int32)
+    for x in A.elements():
+        b4 = int(A.b4[x, alpha])
+        if b4 % 2 != 0:
+            raise ValueError("reflection coefficient 2 b(x, alpha) is not integral")
+        perm[x] = A.add(x, A.scalar_mul(b4 // 2, alpha))
+    return perm
+
+
+def test_reflection_matches_the_per_element_reference(AN):
+    q1 = [x for x in AN.elements() if AN.q4[x] == 4]
+    assert len(q1) == 16 and radical_class(AN) in q1
+    for alpha in q1:
+        perm = reflection(AN, alpha).perm
+        assert perm.dtype == np.int32
+        assert np.array_equal(perm, reference_reflection(AN, alpha))
+
+
+def test_reflection_rejects_a_non_integral_coefficient():
+    # Z/4 x Z/4 with q(g1) = q(g2) = 0 and b(g1, g2) = 1/4: alpha = g1 + 2 g2
+    # has q(alpha) = 1, and 2 b(g2, alpha) = 1/2 is not an integer
+    A = FiniteQuadraticModule((4, 4), (0, 0), ((0, 1), (1, 0)))
+    alpha = A.from_coords((1, 2))
+    g2 = A.from_coords((0, 1))
+    assert A.q4[alpha] == 4 and A.b4[g2, alpha] == 1
+    with pytest.raises(ValueError, match="not integral"):
+        reference_reflection(A, alpha)
+    with pytest.raises(ValueError, match="not integral"):
+        reflection(A, alpha)
+
+
 def test_kappa_reflection_moves_exactly_32(AN):
     kappa = radical_class(AN)
     t = reflection(AN, kappa)
@@ -293,6 +328,21 @@ def test_orthogonal_group_order(OQN):
 
 def test_orthogonal_group_closed(OQN):
     assert OQN.is_closed()
+
+
+def test_closure_check_sees_a_missing_member(OQN, AN):
+    # with any one member dropped, some product of two others is that member
+    assert not AutomorphismGroup(AN, OQN.elements[:-1]).is_closed()
+
+
+def test_closure_check_refuses_members_it_cannot_tell_apart(OQN, AN):
+    # a permutation that fixes the generators but swaps two other classes
+    # shares the identity's lookup key
+    perm = np.arange(AN.size, dtype=np.int32)
+    perm[[3, 5]] = perm[[5, 3]]
+    group = AutomorphismGroup(AN, OQN.elements + [FqmAutomorphism(AN, perm)])
+    with pytest.raises(ValueError, match="lookup key"):
+        group.is_closed()
 
 
 def test_orthogonal_group_preserves_form(OQN, AN):
@@ -339,14 +389,15 @@ def test_center_is_identity_and_kappa_reflection(OQN, AN):
     assert orders == [1, 2]
 
 
-def reference_orthogonal_perms(A):
-    """The generator-image search by XOR echelon reduction and pairwise b
-    lookups, one permutation built per solution: an independent reference
-    for the element list and its order."""
+def reference_search(A):
+    """The generator-image search depth first, by XOR echelon reduction and
+    pairwise b lookups: the solutions in the order found, and the number of
+    nodes visited (every call of place, the root included)."""
     k = len(A.orders)
     gens = [1 << i for i in range(k)]
     cands = [[x for x in range(1, A.size) if A.q4[x] == A.q4[g]] for g in gens]
     sols = []
+    nodes = 0
 
     def reduce_mod(x, echelon):
         for pivot_bit, row in echelon:
@@ -355,6 +406,8 @@ def reference_orthogonal_perms(A):
         return x
 
     def place(i, imgs, echelon):
+        nonlocal nodes
+        nodes += 1
         if i == k:
             sols.append(list(imgs))
             return
@@ -367,6 +420,13 @@ def reference_orthogonal_perms(A):
             place(i + 1, imgs + [x], echelon + [(red.bit_length() - 1, red)])
 
     place(0, [], [])
+    return sols, nodes
+
+
+def reference_orthogonal_perms(A):
+    """The solutions of ``reference_search``, one permutation built per
+    solution: an independent reference for the element list and its order."""
+    sols, _ = reference_search(A)
     perms = []
     indices = np.arange(A.size)
     for sol in sols:
@@ -383,9 +443,30 @@ def test_orthogonal_group_matches_the_reference_search(OQN, AN):
     assert np.array_equal(perms, reference_orthogonal_perms(AN))
 
 
+def test_orthogonal_group_keeps_the_images_independent():
+    # q and b vanish on all of (Z/2)^3, so every invertible matrix over F_2
+    # is an isometry, GL(3, 2) of order 168, and only the span test keeps a
+    # dependent image out
+    A = FiniteQuadraticModule((2, 2, 2), (0, 0, 0), ((0, 0, 0),) * 3)
+    group = orthogonal_group(A)
+    assert group.order == 168
+    perms = np.stack([g.perm for g in group.elements])
+    assert np.array_equal(perms, reference_orthogonal_perms(A))
+    _, nodes = reference_search(A)
+    with pytest.raises(RuntimeError):
+        orthogonal_group(A, node_budget=nodes - 1)
+
+
 def test_node_budget_is_enforced(AN):
     with pytest.raises(RuntimeError):
         orthogonal_group(AN, node_budget=10)
+
+
+def test_node_budget_counts_the_depth_first_nodes(AN):
+    _, nodes = reference_search(AN)
+    assert orthogonal_group(AN, node_budget=nodes).order == 1440
+    with pytest.raises(RuntimeError, match=f"exceeded {nodes - 1} nodes"):
+        orthogonal_group(AN, node_budget=nodes - 1)
 
 
 def test_orthogonal_group_rejects_mixed_orders(AM):

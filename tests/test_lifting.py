@@ -12,6 +12,7 @@ from igusa.exact import CYC_I, CYC_ONE, Cyclotomic, QSeries
 from igusa.fqm import element_types, isotropic_planes
 from igusa.lattices import ambient_lattice
 from igusa.lifting import (
+    EtaPower,
     LiftCheckInput,
     eta_power,
     fixture_lift_input,
@@ -22,6 +23,7 @@ from igusa.lifting import (
     theta0_checks,
     theta_support,
 )
+from igusa.report import eta_product_mismatches
 from igusa.weil import ambient_module, theta_vector, w0_vector
 
 HALF = Fraction(1, 2)
@@ -113,6 +115,37 @@ def test_eta_power_input_validation():
         eta_power(-2, 8)
     with pytest.raises(ValueError, match="positive"):
         eta_power(6, 0)
+
+
+def perturbed(unit: QSeries, k: int) -> QSeries:
+    """unit with 1 added to its coefficient of q^k."""
+    terms = dict(unit.terms)
+    terms[Fraction(k)] = unit.coefficient(Fraction(k)) + CYC_ONE
+    return QSeries(terms, unit.truncation)
+
+
+@pytest.mark.parametrize("m", [18, 6])
+def test_eta_product_oracle_reports_a_perturbed_coefficient(m):
+    unit = eta_power(m, 30).unit_series
+    assert eta_product_mismatches(unit, m, 30) == []
+    for k in (0, 13, 30):
+        assert eta_product_mismatches(perturbed(unit, k), m, 30) == [k]
+
+
+def test_eta_product_check_fails_on_a_perturbed_expansion(monkeypatch):
+    import igusa.lifting
+    from igusa.report import SuiteRunner, lifting_suite
+
+    def broken(m, terms=16):
+        eta = eta_power(m, terms)
+        return EtaPower(m, perturbed(eta.unit_series, 5) if m == 6 else eta.unit_series)
+
+    monkeypatch.setattr(igusa.lifting, "eta_power", broken)
+    runner = SuiteRunner()
+    lifting_suite(runner)
+    check = next(c for c in runner.checks if c.id == "lifting-eta-product-oracle")
+    assert check.status == "fail"
+    assert check.actual["value"] == {"eta^18": [], "eta^6": [5]}
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from igusa.exact import CYC_I, CYC_ONE, CYC_ZERO, Cyclotomic, CycMatrix, QSeries
@@ -13,6 +14,7 @@ from igusa.obstruction import (
     DivisorSpec,
     borcherds_weight,
     borcherds_weights_table,
+    class_orbits,
     collapsed_rep,
     cusp_dimension,
     dim_modular_forms,
@@ -28,7 +30,7 @@ from igusa.obstruction import (
     transformation_bookkeeping,
     type_orbit_check,
 )
-from igusa.weil import ambient_module, weil_generator
+from igusa.weil import ambient_module, ambient_orthogonal_group, weil_generator
 
 from test_weil import run_demo
 
@@ -212,6 +214,32 @@ def test_s_rule_at_numeric_fixed_point():
         assert rel < 1e-5
 
 
+def reference_double_sum(a1, a2, box):
+    """The double sum with each term as the complex power z**-3.0."""
+    m1 = np.arange(-box, box + 1)
+    m1 = m1[m1 % 4 == a1 % 4]
+    m2 = np.arange(-box, box + 1)
+    m2 = m2[m2 % 4 == a2 % 4]
+    z = m1[:, None] * 1j + m2[None, :]
+    mask = (m1[:, None] == 0) & (m2[None, :] == 0)
+    return complex(np.where(mask, 0.0, np.where(mask, 1.0, z) ** -3.0).sum())
+
+
+@pytest.mark.parametrize("label", E_LABELS)
+def test_double_sum_matches_the_power_reference(label):
+    fast = numeric_double_sum(*label, box=200)
+    slow = reference_double_sum(*label, box=200)
+    assert abs(fast - slow) <= 1e-12 * abs(slow)
+
+
+def test_double_sum_leaves_out_the_origin():
+    # opposite pairs cancel, so the sum for (0, 0) is zero up to rounding;
+    # a term at the origin would make it infinite or nan
+    fast = numeric_double_sum(0, 0, box=200)
+    assert abs(fast) < 1e-12
+    assert abs(fast - reference_double_sum(0, 0, box=200)) < 1e-12
+
+
 def test_f_tuple_leading_terms():
     f = f_tuple()
     assert f["00"].coefficient(Fraction(0)) == Cyclotomic(Fraction(-1, 2))
@@ -262,6 +290,49 @@ def test_bookkeeping_detects_broken_rules(monkeypatch):
 
 def test_type_orbit_partition():
     assert type_orbit_check() is True
+
+
+def reference_orbits(group, size):
+    """Orbit ids by a stack walk over the greedy generating set, each orbit
+    named by its least element (the first one the walk starts from)."""
+    gens = group.generating_set()
+    orbit = np.full(size, -1, dtype=np.int64)
+    for start in range(size):
+        if orbit[start] >= 0:
+            continue
+        stack = [start]
+        orbit[start] = start
+        while stack:
+            x = stack.pop()
+            for g in gens:
+                y = int(g.perm[x])
+                if orbit[y] < 0:
+                    orbit[y] = start
+                    stack.append(y)
+    return orbit
+
+
+def test_class_orbits_match_the_generator_walk():
+    A = ambient_module()
+    group = ambient_orthogonal_group()
+    perms = np.stack([g.perm for g in group.elements])
+    orbit = class_orbits(perms, element_types(A))
+    assert np.array_equal(orbit, reference_orbits(group, A.size))
+    assert len(set(orbit.tolist())) == len(TYPE_ORDER)
+
+
+def test_class_orbits_reject_a_mixed_orbit():
+    A = ambient_module()
+    perms = np.stack([g.perm for g in ambient_orthogonal_group().elements])
+    labels = list(element_types(A))
+    # relabel one norm-1 class as norm 3/2: its orbit now mixes two labels
+    planted = labels.index("1")
+    labels[planted] = "3/2"
+    with pytest.raises(ValueError, match="mixes"):
+        class_orbits(perms, labels)
+    # the identity alone has 64 orbits, not 6
+    with pytest.raises(ValueError, match="expected 6 orbits, found 64"):
+        class_orbits(np.arange(A.size)[None, :], element_types(A))
 
 
 def test_per_element_shares_constant_on_classes():
