@@ -68,10 +68,10 @@ def poly_to_str(poly, names):
 def main():
     cubic_sum, quartic = canonical_polys()
     print("=== The quartic and its fifteen singular lines ===")
-    print(f"quartic at (1,1,1,1,-2,-2): "
-          f"{quartic.evaluate((1, 1, 1, 1, -2, -2))}")
-    print(f"quartic at (1,-1,0,0,0,0):  "
-          f"{quartic.evaluate((1, -1, 0, 0, 0, 0))}")
+    on_line, off_line = quartic.evaluate_rows(
+        [(1, 1, 1, 1, -2, -2), (1, -1, 0, 0, 0, 0)]).tolist()
+    print(f"quartic at (1,1,1,1,-2,-2): {on_line}")
+    print(f"quartic at (1,-1,0,0,0,0):  {off_line}")
     print(f"pair partitions of six letters: {len(PAIR_PARTITIONS)}")
     line0 = fifteen_lines()[0]
     print(f"first line, partition {line0.partition}: coordinates "

@@ -10,7 +10,6 @@ that reproducibility.
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
 
@@ -70,8 +69,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common.add_argument(
         "--tolerance", type=float, default=1e-6, metavar="FLOAT",
-        help="relative tolerance for the numeric Eisenstein oracle "
-             "(default: 1e-6)",
+        help="relative tolerance for the numeric Eisenstein oracle, "
+             "strictly between 0 and 1 (default: 1e-6)",
     )
     common.add_argument(
         "--out", metavar="PATH", default=None,
@@ -128,8 +127,9 @@ def _validate(parser: argparse.ArgumentParser, args) -> None:
         if args.terms > MAX_TERMS:
             parser.error(f"--terms must be at most {MAX_TERMS} (the eta "
                          "expansions grow like the square of the terms)")
-    if not (args.tolerance > 0 and math.isfinite(args.tolerance)):
-        parser.error("--tolerance must be positive and finite")
+    if not 0 < args.tolerance < 1:
+        # at 1 or above the zero series would pass the relative test
+        parser.error("--tolerance must lie strictly between 0 and 1")
     if args.out is not None:
         # checked before the suite runs; nothing is created here
         directory = os.path.dirname(os.path.abspath(args.out))

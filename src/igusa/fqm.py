@@ -114,7 +114,7 @@ class FiniteQuadraticModule:
         self.element_orders = elt_orders
         self._types = self._radical = None  # see element_types, radical_class
 
-        # optional lattice provenance (set by lattice_core.discriminant_module)
+        # optional lattice provenance (set by lattices.discriminant_module)
         self._lattice = None
         self._push_mat = None
         self._kept = None
@@ -505,9 +505,9 @@ class AutomorphismGroup:
         up among the members and compared with the member entry by entry.
 
         The lookup key of a permutation is a fixed linear form in its values
-        on the module's generators, which tell automorphisms apart; distinct
-        members with equal keys raise ValueError.  The entrywise comparison
-        makes the check exact whatever the key."""
+        on the module's generators, which tell automorphisms apart; a member
+        listed twice, or distinct members with equal keys, raise ValueError.
+        The entrywise comparison makes the check exact whatever the key."""
         A = self.module
         perms = np.stack([g.perm for g in self.elements])
         n = len(perms)
@@ -516,7 +516,11 @@ class AutomorphismGroup:
         keys = perms[:, base].astype(np.int64) @ weights
         order = np.argsort(keys)
         sorted_keys = keys[order]
-        if len(np.unique(sorted_keys)) != len(self._index):
+        clash = np.flatnonzero(sorted_keys[1:] == sorted_keys[:-1])
+        if len(clash):
+            i, j = sorted(order[clash[0]:clash[0] + 2])
+            if np.array_equal(perms[i], perms[j]):
+                raise ValueError(f"member {j} repeats member {i}")
             raise ValueError("distinct members share a lookup key")
         rows = perms.astype(np.uint8 if A.size <= 256 else np.int32)
         members = rows[order]

@@ -24,20 +24,25 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from numbers import Rational
-from operator import add, getitem, mul
+from numbers import Integral
+from operator import add, getitem, index, mul
 
 import numpy as np
 
-from .exact import KERNEL_PRIME, _packed_dtype, integer_echelon, kernel_vector
+from .exact import (
+    KERNEL_PRIME,
+    _packed_dtype,
+    _primitive,
+    clear_denominators,
+    integer_echelon,
+    kernel_vector,
+)
 
 __all__ = [
     "MultiPoly",
-    "ProjPoint",
     "PAIR_PARTITIONS",
     "canonical_polys",
     "hyperplane_poly",
-    "hyperplane_evaluate",
     "LineParam",
     "fifteen_lines",
     "boundary_points",
@@ -73,34 +78,18 @@ MAX_TRIALS = 1000
 # ---------------------------------------------------------------------------
 
 
-def _rational(value):
-    """An exact rational as an int when integral, else as a Fraction."""
-    if type(value) is not int:
-        value = Fraction(value)
-        if value.denominator == 1:
-            return value.numerator
-    return value
-
-
-def _cleared(values) -> tuple:
-    """(integers, D): rationals times their least common denominator D."""
-    values = list(values)
-    den = math.lcm(*(v.denominator for v in values))
-    return [v.numerator * (den // v.denominator) for v in values], den
-
-
 class MultiPoly:
-    """Multivariate polynomial over the rationals: exponent tuple -> coefficient.
+    """Multivariate polynomial with integer coefficients: exponent tuple ->
+    int.
 
-    Coefficients are ints when integral and Fractions otherwise.  The
-    constructor validates its input; every operation builds its result with
-    the trusted `_from_terms`, which only drops zero terms and stores
-    integral Fractions as ints.  `compose` substitutes through one power
-    table per variable, and `evaluate_rows` evaluates an integer polynomial
-    at every row of an integer array at once, in int64 while an overflow
-    bound allows and in Python integers beyond it.  These polynomials have
-    at most a few dozen terms, so a dict of terms beats packed numpy arrays
-    operation by operation."""
+    The constructor validates its input and raises TypeError on a
+    coefficient that is not an integer; every operation builds its result
+    with the trusted `_from_terms`, which only drops zero terms.
+    `compose` substitutes through one power table per variable, and
+    `evaluate_rows` evaluates at every row of an integer array at once, in
+    int64 while an overflow bound allows and in Python integers beyond it.
+    These polynomials have at most a few dozen terms, so a dict of terms
+    beats packed numpy arrays operation by operation."""
 
     __slots__ = ("nvars", "terms")
 
@@ -108,26 +97,21 @@ class MultiPoly:
         self.nvars = int(nvars)
         clean = {}
         for exps, coeff in (terms or {}).items():
-            coeff = _rational(coeff)
-            if not coeff:
-                continue
+            if not isinstance(coeff, Integral):
+                raise TypeError(f"non-integer coefficient {coeff!r}")
             exps = tuple(int(e) for e in exps)
             if len(exps) != self.nvars or any(e < 0 for e in exps):
                 raise ValueError("bad exponent vector")
-            clean[exps] = clean.get(exps, 0) + coeff
-        self.terms = {e: _rational(c) for e, c in clean.items() if c}
+            clean[exps] = clean.get(exps, 0) + int(coeff)
+        self.terms = {e: c for e, c in clean.items() if c}
 
     @classmethod
     def _from_terms(cls, nvars: int, terms: dict) -> "MultiPoly":
         """Trusted constructor: the exponent tuples are valid and the
-        coefficients ints or Fractions; zero terms are dropped and integral
-        Fractions stored as ints."""
+        coefficients ints; zero terms are dropped."""
         poly = object.__new__(cls)
         poly.nvars = nvars
-        poly.terms = {
-            e: c if type(c) is int or c.denominator != 1 else c.numerator
-            for e, c in terms.items() if c
-        }
+        poly.terms = {e: c for e, c in terms.items() if c}
         return poly
 
     # -- constructors --------------------------------------------------------
@@ -138,7 +122,7 @@ class MultiPoly:
 
     @classmethod
     def constant(cls, nvars: int, value) -> "MultiPoly":
-        return cls._from_terms(nvars, {(0,) * nvars: _rational(value)})
+        return cls._from_terms(nvars, {(0,) * nvars: index(value)})
 
     @classmethod
     def variable(cls, nvars: int, index: int) -> "MultiPoly":
@@ -162,7 +146,7 @@ class MultiPoly:
         return MultiPoly._from_terms(self.nvars, out)
 
     def __sub__(self, other):
-        return self + (-other if isinstance(other, MultiPoly) else -_rational(other))
+        return self + (-other if isinstance(other, MultiPoly) else -index(other))
 
     def __neg__(self):
         return MultiPoly._from_terms(
@@ -171,7 +155,7 @@ class MultiPoly:
 
     def __mul__(self, other):
         if not isinstance(other, MultiPoly):
-            c = _rational(other)
+            c = index(other)
             return MultiPoly._from_terms(
                 self.nvars, {e: v * c for e, v in self.terms.items()}
             )
@@ -224,41 +208,21 @@ class MultiPoly:
         degrees = {sum(e) for e in self.terms}
         return len(degrees) <= 1
 
-    def evaluate(self, values) -> Fraction:
-        """Exact value at rational (int or Fraction) inputs.  With D the
-        common denominator of the inputs and C that of the coefficients,
-        the terms (C c) (D x)^e D^(deg - |e|) are integers; their sum is
-        divided by C D^deg once."""
-        if len(values) != self.nvars:
-            raise ValueError("value count mismatch")
-        for v in values:
-            if not isinstance(v, Rational):
-                raise TypeError(f"cannot evaluate at the non-rational {v!r}")
-        if not self.terms:
-            return Fraction(0)
-        xs, den = _cleared(values)
-        coeffs, cden = _cleared(self.terms.values())
-        degrees = [sum(exps) for exps in self.terms]
-        deg = max(degrees)
-        total = 0
-        for exps, coeff, d in zip(self.terms, coeffs, degrees):
-            total += coeff * math.prod(map(pow, xs, exps)) * den ** (deg - d)
-        return Fraction(total, cden * den**deg)
-
     def evaluate_rows(self, points) -> np.ndarray:
-        """Values of a polynomial with integer coefficients at every row of
-        an integer array, from one power table per variable.  The sum of
-        |c| prod max(|x_v|, 1)^e_v over the terms bounds every power,
-        product and partial sum, so the arithmetic runs in int64 below
-        2^63 and in Python integers (dtype object) beyond; it never
-        wraps."""
+        """Values at every row of an integer array (int64, or Python ints
+        beyond it), from one power table per variable.  The sum of |c| prod
+        max(|x_v|, 1)^e_v over the terms bounds every power, product and
+        partial sum, so the arithmetic runs in int64 below 2^63 and in
+        Python integers (dtype object) beyond; it never wraps.  A rational
+        point is evaluated cleared of its denominators; for a homogeneous
+        polynomial that changes no zero test."""
         points = np.asarray(points)
         if points.ndim != 2 or points.shape[1] != self.nvars:
             raise ValueError("expected one row of values per point")
-        if points.dtype.kind not in "iu":
-            raise TypeError("cannot batch-evaluate at non-integer points")
-        if any(type(c) is not int for c in self.terms.values()):
-            raise ValueError("batched evaluation needs integer coefficients")
+        if points.dtype.kind not in "iu" and not (
+                points.dtype == object
+                and all(type(v) is int for v in points.flat)):
+            raise TypeError("cannot evaluate at non-integer points")
         sizes = [
             max(-int(np.min(col, initial=0)), int(np.max(col, initial=0)), 1)
             for col in points.T
@@ -326,30 +290,6 @@ class MultiPoly:
 
 
 # ---------------------------------------------------------------------------
-# Projective points
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ProjPoint:
-    """A point of projective 5-space with canonicalized rational coordinates
-    (first nonzero coordinate scaled to 1)."""
-
-    coords: tuple
-
-    def __init__(self, coords):
-        coords = tuple(Fraction(c) for c in coords)
-        if len(coords) != 6:
-            raise ValueError("six coordinates required")
-        pivot = next((c for c in coords if c), None)
-        if pivot is None:
-            raise ValueError("projective point cannot be zero")
-        object.__setattr__(
-            self, "coords", tuple(c / pivot for c in coords)
-        )
-
-
-# ---------------------------------------------------------------------------
 # Canonical hypersurfaces
 # ---------------------------------------------------------------------------
 
@@ -377,15 +317,6 @@ def hyperplane_poly() -> MultiPoly:
     for i in range(6):
         total = total + MultiPoly.variable(6, i)
     return total
-
-
-def hyperplane_evaluate(poly: MultiPoly, coords):
-    """Evaluate after checking the point lies on the coordinate-sum
-    hyperplane."""
-    values = [Fraction(c) for c in coords]
-    if sum(values) != 0:
-        raise ValueError("point is not on the hyperplane")
-    return poly.evaluate(values)
 
 
 # ---------------------------------------------------------------------------
@@ -416,10 +347,7 @@ class LineParam:
     third (-1,-1)."""
 
     partition: tuple
-    coefficients: tuple  # six (coeff_a, coeff_b) pairs
-
-    def point(self, a, b) -> tuple:
-        return tuple(ca * a + cb * b for ca, cb in self.coefficients)
+    coefficients: tuple  # six (coeff_a, coeff_b) pairs of ints
 
     def substitutions(self) -> list:
         """The six coordinates as polynomials in the two parameters."""
@@ -427,11 +355,12 @@ class LineParam:
         pb = MultiPoly.variable(2, 1)
         return [ca * pa + cb * pb for ca, cb in self.coefficients]
 
-    def contains(self, point: ProjPoint) -> bool:
-        c = point.coords
+    def contains(self, point) -> bool:
+        """Whether the six coordinates (any nonzero multiple) lie on the
+        line."""
         return all(
-            c[i] == c[j] for i, j in self.partition
-        ) and sum(c) == 0
+            point[i] == point[j] for i, j in self.partition
+        ) and sum(point) == 0
 
 
 @lru_cache(maxsize=1)
@@ -442,8 +371,7 @@ def fifteen_lines() -> tuple:
     _, quartic = canonical_polys()
     lines = []
     for partition in PAIR_PARTITIONS:
-        weights = ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1)),
-                   (Fraction(-1), Fraction(-1)))
+        weights = ((1, 0), (0, 1), (-1, -1))
         coeffs = [None] * 6
         for pair, w in zip(partition, weights):
             for idx in pair:
@@ -466,18 +394,20 @@ def fifteen_lines() -> tuple:
 @lru_cache(maxsize=1)
 def boundary_points() -> tuple:
     """The fifteen points with four coordinates 1 and two coordinates -2,
-    all on the quartic (exact check)."""
+    all on the quartic (exact check), in the order of their coordinates
+    scaled to first coordinate 1: the order of 2 c / p_0, exact since p_0
+    is 1 or -2."""
     _, quartic = canonical_polys()
     points = []
     for low in combinations(range(6), 2):
-        coords = [Fraction(1)] * 6
+        coords = [1] * 6
         for i in low:
-            coords[i] = Fraction(-2)
-        point = ProjPoint(coords)
-        if sum(point.coords) != 0 or quartic.evaluate(point.coords) != 0:
-            raise AssertionError(f"boundary point {coords} fails the equations")
-        points.append(point)
-    return tuple(sorted(points, key=lambda p: p.coords))
+            coords[i] = -2
+        points.append(tuple(coords))
+    missed = np.flatnonzero(quartic.evaluate_rows(points))
+    if any(map(sum, points)) or len(missed):
+        raise AssertionError("a boundary point fails the equations")
+    return tuple(sorted(points, key=lambda p: [2 * c // p[0] for c in p]))
 
 
 def incidence_153() -> dict:
@@ -609,7 +539,8 @@ def _solve_in_span(basis_vectors, target):
 def cubic_span() -> dict:
     """Exact linear algebra on the 15 x 56 coefficient matrix of the fifteen
     cubics: rank 5, a greedy independent basis, and the expansion of every
-    cubic in that basis (each expansion verified by exact solve)."""
+    cubic in that basis (each expansion verified by exact solve, and
+    integral)."""
     cubics = fifteen_cubics()
     monomials = _degree3_monomials()
     vectors = [_coeff_vector(c, monomials) for c in cubics]
@@ -619,13 +550,16 @@ def cubic_span() -> dict:
         raise ValueError(f"cubic span has rank {rank}, expected 5")
     basis_indices = tuple(sorted(p for p, _ in pivots))
     basis_vectors = [vectors[i] for i in basis_indices]
-    expansions = tuple(
-        _solve_in_span(basis_vectors, v) for v in vectors
-    )
+    expansions = []
+    for v in vectors:
+        coeffs = _solve_in_span(basis_vectors, v)
+        if any(c.denominator != 1 for c in coeffs):
+            raise ValueError("a cubic has a non-integral expansion")
+        expansions.append(tuple(c.numerator for c in coeffs))
     return {
         "rank": rank,
         "basis_indices": basis_indices,
-        "expansions": expansions,
+        "expansions": tuple(expansions),
         "monomials": tuple(monomials),
         "vectors": tuple(vectors),
     }
@@ -636,16 +570,13 @@ def base_points() -> tuple:
     """The six points with one coordinate -5 and the rest 1; all lie on the
     hyperplane and none lies on the quartic (exact)."""
     _, quartic = canonical_polys()
-    points = []
-    for i in range(6):
-        coords = [Fraction(1)] * 6
-        coords[i] = Fraction(-5)
-        if sum(coords) != 0:
-            raise AssertionError("base point must lie on the hyperplane")
-        if quartic.evaluate(coords) == 0:
-            raise AssertionError("base point must avoid the quartic")
-        points.append(ProjPoint(coords))
-    return tuple(points)
+    points = tuple(tuple(-5 if j == i else 1 for j in range(6))
+                   for i in range(6))
+    if any(map(sum, points)):
+        raise AssertionError("base points must lie on the hyperplane")
+    if not quartic.evaluate_rows(points).all():
+        raise AssertionError("base points must avoid the quartic")
+    return points
 
 
 @lru_cache(maxsize=1)
@@ -675,16 +606,16 @@ def cubic_base_locus_check() -> dict:
         for cubic in cubics:
             if cubic.compose(list(subs)):
                 raise ValueError(f"cubic does not vanish on base line {four}")
-    gradients = [[cubic.partial(i) for i in range(6)] for cubic in cubics]
-    for point in base_points():
-        for cubic, gradient in zip(cubics, gradients):
-            if cubic.evaluate(point.coords) != 0:
-                raise ValueError(f"cubic does not vanish at {point.coords}")
-            for partial in gradient:
-                if partial.evaluate(point.coords) != 0:
-                    raise ValueError(
-                        f"cubic gradient does not vanish at {point.coords}"
-                    )
+    points = base_points()
+    rows = np.array(points)
+    for cubic in cubics:
+        polys = [("cubic", cubic)]
+        polys += [("cubic gradient", cubic.partial(i)) for i in range(6)]
+        for what, poly in polys:
+            missed = np.flatnonzero(poly.evaluate_rows(rows))
+            if len(missed):
+                raise ValueError(
+                    f"{what} does not vanish at {points[missed[0]]}")
     return {"base_lines": 15, "base_points": 6, "vanishing_order": 2}
 
 
@@ -789,7 +720,7 @@ def _image_values(points) -> np.ndarray:
     cubics, one row per point.  Each point is first cleared of its
     denominators; that positive scaling multiplies its image by the cube of
     the scale, so the image point is unchanged."""
-    ints = np.array([_cleared(point)[0] for point in points])
+    ints = np.array([clear_denominators(point)[0] for point in points])
     cubics = fifteen_cubics()
     return np.column_stack([cubics[i].evaluate_rows(ints)
                             for i in cubic_span()["basis_indices"]])
@@ -892,17 +823,14 @@ def _integer_inverse(matrix) -> tuple:
 
 @dataclass(frozen=True)
 class ExactCurve:
-    """A degree-4 rational curve with exact rational chart coefficients:
-    coeffs[i][k] multiplies t^k in the i-th chart coordinate; parameters are
-    the exact parameter values of the seven interpolated points."""
+    """A degree-4 rational curve over the integers: its i-th chart
+    coordinate is sum_k X[i][k] t^k / den, and nodes holds the parameters
+    of the seven interpolated points as integer pairs (p, r), meaning
+    t = p / r."""
 
-    coeffs: tuple  # 5 rows of 5 Fractions, ascending powers
-    parameters: tuple  # 7 Fractions
-
-    def chart_point(self, t):
-        return tuple(
-            sum(row[k] * t**k for k in range(5)) for row in self.coeffs
-        )
+    X: tuple  # 5 rows of 5 ints, ascending powers
+    den: int
+    nodes: tuple  # 7 (p, r) pairs
 
 
 def _dependent(subset) -> ValueError:
@@ -918,7 +846,7 @@ def _frame(points) -> tuple:
     as six tuples, over the integers: (charts, MD, e, (T, t)).
 
     charts are the six charts cleared of denominators.  M has the cleared
-    charts of points 1..5 as columns; scaling a column of M by a positive
+    charts of points 1..5 as columns; scaling a column of M by a nonzero
     integer divides the matching entry of d = M^-1 (chart of point 6) by it
     and leaves M D unchanged.  With N / n the inverse of M and c / m the
     chart of point 6, d = N c / (n m), so M D = MD / e with MD = M diag(N c)
@@ -927,10 +855,10 @@ def _frame(points) -> tuple:
     not cached, so every call on a dependent frame raises again."""
     charts = []
     for p in points:
-        values = [Fraction(c) for c in p]
-        if sum(values) != 0:
+        chart, den = clear_denominators(p)
+        if sum(chart):
             raise ValueError("points must lie on the hyperplane")
-        charts.append(_cleared(values[:5]))
+        charts.append((chart[:5], den))
     frame = range(1, 6)
     M = [[charts[j][0][i] for j in range(5)] for i in range(5)]
     try:
@@ -951,8 +879,9 @@ def _frame(points) -> tuple:
 
 def rational_curve_via_frame(points) -> ExactCurve:
     """Exact degree-4 rational normal curve through 7 rational hyperplane
-    points, by the classical frame construction: send points 1..5 to the
-    five coordinate points and point 6 to the unit point; in that frame the
+    points (ints or Fractions, each cleared of denominators on entry), by
+    the classical frame construction: send points 1..5 to the five
+    coordinate points and point 6 to the unit point; in that frame the
     curve through the coordinate points has reciprocal coordinates, and the
     remaining two interpolation conditions solve in closed form.
 
@@ -968,17 +897,18 @@ def rational_curve_via_frame(points) -> ExactCurve:
     once.  With q = (M D)^-1 (point 0) = Q / s, the gauge rho = r_n / r_d,
     u = r_d s and w_i = u - r_n Q_i, the parameters are a_i = u / w_i and
     the curve's rows are x = (M D) y with W y_i(t) = -r_n Q_i prod_{j != i}
-    (w_j t - u), W = prod w_j; only the returned coefficients and
-    parameters are Fractions.  The interpolation is verified exactly, on
-    those integer rows, before returning."""
+    (w_j t - u), W = prod w_j.  The returned curve holds those integer
+    rows X = e W x, their denominator e W and the nodes (0, 1), (u, w_i)
+    and (1, 1); the interpolation is verified exactly, on X, before
+    returning."""
     if len(points) != 7:
         raise ValueError("exactly 7 points required")
-    values = [Fraction(c) for c in points[0]]
-    if sum(values) != 0:
+    chart, s = clear_denominators(points[0])
+    if sum(chart):
         raise ValueError("points must lie on the hyperplane")
     charts, MD, e, (T, t) = _frame(tuple(map(tuple, points[1:])))
     frame = range(1, 6)
-    chart, s = _cleared(values[:5])
+    chart = chart[:5]
     s *= t
     Q = [sum(map(mul, row, chart)) for row in T]
     for i, v in enumerate(Q):
@@ -1008,17 +938,11 @@ def rational_curve_via_frame(points) -> ExactCurve:
     # back to the original chart: x = (M D) y = X / (e W)
     X = [[sum(MD[i][j] * y_rows[j][k] for j in range(5)) for k in range(5)]
          for i in range(5)]
-    den = e * math.prod(w)
-    curve = ExactCurve(
-        coeffs=tuple(tuple(Fraction(v, den) for v in row) for row in X),
-        parameters=(Fraction(0),) + tuple(Fraction(u, v) for v in w)
-        + (Fraction(1),),
-    )
+    nodes = ((0, 1), *((u, v) for v in w), (1, 1))
     # exact verification over the integers: the curve hits every input point
     # projectively.  At t = p/r, r^4 e W x(t) = sum_k X_k p^k r^(4-k); the
     # nonzero factors r^4 e W and the cleared charts' denominators change
     # none of the tests
-    nodes = [(0, 1)] + [(u, v) for v in w] + [(1, 1)]
     for (p, r), point in zip(nodes, (chart,) + charts):
         tpowers = [p**k * r ** (4 - k) for k in range(5)]
         value = [sum(map(mul, row, tpowers)) for row in X]
@@ -1027,7 +951,7 @@ def rational_curve_via_frame(points) -> ExactCurve:
         for i, j in combinations(range(5), 2):
             if value[i] * point[j] != value[j] * point[i]:
                 raise AssertionError("frame curve misses an input point")
-    return curve
+    return ExactCurve(tuple(map(tuple, X)), e * math.prod(w), nodes)
 
 
 def _conv(a, b):
@@ -1040,21 +964,24 @@ def _conv(a, b):
     return out
 
 
-def _mobius_chart(form, parameters, gauge) -> tuple:
+def _mobius_chart(form, nodes, gauge) -> tuple:
     """The integer form (ascending) in the chart s where the three
-    parameters t take the gauge values: G(s) = sum_k f_k (alpha s + beta)^k
-    (gamma s + delta)^(n - k) for the Mobius map t = (alpha s + beta) /
-    (gamma s + delta), divided by its content.  A rescaled map scales G by
-    an even power, so G is unique.  ValueError if the gauge repeats."""
+    parameters t take the gauge values, both given as integer pairs (p, r)
+    meaning p / r: G(s) = sum_k f_k (alpha s + beta)^k (gamma s + delta)^(n
+    - k) for the integer Mobius map t = (alpha s + beta) / (gamma s +
+    delta), divided by its content.  A rescaled map scales G by an even
+    power, so G is unique.  ValueError if the gauge repeats."""
 
-    def basis(z0, z1, z2):
-        # sends z0, z1, z2 to 0, 1, infinity
-        return ((z1 - z2, -z0 * (z1 - z2)), (z1 - z0, -z2 * (z1 - z0)))
+    def basis(triple):
+        # sends the three values p / r to 0, 1, infinity
+        (p0, r0), (p1, r1), (p2, r2) = triple
+        a, b = p1 * r2 - p2 * r1, p1 * r0 - p0 * r1
+        return ((a * r0, -a * p0), (b * r2, -b * p2))
 
-    (a, b), (c, d) = basis(*map(Fraction, parameters))
-    src = basis(*map(Fraction, gauge))
+    (a, b), (c, d) = basis(nodes)
+    src = basis(gauge)
     inv = ((d, -b), (-c, a))
-    (alpha, beta, gamma, delta), _ = _cleared(
+    alpha, beta, gamma, delta = (
         sum(inv[i][k] * src[k][j] for k in range(2))
         for i in range(2) for j in range(2)
     )
@@ -1071,33 +998,28 @@ def _mobius_chart(form, parameters, gauge) -> tuple:
         if f:
             for j, v in enumerate(_conv(num[k], den[n - k])):
                 poly[j] += f * v
-    g = math.gcd(*poly) or 1
-    return tuple(v // g for v in poly)
+    return tuple(_primitive(poly))
 
 
 def exact_quartic_composition(curve: ExactCurve) -> tuple:
     """The quartic evaluated along the curve's six ambient coordinate
     polynomials, as 17 integers (ascending powers) with no content: a
     positive multiple of the rational composition.  The products run over
-    the integers after clearing the common denominator D of the curve,
-    which scales the composition by D^4, and the positive content of the
-    result is divided out."""
-    rows = [list(r) for r in curve.coeffs]
+    the integer rows X of the curve, which scales the composition by
+    den^4, and the positive content of the result is divided out."""
+    rows = [list(r) for r in curve.X]
     rows.append([-sum(col) for col in zip(*rows)])
-    flat, _ = _cleared(c for row in rows for c in row)
     s2 = [0] * 9
     s4 = [0] * 17
-    for k in range(0, len(flat), 5):
-        ints = flat[k:k + 5]
-        sq = _conv(ints, ints)
+    for row in rows:
+        sq = _conv(row, row)
         for i, v in enumerate(sq):
             s2[i] += v
         f4 = _conv(sq, sq)
         for i, v in enumerate(f4):
             s4[i] += v
     poly = [a - 4 * b for a, b in zip(_conv(s2, s2), s4)]
-    g = math.gcd(*poly) or 1
-    return tuple(v // g for v in poly)
+    return tuple(_primitive(poly))
 
 
 def _poly_degree(p) -> int:
@@ -1105,13 +1027,6 @@ def _poly_degree(p) -> int:
     while d >= 0 and not p[d]:
         d -= 1
     return d
-
-
-def _primitive_part(p) -> list:
-    """Integer coefficients divided by their content, trailing zeros cut."""
-    p = p[: _poly_degree(p) + 1]
-    g = math.gcd(*p)
-    return [c // g for c in p] if g > 1 else p
 
 
 def _coprime_to_derivative_mod(a, p: int) -> bool:
@@ -1137,7 +1052,7 @@ def _prs_is_squarefree(a) -> bool:
     (ascending, degree >= 1): a primitive polynomial remainder sequence
     over the integers, pseudo-remainders each divided by its content until
     the remainder vanishes."""
-    b = _primitive_part([i * a[i] for i in range(1, len(a))])
+    b = _primitive([i * a[i] for i in range(1, len(a))])
     while b:
         # a := prem(a, b), scaled by nonzero integers only
         lead = b[-1]
@@ -1149,7 +1064,7 @@ def _prs_is_squarefree(a) -> bool:
                 fa * x - fb * y for x, y in zip(a[shift:], b)
             ]
             a = a[: _poly_degree(a) + 1]
-        a, b = b, _primitive_part(a)
+        a, b = b, _primitive(a)
     return len(a) == 1
 
 
@@ -1161,9 +1076,8 @@ def poly_is_squarefree(poly) -> bool:
     coefficient and gcd(f, f') = 1 over F_p, f is squarefree over Q, since
     f = G^2 H over Z would reduce with deg G unchanged.  Otherwise a
     primitive polynomial remainder sequence over Z decides."""
-    if not all(type(c) is int for c in poly):
-        poly = _cleared(Fraction(c) for c in poly)[0]
-    a = _primitive_part(poly)
+    a, _ = clear_denominators(poly)
+    a = _primitive(a[: _poly_degree(a) + 1])
     if len(a) <= 1:
         return len(a) == 1
     if a[-1] % KERNEL_PRIME and _coprime_to_derivative_mod(a, KERNEL_PRIME):
@@ -1178,14 +1092,20 @@ def _float_values(coeffs: np.ndarray, ts) -> np.ndarray:
     return powers @ coeffs.T
 
 
+def _float_curve(curve: ExactCurve) -> tuple:
+    """The chart coefficients X / den and the parameters p / r in floats,
+    each correctly rounded (Python's int / int division is)."""
+    coeffs = np.array([[v / curve.den for v in row] for row in curve.X])
+    return coeffs, np.array([p / r for p, r in curve.nodes])
+
+
 def interpolation_residual(curve: ExactCurve, charts) -> float:
     """Worst relative float residual of the curve at its parameters: the
     miss |x(t_i) - l_i p_i|, with l_i the least-squares scale onto the chart
     p_i of the point interpolated there, over the size |sum |A_k| |t_i|^k|
     of the terms that x(t_i) sums (clustered parameters make those terms
     cancel, which says nothing about the curve)."""
-    coeffs = np.array(curve.coeffs, dtype=float)
-    ts = np.asarray(curve.parameters, dtype=float)
+    coeffs, ts = _float_curve(curve)
     xs = _float_values(coeffs, ts)
     sizes = _float_values(np.abs(coeffs), np.abs(ts))
     ps = np.array(charts, dtype=float)
@@ -1203,17 +1123,16 @@ def quartic_point_composition_check() -> dict:
     quartic must vanish to 1e-9 relative to |x|^4."""
     on_quartic = (-8, -7, 0, 3, 5, 7)
     _, quartic = canonical_polys()
-    if quartic.evaluate([Fraction(c) for c in on_quartic]) != 0:
+    if quartic.evaluate_rows([on_quartic])[0] != 0:
         raise AssertionError("the witness must lie on the quartic")
-    pts = [on_quartic] + [p.coords for p in base_points()]
-    curve = rational_curve_via_frame(pts)
+    curve = rational_curve_via_frame([on_quartic, *base_points()])
     poly = exact_quartic_composition(curve)
     if poly[0] != 0:
         raise ValueError("exact composition does not vanish at the witness")
     if poly[16] == 0:
         raise ValueError("exact composition drops below degree 16")
-    chart = _float_values(np.array(curve.coeffs, dtype=float),
-                          curve.parameters[:1])[0]
+    coeffs, ts = _float_curve(curve)
+    chart = _float_values(coeffs, ts[:1])[0]
     x = np.append(chart, -chart.sum())
     squares = float(x @ x)
     residual = abs(squares**2 - 4 * float(np.sum(x**4))) / squares**2
@@ -1253,7 +1172,10 @@ def degree16_check(
     if trials > MAX_TRIALS:
         raise ValueError(f"at most {MAX_TRIALS} trials")
     _, quartic = canonical_polys()
-    bases = [p.coords for p in base_points()]
+    bases = base_points()
+    # the float oracle takes each base point scaled to first coordinate 1;
+    # another scale changes its residual only by rounding
+    base_charts = [[c / b[0] for c in b[:5]] for b in bases]
     rng = random.Random(seed)
     successes = 0
     discarded = []
@@ -1263,22 +1185,23 @@ def degree16_check(
         exact_curve = None
         for _ in range(8):
             cand = _random_hyperplane_point(rng)
-            values = sorted(cand)
-            if quartic.evaluate(cand) == 0:
+            ints, _ = clear_denominators(cand)
+            values = sorted(ints)
+            if quartic.evaluate_rows([ints])[0] == 0:
                 rejected["on_quartic"] += 1
             elif any(values[i] == values[i + 3] for i in range(3)):
                 rejected["on_base_line"] += 1  # four equal coordinates
             else:
                 try:
-                    exact_curve = rational_curve_via_frame([cand] + bases)
+                    exact_curve = rational_curve_via_frame([cand, *bases])
                     break
                 except ValueError:
                     rejected["dependent_5_subset"] += 1
         if exact_curve is None:
             discarded.append((trial, "no_generic_point"))
             continue
-        charts_exact = [p[:5] for p in [cand] + bases]
-        residual = interpolation_residual(exact_curve, charts_exact)
+        residual = interpolation_residual(exact_curve,
+                                          [cand[:5], *base_charts])
         worst_residual = max(worst_residual, residual)
         if residual > residual_tol:
             discarded.append((trial, "interpolation_residual"))
@@ -1292,14 +1215,13 @@ def degree16_check(
         for attempt in range(3):
             poly = form
             if attempt:
-                while True:
-                    triple = tuple(
-                        Fraction(rng.randint(-6, 6), rng.randint(1, 3))
-                        for _ in range(3)
-                    )
-                    if len(set(triple)) == 3:
+                while True:  # three distinct gauge values p / r
+                    triple = tuple((rng.randint(-6, 6), rng.randint(1, 3))
+                                   for _ in range(3))
+                    if all(p * s != q * r
+                           for (p, r), (q, s) in combinations(triple, 2)):
                         break
-                poly = _mobius_chart(form, exact_curve.parameters[:3], triple)
+                poly = _mobius_chart(form, exact_curve.nodes[:3], triple)
             if poly[16] == 0:
                 cause = "degree_drop_exact"
                 continue

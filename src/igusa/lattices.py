@@ -177,12 +177,15 @@ def direct_sum(parts) -> Lattice:
     return Lattice(gram, labels)
 
 
-def signature(L: Lattice):
-    """Sylvester inertia (positive, negative) by exact rational symmetric
-    reduction; raises on a singular Gram matrix."""
+def _congruence_pivots(L: Lattice):
+    """The pivots of an exact rational symmetric reduction of the Gram
+    matrix, or None when it is singular.  Each step is a congruence
+    (a symmetric swap, or adding row and column j to the first) followed by
+    the Schur complement of the first pivot, so the pivots carry the
+    inertia and their product is the determinant."""
     n = L.rank
     a = [[Fraction(L.gram[i][j]) for j in range(n)] for i in range(n)]
-    pos = neg = 0
+    pivots = []
     size = n
     while size > 0:
         if a[0][0] == 0:
@@ -195,44 +198,39 @@ def signature(L: Lattice):
             else:
                 j = next((j for j in range(1, size) if a[0][j] != 0), None)
                 if j is None:
-                    raise ValueError("singular Gram matrix")
+                    return None  # a zero row
                 for col in range(size):
                     a[0][col] += a[j][col]
                 for row in range(size):
                     a[row][0] += a[row][j]
         pivot = a[0][0]
-        if pivot > 0:
-            pos += 1
-        else:
-            neg += 1
+        pivots.append(pivot)
         nxt = [
             [a[i][j] - a[i][0] * a[0][j] / pivot for j in range(1, size)]
             for i in range(1, size)
         ]
         a = nxt
         size -= 1
-    return (pos, neg)
+    return pivots
+
+
+def signature(L: Lattice):
+    """Sylvester inertia (positive, negative) by exact rational symmetric
+    reduction; raises on a singular Gram matrix."""
+    pivots = _congruence_pivots(L)
+    if pivots is None:
+        raise ValueError("singular Gram matrix")
+    pos = sum(1 for p in pivots if p > 0)
+    return (pos, len(pivots) - pos)
 
 
 def determinant(L: Lattice) -> int:
-    """Exact determinant of the Gram matrix."""
-    n = L.rank
-    a = [[Fraction(L.gram[i][j]) for j in range(n)] for i in range(n)]
-    det = Fraction(1)
-    for col in range(n):
-        pivot_row = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if pivot_row is None:
-            return 0
-        if pivot_row != col:
-            a[col], a[pivot_row] = a[pivot_row], a[col]
-            det = -det
-        det *= a[col][col]
-        inv = 1 / a[col][col]
-        for r in range(col + 1, n):
-            factor = a[r][col] * inv
-            if factor:
-                for c in range(col, n):
-                    a[r][c] -= factor * a[col][c]
+    """Exact determinant of the Gram matrix: the product of the pivots of
+    the symmetric reduction, or 0 when it is singular."""
+    pivots = _congruence_pivots(L)
+    if pivots is None:
+        return 0
+    det = prod(pivots, start=Fraction(1))
     if det.denominator != 1:
         raise AssertionError("the determinant of an integer Gram matrix must be an integer")
     return int(det)

@@ -343,10 +343,11 @@ def eisenstein_G3(a1: int, a2: int, terms: int = 16, *, box: int = 1600,
     of i*(2*pi)^3 / 2^7.
 
     The expansion is validated against the numeric double sum at tau = i
-    unless validate is False; disagreement raises ValueError.  Expansions
-    and validations are cached on the reduced residues and the other
-    arguments, however written, so shorter truncations and unvalidated
-    calls reuse the same expansion.
+    unless validate is False; disagreement raises ValueError, and so does a
+    tolerance of 1 or more (or NaN), which the zero series would meet.
+    Expansions and validations are cached on the reduced residues and the
+    other arguments, however written, so shorter truncations and
+    unvalidated calls reuse the same expansion.
     """
     a1 %= 4
     a2 %= 4
@@ -356,6 +357,9 @@ def eisenstein_G3(a1: int, a2: int, terms: int = 16, *, box: int = 1600,
         )
     if not 1 <= terms <= 64:
         raise ValueError("terms must lie between 1 and 64")
+    if validate and not tolerance < 1:
+        raise ValueError(f"tolerance {tolerance} makes the oracle vacuous: "
+                         "it must be below 1")
     # Always expand far enough that the oracle's series truncation error is
     # far below the tolerance at q^(1/4) = e^(-pi/2).
     work = max(terms, 16)

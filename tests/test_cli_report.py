@@ -182,7 +182,9 @@ def test_cli_usage_errors_exit_2(tmp_path, monkeypatch):
         ["geometry", "--trials", str(MAX_TRIALS + 1)],  # trials above the cap
         ["lifting", "--terms", str(MAX_TERMS + 1)],  # terms above the cap
         ["obstruction", "--tolerance", "0"],
-        ["obstruction", "--tolerance", "inf"],  # would make the oracle vacuous
+        ["obstruction", "--tolerance", "1"],  # would make the oracle vacuous
+        ["obstruction", "--tolerance", "2"],
+        ["obstruction", "--tolerance", "inf"],
         ["obstruction", "--tolerance", "nan"],
         ["census", "--out", str(missing)],  # no such directory
         ["census", "--out", str(tmp_path)],  # a directory, not a file
@@ -206,6 +208,10 @@ def test_cli_usage_errors_exit_2(tmp_path, monkeypatch):
                  id="lifting-terms-cap"),
     pytest.param(["obstruction", "--tolerance", "inf"],
                  id="obstruction-infinite-tolerance"),
+    pytest.param(["obstruction", "--tolerance", "1"],
+                 id="obstruction-tolerance-1"),
+    pytest.param(["obstruction", "--tolerance", "2"],
+                 id="obstruction-tolerance-2"),
     pytest.param(["census", "--out", os.path.join(os.devnull, "report.json")],
                  id="census-unwritable-out"),
     pytest.param(["census", "--out", ""], id="census-empty-out"),

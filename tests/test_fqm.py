@@ -345,6 +345,15 @@ def test_closure_check_refuses_members_it_cannot_tell_apart(OQN, AN):
         group.is_closed()
 
 
+def test_closure_check_refuses_a_repeated_member(OQN, AN):
+    # a member listed twice is no new group element: the closure check
+    # names the repeated row instead of passing the 1441-row list
+    group = AutomorphismGroup(AN, OQN.elements + [OQN.elements[5]])
+    assert group.order == 1441
+    with pytest.raises(ValueError, match="member 1440 repeats member 5"):
+        group.is_closed()
+
+
 def test_orthogonal_group_preserves_form(OQN, AN):
     perms = np.stack([g.perm for g in OQN.elements])
     assert np.all(AN.q4[perms] == AN.q4[None, :])

@@ -20,7 +20,6 @@ from igusa.geometry import (
     PAIR_PARTITIONS,
     ExactCurve,
     MultiPoly,
-    ProjPoint,
     base_lines,
     base_points,
     boundary_points,
@@ -31,7 +30,6 @@ from igusa.geometry import (
     exact_quartic_composition,
     fifteen_cubics,
     fifteen_lines,
-    hyperplane_evaluate,
     hyperplane_poly,
     image_cubic_relation,
     image_relation_equivariance,
@@ -53,6 +51,31 @@ except Exception:  # pragma: no cover
 
 F = Fraction
 REPO = Path(__file__).resolve().parents[1]
+
+
+def reference_evaluate(poly, point):
+    """The value at a point of ints or Fractions, term by term in Python
+    arithmetic."""
+    total = 0
+    for exps, coeff in poly.terms.items():
+        term = coeff
+        for v, e in zip(point, exps):
+            term *= v**e
+        total += term
+    return total
+
+
+def as_fractions(curve):
+    """The chart coefficients X / den and the parameters p / r of an exact
+    curve, as Fractions."""
+    return (tuple(tuple(F(v, curve.den) for v in row) for row in curve.X),
+            tuple(F(p, r) for p, r in curve.nodes))
+
+
+def as_pair(t):
+    """A rational t as the integer pair (p, r) with t = p / r."""
+    t = F(t)
+    return t.numerator, t.denominator
 
 
 def generic_seven(seed: int = 42):
@@ -81,7 +104,7 @@ def test_multipoly_arithmetic_and_calculus():
     assert all(type(c) is int for c in q.terms.values())
     assert q.degree() == 3
     assert not q.is_homogeneous()
-    assert q.evaluate([F(2), F(5)]) == 8 - 30
+    assert q.evaluate_rows([[2, 5]]).tolist() == [8 - 30]
     assert q.partial(0) == 3 * x**2 - 3 * y
     assert q.partial(1) == -3 * x
     # composition: substitute x -> t, y -> t^2 in one variable
@@ -101,17 +124,25 @@ def test_constructor_validates_and_normalizes_its_input():
     for exps in ((1,), (1, 0, 0), (1, -1)):
         with pytest.raises(ValueError, match="bad exponent vector"):
             MultiPoly(2, {exps: 1})
-    assert MultiPoly(2, {(1, 0): 0, (0, 1): F(0), (2, 0): 0.0}).terms == {}
-    p = MultiPoly(2, {(1, 0): F(4, 2), (0, 1): F(1, 2), (1, 1): 3})
-    assert p.terms == {(1, 0): 2, (0, 1): F(1, 2), (1, 1): 3}
-    assert [type(c) for c in p.terms.values()] == [int, F, int]
-    # the operations normalize the same way through the trusted constructor
+    assert MultiPoly(2, {(1, 0): 0, (0, 1): 0}).terms == {}
+    p = MultiPoly(2, {(1, 0): np.int64(2), (0, 1): -1, (1, 1): 3})
+    assert p.terms == {(1, 0): 2, (0, 1): -1, (1, 1): 3}
+    assert all(type(c) is int for c in p.terms.values())
+    # coefficients are integers only, in the constructor and the operations
+    for coeff in (F(4, 2), F(1, 2), 0.0, 2.0):
+        with pytest.raises(TypeError):
+            MultiPoly(2, {(1, 0): coeff})
+        with pytest.raises(TypeError):
+            MultiPoly.constant(2, coeff)
     x = MultiPoly.variable(2, 0)
-    assert (x * F(1, 2) * 2).terms == {(1, 0): 1}
-    assert type((x * F(1, 2) * 2).terms[(1, 0)]) is int
+    with pytest.raises(TypeError):
+        x * F(1, 2)
+    with pytest.raises(TypeError):
+        F(1, 2) * x
+    # the operations drop zero terms through the trusted constructor
+    assert (x * 2 - 2 * x).terms == {}
     assert (x - x).terms == {}
-    assert (F(3, 3) * x).partial(0).terms == {(0, 0): 1}
-    assert MultiPoly.constant(2, F(6, 3)).terms == {(0, 0): 2}
+    assert (3 * x).partial(0).terms == {(0, 0): 3}
     assert MultiPoly.constant(2, 0).terms == {}
 
 
@@ -145,15 +176,21 @@ def test_batched_evaluation_stays_exact_past_int64():
     for poly, rows in cases:
         values = poly.evaluate_rows(np.array(rows, dtype=np.int64))
         assert values.dtype == object
-        assert list(values) == [poly.evaluate(row) for row in rows]
+        assert list(values) == [reference_evaluate(poly, row) for row in rows]
         assert max(abs(v) for v in values) >= 2**63
+    # rows of Python integers beyond int64 evaluate in Python integers too
+    rows = [[2**70, -3], [5, 2**64]]
+    values = (3 * x**5 * y - y**6).evaluate_rows(rows)
+    assert values.dtype == object
+    assert list(values) == [reference_evaluate(3 * x**5 * y - y**6, row)
+                            for row in rows]
     # small values stay in int64
     values = (x**2 - 3 * y).evaluate_rows(np.array([[1, 2], [-3, 4]]))
     assert values.dtype == np.int64 and list(values) == [-5, -3]
     with pytest.raises(TypeError):
         x.evaluate_rows(np.array([[0.5, 1.0]]))
-    with pytest.raises(ValueError, match="integer coefficients"):
-        (x * F(1, 2)).evaluate_rows(np.array([[1, 2]]))
+    with pytest.raises(TypeError):  # no non-integer coefficient to evaluate
+        x * F(1, 2)
     with pytest.raises(ValueError):
         x.evaluate_rows(np.array([[1, 2, 3]]))
 
@@ -162,28 +199,10 @@ def test_canonical_values_at_reference_points():
     cubes, quartic = canonical_polys()
     assert quartic.is_homogeneous() and quartic.degree() == 4
     assert cubes.is_homogeneous() and cubes.degree() == 3
-    on_quartic = [F(1), F(1), F(1), F(1), F(-2), F(-2)]
-    assert quartic.evaluate(on_quartic) == 0
-    assert cubes.evaluate([F(1), F(-1), F(0), F(0), F(0), F(0)]) == 0
-    assert quartic.evaluate([F(1), F(-1), F(0), F(0), F(0), F(0)]) == -4
-
-
-def test_hyperplane_evaluate_guards_membership():
-    _, quartic = canonical_polys()
-    assert hyperplane_evaluate(quartic, (1, 1, 1, 1, -2, -2)) == 0
-    assert hyperplane_evaluate(quartic, (1, -1, 0, 0, 0, 0)) == -4
-    assert sum(hyperplane_poly().evaluate([F(1)] * 6) for _ in [0]) == 6
-    with pytest.raises(ValueError):
-        hyperplane_evaluate(quartic, (1, 1, 1, 1, 1, 1))
-
-
-def test_projective_point_canonicalization():
-    p = ProjPoint([F(2), F(-4), F(2), F(2), F(2), F(-4)])
-    q = ProjPoint([F(-1), F(2), F(-1), F(-1), F(-1), F(2)])
-    assert p == q
-    assert p.coords[0] == 1  # first nonzero coordinate is normalized
-    with pytest.raises(ValueError):
-        ProjPoint([0, 0, 0, 0, 0, 0])
+    rows = [(1, 1, 1, 1, -2, -2), (1, -1, 0, 0, 0, 0)]
+    assert quartic.evaluate_rows(rows).tolist() == [0, -4]
+    assert cubes.evaluate_rows(rows[1:]).tolist() == [0]
+    assert hyperplane_poly().evaluate_rows([[1] * 6]).tolist() == [6]
 
 
 # ---------------------------------------------------------------------------
@@ -203,10 +222,10 @@ def test_fifteen_lines_partitions_and_membership():
     target = next(
         l for l in lines if l.partition == ((0, 1), (2, 3), (4, 5))
     )
-    assert target.contains(ProjPoint([1, 1, 1, 1, -2, -2]))
-    assert target.contains(ProjPoint([1, 1, -2, -2, 1, 1]))
-    assert target.contains(ProjPoint([-2, -2, 1, 1, 1, 1]))
-    assert not target.contains(ProjPoint([1, 1, 1, -2, 1, -2]))
+    assert target.contains((1, 1, 1, 1, -2, -2))
+    assert target.contains((1, 1, -2, -2, 1, 1))
+    assert target.contains((-2, -2, 1, 1, 1, 1))
+    assert not target.contains((1, 1, 1, -2, 1, -2))
 
 
 def test_generic_pair_equal_family_misses_quartic():
@@ -227,18 +246,21 @@ def test_generic_pair_equal_family_misses_quartic():
 def test_boundary_points_and_incidence():
     points = boundary_points()
     assert len(points) == 15
+    assert sorted(points) == sorted(
+        tuple(-2 if i in low else 1 for i in range(6))
+        for low in combinations(range(6), 2))
     data = incidence_153()
     assert data["row_sums"] == (3,) * 15
     assert data["col_sums"] == (3,) * 15
     # a point with -2 entries at positions {4,5} lies exactly on the lines
     # whose partition contains the pair (4,5)
-    p = ProjPoint([1, 1, 1, 1, -2, -2])
+    p = (1, 1, 1, 1, -2, -2)
     row = [1 if line.contains(p) else 0 for line in fifteen_lines()]
     expect = [1 if (4, 5) in part else 0 for part in PAIR_PARTITIONS]
     assert row == expect
     assert sum(row) == 3
     # a rescaled point (2:2:-1:-1:-1:-1) equals (-2,-2,1,1,1,1) projectively
-    q = ProjPoint([2, 2, -1, -1, -1, -1])
+    q = (2, 2, -1, -1, -1, -1)
     row_q = [1 if line.contains(q) else 0 for line in fifteen_lines()]
     expect_q = [1 if (0, 1) in part else 0 for part in PAIR_PARTITIONS]
     assert row_q == expect_q
@@ -254,16 +276,16 @@ def test_singular_gradient_witnesses_are_pinned():
     expected = []
     for head in product(range(-2, 3), repeat=5):
         coords = head + (-sum(head),)
-        if not any(coords) or quartic.evaluate(coords) != 0:
+        if not any(coords) or reference_evaluate(quartic, coords) != 0:
             continue
-        if not any(line.contains(ProjPoint(coords)) for line in lines):
+        if not any(line.contains(coords) for line in lines):
             expected.append(coords)
     assert list(report["witnesses"]) == expected
     for coords in report["witnesses"]:
         assert all(type(c) is int for c in coords) and sum(coords) == 0
-        assert quartic.evaluate(coords) == 0
-        assert not any(line.contains(ProjPoint(coords)) for line in lines)
-        assert len({g.evaluate(coords) for g in grad}) > 1
+        assert reference_evaluate(quartic, coords) == 0
+        assert not any(line.contains(coords) for line in lines)
+        assert len({reference_evaluate(g, coords) for g in grad}) > 1
 
 
 def test_singular_locus_contains_all_lines():
@@ -275,10 +297,10 @@ def test_singular_locus_contains_all_lines():
     # proportional to the hyperplane normal (all-equal vector)
     _, quartic = canonical_polys()
     grads = [
-        quartic.partial(i).evaluate([F(2), F(1), F(1), F(-1), F(-1), F(-2)])
+        quartic.partial(i).evaluate_rows([[2, 1, 1, -1, -1, -2]])[0]
         for i in range(6)
     ]
-    assert grads == [F(-32), F(32), F(32), F(-32), F(-32), F(32)]
+    assert grads == [-32, 32, 32, -32, -32, 32]
     assert len(set(grads)) > 1
 
 
@@ -325,11 +347,10 @@ def test_cubic_base_locus():
     # the base points avoid the quartic with a uniform exact value on the
     # integer representative (one -5 among five 1s)
     _, quartic = canonical_polys()
-    for i in range(6):
-        coords = [F(1)] * 6
-        coords[i] = F(-5)
-        assert quartic.evaluate(coords) == F(-1620)
-    assert len(base_points()) == 6
+    points = base_points()
+    assert points == tuple(tuple(-5 if j == i else 1 for j in range(6))
+                           for i in range(6))
+    assert quartic.evaluate_rows(points).tolist() == [-1620] * 6
 
 
 # ---------------------------------------------------------------------------
@@ -389,8 +410,9 @@ def test_image_cubic_relation_is_exact_and_stable():
     for _ in range(10):
         head = [F(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(5)]
         point = list(head) + [-sum(head)]
-        ys = [cubics[i].evaluate(point) for i in span["basis_indices"]]
-        assert relation.evaluate(ys) == 0
+        ys = [reference_evaluate(cubics[i], point)
+              for i in span["basis_indices"]]
+        assert reference_evaluate(relation, ys) == 0
     # a different seed recovers the same primitive relation up to sign
     other = image_cubic_relation(samples=61, seed=9)
     assert other == relation or other == -relation
@@ -453,18 +475,22 @@ def test_image_relation_equivariance_signs():
 def test_exact_frame_curve_interpolates_exactly():
     pts = generic_seven()
     curve = rational_curve_via_frame(pts)
-    assert len(set(curve.parameters)) == 7
-    assert curve.parameters[0] == 0 and curve.parameters[6] == 1
-    # each interpolation parameter hits its point projectively, exactly
-    for t, p in zip(curve.parameters, pts):
-        value = curve.chart_point(t)
-        chart = [F(c) for c in p[:5]]
+    assert all(type(v) is int for row in curve.X for v in row)
+    assert type(curve.den) is int and curve.den
+    assert len({F(p, r) for p, r in curve.nodes}) == 7
+    assert curve.nodes[0] == (0, 1) and curve.nodes[6] == (1, 1)
+    # each interpolation parameter t = p / r hits its point projectively,
+    # exactly: the integer rows give r^4 den x(t)
+    for (p, r), point in zip(curve.nodes, pts):
+        value = [sum(c * p**k * r**(4 - k) for k, c in enumerate(row))
+                 for row in curve.X]
+        chart = [F(c) for c in point[:5]]
         k = max(range(5), key=lambda i: abs(chart[i]))
         lam = value[k] / chart[k]
         assert lam != 0
         assert all(value[i] == lam * chart[i] for i in range(5))
     # genuine degree four in at least one coordinate
-    assert any(row[4] for row in curve.coeffs)
+    assert any(row[4] for row in curve.X)
 
 
 def test_exact_frame_curve_rejects_bad_inputs():
@@ -615,8 +641,7 @@ def reference_frame_curve(points):
         y_rows.append(poly)
     x_rows = [[sum(MD[i][j] * y_rows[j][k] for j in range(5))
                for k in range(5)] for i in range(5)]
-    return ExactCurve(coeffs=tuple(tuple(row) for row in x_rows),
-                      parameters=(F(0),) + tuple(a) + (F(1),))
+    return tuple(tuple(row) for row in x_rows), (F(0),) + tuple(a) + (F(1),)
 
 
 def outcome(build, *args):
@@ -632,7 +657,7 @@ def test_integer_frame_curve_matches_fraction_reference():
     # seven fresh points, and each of the 21 five-point subsets made
     # dependent in turn: the same curve, or the same message
     rng = random.Random(11)
-    bases = [p.coords for p in base_points()]
+    bases = list(base_points())
     cases = [[generic_seven(seed)[0]] + bases for seed in range(30)]
     cases += [generic_seven(seed) for seed in range(100, 110)]
     for subset in combinations(range(7), 5):
@@ -657,8 +682,9 @@ def test_integer_frame_curve_matches_fraction_reference():
     messages = set()
     for pts in cases:
         expected = outcome(reference_frame_curve, pts)
-        assert outcome(rational_curve_via_frame, pts) == expected
-        if isinstance(expected, tuple):
+        assert outcome(lambda p: as_fractions(rational_curve_via_frame(p)),
+                       pts) == expected
+        if expected[0] is ValueError:
             messages.add(expected[1])
     assert messages == {str(geometry._dependent(subset))
                         for subset in combinations(range(7), 5)}
@@ -686,20 +712,22 @@ def reference_mobius_through(pairs):
 
 
 def reference_gauge_transport(curve, charts, gauge):
-    """The gauge transport over Fractions: expand (gamma s + delta)^4 x(...)
-    term by term, then normalize by the first scale and verify."""
+    """The gauge transport over Fractions of a curve given as (coefficient
+    rows, parameters): expand (gamma s + delta)^4 x(...) term by term, then
+    normalize by the first scale and verify."""
+    coeffs, parameters = curve
     g = [F(v) for v in gauge]
-    mob = reference_mobius_through(tuple(zip(curve.parameters[:3], g)))
+    mob = reference_mobius_through(tuple(zip(parameters[:3], g)))
     (m00, m01), (m10, m11) = mob
     params = []
-    for s in curve.parameters:
+    for s in parameters:
         den = m10 * s + m11
         if den == 0:
             raise ValueError("a parameter is transported to infinity")
         params.append((m00 * s + m01) / den)
     alpha, beta, gamma, delta = m11, -m01, -m10, m00
     rows = []
-    for row in curve.coeffs:
+    for row in coeffs:
         acc = [F(0)] * 5
         for k in range(5):
             term = [F(1)]
@@ -722,8 +750,14 @@ def reference_gauge_transport(curve, charts, gauge):
     for t, chart, lam in zip(params, charts, scales):
         for i in range(5):
             assert sum(rows[i][k] * t**k for k in range(5)) == lam * chart[i]
-    return (ExactCurve(coeffs=tuple(tuple(r) for r in rows),
-                       parameters=tuple(params)), tuple(scales))
+    return (tuple(tuple(r) for r in rows), tuple(params)), tuple(scales)
+
+
+def integer_curve(coeffs, parameters):
+    """The exact curve of Fraction coefficient rows and parameters."""
+    flat, den = exact.clear_denominators([c for row in coeffs for c in row])
+    return ExactCurve(tuple(tuple(flat[k:k + 5]) for k in range(0, 25, 5)),
+                      den, tuple(map(as_pair, parameters)))
 
 
 def test_gauge_transport_matches_fraction_reference():
@@ -735,7 +769,7 @@ def test_gauge_transport_matches_fraction_reference():
     # coefficient has the sign of the form at that parameter; a repeated
     # triple raises in both
     rng = random.Random(12)
-    bases = [p.coords for p in base_points()]
+    bases = list(base_points())
     results = []
     poles = 0
     for seed in range(12):
@@ -746,16 +780,17 @@ def test_gauge_transport_matches_fraction_reference():
             continue  # a dependent draw has no curve
         charts = [p[:5] for p in pts]
         form = exact_quartic_composition(curve)
+        coeffs, parameters = as_fractions(curve)
         triples = [tuple(F(rng.randint(-6, 6), rng.randint(1, 3))
                          for _ in range(3)) for _ in range(4)]
-        pole = curve.parameters[3]
-        triples.append(tuple(1 / (s - pole) for s in curve.parameters[:3]))
+        pole = parameters[3]
+        triples.append(tuple(1 / (s - pole) for s in parameters[:3]))
         triples.append((F(1), F(1), F(2)))
         for triple in triples:
-            expected = outcome(reference_gauge_transport, curve, charts,
-                               triple)
-            chart = outcome(geometry._mobius_chart, form,
-                            curve.parameters[:3], triple)
+            expected = outcome(reference_gauge_transport,
+                               (coeffs, parameters), charts, triple)
+            chart = outcome(geometry._mobius_chart, form, curve.nodes[:3],
+                            tuple(map(as_pair, triple)))
             if expected == (ValueError,
                             "a parameter is transported to infinity"):
                 value = sum(c * pole**k for k, c in enumerate(form))
@@ -765,10 +800,11 @@ def test_gauge_transport_matches_fraction_reference():
             elif expected[0] is ValueError:
                 assert chart == expected
             else:
-                assert chart == exact_quartic_composition(expected[0])
+                assert chart == exact_quartic_composition(
+                    integer_curve(*expected[0]))
                 assert len(chart) == 17 and gcd(*chart) == 1
             results.append(expected)
-    assert sum(type(r[0]) is ExactCurve for r in results) >= 30
+    assert sum(r[0] is not ValueError for r in results) >= 30
     assert poles > 0
     assert (ValueError, "gauge triple is degenerate") in results
 
@@ -788,7 +824,7 @@ def test_exact_composition_degree_and_squarefree_tools():
     # integers with no content, a positive multiple of the composition
     # over Fractions
     assert all(type(c) is int for c in poly) and gcd(*poly) == 1
-    rows = [list(r) for r in curve.coeffs]
+    rows = [list(r) for r in as_fractions(curve)[0]]
     rows.append([-sum(col) for col in zip(*rows)])
     squares = [geometry._conv(r, r) for r in rows]
     s2 = [sum(col) for col in zip(*squares)]
@@ -1095,8 +1131,8 @@ if HAVE_HYPOTHESIS:
     def polynomials_and_points(draw):
         nvars = draw(st.integers(1, 4))
         exps = st.tuples(*[st.integers(0, 3)] * nvars)
-        terms = draw(st.dictionaries(exps, rationals, max_size=8))
-        point = draw(st.lists(rationals | st.integers(-9, 9),
+        terms = draw(st.dictionaries(exps, st.integers(-9, 9), max_size=8))
+        point = draw(st.lists(st.integers(-9, 9),
                               min_size=nvars, max_size=nvars))
         return MultiPoly(nvars, terms), terms, point
 
@@ -1110,8 +1146,8 @@ if HAVE_HYPOTHESIS:
             for v, e in zip(point, exps):
                 term *= F(v) ** e
             expected += term
-        value = poly.evaluate(point)
-        assert type(value) is F and value == expected
+        value = poly.evaluate_rows(np.array([point])).tolist()
+        assert value == [expected]
 
 
     def reference_compose(poly, substitutions):
@@ -1128,9 +1164,9 @@ if HAVE_HYPOTHESIS:
         return total
 
     @st.composite
-    def small_polys(draw, nvars, max_exp, integer=False):
+    def small_polys(draw, nvars, max_exp):
         """A zero, a constant or a general polynomial."""
-        coeffs = st.integers(-9, 9) if integer else rationals
+        coeffs = st.integers(-9, 9)
         kind = draw(st.sampled_from(("zero", "constant", "general")))
         if kind == "zero":
             return MultiPoly(nvars, {})
@@ -1150,29 +1186,30 @@ if HAVE_HYPOTHESIS:
         composed = poly.compose(subs)
         assert composed == reference_compose(poly, subs)
         assert composed.nvars == nout
-        assert all(type(c) is int or c.denominator > 1
-                   for c in composed.terms.values())
+        assert all(type(c) is int for c in composed.terms.values())
 
     @given(st.data())
     @settings(max_examples=80, deadline=None)
     def test_batched_evaluation_matches_scalar_evaluate(data):
         nvars = data.draw(st.integers(1, 4))
-        poly = data.draw(small_polys(nvars, 4, integer=True))
+        poly = data.draw(small_polys(nvars, 4))
         rows = data.draw(st.lists(
             st.lists(st.integers(-50, 50), min_size=nvars, max_size=nvars),
             max_size=6))
         points = np.array(rows, dtype=np.int64).reshape(len(rows), nvars)
         values = poly.evaluate_rows(points)
         assert values.shape == (len(rows),)
-        assert list(values) == [poly.evaluate(row) for row in rows]
+        assert list(values) == [reference_evaluate(poly, row) for row in rows]
 
 
 def test_evaluate_rejects_non_rational_inputs():
+    # only integer rows evaluate: floats and complex numbers are refused,
+    # and so are Fractions, which are cleared of denominators first
     _, quartic = canonical_polys()
-    with pytest.raises(TypeError):
-        quartic.evaluate([1.0, -1, 0, 0, 0, 0])
-    with pytest.raises(TypeError):
-        quartic.evaluate([1j, -1, 0, 0, 0, 0])
+    for row in ([1.0, -1, 0, 0, 0, 0], [1j, -1, 0, 0, 0, 0],
+                [F(1, 2), F(-1, 2), 0, 0, 0, 0]):
+        with pytest.raises(TypeError):
+            quartic.evaluate_rows([row])
 
 
 def test_quartic_geometry_demo_runs():

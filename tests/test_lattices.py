@@ -3,6 +3,7 @@ discriminant modules."""
 
 import random
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 
@@ -18,6 +19,42 @@ from igusa.lattices import (
     smith_normal_form,
     standard,
 )
+
+
+def leibniz_determinant(gram):
+    """The determinant as the signed sum over all permutations."""
+    total = 0
+    for perm in permutations(range(len(gram))):
+        inversions = sum(perm[i] > perm[j]
+                         for i in range(len(perm))
+                         for j in range(i + 1, len(perm)))
+        term = -1 if inversions % 2 else 1
+        for i, j in enumerate(perm):
+            term *= gram[i][j]
+        total += term
+    return total
+
+
+def test_determinant_matches_the_leibniz_formula():
+    # seeded symmetric Gram matrices of rank 1 to 5, many of them singular,
+    # and the package's lattices: the product of the reduction's pivots
+    rng = random.Random(7)
+    grams = [standard(name).gram for name in ("U", "A1", "A2", "D4")]
+    grams += [ambient_lattice().gram, restriction_lattice().gram]
+    for n in range(1, 6):
+        for _ in range(40):
+            gram = [[0] * n for _ in range(n)]
+            for i in range(n):
+                for j in range(i, n):
+                    gram[i][j] = gram[j][i] = rng.choice(
+                        [0, 0, rng.randint(-4, 4)])
+            grams.append(gram)
+    singular = 0
+    for gram in grams:
+        expected = leibniz_determinant(gram)
+        assert determinant(Lattice(gram)) == expected
+        singular += expected == 0
+    assert 0 < singular < len(grams)
 
 
 def test_standard_gram_matrices():

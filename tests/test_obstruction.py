@@ -190,6 +190,16 @@ def test_oracle_disagreement_raises():
         eisenstein_G3(1, 2, 8, box=300, tolerance=1e-13)
 
 
+def test_vacuous_tolerance_is_rejected():
+    # at a relative tolerance of 1 or more (or NaN) even the zero series
+    # would meet the oracle, so such a tolerance is refused before it runs
+    for tolerance in (1, 2, 1e6, float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="vacuous"):
+            eisenstein_G3(1, 2, 8, tolerance=tolerance)
+    # an unvalidated expansion does not read the tolerance
+    assert eisenstein_G3(1, 2, 8, tolerance=2, validate=False).series.terms
+
+
 def test_t_rule_on_expansions():
     # shifting tau by one multiplies the coefficient of q^(j/4) by i^j; the
     # result must be the (sign-reduced) series of the label acted on by T
