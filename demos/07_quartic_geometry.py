@@ -6,22 +6,26 @@ is singular exactly along fifteen lines indexed by the pair partitions of
 six letters.  The fifteen cubics built from coordinate differences span
 only a 5-dimensional space, define a linear system with a rich base locus,
 and map the quartic onto a cubic hypersurface; the unique relation among
-five basis cubics is computed by exact interpolation.  Finally, rational
-normal curves of degree 4 through seven general points pull the quartic
-back to a degree-16 form, certified exactly.
+five basis cubics is computed by exact interpolation.  Finally, the fibre
+of the cubic map through a general point is a rational normal curve of
+degree 4 through that point and the six base points, given in closed form;
+it pulls the quartic back to a degree-16 form, certified exactly.
 """
 
+import math
 import random
 from fractions import Fraction
 
 from igusa.geometry import (
     PAIR_PARTITIONS,
+    base_points,
     boundary_points,
     canonical_polys,
     cubic_base_locus_check,
     cubic_span,
     degree16_check,
     exact_quartic_composition,
+    fibre_curve,
     fifteen_cubics,
     fifteen_lines,
     image_cubic_relation,
@@ -30,7 +34,6 @@ from igusa.geometry import (
     interpolation_residual,
     poly_is_squarefree,
     quartic_point_composition_check,
-    rational_curve_via_frame,
     s6_equivariance,
     singular_inclusion_check,
 )
@@ -38,16 +41,15 @@ from igusa.geometry import (
 F = Fraction
 
 
-def generic_seven(seed=42):
-    """Seven random rational points of the coordinate-sum-zero hyperplane."""
+def generic_point(seed=42):
+    """A random rational point of the coordinate-sum-zero hyperplane with
+    six distinct coordinates."""
     rng = random.Random(seed)
-    points = []
-    while len(points) < 7:
+    while True:
         first = [F(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(5)]
         point = tuple(first) + (-sum(first),)
         if len(set(point)) == 6:
-            points.append(point)
-    return tuple(points)
+            return point
 
 
 def poly_to_str(poly, names):
@@ -124,13 +126,32 @@ def main():
           f"{sorted(set(signs.values()))} (the sign character)")
 
     print()
-    print("=== Degree-4 curves through seven points ===")
-    points = generic_seven()
-    print("seven generic rational points on the hyperplane, e.g. the first:")
-    print(f"  {tuple(str(c) for c in points[0])}")
-    exact = rational_curve_via_frame(points)
-    charts = [[F(c) for c in p[:5]] for p in points]
-    print(f"float interpolation residual of the exact curve: "
+    print("=== The fibre of the cubic map through a point ===")
+    point = generic_point()
+    print("a generic rational point x on the hyperplane:")
+    print(f"  {tuple(str(c) for c in point)}")
+    exact = fibre_curve(point)
+    x = [r for _, r in exact.nodes[1:]]  # base point k at the node (1, x_k)
+    print(f"cleared of denominators: {tuple(x)}")
+    print("its fibre R(s)_i = 6 P_i(s) - sum_k P_k(s), with "
+          "P_i(s) = prod_{j != i} (x_j - s),")
+    print("in the chart t = 1/s, coefficient rows in ascending powers of t:")
+    for row in exact.X:
+        print(f"  {row}")
+    print("x sits at t = 0 (row -6x), base point k at t = 1/x_k")
+    s = 5
+    chart = [sum(c * s ** (4 - k) for k, c in enumerate(row))
+             for row in exact.X]
+    on_curve = chart + [-sum(chart)]
+    factor = -216 * math.prod(v - s for v in x) ** 2
+    cubics = fifteen_cubics()
+    contracted = all(
+        int(c.evaluate_rows([on_curve])[0])
+        == factor * int(c.evaluate_rows([x])[0]) for c in cubics)
+    print(f"all fifteen cubics at R({s}) are -216 D({s})^2 = {factor} "
+          f"times their values at x: {contracted}")
+    charts = [x[:5]] + [p[:5] for p in base_points()]
+    print(f"float residual of the curve at its seven nodes: "
           f"{interpolation_residual(exact, charts):.3e}")
     composed = exact_quartic_composition(exact)
     degree = max(i for i, c in enumerate(composed) if c)
@@ -138,7 +159,7 @@ def main():
           f"degree {degree} in the parameter, "
           f"squarefree = {poly_is_squarefree(composed)}")
     check = quartic_point_composition_check()
-    print(f"interpolation from a point on the quartic gives an exact root: "
+    print(f"the fibre through a point on the quartic gives an exact root: "
           f"constant term zero = {check['constant_term_exact_zero']}, "
           f"degree-16 term nonzero = {check['leading_term_nonzero']}")
 

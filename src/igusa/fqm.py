@@ -640,7 +640,9 @@ def orthogonal_group(
 
 def find_isomorphism(A: FiniteQuadraticModule, B: FiniteQuadraticModule):
     """A form-preserving group isomorphism A -> B as an array over elements of
-    A, or None. Backtracks over images of A's defining generators."""
+    A, or None. Backtracks over images of A's defining generators.  No report
+    check decides isomorphism; the tests use it as the oracle that the
+    discriminant form of a direct sum is the sum of the parts' forms."""
     if A.size != B.size:
         return None
     k = len(A.orders)

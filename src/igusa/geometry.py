@@ -8,12 +8,12 @@ five-dimensional space of cubics whose induced map has a unique cubic image
 relation, and composing the quartic with rational normal curves through the
 six distinguished base points certifies that the induced self-map has
 degree sixteen.  All structural checks are exact over the rationals.  There
-is one curve construction, the exact frame curve through seven points (it
-exists exactly when every five of them span the hyperplane), and the
-degree count is certified on it exactly (degree-16 term nonzero,
+is one curve construction, `fibre_curve`: the fibre of the cubic map through
+a point with six distinct coordinates, in closed form over the integers,
+and the degree count is certified on it exactly (degree-16 term nonzero,
 squarefree); floats serve only as oracles with explicit tolerances: the
-interpolation residual of the float curve and the root separation of the
-float composition.
+residual of the float curve at its nodes, the root separation of the float
+composition, and a float composition from the curve's rows.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from numbers import Integral
-from operator import add, getitem, index, mul
+from operator import add, getitem, index
 
 import numpy as np
 
@@ -42,7 +42,6 @@ __all__ = [
     "MultiPoly",
     "PAIR_PARTITIONS",
     "canonical_polys",
-    "hyperplane_poly",
     "LineParam",
     "fifteen_lines",
     "boundary_points",
@@ -55,7 +54,7 @@ __all__ = [
     "base_points",
     "base_lines",
     "ExactCurve",
-    "rational_curve_via_frame",
+    "fibre_curve",
     "interpolation_residual",
     "exact_quartic_composition",
     "poly_is_squarefree",
@@ -67,8 +66,8 @@ __all__ = [
 ]
 
 # Largest trial count of the degree-16 certification; each trial builds one
-# exact frame curve and its degree-16 composition, and
-# `igusa geometry --trials 1000` takes about 2.5 s and 38 MB (CPython 3.11
+# fibre curve and its degree-16 composition, and
+# `igusa geometry --trials 1000` takes about 2 s and 35 MB (CPython 3.11
 # on one Xeon core).
 MAX_TRIALS = 1000
 
@@ -308,15 +307,6 @@ def canonical_polys():
         fourths = fourths + x**4
     quartic = squares**2 - 4 * fourths
     return cubes, quartic
-
-
-@lru_cache(maxsize=1)
-def hyperplane_poly() -> MultiPoly:
-    """The sum of the six coordinates."""
-    total = MultiPoly.zero(6)
-    for i in range(6):
-        total = total + MultiPoly.variable(6, i)
-    return total
 
 
 # ---------------------------------------------------------------------------
@@ -804,154 +794,50 @@ def image_relation_equivariance(relation: MultiPoly) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _integer_inverse(matrix) -> tuple:
-    """(N, den) with N an integer matrix and den the least positive integer
-    such that N / den is the inverse of the square rational matrix; one
-    `integer_echelon` of [matrix | identity]."""
-    n = len(matrix)
-    aug = [list(row) + [int(i == j) for j in range(n)]
-           for i, row in enumerate(matrix)]
-    reduced, pivots = integer_echelon(aug, width=n)
-    if len(pivots) != n:
-        raise ValueError("matrix is singular")
-    den = math.lcm(*(reduced[p][col] for p, col in pivots))
-    rows = [[v * (den // reduced[p][col]) for v in reduced[p][n:]]
-            for p, col in pivots]
-    g = math.gcd(den, *(v for row in rows for v in row))
-    return [[v // g for v in row] for row in rows], den // g
-
-
 @dataclass(frozen=True)
 class ExactCurve:
-    """A degree-4 rational curve over the integers: its i-th chart
-    coordinate is sum_k X[i][k] t^k / den, and nodes holds the parameters
-    of the seven interpolated points as integer pairs (p, r), meaning
-    t = p / r."""
+    """A degree-4 rational curve over the integers: at the parameter
+    t = p / r its i-th chart coordinate is sum_k X[i][k] p^k r^(4-k) up to
+    the factor r^4, and nodes holds the parameters of the seven points it
+    passes through as integer pairs (p, r); r = 0 is t = infinity."""
 
     X: tuple  # 5 rows of 5 ints, ascending powers
-    den: int
     nodes: tuple  # 7 (p, r) pairs
 
 
-def _dependent(subset) -> ValueError:
-    return ValueError(
-        f"points {tuple(sorted(subset))} do not span the hyperplane: every "
-        "5 of the 7 points must"
-    )
+def fibre_curve(point) -> ExactCurve:
+    """The fibre of the cubic map through a rational hyperplane point x
+    (cleared of denominators on entry): with P_i(s) = prod_{j != i}
+    (x_j - s) and D(s) = prod_j (x_j - s), the degree-4 curve R(s)_i =
+    6 P_i(s) - sum_k P_k(s) (the s^5 terms cancel).  It passes through
+    base point k at s = x_k and through x at s = infinity, and every pair
+    difference is R_a - R_b = 6 D (x_b - x_a) / ((x_a - s)(x_b - s)), so
+    each of the fifteen cubics is -216 D(s)^2 times its value at x along
+    the curve: Kapranov's rational normal curve through the six base
+    points, the Howard-Millson-Snowden-Vakil coordinates of the Segre
+    cubic.
 
-
-@lru_cache(maxsize=16)
-def _frame(points) -> tuple:
-    """The frame of `rational_curve_via_frame` on its points 1..6, given
-    as six tuples, over the integers: (charts, MD, e, (T, t)).
-
-    charts are the six charts cleared of denominators.  M has the cleared
-    charts of points 1..5 as columns; scaling a column of M by a nonzero
-    integer divides the matching entry of d = M^-1 (chart of point 6) by it
-    and leaves M D unchanged.  With N / n the inverse of M and c / m the
-    chart of point 6, d = N c / (n m), so M D = MD / e with MD = M diag(N c)
-    and e = n m, and (M D)^-1 = T / t.  Raises ValueError naming the
-    dependent subset when M is singular or some d_i is zero; errors are
-    not cached, so every call on a dependent frame raises again."""
-    charts = []
-    for p in points:
-        chart, den = clear_denominators(p)
-        if sum(chart):
-            raise ValueError("points must lie on the hyperplane")
-        charts.append((chart[:5], den))
-    frame = range(1, 6)
-    M = [[charts[j][0][i] for j in range(5)] for i in range(5)]
-    try:
-        Minv, n = _integer_inverse(M)
-    except ValueError:
-        raise _dependent(frame) from None
-    unit, unit_den = charts[5]
-    d = [sum(map(mul, row, unit)) for row in Minv]
-    for i, v in enumerate(d):
-        if v == 0:  # point 6 lies in the span of the other four frame points
-            raise _dependent({6, *frame} - {1 + i})
-    MD = [[M[i][j] * d[j] for j in range(5)] for i in range(5)]
-    e = n * unit_den
-    T, t = _integer_inverse(MD)
-    return (tuple(c for c, _ in charts), MD, e,
-            ([[e * v for v in row] for row in T], t))
-
-
-def rational_curve_via_frame(points) -> ExactCurve:
-    """Exact degree-4 rational normal curve through 7 rational hyperplane
-    points (ints or Fractions, each cleared of denominators on entry), by
-    the classical frame construction: send points 1..5 to the five
-    coordinate points and point 6 to the unit point; in that frame the
-    curve through the coordinate points has reciprocal coordinates, and the
-    remaining two interpolation conditions solve in closed form.
-
-    The curve exists (and is unique) exactly when every 5 of the 7 points
-    span the hyperplane, and the construction decides all 21 subsets: M
-    invertible is the subset 1..5, d_i != 0 the five subsets with point 6
-    but not 0, q_i != 0 the five with point 0 but not 6, and q_i != q_j the
-    ten with both.  A failure raises ValueError naming a dependent subset.
-
-    Everything runs over the integers.  The frame of points 1..6 (M, d,
-    M D and its inverse, over one denominator each) is cached per six-point
-    tuple, so curves through the same six points solve its two inverses
-    once.  With q = (M D)^-1 (point 0) = Q / s, the gauge rho = r_n / r_d,
-    u = r_d s and w_i = u - r_n Q_i, the parameters are a_i = u / w_i and
-    the curve's rows are x = (M D) y with W y_i(t) = -r_n Q_i prod_{j != i}
-    (w_j t - u), W = prod w_j.  The returned curve holds those integer
-    rows X = e W x, their denominator e W and the nodes (0, 1), (u, w_i)
-    and (1, 1); the interpolation is verified exactly, on X, before
-    returning."""
-    if len(points) != 7:
-        raise ValueError("exactly 7 points required")
-    chart, s = clear_denominators(points[0])
-    if sum(chart):
-        raise ValueError("points must lie on the hyperplane")
-    charts, MD, e, (T, t) = _frame(tuple(map(tuple, points[1:])))
-    frame = range(1, 6)
-    chart = chart[:5]
-    s *= t
-    Q = [sum(map(mul, row, chart)) for row in T]
-    for i, v in enumerate(Q):
-        if v == 0:  # point 0 lies in the span of the other four frame points
-            raise _dependent({0, *frame} - {1 + i})
-    for i, j in combinations(range(5), 2):
-        if Q[i] == Q[j]:  # point 0 - q_i * point 6 lies in a 3-point span
-            raise _dependent({0, 6, *frame} - {1 + i, 1 + j})
-    # rescale q so that the interpolation parameters a_i = 1/(1 - rho q_i)
-    # are finite (a gauge choice); the q_i are distinct and nonzero, so at
-    # most five of the seven candidates are excluded
-    rn, rd = next(
-        (rn, rd) for rn, rd in ((1, 1), (2, 1), (1, 2), (3, 1), (1, 3),
-                                (5, 1), (2, 5))
-        if all(rn * v != rd * s for v in Q)
-    )
-    u = rd * s
-    w = [u - rn * v for v in Q]
-    # W y_i(t) = -rn Q_i prod_{j != i} (w_j t - u), ascending powers
-    y_rows = []
-    for i in range(5):
-        poly = [-rn * Q[i]]
-        for j in range(5):
+    Returned in the chart t = 1/s (rows reversed): x sits at the node
+    (0, 1), where the row is -6x, and base point k at the node (1, x_k).
+    ValueError if two coordinates x_a = x_b agree: then x and the four
+    base points other than a and b span only a 3-space, so no degree-4
+    rational normal curve passes through the seven points."""
+    x, _ = clear_denominators(point)
+    if len(x) != 6 or sum(x):
+        raise ValueError("the point must lie on the hyperplane")
+    if len(set(x)) < 6:
+        raise ValueError(f"repeated coordinate in {tuple(x)}")
+    products = []  # P_i, ascending powers of s
+    for i in range(6):
+        poly = [1]
+        for j in range(6):
             if j != i:
-                poly = _conv(poly, [-u, w[j]])
-        y_rows.append(poly)
-    # back to the original chart: x = (M D) y = X / (e W)
-    X = [[sum(MD[i][j] * y_rows[j][k] for j in range(5)) for k in range(5)]
-         for i in range(5)]
-    nodes = ((0, 1), *((u, v) for v in w), (1, 1))
-    # exact verification over the integers: the curve hits every input point
-    # projectively.  At t = p/r, r^4 e W x(t) = sum_k X_k p^k r^(4-k); the
-    # nonzero factors r^4 e W and the cleared charts' denominators change
-    # none of the tests
-    for (p, r), point in zip(nodes, (chart,) + charts):
-        tpowers = [p**k * r ** (4 - k) for k in range(5)]
-        value = [sum(map(mul, row, tpowers)) for row in X]
-        if not any(value):
-            raise AssertionError("curve evaluates to zero at a node")
-        for i, j in combinations(range(5), 2):
-            if value[i] * point[j] != value[j] * point[i]:
-                raise AssertionError("frame curve misses an input point")
-    return ExactCurve(tuple(map(tuple, X)), e * math.prod(w), nodes)
+                poly = _conv(poly, [x[j], -1])
+        products.append(poly)
+    total = [sum(col) for col in zip(*products)]
+    rows = [[6 * a - b for a, b in zip(poly, total)] for poly in products]
+    return ExactCurve(tuple(tuple(row[4::-1]) for row in rows[:5]),
+                      ((0, 1), *((1, v) for v in x)))
 
 
 def _conv(a, b):
@@ -1003,10 +889,8 @@ def _mobius_chart(form, nodes, gauge) -> tuple:
 
 def exact_quartic_composition(curve: ExactCurve) -> tuple:
     """The quartic evaluated along the curve's six ambient coordinate
-    polynomials, as 17 integers (ascending powers) with no content: a
-    positive multiple of the rational composition.  The products run over
-    the integer rows X of the curve, which scales the composition by
-    den^4, and the positive content of the result is divided out."""
+    polynomials, as 17 integers (ascending powers): the products over the
+    integer rows X of the curve, divided by their positive content."""
     rows = [list(r) for r in curve.X]
     rows.append([-sum(col) for col in zip(*rows)])
     s2 = [0] * 9
@@ -1085,29 +969,25 @@ def poly_is_squarefree(poly) -> bool:
     return _prs_is_squarefree(a)
 
 
-def _float_values(coeffs: np.ndarray, ts) -> np.ndarray:
-    """Values at the parameters ts (one row each) of the polynomial map with
-    float coefficient rows coeffs (ascending powers)."""
-    powers = np.vander(np.asarray(ts, dtype=float), 5, increasing=True)
-    return powers @ coeffs.T
-
-
-def _float_curve(curve: ExactCurve) -> tuple:
-    """The chart coefficients X / den and the parameters p / r in floats,
-    each correctly rounded (Python's int / int division is)."""
-    coeffs = np.array([[v / curve.den for v in row] for row in curve.X])
-    return coeffs, np.array([p / r for p, r in curve.nodes])
+def _float_values(coeffs: np.ndarray, pairs) -> np.ndarray:
+    """Values at the homogeneous parameters (p, r) (one row each) of the
+    polynomial map with float coefficient rows coeffs (ascending powers):
+    sum_k A_k p^k r^(4-k), which covers r = 0 without a special case."""
+    p, r = np.asarray(pairs, dtype=float).T[:, :, None]
+    k = np.arange(5)
+    return (p**k * r ** (4 - k)) @ coeffs.T
 
 
 def interpolation_residual(curve: ExactCurve, charts) -> float:
-    """Worst relative float residual of the curve at its parameters: the
-    miss |x(t_i) - l_i p_i|, with l_i the least-squares scale onto the chart
-    p_i of the point interpolated there, over the size |sum |A_k| |t_i|^k|
-    of the terms that x(t_i) sums (clustered parameters make those terms
-    cancel, which says nothing about the curve)."""
-    coeffs, ts = _float_curve(curve)
-    xs = _float_values(coeffs, ts)
-    sizes = _float_values(np.abs(coeffs), np.abs(ts))
+    """Worst relative float residual of the curve at its nodes: the miss
+    |x(p_i, r_i) - l_i c_i|, with l_i the least-squares scale onto the
+    chart c_i of the point interpolated there, over the size
+    |sum |A_k| |p_i|^k |r_i|^(4-k)| of the terms that x(p_i, r_i) sums
+    (cancelling terms say nothing about the curve)."""
+    coeffs = np.array(curve.X, dtype=float)
+    pairs = np.array(curve.nodes, dtype=float)
+    xs = _float_values(coeffs, pairs)
+    sizes = _float_values(np.abs(coeffs), np.abs(pairs))
     ps = np.array(charts, dtype=float)
     scales = np.sum(xs * ps, axis=1) / np.sum(ps * ps, axis=1)
     misses = np.linalg.norm(xs - scales[:, None] * ps, axis=1)
@@ -1115,31 +995,35 @@ def interpolation_residual(curve: ExactCurve, charts) -> float:
 
 
 def quartic_point_composition_check() -> dict:
-    """Consistency witness: interpolating from a rational point ON the
-    quartic, the composed degree-16 polynomial has a root at that point's
-    parameter (the curve's origin).  The vanishing is certified exactly on
-    the frame curve (zero constant term, nonzero degree-16 term) and
-    confirmed in floats on the curve's image of that parameter, where the
-    quartic must vanish to 1e-9 relative to |x|^4."""
+    """Consistency witness: along the fibre curve through a rational point
+    ON the quartic, the composed degree-16 polynomial has a root at that
+    point's parameter t = 0.  The vanishing is certified
+    exactly (zero constant term, nonzero degree-16 term) and confirmed by
+    an independent float composition: numpy convolutions of the float rows,
+    which must agree with the exact form to 1e-9 of its largest
+    coefficient, each scaled to largest coefficient 1."""
     on_quartic = (-8, -7, 0, 3, 5, 7)
     _, quartic = canonical_polys()
     if quartic.evaluate_rows([on_quartic])[0] != 0:
         raise AssertionError("the witness must lie on the quartic")
-    curve = rational_curve_via_frame([on_quartic, *base_points()])
+    curve = fibre_curve(on_quartic)
     poly = exact_quartic_composition(curve)
     if poly[0] != 0:
         raise ValueError("exact composition does not vanish at the witness")
     if poly[16] == 0:
         raise ValueError("exact composition drops below degree 16")
-    coeffs, ts = _float_curve(curve)
-    chart = _float_values(coeffs, ts[:1])[0]
-    x = np.append(chart, -chart.sum())
-    squares = float(x @ x)
-    residual = abs(squares**2 - 4 * float(np.sum(x**4))) / squares**2
+    coeffs = np.array(curve.X, dtype=float)
+    rows = np.vstack([coeffs, -coeffs.sum(axis=0)])
+    squares = [np.convolve(row, row) for row in rows]
+    s2 = sum(squares)
+    floats = np.convolve(s2, s2) - 4 * sum(np.convolve(q, q) for q in squares)
+    exact = np.array(poly, dtype=float)
+    residual = float(np.max(np.abs(floats / np.max(np.abs(floats))
+                                   - exact / np.max(np.abs(exact)))))
     bound = 1e-9
     if residual > bound:
         raise ValueError(
-            f"composition does not vanish at the witness: {residual}"
+            f"float composition misses the exact form by {residual}"
         )
     return {
         "constant_term_exact_zero": True,
@@ -1159,27 +1043,28 @@ def degree16_check(
     normal curves through the six base points and a random rational seventh
     point yields a degree-16 polynomial with 16 distinct roots.
 
-    Candidate draws on the quartic, on a base line, or with a dependent
-    5-subset of the seven points (no interpolating curve) are redrawn, up to
-    8 per trial; `rejected_draws` counts them by cause.  A trial whose exact
-    frame curve misses its seven points in floats by more than residual_tol
-    (relative) is discarded, as is one that fails the exact or numeric
-    criteria; `discarded` records each with its cause.  Each trial composes
-    once, to the integers of `exact_quartic_composition`; other charts for
-    the float criteria are Mobius substitutions into that form."""
+    The curve through the seventh point x is its `fibre_curve`, the fibre
+    of the cubic map through x.  Candidate draws on the quartic, on a base
+    line (four equal coordinates), or with two equal coordinates (no curve
+    passes through the seven points) are redrawn, up to 8 per trial;
+    `rejected_draws` counts them by cause.  A trial whose curve misses its
+    seven points in floats by more than residual_tol (relative) is
+    discarded, as is one that fails the exact or numeric criteria;
+    `discarded` records each with its cause.  Each trial composes once, to
+    the integers of `exact_quartic_composition`; other charts for the float
+    criteria are Mobius substitutions into that form."""
     if trials < 1:
         raise ValueError("at least one trial required")
     if trials > MAX_TRIALS:
         raise ValueError(f"at most {MAX_TRIALS} trials")
     _, quartic = canonical_polys()
-    bases = base_points()
     # the float oracle takes each base point scaled to first coordinate 1;
     # another scale changes its residual only by rounding
-    base_charts = [[c / b[0] for c in b[:5]] for b in bases]
+    base_charts = [[c / b[0] for c in b[:5]] for b in base_points()]
     rng = random.Random(seed)
     successes = 0
     discarded = []
-    rejected = {"on_quartic": 0, "on_base_line": 0, "dependent_5_subset": 0}
+    rejected = {"on_quartic": 0, "on_base_line": 0, "repeated_coordinate": 0}
     worst_residual = 0.0
     for trial in range(trials):
         exact_curve = None
@@ -1193,15 +1078,15 @@ def degree16_check(
                 rejected["on_base_line"] += 1  # four equal coordinates
             else:
                 try:
-                    exact_curve = rational_curve_via_frame([cand, *bases])
+                    exact_curve = fibre_curve(ints)
                     break
                 except ValueError:
-                    rejected["dependent_5_subset"] += 1
+                    rejected["repeated_coordinate"] += 1
         if exact_curve is None:
             discarded.append((trial, "no_generic_point"))
             continue
         residual = interpolation_residual(exact_curve,
-                                          [cand[:5], *base_charts])
+                                          [ints[:5], *base_charts])
         worst_residual = max(worst_residual, residual)
         if residual > residual_tol:
             discarded.append((trial, "interpolation_residual"))

@@ -175,7 +175,8 @@ def fixture_plane() -> tuple:
 
 def theta_support(plane) -> frozenset:
     """Support of the signed two-coset vector attached to an isotropic
-    plane, as a frozenset of element indices."""
+    plane, as a frozenset of element indices.  `lifting-fixture-support`
+    counts the documented families; only the tests compare them with it."""
     return theta_vector(plane).support
 
 

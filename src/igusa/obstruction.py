@@ -488,7 +488,8 @@ def transformation_bookkeeping() -> dict:
     six-dimensional collapse: applying a generator's substitution to each
     aggregated component must equal the matrix action of the collapse on the
     six-tuple.  Checked at two independent parameter points, which spans the
-    parameter plane by linearity."""
+    parameter plane by linearity.  The only certificate of the label rules:
+    `obstruction-collapsed-matrices` checks the matrices alone."""
     # The derived label action must agree with the frozen arrow rules.
     for gen, frozen in _FROZEN_RULES.items():
         derived = tuple(_label_action(lbl, gen) for lbl in E_LABELS)
@@ -560,7 +561,8 @@ def type_orbit_check() -> bool:
 def per_element_coefficient(element: int, exponent) -> Fraction:
     """Fourier coefficient of the normalized Eisenstein tuple at a single
     group element: the class aggregate divided by the class size, justified
-    by class transitivity of the orthogonal group."""
+    by class transitivity of the orthogonal group.  No report check reads a
+    single element's coefficient; the tests check the even split here."""
     type_orbit_check()
     A = ambient_module()
     labels = element_types(A)

@@ -382,7 +382,8 @@ def decompose_character(traces=None) -> list:
 
 
 def conjugate_decomposition() -> list:
-    """Decomposition of the entrywise-conjugated (dual) representation."""
+    """Decomposition of the entrywise-conjugated (dual) representation.  No
+    report check covers the dual; the tests pin its multiplicities here."""
     return decompose_character([t.conjugate() for t in conjugacy_traces()])
 
 
@@ -506,7 +507,9 @@ def theta_span_rank() -> int:
 
 def w_basis() -> list:
     """A basis of the 5-dimensional subspace W spanned by the theta vectors
-    (equal to the chi_4-isotypic component): the first five independent ones."""
+    (equal to the chi_4-isotypic component): the first five independent ones.
+    `weil-theta-span-rank` certifies the rank, not which vectors form the
+    basis; the tests pin that choice here."""
     vectors = theta_vectors()
     basis = [vectors[i] for i in _theta_pivots()]
     if len(basis) != 5:
@@ -535,7 +538,9 @@ def w0_vector() -> GroupRingVector:
 
 def permutation_commutes_with_rep(aut: FqmAutomorphism) -> bool:
     """Whether the permutation action of one automorphism commutes with both
-    generator matrices (checked by exact array reindexing)."""
+    generator matrices (checked by exact array reindexing).  Only its tests
+    check that the 1440 permutations `weil-theta-character-norm` averages
+    over are symmetries."""
     S = weil_generator("S")
     T = weil_generator("T")
     p = aut.perm

@@ -3,7 +3,10 @@
 import hashlib
 import json
 import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -274,6 +277,20 @@ def test_cli_all_report_is_pinned(capsys):
     assert main(["all"]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == ALL_SHA256
+
+
+def test_cli_all_report_is_pinned_in_fresh_interpreters():
+    # the pin above runs in-process; each fresh interpreter here gets its
+    # own string-hash seed, so an output that depends on set or dict order
+    # of strings, or on other per-process state, moves the hash
+    src = Path(__file__).resolve().parents[1] / "src"
+    for hashseed in ("0", "1"):
+        env = dict(os.environ, PYTHONPATH=str(src), PYTHONHASHSEED=hashseed,
+                   PYTHONIOENCODING="utf-8")
+        done = subprocess.run([sys.executable, "-m", "igusa.cli", "all"],
+                              capture_output=True, env=env, timeout=300)
+        assert done.returncode == 0, done.stderr.decode()
+        assert hashlib.sha256(done.stdout).hexdigest() == ALL_SHA256, hashseed
 
 
 GEOMETRY_SHA256 = (
