@@ -2,8 +2,11 @@
 truncated q-series with quarter-integer exponents, and exact matrices over
 the cyclotomic field with eigenphase extraction for finite-order matrices.
 
-Everything here is immutable and pure; nothing uses floating point except
-the explicit complex embeddings used by numeric cross-checks.
+Everything here is immutable and pure.  Floating point appears in two
+roles only: the explicit complex embeddings used by numeric cross-checks,
+and float64 as the carrier of exact integer matrix products, used only
+where every partial sum is proven to be an integer below 2^53 (see
+`_product_dtype`), so BLAS computes them without rounding.
 """
 
 from __future__ import annotations
@@ -48,6 +51,9 @@ _ZPOW = _zeta_power_table()
 _ZPOW_PACKED = np.array(_ZPOW, dtype=np.int64)
 # z^(i+j) for i, j < 8 never exceeds exponent 14
 _PRODUCT_BASIS = [_ZPOW[k] for k in range(15)]
+# the nonzero (component, coefficient) pairs of each z^(i+j); every
+# coefficient is 1 or -1
+_PRODUCT_TERMS = [[(k, c) for k, c in enumerate(row) if c] for row in _PRODUCT_BASIS]
 _ZETA_COMPLEX = [cmath.exp(2j * cmath.pi * k / _CONDUCTOR) for k in range(_CONDUCTOR)]
 
 # For any output component k, the sum of |coefficient of z^k in z^(c+d)|
@@ -58,6 +64,8 @@ _PRODUCT_SPREAD = max(
     for k in range(_DEGREE)
 )
 _INT64_LIMIT = 2**63
+# every integer of magnitude below 2^53 is a float64
+_FLOAT64_EXACT_LIMIT = 2**53
 
 
 def _max_abs(num: np.ndarray) -> int:
@@ -85,30 +93,55 @@ def packed_roots(k) -> np.ndarray:
     return _ZPOW_PACKED[np.asarray(k) % _CONDUCTOR]
 
 
+def _product_dtype(a: np.ndarray, b: np.ndarray, terms: int, mul):
+    """The arithmetic of `_packed_product`.  Every partial sum of a product
+    entry, in any order, is at most B = max|a| * max|b| * terms *
+    _PRODUCT_SPREAD in magnitude.  float64 when ``mul`` is np.matmul, no
+    operand holds Python integers and B < 2^53: every partial sum is then an
+    integer that float64 represents exactly, so BLAS returns the exact
+    product whatever its summation order.  Else int64 when B < 2^63; else
+    Python integers (dtype object)."""
+    bound = _max_abs(a) * _max_abs(b) * terms * _PRODUCT_SPREAD
+    dtype = _packed_dtype(bound, a, b)
+    if mul is np.matmul and dtype is np.int64 and bound < _FLOAT64_EXACT_LIMIT:
+        return np.float64
+    return dtype
+
+
 def _packed_product(a: np.ndarray, b: np.ndarray, shape, terms: int = 1,
                     mul=np.multiply) -> np.ndarray:
     """Numerators of the product of two packed arrays, of shape shape + (8,).
 
     Component c of a and component d of b are combined by ``mul``, which adds
     at most ``terms`` products into one entry, and land on zeta^(c + d) in
-    the power basis.  The result is in Python integers wherever an entry
-    could leave int64.
+    the power basis.  The products run in float64 only for np.matmul with
+    max|a| * max|b| * terms * _PRODUCT_SPREAD < 2^53, which bounds every
+    partial sum to an integer below 2^53, and the result is cast back to
+    int64 once; else in int64 or Python integers (see `_product_dtype`).
     """
-    dtype = _packed_dtype(_max_abs(a) * _max_abs(b) * terms * _PRODUCT_SPREAD, a, b)
+    dtype = _product_dtype(a, b, terms, mul)
     a = a.astype(dtype, copy=False)
     b = b.astype(dtype, copy=False)
     out = np.zeros(tuple(shape) + (_DEGREE,), dtype=dtype)
-    b_components = [d for d in range(_DEGREE) if b[..., d].any()]
-    for c in range(_DEGREE):
+    b_components = _components(b)
+    for c in _components(a):
         ac = a[..., c]
-        if not ac.any():
-            continue
         for d in b_components:
             prod = mul(ac, b[..., d])
-            for k, coeff in enumerate(_PRODUCT_BASIS[c + d]):
-                if coeff:
-                    out[..., k] += coeff * prod
-    return out
+            for k, coeff in _PRODUCT_TERMS[c + d]:
+                if coeff > 0:
+                    out[..., k] += prod
+                else:
+                    out[..., k] -= prod
+    return out.astype(np.int64) if dtype is np.float64 else out
+
+
+def _components(num: np.ndarray) -> np.ndarray:
+    """The components k with a nonzero entry num[..., k]: numpy reduces
+    over many short rows slowly, so rows of one matrix row each go first."""
+    if num.ndim > 1 and num.size:
+        num = num.reshape(-1, num.shape[-2] * _DEGREE).any(axis=0)
+    return np.flatnonzero(num.reshape(-1, _DEGREE).any(axis=0))
 
 
 def _mul_num(a: tuple, b: tuple) -> tuple:
@@ -346,6 +379,11 @@ def cyclotomic_root(k: int) -> Cyclotomic:
 _EXP_DEN = 4  # q-series exponents live in (1/4)Z
 
 
+def _quarters(exponent: Fraction) -> int:
+    """4 * exponent for an exponent in (1/4)Z."""
+    return exponent.numerator * (_EXP_DEN // exponent.denominator)
+
+
 class QSeries:
     """Truncated series in q with exponents in (1/4)Z and cyclotomic
     coefficients. Exponents >= truncation are unknown, not zero."""
@@ -433,14 +471,39 @@ class QSeries:
             return self.scale(factor)
         trunc = min(self.truncation + other.leading_exponent,
                     other.truncation + self.leading_exponent)
-        acc: dict[Fraction, Cyclotomic] = {}
-        for ea, ca in self.terms.items():
-            for eb, cb in other.terms.items():
-                e = ea + eb
-                if e >= trunc:
-                    continue
-                acc[e] = acc.get(e, CYC_ZERO) + ca * cb
-        return QSeries(acc, trunc)
+        if not self.terms or not other.terms:
+            return QSeries({}, trunc)
+        # slot i of the product is the exponent lead + i/4, known below trunc
+        lead = _quarters(self.leading_exponent) + _quarters(other.leading_exponent)
+        length = math.ceil(trunc * _EXP_DEN) - lead
+        a, da = self._grid(length)
+        b, db = other._grid(length)
+        length = min(length, len(a) + len(b) - 1)
+        num = _packed_product(a, b, (length,), min(len(a), len(b)),
+                              lambda x, y: np.convolve(x, y)[:length])
+        out = object.__new__(QSeries)
+        out.truncation = trunc
+        out.terms = {Fraction(lead + i, _EXP_DEN): Cyclotomic._packed(tuple(row), da * db)
+                     for i, row in enumerate(num.tolist()) if any(row)}
+        return out
+
+    def _grid(self, length: int) -> tuple[np.ndarray, int]:
+        """Numerators (shape (n, 8), n <= length) of the coefficients at the
+        exponents leading_exponent + i/4 for i < length, over their least
+        common denominator; the series must have a term."""
+        lead = _quarters(self.leading_exponent)
+        den = math.lcm(*(c._den for c in self.terms.values()))
+        slots = {}
+        for e, c in self.terms.items():
+            i = _quarters(e) - lead
+            if i < length:
+                slots[i] = [v * (den // c._den) for v in c._num]
+        big = max(abs(v) for row in slots.values() for v in row)
+        num = np.zeros((max(slots) + 1, _DEGREE),
+                       dtype=np.int64 if big < _INT64_LIMIT else object)
+        for i, row in slots.items():
+            num[i] = row
+        return num, den
 
     def __rmul__(self, other) -> "QSeries":
         factor = _coerce(other)

@@ -1001,7 +1001,13 @@ def quartic_point_composition_check() -> dict:
     exactly (zero constant term, nonzero degree-16 term) and confirmed by
     an independent float composition: numpy convolutions of the float rows,
     which must agree with the exact form to 1e-9 of its largest
-    coefficient, each scaled to largest coefficient 1."""
+    coefficient, each scaled to largest coefficient 1.
+
+    The witness (-8, -7, 0, 3, 5, 7) is a double root of its composition
+    (the t and constant terms both vanish): the fibre curve is tangent to
+    the quartic there, as at every quartic point with distinct coordinates
+    whose first five lie in [-6, 6].  A transversal meeting, a simple root
+    at t = 0, needs larger coordinates, such as (-11, -10, -6, 1, 11, 15)."""
     on_quartic = (-8, -7, 0, 3, 5, 7)
     _, quartic = canonical_polys()
     if quartic.evaluate_rows([on_quartic])[0] != 0:

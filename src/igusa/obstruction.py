@@ -295,27 +295,36 @@ def _fourier_coefficient(j: int, a1: int, a2: int) -> Cyclotomic:
     return acc
 
 
+_DOUBLE_SUM_ROWS = 32
+
+
 def numeric_double_sum(a1: int, a2: int, box: int = 1600) -> complex:
     """Truncated absolutely convergent double sum over pairs congruent to
     (a1, a2) mod 4 inside the square max(|m1|, |m2|) <= box, evaluated at the
     point tau = i of the upper half plane.
 
-    Each term z^-3 is the reciprocal of z*z*z, taken in place in the one
-    array that holds the cubes; the pair (0, 0) is left out."""
+    The sum runs over blocks of _DOUBLE_SUM_ROWS values of m1 at a time, so
+    no array spans the whole box.  Each term z^-3 is the reciprocal of
+    z*z*z, taken in place in the one array that holds the cubes; the pair
+    (0, 0) is left out."""
     a1 %= 4
     a2 %= 4
     m1 = np.arange(-box, box + 1, dtype=np.int64)
     m1 = m1[m1 % 4 == a1]
     m2 = np.arange(-box, box + 1, dtype=np.int64)
     m2 = m2[m2 % 4 == a2]
-    z = m1[:, None] * 1j + m2[None, :]
-    origin = (np.flatnonzero(m1 == 0), np.flatnonzero(m2 == 0))
-    z[origin] = 1.0
-    values = z * z
-    values *= z
-    np.reciprocal(values, out=values)
-    values[origin] = 0.0
-    return complex(values.sum())
+    total = 0j
+    for start in range(0, len(m1), _DOUBLE_SUM_ROWS):
+        rows = m1[start:start + _DOUBLE_SUM_ROWS]
+        z = rows[:, None] * 1j + m2[None, :]
+        origin = (np.flatnonzero(rows == 0), np.flatnonzero(m2 == 0))
+        z[origin] = 1.0
+        values = z * z
+        values *= z
+        np.reciprocal(values, out=values)
+        values[origin] = 0.0
+        total += complex(values.sum())
+    return total
 
 
 _SERIES_UNIT = 1j * (2 * math.pi) ** 3 / 2**7

@@ -10,6 +10,7 @@ indexed by the 15 isotropic planes, and a 1-dimensional subspace W0.
 All arithmetic is exact over the conductor-24 cyclotomic field.
 """
 
+import math
 from fractions import Fraction
 from functools import lru_cache
 
@@ -333,28 +334,38 @@ def class_sizes() -> list:
     return [len(classes[name]) for name in CLASS_ORDER]
 
 
+def _first_mismatch(got: CycMatrix, expected: CycMatrix):
+    i, j = np.argwhere((got - expected).num.any(axis=-1))[0]
+    return int(i), int(j)
+
+
 @lru_cache(maxsize=1)
 def verify_character_table() -> None:
-    """Row orthonormality under the class-size weighting, and the column
-    relation sum_i |chi_i(g)|^2 * |class(g)| = group order; raises on any
-    transcription mismatch.  A pass is remembered for the process."""
+    """Both orthogonality relations of the table T, as two packed matrix
+    products: the rows, T . diag(sizes) . conj(T)^t = |G| I, and the
+    columns, T^t . conj(T) = diag(|G| / size).  Raises naming the first
+    mismatching row pair and column pair on any transcription mismatch.  A
+    pass is remembered for the process."""
     sizes = class_sizes()
     order = sum(sizes)
-    nchar = len(CHARACTER_TABLE)
-    for i in range(nchar):
-        for j in range(nchar):
-            acc = CYC_ZERO
-            for c in range(len(CLASS_ORDER)):
-                acc = acc + sizes[c] * CHARACTER_TABLE[i][c] * CHARACTER_TABLE[j][c].conjugate()
-            expected = order * CYC_ONE if i == j else CYC_ZERO
-            if acc != expected:
-                raise AssertionError(f"character rows {i + 1}, {j + 1} not orthonormal")
-    for c in range(len(CLASS_ORDER)):
-        acc = CYC_ZERO
-        for i in range(nchar):
-            acc = acc + CHARACTER_TABLE[i][c] * CHARACTER_TABLE[i][c].conjugate()
-        if acc * sizes[c] != order * CYC_ONE:
-            raise AssertionError(f"character column {CLASS_ORDER[c]} norm mismatch")
+    table = CycMatrix.from_rows(CHARACTER_TABLE)
+    conj = table.conjugate()
+    # diag(sizes) . conj(T)^t: row c of conj(T)^t times the size of class c
+    weighted = CycMatrix(conj.num.transpose(1, 0, 2) * np.array(sizes)[:, None, None], conj.den)
+    rows = table @ weighted
+    expected_rows = CycMatrix.diagonal([order] * len(sizes))
+    columns = CycMatrix(table.num.transpose(1, 0, 2), table.den, False) @ conj
+    expected_columns = CycMatrix.diagonal([Fraction(order, s) for s in sizes])
+    problems = []
+    if rows != expected_rows:
+        i, j = _first_mismatch(rows, expected_rows)
+        problems.append(f"character rows {i + 1}, {j + 1} not orthonormal")
+    if columns != expected_columns:
+        a, b = _first_mismatch(columns, expected_columns)
+        problems.append(f"character columns {CLASS_ORDER[a]}, {CLASS_ORDER[b]} "
+                        f"break the column relation")
+    if problems:
+        raise AssertionError("; ".join(problems))
 
 
 def decompose_character(traces=None) -> list:
@@ -392,21 +403,30 @@ def conjugate_decomposition() -> list:
 # ---------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=1)
+def _class_sums() -> CycArray:
+    """The sums of the matrices of each conjugacy class, in CLASS_ORDER,
+    packed in shape (10, 64, 64, 8) over one denominator."""
+    classes = conjugacy_classes()
+    den = math.lcm(*(el.matrix.den for members in classes.values() for el in members))
+    return CycArray(np.stack([
+        packed_sum(np.stack([el.matrix.num * (den // el.matrix.den) for el in classes[name]]))
+        for name in CLASS_ORDER
+    ]), den)
+
+
 @lru_cache(maxsize=None)
 def isotypic_projector(character_index: int) -> CycMatrix:
     """Exact projector (deg/|G|) * sum_g conj(chi(g)) rho(g) onto the
-    chi-isotypic component. character_index is 1-based."""
-    classes = conjugacy_classes()
+    chi-isotypic component. character_index is 1-based.  The sum runs over
+    the class sums: one packed weighting by the conjugated class values."""
     row = CHARACTER_TABLE[character_index - 1]
     deg = row[0].as_rational()
-    order = sum(len(v) for v in classes.values())
-    acc = None
-    for cname, chi_val in zip(CLASS_ORDER, row):
-        weight = chi_val.conjugate()
-        for el in classes[cname]:
-            term = el.matrix.scale(weight)
-            acc = term if acc is None else acc + term
-    proj = acc.scale(Fraction(deg, order))
+    order = sum(class_sizes())
+    sums = _class_sums()
+    weights = CycArray.from_values([deg * chi.conjugate() for chi in row])
+    weighted = _packed_product(weights.num[:, None, None], sums.num, sums.num.shape[:-1])
+    proj = CycMatrix(packed_sum(weighted), sums.den * weights.den * order)
     if not (proj @ proj) == proj:
         raise AssertionError("isotypic projector is not idempotent")
     return proj

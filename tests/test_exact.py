@@ -372,6 +372,72 @@ def test_evaluate_matches_terms():
     assert abs(val - (0.1 + 5 * 0.1**4)) < 1e-12
 
 
+def reference_series_product(a: QSeries, b: QSeries) -> QSeries:
+    """The dict double loop that QSeries.__mul__ ran before the packed
+    convolution: every pair of terms, cut at the product's truncation."""
+    trunc = min(a.truncation + b.leading_exponent, b.truncation + a.leading_exponent)
+    acc = {}
+    for ea, ca in a.terms.items():
+        for eb, cb in b.terms.items():
+            e = ea + eb
+            if e >= trunc:
+                continue
+            acc[e] = acc.get(e, CYC_ZERO) + ca * cb
+    return QSeries(acc, trunc)
+
+
+def test_series_product_past_int64_matches_the_double_loop(rungs):
+    # one product (2^29 + 1)^2 fits int64 with room to spare, but 62 of them
+    # land on q^(57/4): the Python-integer rung, chosen by the term count
+    big = 2**29 + 1
+    a = QSeries({Fraction(k, 4): big for k in range(-2, 60)}, Fraction(16))
+    prod = a * a
+    assert rungs == [np.dtype(object)]
+    assert prod == reference_series_product(a, a)
+    assert prod.truncation == Fraction(31, 2)
+    assert prod.coefficient(Fraction(57, 4)) == Cyclotomic(62 * big**2)
+    assert big**2 * exact._PRODUCT_SPREAD < 2**63 < 62 * big**2
+
+
+def test_series_product_with_the_zero_series():
+    a = QSeries({Fraction(-1, 4): 3, Fraction(1): CYC_I}, Fraction(5, 2))
+    zero = QSeries.zero(Fraction(2))  # leading exponent = truncation = 2
+    for prod in (a * zero, zero * a):
+        assert prod == reference_series_product(a, zero)
+        assert not prod.terms and prod.truncation == Fraction(7, 4)
+        assert prod.leading_exponent == prod.truncation
+
+
+if HAVE_HYPOTHESIS:
+    series_coefficients = st.one_of(
+        st.just(CYC_ZERO),
+        cyclotomics(),
+        st.integers(-2**70, 2**70).map(Cyclotomic),
+        st.tuples(st.integers(-2**70, 2**70), st.integers(0, 23)).map(
+            lambda p: p[0] * cyclotomic_root(p[1])),
+    )
+
+    @st.composite
+    def series(draw):
+        # truncations in (1/12)Z, so some fall between the quarter exponents;
+        # terms at or past the truncation are dropped, which leaves an
+        # all-zero prefix (leading exponent = truncation) when every term is
+        truncation = Fraction(draw(st.integers(-24, 72)), 12)
+        exponents = draw(st.lists(st.integers(-12, 24), max_size=10, unique=True))
+        return QSeries({Fraction(k, 4): draw(series_coefficients) for k in exponents},
+                       truncation)
+
+    @given(series(), series())
+    @settings(max_examples=200, deadline=None)
+    def test_series_product_matches_the_double_loop(a, b):
+        prod = a * b
+        expected = reference_series_product(a, b)
+        assert prod == expected and b * a == expected
+        assert prod.truncation == expected.truncation
+        assert prod.leading_exponent == expected.leading_exponent
+        assert all(c and e < prod.truncation for e, c in prod.terms.items())
+
+
 # ---------------------------------------------------------------------------
 # CycMatrix
 # ---------------------------------------------------------------------------
@@ -414,6 +480,82 @@ def test_matrix_arithmetic_does_not_wrap_past_int64():
     # results that fit again come back as int64
     assert (square - square).num.dtype == np.int64
     assert square.scale(Fraction(1, 3**40)).num.dtype == np.int64
+
+
+@pytest.fixture
+def rungs(monkeypatch):
+    """The dtypes `_packed_product` computes in, in call order."""
+    seen = []
+    choose = exact._product_dtype
+
+    def spy(a, b, terms, mul):
+        dtype = choose(a, b, terms, mul)
+        seen.append(np.dtype(dtype))
+        return dtype
+
+    monkeypatch.setattr(exact, "_product_dtype", spy)
+    return seen
+
+
+def reference_matmul(a: CycMatrix, b: CycMatrix) -> CycMatrix:
+    """a @ b column by column through `reference_apply`."""
+    columns = [reference_apply(a, [b.entry(k, j) for k in range(b.n)]) for j in range(b.n)]
+    return CycMatrix.from_rows([list(row) for row in zip(*columns)])
+
+
+def random_matrix(rng, n: int, magnitude: int) -> CycMatrix:
+    """Random numerators of absolute value at most magnitude, which one of
+    them reaches, over the denominator 3."""
+    num = rng.integers(-magnitude, magnitude, size=(n, n, 8), endpoint=True)
+    num[0, 0, 0] = magnitude
+    return CycMatrix(num, 3)
+
+
+# magnitudes whose product bound M^2 * n * _PRODUCT_SPREAD (n = 4) lies
+# below 2^53, just above it, and past 2^63; _M53 is the least odd M with
+# bound - M > 2^53
+_N = 4
+_M53 = math.isqrt(2**53 // (_N * exact._PRODUCT_SPREAD)) | 1
+while _M53**2 * _N * exact._PRODUCT_SPREAD - _M53 <= 2**53:
+    _M53 += 2
+RUNG_CASES = [(1000, np.float64), (_M53, np.int64), (2**40, object)]
+
+
+@pytest.mark.parametrize("magnitude, rung", RUNG_CASES)
+def test_matrix_products_match_the_scalar_reference_on_every_rung(magnitude, rung, rungs):
+    rng = np.random.default_rng(magnitude)
+    a, b = random_matrix(rng, _N, magnitude), random_matrix(rng, _N, magnitude)
+    assert np.abs(a.num).max() == magnitude == np.abs(b.num).max()
+    bound = magnitude**2 * _N * exact._PRODUCT_SPREAD
+    assert (bound < 2**53) == (rung is np.float64) and (bound < 2**63) == (rung is not object)
+    expected = reference_matmul(a, b)
+    vec = CycArray(b.num[:, 0], b.den)
+    packed = exact._packed_product(a.num, b.num, (_N, _N), _N, np.matmul)
+    assert packed.dtype == (object if rung is object else np.int64)
+    assert CycMatrix(packed, a.den * b.den) == expected
+    rungs.clear()
+    assert a @ b == expected
+    assert a.apply(vec) == CycArray(expected.num[:, 0], expected.den)
+    assert rungs == [np.dtype(rung)] * 2
+
+
+def test_float64_would_round_just_past_the_bound(monkeypatch, rungs):
+    # with every numerator M, component 4 of each entry of a @ b collects
+    # all n * _PRODUCT_SPREAD products M^2 (z^4 and z^8 = z^4 - 1 both land
+    # on it with coefficient 1), so it meets the bound; one numerator M - 1
+    # in b makes column 0 odd and above 2^53, where float64 rounds
+    a = CycMatrix(np.full((_N, _N, 8), _M53), 1)
+    num = np.full((_N, _N, 8), _M53)
+    num[0, 0, 0] -= 1
+    b = CycMatrix(num, 1)
+    bound = _M53**2 * _N * exact._PRODUCT_SPREAD
+    expected = reference_matmul(a, b)
+    assert expected.num[:, 0, 4].tolist() == [bound - _M53] * _N
+    assert bound - _M53 > 2**53 and (bound - _M53) % 2 == 1
+    assert float(bound - _M53) != bound - _M53
+    assert a @ b == expected and rungs == [np.dtype(np.int64)]
+    monkeypatch.setattr(exact, "_product_dtype", lambda *args: np.float64)
+    assert a @ b != expected
 
 
 def test_matrix_order():

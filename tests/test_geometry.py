@@ -838,6 +838,37 @@ def test_on_quartic_witness_composition():
     assert report["witness_residual"] <= report["bound"]
 
 
+def test_witness_is_a_tangency():
+    # the report's witness is a double root of its composition
+    poly = exact_quartic_composition(fibre_curve((-8, -7, 0, 3, 5, 7)))
+    assert poly[0] == poly[1] == 0 and poly[2] != 0
+
+
+def test_small_quartic_points_are_all_tangencies():
+    # every quartic point with distinct coordinates and x1..x5 in [-6, 6],
+    # each of the form (a, b, c, -a, -b, -c); the composition depends only
+    # on the coordinates as a set
+    r = np.arange(-6, 7)
+    x5 = np.stack(np.meshgrid(*[r] * 5, indexing="ij"), -1).reshape(-1, 5)
+    x = np.hstack([x5, -x5.sum(axis=1, keepdims=True)])
+    on = x[((x**2).sum(axis=1)) ** 2 == 4 * (x**4).sum(axis=1)]
+    points = {tuple(sorted(row)) for row in on.tolist() if len(set(row)) == 6}
+    assert len(points) == 6 and all(p == tuple(-v for v in p[::-1]) for p in points)
+    for point in sorted(points):
+        poly = exact_quartic_composition(fibre_curve(point))
+        assert poly[0] == poly[1] == 0, point
+
+
+def test_quartic_point_with_a_simple_root():
+    # outside [-6, 6] the fibre curve can cross the quartic transversally
+    point = (-11, -10, -6, 1, 11, 15)
+    _, quartic = canonical_polys()
+    assert quartic.evaluate_rows([point])[0] == 0
+    poly = exact_quartic_composition(fibre_curve(point))
+    assert poly[0] == 0 and poly[1] == -120 and poly[16] != 0
+    assert poly_is_squarefree(list(poly))
+
+
 def test_witness_float_composition_is_independent(monkeypatch):
     # the float composition is built from the curve's rows, not from the
     # exact form, so an exact form wrong in one coefficient fails the check

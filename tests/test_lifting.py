@@ -132,6 +132,19 @@ def test_eta_product_oracle_reports_a_perturbed_coefficient(m):
         assert eta_product_mismatches(perturbed(unit, k), m, 30) == [k]
 
 
+def test_eta_product_oracle_multiplies_only_python_integers(monkeypatch):
+    # the oracle shares no product code with the expansion it checks
+    unit = eta_power(18, 30).unit_series
+
+    def forbidden(*args):
+        raise AssertionError("the oracle multiplied exact numbers")
+
+    monkeypatch.setattr(QSeries, "__mul__", forbidden)
+    monkeypatch.setattr(QSeries, "__pow__", forbidden)
+    monkeypatch.setattr(Cyclotomic, "__mul__", forbidden)
+    assert eta_product_mismatches(unit, 18, 30) == []
+
+
 def test_eta_product_check_fails_on_a_perturbed_expansion(monkeypatch):
     import igusa.lifting
     from igusa.report import SuiteRunner, lifting_suite

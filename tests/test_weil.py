@@ -2,6 +2,7 @@
 theory, theta vectors, and the irreducibility certificate."""
 
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -176,6 +177,53 @@ def test_character_table_is_verified_once_and_corruption_still_raises(monkeypatc
         assert verify_character_table.cache_info().misses == 3
     finally:
         verify_character_table.cache_clear()
+
+
+ENTRIES = [(i, c) for i in range(10) for c in range(10)]
+
+
+@pytest.mark.parametrize("i, c", ENTRIES)
+def test_changing_any_character_table_entry_breaks_both_relations(i, c, monkeypatch):
+    # adding 1 changes |chi_i(c)|, negating keeps it: the diagonal of the
+    # column relation alone misses a negated nonzero entry off column E
+    verify_character_table.cache_clear()
+    try:
+        for changed in (CHARACTER_TABLE[i][c] + 1, -CHARACTER_TABLE[i][c]):
+            if changed == CHARACTER_TABLE[i][c]:
+                continue
+            table = [list(row) for row in CHARACTER_TABLE]
+            table[i][c] = changed
+            monkeypatch.setattr(weil, "CHARACTER_TABLE", tuple(map(tuple, table)))
+            name = re.escape(CLASS_ORDER[c])
+            with pytest.raises(AssertionError, match=(
+                    rf"character rows ({i + 1}, \d+|\d+, {i + 1}) not orthonormal; "
+                    rf"character columns ({name}, \S+|\S+, {name}) break")):
+                verify_character_table()
+    finally:
+        verify_character_table.cache_clear()
+
+
+def reference_projector(character_index: int) -> CycMatrix:
+    """(deg/|G|) * sum_g conj(chi(g)) rho(g), one group element at a time."""
+    row = CHARACTER_TABLE[character_index - 1]
+    acc = None
+    for name, value in zip(CLASS_ORDER, row):
+        for el in conjugacy_classes()[name]:
+            term = el.matrix.scale(value.conjugate())
+            acc = term if acc is None else acc + term
+    return acc.scale(Fraction(character_degrees()[character_index - 1], 48))
+
+
+@pytest.mark.parametrize("character_index", range(1, 11))
+def test_class_sum_projector_matches_the_element_sum(character_index):
+    assert isotypic_projector(character_index) == reference_projector(character_index)
+
+
+def test_projectors_sum_to_the_identity():
+    total = isotypic_projector(1)
+    for index in range(2, 11):
+        total = total + isotypic_projector(index)
+    assert total == CycMatrix.identity(64)
 
 
 def test_character_degrees():
