@@ -7,7 +7,8 @@ which covers every module arising from the even lattices used in this package
 (all q-values lie in (1/4)Z).
 
 Elements are plain integers 0..size-1 in mixed-radix coordinates with respect
-to the generators.
+to the generators.  An automorphism is an int32 permutation array g with g[x]
+the image of x; a group of them is one (order, size) array, a member per row.
 """
 
 from fractions import Fraction
@@ -20,8 +21,6 @@ from .exact import clear_denominators
 
 __all__ = [
     "FiniteQuadraticModule",
-    "FqmAutomorphism",
-    "AutomorphismGroup",
     "direct_sum",
     "type_census",
     "type_census_mod_negation",
@@ -30,6 +29,7 @@ __all__ = [
     "isotropic_vectors",
     "isotropic_planes",
     "reflection",
+    "is_closed",
     "orthogonal_group",
     "find_isomorphism",
     "TYPE_ORDER_AMBIENT",
@@ -112,6 +112,9 @@ class FiniteQuadraticModule:
             oi = np.array([di // gcd(int(c), di) for c in ci], dtype=np.int64)
             elt_orders = np.lcm(elt_orders, oi)
         self.element_orders = elt_orders
+        # modules are shared through caches: every table is read-only
+        for table in (self.q4, self.b4, self.add_table, self.neg_table, elt_orders):
+            table.setflags(write=False)
         self._types = self._radical = None  # see element_types, radical_class
 
         # optional lattice provenance (set by lattices.discriminant_module)
@@ -389,74 +392,22 @@ def isotropic_planes(A: FiniteQuadraticModule) -> list:
 # ---------------------------------------------------------------------------
 
 
-class FqmAutomorphism:
-    """A q-preserving group automorphism, stored as a permutation of element
-    indices."""
-
-    __slots__ = ("module", "perm", "_key")
-
-    def __init__(self, module: FiniteQuadraticModule, perm):
-        self.module = module
-        self.perm = np.asarray(perm, dtype=np.int32)
-        self._key = self.perm.tobytes()
-
-    def __call__(self, x: int) -> int:
-        return int(self.perm[x])
-
-    def __mul__(self, other: "FqmAutomorphism") -> "FqmAutomorphism":
-        # (f * g)(x) = f(g(x))
-        return FqmAutomorphism(self.module, self.perm[other.perm])
-
-    def inverse(self) -> "FqmAutomorphism":
-        inv = np.empty_like(self.perm)
-        inv[self.perm] = np.arange(len(self.perm), dtype=np.int32)
-        return FqmAutomorphism(self.module, inv)
-
-    def __eq__(self, other):
-        return isinstance(other, FqmAutomorphism) and self._key == other._key
-
-    def __hash__(self):
-        return hash(self._key)
-
-    @property
-    def key(self) -> bytes:
-        return self._key
-
-    def is_identity(self) -> bool:
-        return bool(np.all(self.perm == np.arange(len(self.perm))))
-
-    def order(self) -> int:
-        p = self.perm
-        acc = p.copy()
-        n = 1
-        ident = np.arange(len(p))
-        while not np.array_equal(acc, ident):
-            acc = p[acc]
-            n += 1
-            if n > len(p) ** 2:
-                raise RuntimeError("order computation runaway")
-        return n
-
-    def moved_points(self) -> int:
-        return int(np.count_nonzero(self.perm != np.arange(len(self.perm))))
-
-    def preserves_form(self) -> bool:
-        """Exhaustive check that q and b are preserved on all pairs."""
-        A = self.module
-        p = self.perm
-        if not np.array_equal(A.q4[p], A.q4):
-            return False
-        return bool(np.array_equal(A.b4[np.ix_(p, p)], A.b4))
-
-    def is_group_homomorphism(self) -> bool:
-        A = self.module
-        p = self.perm
-        return bool(np.array_equal(p[A.add_table], A.add_table[np.ix_(p, p)]))
+def _check_isometries(A: FiniteQuadraticModule, perms, what: str):
+    """Raise AssertionError naming q or b unless every row of perms, an
+    (n, size) array of permutations, preserves that form on all elements
+    (q) and all pairs (b)."""
+    if not np.all(A.q4[perms] == A.q4):
+        raise AssertionError(f"{what} fails to preserve q")
+    b8 = A.b4.astype(np.int8)
+    for perm in perms:
+        if not np.array_equal(b8.take(perm, axis=0).take(perm, axis=1), b8):
+            raise AssertionError(f"{what} fails to preserve b")
 
 
-def reflection(A: FiniteQuadraticModule, alpha: int) -> FqmAutomorphism:
+def reflection(A: FiniteQuadraticModule, alpha: int) -> np.ndarray:
     """The involution x -> x + c(x) alpha, c(x) = 2 b(x, alpha), for a class
-    with q(alpha) = 1; the coefficient must be an integer for every x.
+    with q(alpha) = 1, as an int32 permutation array t with t[x] the image
+    of x; the coefficient must be an integer for every x.
 
     Integrality is tested on the whole b-column of alpha at once; c(x) is
     then 0 or 1, and the permutation is one gather add_table[x, c(x) alpha].
@@ -466,113 +417,50 @@ def reflection(A: FiniteQuadraticModule, alpha: int) -> FqmAutomorphism:
     column = A.b4[:, alpha]
     if np.any(column % 2):
         raise ValueError("reflection coefficient 2 b(x, alpha) is not integral")
-    shift = np.where(column == 2, alpha, 0)
-    t = FqmAutomorphism(A, A.add_table[np.arange(A.size), shift])
-    if not (t * t).is_identity():
+    t = A.add_table[np.arange(A.size), np.where(column == 2, alpha, 0)]
+    if not np.array_equal(t[t], np.arange(A.size)):
         raise AssertionError("reflection must be an involution")
-    if not t.preserves_form():
-        raise AssertionError("reflection must preserve the quadratic form")
+    _check_isometries(A, t[None, :], "the reflection")
     return t
 
 
-class AutomorphismGroup:
-    """The full orthogonal group of a finite quadratic module, as an explicit
-    element list with a multiplication oracle."""
+def is_closed(A: FiniteQuadraticModule, perms) -> bool:
+    """Full closure check of the rows of perms, an (n, size) array of
+    automorphisms of A: each of the n**2 products h(g(x)) is looked up
+    among the rows and compared with that row entry by entry.
 
-    def __init__(self, module, elements):
-        self.module = module
-        self.elements = elements
-        self._index = {g.key: i for i, g in enumerate(elements)}
-
-    @property
-    def order(self) -> int:
-        return len(self.elements)
-
-    def __iter__(self):
-        return iter(self.elements)
-
-    def __contains__(self, g) -> bool:
-        return isinstance(g, FqmAutomorphism) and g.key in self._index
-
-    def multiply(self, g, h) -> FqmAutomorphism:
-        out = g * h
-        if out.key not in self._index:
-            raise ValueError("product left the group: closure violated")
-        return out
-
-    def is_closed(self) -> bool:
-        """Full closure check: each of the order**2 products h * g is looked
-        up among the members and compared with the member entry by entry.
-
-        The lookup key of a permutation is a fixed linear form in its values
-        on the module's generators, which tell automorphisms apart; a member
-        listed twice, or distinct members with equal keys, raise ValueError.
-        The entrywise comparison makes the check exact whatever the key."""
-        A = self.module
-        perms = np.stack([g.perm for g in self.elements])
-        n = len(perms)
-        base = A.generators()
-        weights = np.random.default_rng(0).integers(1, 2**40, size=len(base))
-        keys = perms[:, base].astype(np.int64) @ weights
-        order = np.argsort(keys)
-        sorted_keys = keys[order]
-        clash = np.flatnonzero(sorted_keys[1:] == sorted_keys[:-1])
-        if len(clash):
-            i, j = sorted(order[clash[0]:clash[0] + 2])
-            if np.array_equal(perms[i], perms[j]):
-                raise ValueError(f"member {j} repeats member {i}")
-            raise ValueError("distinct members share a lookup key")
-        rows = perms.astype(np.uint8 if A.size <= 256 else np.int32)
-        members = rows[order]
-        for start in range(0, n, 128):
-            # products[h, j] = h(g_j(x)) for the members g_j of this chunk
-            products = rows.take(perms[start:start + 128], axis=1)
-            where = np.searchsorted(sorted_keys, products[:, :, base].astype(np.int64) @ weights)
-            if not np.array_equal(members[np.minimum(where, n - 1)], products):
-                return False
-        return True
-
-    def generating_set(self) -> list:
-        """A small generating subset, found greedily."""
-        target = self.order
-        gens = []
-        ident = FqmAutomorphism(self.module, np.arange(self.module.size))
-        closure = {ident.key}
-        for cand in self.elements:
-            if cand.key in closure:
-                continue
-            gens.append(cand)
-            # re-close
-            group = {ident.key: ident}
-            frontier = [ident]
-            while frontier:
-                new = []
-                for g in frontier:
-                    for s in gens:
-                        for prod in (g * s, s * g):
-                            if prod.key not in group:
-                                group[prod.key] = prod
-                                new.append(prod)
-                frontier = new
-            closure = set(group)
-            if len(closure) == target:
-                break
-        return gens
-
-    def center(self) -> list:
-        gens = self.generating_set()
-        out = []
-        for g in self.elements:
-            if all((g * s).key == (s * g).key for s in gens):
-                out.append(g)
-        return out
+    The lookup key of a permutation is a fixed linear form in its values on
+    the module's generators, which tell automorphisms apart; a row listed
+    twice, or distinct rows with equal keys, raise ValueError.  The
+    entrywise comparison makes the check exact whatever the key."""
+    n = len(perms)
+    base = A.generators()
+    weights = np.random.default_rng(0).integers(1, 2**40, size=len(base))
+    keys = perms[:, base].astype(np.int64) @ weights
+    order = np.argsort(keys)
+    sorted_keys = keys[order]
+    clash = np.flatnonzero(sorted_keys[1:] == sorted_keys[:-1])
+    if len(clash):
+        i, j = sorted(order[clash[0]:clash[0] + 2])
+        if np.array_equal(perms[i], perms[j]):
+            raise ValueError(f"member {j} repeats member {i}")
+        raise ValueError("distinct members share a lookup key")
+    rows = perms.astype(np.uint8 if A.size <= 256 else np.int32)
+    members = rows[order]
+    for start in range(0, n, 128):
+        # products[h, j] = h(g_j(x)) for the rows g_j of this chunk
+        products = rows.take(perms[start:start + 128], axis=1)
+        where = np.searchsorted(sorted_keys, products[:, :, base].astype(np.int64) @ weights)
+        if not np.array_equal(members[np.minimum(where, n - 1)], products):
+            return False
+    return True
 
 
-def orthogonal_group(
-    A: FiniteQuadraticModule, node_budget: int = 5_000_000
-) -> AutomorphismGroup:
+def orthogonal_group(A: FiniteQuadraticModule, node_budget: int = 5_000_000) -> np.ndarray:
     """The full orthogonal group of a 2-elementary module of dimension <= 6,
-    from a search over generator images run level by level.
+    as a read-only (order, size) int32 array whose row g is the permutation
+    x -> g[x] of one member, from a search over generator images run level
+    by level.
 
     Level i holds every partial solution (images of g_0, ..., g_{i-1}) as a
     row of one array, next to its span as a boolean membership row.  A
@@ -581,11 +469,11 @@ def orthogonal_group(
     with g_0, ..., g_{i-1} (one gather from the b-table for the whole
     level); a child's span is its parent's row OR that row permuted by XOR
     with x.  Children follow their parents and the candidates in increasing
-    order, so the members come out in the lexicographic order of a
-    depth-first search, and each partial solution (the empty one included)
-    counts as one node against node_budget, as it would there.  The
-    permutations are built in one vectorised XOR, and every member is
-    checked exhaustively to preserve q and b."""
+    order, so the rows come out in the lexicographic order of a depth-first
+    search, and each partial solution (the empty one included) counts as
+    one node against node_budget, as it would there.  The permutations are
+    built in one vectorised XOR, and every row is checked exhaustively to
+    preserve q and b."""
     if any(d != 2 for d in A.orders):
         raise ValueError("orthogonal_group supports 2-elementary modules only")
     k = len(A.orders)
@@ -620,17 +508,9 @@ def orthogonal_group(
     # the image of element e is the XOR of the images of its set bits
     bits = (points[:, None] >> np.arange(k, dtype=np.int32)) & 1
     perms = np.bitwise_xor.reduce(imgs[:, None, :] * bits, axis=2)
-    elements = [FqmAutomorphism(A, perm) for perm in perms]
-
-    group = AutomorphismGroup(A, elements)
-    # exhaustive q/b preservation for every member
-    if not np.all(q4[perms] == q4[None, :]):
-        raise AssertionError("an automorphism candidate fails to preserve q")
-    b8 = b4.astype(np.int8)
-    for perm in perms:
-        if not np.array_equal(b8.take(perm, axis=0).take(perm, axis=1), b8):
-            raise AssertionError("an automorphism candidate fails to preserve b")
-    return group
+    _check_isometries(A, perms, "an automorphism candidate")
+    perms.setflags(write=False)
+    return perms
 
 
 # ---------------------------------------------------------------------------

@@ -562,8 +562,7 @@ def type_orbit_check() -> bool:
     permutations of all 1440 members (``class_orbits``), equals the class
     partition.  This justifies recovering a per-element Fourier coefficient
     as the class aggregate divided by the class size."""
-    perms = np.stack([g.perm for g in ambient_orthogonal_group().elements])
-    class_orbits(perms, element_types(ambient_module()))
+    class_orbits(ambient_orthogonal_group(), element_types(ambient_module()))
     return True
 
 

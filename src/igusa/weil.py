@@ -28,13 +28,7 @@ from .exact import (
     packed_roots,
     packed_sum,
 )
-from .fqm import (
-    FqmAutomorphism,
-    isotropic_planes,
-    orthogonal_group,
-    radical_class,
-    reflection,
-)
+from .fqm import isotropic_planes, orthogonal_group, radical_class, reflection
 from .lattices import ambient_lattice, discriminant_module
 
 __all__ = [
@@ -77,7 +71,9 @@ def ambient_module():
 
 
 @lru_cache(maxsize=1)
-def ambient_orthogonal_group():
+def ambient_orthogonal_group() -> np.ndarray:
+    """The 1440 members of the orthogonal group of the ambient module, one
+    read-only int32 permutation row each (see ``fqm.orthogonal_group``)."""
     return orthogonal_group(ambient_module())
 
 
@@ -145,10 +141,11 @@ class GroupRingVector(CycArray):
     def apply(self, matrix: CycMatrix) -> "GroupRingVector":
         return matrix.apply(self)
 
-    def permute(self, aut: FqmAutomorphism) -> "GroupRingVector":
-        """The permutation action g . e_alpha = e_{g(alpha)}."""
+    def permute(self, perm) -> "GroupRingVector":
+        """The permutation action g . e_alpha = e_{g(alpha)} of the
+        automorphism given as the permutation array g = perm."""
         num = np.zeros_like(self.num)
-        num[aut.perm] = self.num
+        num[perm] = self.num
         return self._like(num, self.den, False)
 
     def __repr__(self):
@@ -556,17 +553,15 @@ def w0_vector() -> GroupRingVector:
 # ---------------------------------------------------------------------------
 
 
-def permutation_commutes_with_rep(aut: FqmAutomorphism) -> bool:
-    """Whether the permutation action of one automorphism commutes with both
-    generator matrices (checked by exact array reindexing).  Only its tests
-    check that the 1440 permutations `weil-theta-character-norm` averages
-    over are symmetries."""
-    S = weil_generator("S")
-    T = weil_generator("T")
-    p = aut.perm
-    ok_s = np.array_equal(S.num[np.ix_(p, p)], S.num)
-    ok_t = np.array_equal(T.num[np.ix_(p, p)], T.num)
-    return bool(ok_s and ok_t)
+def permutation_commutes_with_rep(perm) -> bool:
+    """Whether the permutation action of one automorphism, given as its
+    permutation array, commutes with both generator matrices (checked by
+    exact array reindexing).  Only its tests check that the 1440
+    permutations `weil-theta-character-norm` averages over are symmetries."""
+    return all(
+        np.array_equal(g.num[np.ix_(perm, perm)], g.num)
+        for g in (weil_generator("S"), weil_generator("T"))
+    )
 
 
 def _character_norm(proj: CycMatrix, perms: np.ndarray):
@@ -584,16 +579,17 @@ def irreducibility_check() -> dict:
     the exact Frobenius norm of its character equals 1, and the central
     involution acts by the scalar -1."""
     A = ambient_module()
-    G = ambient_orthogonal_group()
+    perms = ambient_orthogonal_group()
+    identity = np.flatnonzero((perms == np.arange(A.size)).all(axis=1))
+    if len(identity) != 1:
+        raise ValueError(f"expected one identity member, found {len(identity)}")
     proj = isotypic_projector(4)
-    chars, norm = _character_norm(proj, np.stack([g.perm for g in G.elements]))
-    identity_value = chars.entry(next(i for i, g in enumerate(G.elements) if g.is_identity()))
-    kappa = radical_class(A)
-    t_kappa = reflection(A, kappa)
-    central_minus = np.array_equal(proj.num[t_kappa.perm, :, :], -proj.num)
+    chars, norm = _character_norm(proj, perms)
+    t_kappa = reflection(A, radical_class(A))
+    central_minus = np.array_equal(proj.num[t_kappa], -proj.num)
     return {
         "frobenius_norm": norm,
         "is_irreducible": norm == CYC_ONE,
-        "identity_character": identity_value,
+        "identity_character": chars.entry(int(identity[0])),
         "central_involution_is_minus_one": bool(central_minus),
     }

@@ -7,15 +7,15 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from igusa import fqm
 from igusa.fqm import (
     TYPE_ORDER_AMBIENT,
     TYPE_ORDER_RESTRICTION,
-    AutomorphismGroup,
     FiniteQuadraticModule,
-    FqmAutomorphism,
     direct_sum,
     element_types,
     find_isomorphism,
+    is_closed,
     isotropic_planes,
     isotropic_vectors,
     orthogonal_group,
@@ -31,6 +31,7 @@ from igusa.lattices import (
     restriction_lattice,
     standard,
 )
+from igusa.weil import ambient_module, ambient_orthogonal_group
 
 
 @pytest.fixture(scope="module")
@@ -235,9 +236,11 @@ def test_reflections_are_involutions(AN):
     assert len(q1) == 16
     for alpha in q1:
         t = reflection(AN, alpha)
-        assert (t * t).is_identity()
-        assert t.preserves_form()
-        assert t.is_group_homomorphism()
+        assert np.array_equal(t[t], np.arange(AN.size))
+        assert np.array_equal(AN.q4[t], AN.q4)
+        assert np.array_equal(AN.b4[np.ix_(t, t)], AN.b4)
+        # t(x + y) = t(x) + t(y) for all pairs
+        assert np.array_equal(t[AN.add_table], AN.add_table[np.ix_(t, t)])
 
 
 def test_reflection_fixes_orthogonal_elements(AN):
@@ -246,9 +249,9 @@ def test_reflection_fixes_orthogonal_elements(AN):
     t = reflection(AN, alpha)
     for beta in AN.elements():
         if AN.b(beta, alpha) == 0:
-            assert t(beta) == beta
+            assert t[beta] == beta
         else:
-            assert t(beta) == AN.add(beta, alpha)
+            assert t[beta] == AN.add(beta, alpha)
 
 
 def reference_reflection(A, alpha):
@@ -267,7 +270,7 @@ def test_reflection_matches_the_per_element_reference(AN):
     q1 = [x for x in AN.elements() if AN.q4[x] == 4]
     assert len(q1) == 16 and radical_class(AN) in q1
     for alpha in q1:
-        perm = reflection(AN, alpha).perm
+        perm = reflection(AN, alpha)
         assert perm.dtype == np.int32
         assert np.array_equal(perm, reference_reflection(AN, alpha))
 
@@ -288,14 +291,12 @@ def test_reflection_rejects_a_non_integral_coefficient():
 def test_kappa_reflection_moves_exactly_32(AN):
     kappa = radical_class(AN)
     t = reflection(AN, kappa)
-    assert t.moved_points() == 32
+    moved = np.flatnonzero(t != np.arange(AN.size))
+    assert len(moved) == 32
     labels = element_types(AN)
-    moved_types = {labels[x] for x in AN.elements() if t(x) != x}
-    assert moved_types == {"3/2", "1/2"}
+    assert {labels[x] for x in moved} == {"3/2", "1/2"}
     # the moved classes are shifted by kappa itself
-    for x in AN.elements():
-        if t(x) != x:
-            assert t(x) == AN.add(x, kappa)
+    assert np.array_equal(t[moved], AN.add_table[moved, kappa])
 
 
 def test_kappa_reflection_is_the_component_swap(AN):
@@ -309,7 +310,7 @@ def test_kappa_reflection_is_the_component_swap(AN):
     for x in AN.elements():
         lift = list(AN.lift_vector(x))
         lift[i_a1], lift[i_a2] = lift[i_a2], lift[i_a1]
-        assert AN.class_of_vector(lift) == t(x)
+        assert AN.class_of_vector(lift) == t[x]
 
 
 # ---------------------------------------------------------------------------
@@ -322,17 +323,25 @@ def OQN(AN):
     return orthogonal_group(AN)
 
 
+@pytest.fixture(scope="module")
+def reflections(AN):
+    """The permutation arrays of the 16 reflections in norm-1 classes."""
+    q1 = [x for x in AN.elements() if AN.q4[x] == 4]
+    assert len(q1) == 16
+    return np.stack([reflection(AN, alpha) for alpha in q1])
+
+
 def test_orthogonal_group_order(OQN):
-    assert OQN.order == 1440
+    assert OQN.shape == (1440, 64)
 
 
-def test_orthogonal_group_closed(OQN):
-    assert OQN.is_closed()
+def test_orthogonal_group_closed(OQN, AN):
+    assert is_closed(AN, OQN)
 
 
 def test_closure_check_sees_a_missing_member(OQN, AN):
     # with any one member dropped, some product of two others is that member
-    assert not AutomorphismGroup(AN, OQN.elements[:-1]).is_closed()
+    assert not is_closed(AN, OQN[:-1])
 
 
 def test_closure_check_refuses_members_it_cannot_tell_apart(OQN, AN):
@@ -340,62 +349,80 @@ def test_closure_check_refuses_members_it_cannot_tell_apart(OQN, AN):
     # shares the identity's lookup key
     perm = np.arange(AN.size, dtype=np.int32)
     perm[[3, 5]] = perm[[5, 3]]
-    group = AutomorphismGroup(AN, OQN.elements + [FqmAutomorphism(AN, perm)])
     with pytest.raises(ValueError, match="lookup key"):
-        group.is_closed()
+        is_closed(AN, np.vstack([OQN, perm]))
 
 
 def test_closure_check_refuses_a_repeated_member(OQN, AN):
     # a member listed twice is no new group element: the closure check
-    # names the repeated row instead of passing the 1441-row list
-    group = AutomorphismGroup(AN, OQN.elements + [OQN.elements[5]])
-    assert group.order == 1441
+    # names the repeated row instead of passing the 1441-row array
+    rows = np.vstack([OQN, OQN[5]])
+    assert len(rows) == 1441
     with pytest.raises(ValueError, match="member 1440 repeats member 5"):
-        group.is_closed()
+        is_closed(AN, rows)
 
 
 def test_orthogonal_group_preserves_form(OQN, AN):
-    perms = np.stack([g.perm for g in OQN.elements])
-    assert np.all(AN.q4[perms] == AN.q4[None, :])
-    for g in OQN.elements[:50]:
-        assert g.preserves_form()
+    assert np.all(AN.q4[OQN] == AN.q4[None, :])
+    for g in OQN[:50]:
+        assert np.array_equal(AN.b4[np.ix_(g, g)], AN.b4)
 
 
-def test_all_reflections_are_members(OQN, AN):
-    q1 = [x for x in AN.elements() if AN.q4[x] == 4]
-    for alpha in q1:
-        assert reflection(AN, alpha) in OQN
+def test_isometry_check_names_the_form_that_fails(AN):
+    identity = np.arange(AN.size, dtype=np.int32)
+    labels = element_types(AN)
+    # swapping a norm-1 class with an isotropic class changes q
+    x, y = labels.index("1"), labels.index("0")
+    bad_q = identity.copy()
+    bad_q[[x, y]] = bad_q[[y, x]]
+    with pytest.raises(AssertionError, match="the candidate fails to preserve q"):
+        fqm._check_isometries(AN, np.stack([identity, bad_q]), "the candidate")
+    # swapping two norm-1 classes keeps q but changes some pairing
+    x, y = [z for z in AN.elements() if labels[z] == "1"][:2]
+    bad_b = identity.copy()
+    bad_b[[x, y]] = bad_b[[y, x]]
+    assert np.array_equal(AN.q4[bad_b], AN.q4)
+    with pytest.raises(AssertionError, match="the candidate fails to preserve b"):
+        fqm._check_isometries(AN, np.stack([identity, bad_b]), "the candidate")
+    fqm._check_isometries(AN, identity[None, :], "the identity")
 
 
-def test_reflections_generate_the_group(OQN, AN):
+def test_all_reflections_are_members(OQN, reflections):
+    # each reflection is exactly one row of the group array
+    for t in reflections:
+        assert np.count_nonzero(np.all(OQN == t, axis=1)) == 1
+
+
+def test_reflections_generate_the_group(OQN, AN, reflections):
     # computed cross-check: the subgroup generated by the 16 reflections is
-    # the whole orthogonal group
-    q1 = [x for x in AN.elements() if AN.q4[x] == 4]
-    refls = [reflection(AN, a) for a in q1]
-    ident = FqmAutomorphism(AN, np.arange(AN.size))
-    group = {ident.key}
+    # the whole orthogonal group, row for row
+    ident = np.arange(AN.size, dtype=np.int32)
+    group = {ident.tobytes()}
     frontier = [ident]
     while frontier:
         new = []
         for g in frontier:
-            for s in refls:
-                p = g * s
-                if p.key not in group:
-                    group.add(p.key)
+            for s in reflections:
+                p = g[s]
+                if p.tobytes() not in group:
+                    group.add(p.tobytes())
                     new.append(p)
         frontier = new
-    assert len(group) == OQN.order == 1440
+    assert len(group) == len(OQN) == 1440
+    assert group == {g.tobytes() for g in OQN}
 
 
-def test_center_is_identity_and_kappa_reflection(OQN, AN):
-    center = OQN.center()
+def test_center_is_identity_and_kappa_reflection(OQN, AN, reflections):
+    # the reflections generate the group (see above), so the center is the
+    # rows g with g(s(x)) = s(g(x)) for all 16 reflections s
+    commutes = np.all(OQN[:, reflections] == reflections[:, OQN].swapaxes(0, 1), axis=(1, 2))
+    center = OQN[commutes]
     assert len(center) == 2
-    kappa = radical_class(AN)
-    t = reflection(AN, kappa)
-    keys = {g.key for g in center}
-    assert t.key in keys
-    orders = sorted(g.order() for g in center)
-    assert orders == [1, 2]
+    ident = np.arange(AN.size)
+    t = reflection(AN, radical_class(AN))
+    assert np.array_equal(center[0], ident) and np.array_equal(center[1], t)
+    # orders 1 and 2
+    assert not np.array_equal(t, ident) and np.array_equal(t[t], ident)
 
 
 def reference_search(A):
@@ -447,9 +474,8 @@ def reference_orthogonal_perms(A):
 
 
 def test_orthogonal_group_matches_the_reference_search(OQN, AN):
-    perms = np.stack([g.perm for g in OQN.elements])
-    assert perms.dtype == np.int32
-    assert np.array_equal(perms, reference_orthogonal_perms(AN))
+    assert OQN.dtype == np.int32 and not OQN.flags.writeable
+    assert np.array_equal(OQN, reference_orthogonal_perms(AN))
 
 
 def test_orthogonal_group_keeps_the_images_independent():
@@ -458,9 +484,8 @@ def test_orthogonal_group_keeps_the_images_independent():
     # dependent image out
     A = FiniteQuadraticModule((2, 2, 2), (0, 0, 0), ((0, 0, 0),) * 3)
     group = orthogonal_group(A)
-    assert group.order == 168
-    perms = np.stack([g.perm for g in group.elements])
-    assert np.array_equal(perms, reference_orthogonal_perms(A))
+    assert len(group) == 168
+    assert np.array_equal(group, reference_orthogonal_perms(A))
     _, nodes = reference_search(A)
     with pytest.raises(RuntimeError):
         orthogonal_group(A, node_budget=nodes - 1)
@@ -473,7 +498,7 @@ def test_node_budget_is_enforced(AN):
 
 def test_node_budget_counts_the_depth_first_nodes(AN):
     _, nodes = reference_search(AN)
-    assert orthogonal_group(AN, node_budget=nodes).order == 1440
+    assert len(orthogonal_group(AN, node_budget=nodes)) == 1440
     with pytest.raises(RuntimeError, match=f"exceeded {nodes - 1} nodes"):
         orthogonal_group(AN, node_budget=nodes - 1)
 
@@ -481,6 +506,17 @@ def test_node_budget_counts_the_depth_first_nodes(AN):
 def test_orthogonal_group_rejects_mixed_orders(AM):
     with pytest.raises(ValueError):
         orthogonal_group(AM)
+
+
+def test_shared_tables_are_read_only():
+    # the cached module and group are shared by every check: a stray write
+    # must fail instead of corrupting the checks that run after it
+    A = ambient_module()
+    shared = [A.q4, A.b4, A.add_table, A.neg_table, A.element_orders,
+              ambient_orthogonal_group()]
+    for table in shared:
+        with pytest.raises(ValueError, match="read-only"):
+            table[0] = 0
 
 
 # ---------------------------------------------------------------------------

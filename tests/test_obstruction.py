@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from igusa.exact import CYC_I, CYC_ONE, CYC_ZERO, Cyclotomic, CycMatrix, QSeries
-from igusa.fqm import element_types, radical_class
+from igusa.fqm import element_types, radical_class, reflection
 from igusa import obstruction
 from igusa.obstruction import (
     E_LABELS,
@@ -302,10 +302,10 @@ def test_type_orbit_partition():
     assert type_orbit_check() is True
 
 
-def reference_orbits(group, size):
-    """Orbit ids by a stack walk over the greedy generating set, each orbit
-    named by its least element (the first one the walk starts from)."""
-    gens = group.generating_set()
+def reference_orbits(gens, size):
+    """Orbit ids by a stack walk over the generating permutation arrays gens,
+    each orbit named by its least element (the first one the walk starts
+    from)."""
     orbit = np.full(size, -1, dtype=np.int64)
     for start in range(size):
         if orbit[start] >= 0:
@@ -315,7 +315,7 @@ def reference_orbits(group, size):
         while stack:
             x = stack.pop()
             for g in gens:
-                y = int(g.perm[x])
+                y = int(g[x])
                 if orbit[y] < 0:
                     orbit[y] = start
                     stack.append(y)
@@ -323,17 +323,18 @@ def reference_orbits(group, size):
 
 
 def test_class_orbits_match_the_generator_walk():
+    # the 16 reflections in norm-1 classes generate the orthogonal group
+    # (tests/test_fqm.py), so their walk has the group's orbits
     A = ambient_module()
-    group = ambient_orthogonal_group()
-    perms = np.stack([g.perm for g in group.elements])
-    orbit = class_orbits(perms, element_types(A))
-    assert np.array_equal(orbit, reference_orbits(group, A.size))
+    reflections = [reflection(A, x) for x in A.elements() if A.q4[x] == 4]
+    orbit = class_orbits(ambient_orthogonal_group(), element_types(A))
+    assert np.array_equal(orbit, reference_orbits(reflections, A.size))
     assert len(set(orbit.tolist())) == len(TYPE_ORDER)
 
 
 def test_class_orbits_reject_a_mixed_orbit():
     A = ambient_module()
-    perms = np.stack([g.perm for g in ambient_orthogonal_group().elements])
+    perms = ambient_orthogonal_group()
     labels = list(element_types(A))
     # relabel one norm-1 class as norm 3/2: its orbit now mixes two labels
     planted = labels.index("1")

@@ -436,8 +436,7 @@ def test_w0_properties():
 
 
 def test_permutation_action_commutes_with_generators():
-    G = ambient_orthogonal_group()
-    assert all(permutation_commutes_with_rep(g) for g in G.elements)
+    assert all(permutation_commutes_with_rep(g) for g in ambient_orthogonal_group())
 
 
 def test_irreducibility_certificate():
@@ -448,6 +447,14 @@ def test_irreducibility_certificate():
     assert rep["central_involution_is_minus_one"] is True
 
 
+def test_irreducibility_check_names_a_missing_identity(monkeypatch):
+    rows = ambient_orthogonal_group()
+    assert np.array_equal(rows[0], np.arange(64))
+    monkeypatch.setattr(weil, "ambient_orthogonal_group", lambda: rows[1:])
+    with pytest.raises(ValueError, match="expected one identity member, found 0"):
+        irreducibility_check()
+
+
 def test_character_value_does_not_wrap_past_int64():
     big = CycMatrix.from_rows([[2**62] * 2] * 2)
     chars, norm = weil._character_norm(big, np.array([[0, 1], [1, 0]]))
@@ -455,7 +462,7 @@ def test_character_value_does_not_wrap_past_int64():
     assert norm == Cyclotomic(2**126)
     # the packed characters and norm against per-element Cyclotomic sums
     proj = isotypic_projector(4)
-    perms = np.stack([g.perm for g in ambient_orthogonal_group().elements[:10]])
+    perms = ambient_orthogonal_group()[:10]
     chars, norm = weil._character_norm(proj, perms)
     reference = [sum((proj.entry(int(p[a]), a) for a in range(64)), CYC_ZERO) for p in perms]
     assert [chars.entry(i) for i in range(10)] == reference
@@ -542,12 +549,12 @@ if HAVE_HYPOTHESIS:
     @given(sparse_vectors, st.integers(min_value=0, max_value=1439))
     @settings(max_examples=25, deadline=None)
     def test_packed_permute_matches_the_fraction_reference(v, index):
-        aut = ambient_orthogonal_group().elements[index]
+        perm = ambient_orthogonal_group()[index]
         expected = [CYC_ZERO] * 64
         for alpha, c in enumerate(v.dense):
             if c:
-                expected[aut(alpha)] = c
-        assert v.permute(aut).dense == tuple(expected)
+                expected[perm[alpha]] = c
+        assert v.permute(perm).dense == tuple(expected)
 
     @given(sparse_vectors, sparse_vectors, st.integers(min_value=1, max_value=6))
     @settings(max_examples=25, deadline=None)
