@@ -221,7 +221,9 @@ class FiniteQuadraticModule:
 
 
 def direct_sum(*modules: FiniteQuadraticModule) -> FiniteQuadraticModule:
-    """Orthogonal direct sum of finite quadratic modules."""
+    """Orthogonal direct sum of finite quadratic modules.  Nothing in the
+    library calls it; `test_discriminant_of_direct_sum_is_direct_sum` uses it
+    with `find_isomorphism` to check that discriminant forms add."""
     if not modules:
         raise ValueError("direct_sum needs at least one summand")
     orders = []

@@ -67,8 +67,8 @@ __all__ = [
 
 # Largest trial count of the degree-16 certification; each trial builds one
 # fibre curve and its degree-16 composition, and
-# `igusa geometry --trials 1000` takes about 2 s and 35 MB (CPython 3.11
-# on one Xeon core).
+# `igusa geometry --trials 1000` takes about 2 s and 32 MB via the CLI on
+# a 2-vCPU Xeon.
 MAX_TRIALS = 1000
 
 

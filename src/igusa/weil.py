@@ -13,6 +13,7 @@ All arithmetic is exact over the conductor-24 cyclotomic field.
 import math
 from fractions import Fraction
 from functools import lru_cache
+from types import MappingProxyType
 
 import numpy as np
 
@@ -33,7 +34,6 @@ from .lattices import ambient_lattice, discriminant_module
 
 __all__ = [
     "GroupRingVector",
-    "RepElement",
     "ambient_module",
     "ambient_orthogonal_group",
     "weil_generator",
@@ -191,59 +191,42 @@ def _sl2_inv(a):
     return ((s % 4, (-q) % 4), ((-r) % 4, p % 4))
 
 
-class RepElement:
-    """An element of the image group: a word in the generators, the exact
-    matrix, and the tracked level-4 integer matrix."""
-
-    __slots__ = ("word", "matrix", "sl2", "trace")
-
-    def __init__(self, word, matrix, sl2):
-        self.word = word
-        self.matrix = matrix
-        self.sl2 = sl2
-        self.trace = matrix.trace()
-
-    def __repr__(self):
-        return f"RepElement({self.word!r})"
-
-
 @lru_cache(maxsize=1)
-def image_group() -> tuple:
-    """Closure of the two generator matrices under multiplication; each
-    element tagged by its word and level-4 matrix. Errors out if the closure
-    exceeds 96 elements."""
+def image_group() -> MappingProxyType:
+    """The image of SL(2, Z/4) as a read-only map from each level-4 matrix to
+    its exact 64x64 matrix, built breadth-first from E by right multiplication
+    with S and T.  A product reaching a level-4 matrix already mapped must
+    equal the matrix stored there (rho is a homomorphism), and only E may map
+    to the identity (rho is faithful, so the 48 matrices are distinct)."""
     S = weil_generator("S")
     T = weil_generator("T")
     ident = CycMatrix.identity(64)
-    start = RepElement("E", ident, _SL2_E)
-    seen = {ident.key(): start}
-    frontier = [start]
     t_diag = T.num[np.arange(T.n), np.arange(T.n)]
-    gens = [("S", _SL2_S), ("T", _SL2_T)]
+    group = {_SL2_E: ident}
+    frontier = [_SL2_E]
     while frontier:
         new = []
-        for el in frontier:
-            for letter, tag in gens:
-                if letter == "S":
-                    prod = el.matrix @ S
+        for x in frontier:
+            matrix = group[x]
+            for tag in (_SL2_S, _SL2_T):
+                if tag == _SL2_S:
+                    prod = matrix @ S
                 else:  # T is diagonal: scale column alpha by the unit T[alpha, alpha],
                     # which keeps the packing in lowest terms
-                    prod = CycMatrix(_packed_product(el.matrix.num, t_diag[None], (T.n, T.n)),
-                                     el.matrix.den, False)
-                key = prod.key()
-                if key not in seen:
-                    if len(seen) >= 96:
-                        raise RuntimeError("image group closure exceeded 96 elements")
-                    word = letter if el.word == "E" else el.word + letter
-                    nxt = RepElement(word, prod, _sl2_mul(el.sl2, tag))
-                    seen[key] = nxt
-                    new.append(nxt)
+                    prod = CycMatrix(_packed_product(matrix.num, t_diag[None], (T.n, T.n)),
+                                     matrix.den, False)
+                xg = _sl2_mul(x, tag)
+                if xg not in group:
+                    group[xg] = prod
+                    new.append(xg)
+                elif group[xg] != prod:
+                    raise AssertionError(f"two words for the level-4 matrix {xg} "
+                                         f"give different matrices")
         frontier = new
-    elements = tuple(seen.values())
-    # the level-4 tags must be pairwise distinct: the action is faithful
-    if len({el.sl2 for el in elements}) != len(elements):
-        raise AssertionError("level-4 tags are not distinct: action not faithful")
-    return elements
+    kernel = [x for x, matrix in group.items() if matrix == ident]
+    if kernel != [_SL2_E]:
+        raise AssertionError(f"{len(kernel)} level-4 matrices act as the identity")
+    return MappingProxyType(group)
 
 
 CLASS_ORDER = ("E", "-E", "S", "-S", "T", "-T", "T^2", "-T^2", "ST", "(ST)^2")
@@ -269,23 +252,20 @@ def _class_representative_tags():
 
 @lru_cache(maxsize=1)
 def conjugacy_classes() -> dict:
-    """Partition of the image group into its 10 conjugacy classes, keyed by
-    class name in CLASS_ORDER. Conjugation is computed on the level-4 tags."""
+    """The 10 conjugacy classes of SL(2, Z/4), keyed by name in CLASS_ORDER,
+    each the sorted tuple of its level-4 matrices (keys of `image_group`).
+    The trace read from the map must be constant on each class."""
     group = image_group()
-    by_tag = {el.sl2: el for el in group}
-    tags = list(by_tag)
     reps = _class_representative_tags()
     classes = {}
     covered = set()
     for name in CLASS_ORDER:
         rep = reps[name]
-        orbit = {_sl2_mul(_sl2_mul(g, rep), _sl2_inv(g)) for g in tags}
-        members = [by_tag[t] for t in sorted(orbit)]
-        # all members of one class must share their trace
-        t0 = members[0].trace
-        for m in members:
-            if m.trace != t0:
-                raise AssertionError(f"trace not constant on class {name}")
+        orbit = {_sl2_mul(_sl2_mul(g, rep), _sl2_inv(g)) for g in group}
+        members = tuple(sorted(orbit))
+        t0 = group[members[0]].trace()
+        if any(group[x].trace() != t0 for x in members[1:]):
+            raise AssertionError(f"trace not constant on class {name}")
         if covered & orbit:
             raise AssertionError(f"conjugacy class {name} overlaps a previous one")
         covered |= orbit
@@ -297,8 +277,9 @@ def conjugacy_classes() -> dict:
 
 def conjugacy_traces() -> list:
     """Traces of the representation on the 10 class representatives."""
+    group = image_group()
     classes = conjugacy_classes()
-    return [classes[name][0].trace for name in CLASS_ORDER]
+    return [group[classes[name][0]].trace() for name in CLASS_ORDER]
 
 
 # ---------------------------------------------------------------------------
@@ -404,10 +385,11 @@ def conjugate_decomposition() -> list:
 def _class_sums() -> CycArray:
     """The sums of the matrices of each conjugacy class, in CLASS_ORDER,
     packed in shape (10, 64, 64, 8) over one denominator."""
+    group = image_group()
     classes = conjugacy_classes()
-    den = math.lcm(*(el.matrix.den for members in classes.values() for el in members))
+    den = math.lcm(*(matrix.den for matrix in group.values()))
     return CycArray(np.stack([
-        packed_sum(np.stack([el.matrix.num * (den // el.matrix.den) for el in classes[name]]))
+        packed_sum(np.stack([group[x].num * (den // group[x].den) for x in classes[name]]))
         for name in CLASS_ORDER
     ]), den)
 
@@ -458,10 +440,6 @@ def isotypic_subspace(character_index: int, expected_dim=None) -> list:
 # ---------------------------------------------------------------------------
 
 
-def _coords_key(A, x):
-    return A.coords(x)
-
-
 def theta_vector(plane) -> GroupRingVector:
     """The signed sum over the two cosets attached to an isotropic plane.
 
@@ -493,7 +471,7 @@ def theta_vector(plane) -> GroupRingVector:
     cosets = {frozenset(A.add(x, v) for v in V) for x in candidates}
     if len(cosets) != 1 or len(candidates) != 8:
         raise AssertionError("base point is not unique modulo V")
-    alpha0 = min(candidates, key=lambda x: _coords_key(A, x))
+    alpha0 = min(candidates, key=A.coords)
     m_plus = [A.add(alpha0, c) for c in I]
     m_minus = [A.add(x, kappa) for x in m_plus]
     dense = [CYC_ZERO] * A.size

@@ -1,7 +1,10 @@
-"""Every name a module exports through ``__all__`` exists."""
+"""Every name a module exports through ``__all__`` exists, and so does every
+function the benchmark traces by name."""
 
 import importlib
+import importlib.util
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -21,3 +24,32 @@ def test_all_names_resolve(name):
     assert [n for n in exported if not hasattr(module, n)] == []
     assert [n for n in exported if n not in namespace] == []
     assert len(set(exported)) == len(exported)
+
+
+def load_tracer():
+    """``benchmarks/tracer.py``, loaded from its file (it imports only the
+    standard library)."""
+    path = Path(__file__).resolve().parents[1] / "benchmarks" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("benchmark_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    return tracer
+
+
+# Traced names whose functions are already gone; the benchmark lists them
+# as missing until its name list is repaired.
+KNOWN_MISSING = {"exact.field_rref", "geometry.rnc_through_7",
+                 "geometry.rational_curve_via_frame"}
+
+
+def test_benchmark_traced_names_resolve():
+    unresolved = set()
+    for layer, table in load_tracer().NAMED.items():
+        module = importlib.import_module(f"igusa.{layer}")
+        for path in table.values():
+            target = module
+            for part in path.split("."):
+                target = getattr(target, part, None)
+            if target is None:
+                unresolved.add(f"{layer}.{path}")
+    assert unresolved - KNOWN_MISSING == set()

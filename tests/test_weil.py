@@ -117,9 +117,45 @@ def test_image_group_order_48():
 
 
 def test_minus_identity_in_group():
-    E = CycMatrix.identity(64)
-    keys = {el.matrix.key() for el in image_group()}
-    assert (-E).key() in keys
+    assert image_group()[((3, 0), (0, 3))] == -CycMatrix.identity(64)
+
+
+def test_image_group_is_a_read_only_map():
+    group = image_group()
+    with pytest.raises(TypeError):
+        group[((1, 0), (0, 1))] = CycMatrix.identity(64)
+    assert len(image_group()) == 48
+
+
+@pytest.mark.parametrize("i", range(0, 48, 6))
+def test_image_group_is_a_homomorphism_on_a_sample(i):
+    group = image_group()
+    keys = sorted(group)
+    x, y = keys[i], keys[(7 * i + 5) % 48]
+    assert group[x] @ group[y] == group[weil._sl2_mul(x, y)]
+
+
+def test_two_words_disagreeing_at_one_level4_matrix_raise(monkeypatch):
+    S = weil_generator("S")
+    num = S.num.copy()
+    num[0, 1] = -num[0, 1]
+    corrupted = {"S": CycMatrix(num, S.den), "T": weil_generator("T")}
+    monkeypatch.setattr(weil, "weil_generator", corrupted.__getitem__)
+    with pytest.raises(AssertionError, match=r"two words for the level-4 matrix "
+                       r"\(\(\d, \d\), \(\d, \d\)\) give different matrices"):
+        image_group.__wrapped__()
+
+
+def test_a_trivial_action_is_consistent_but_not_faithful(monkeypatch):
+    monkeypatch.setattr(weil, "weil_generator", lambda name: CycMatrix.identity(64))
+    with pytest.raises(AssertionError, match="48 level-4 matrices act as the identity"):
+        image_group.__wrapped__()
+
+
+def test_classes_are_sorted_tuples_partitioning_the_level4_matrices():
+    classes = conjugacy_classes()
+    assert all(members == tuple(sorted(members)) for members in classes.values())
+    assert sorted(x for members in classes.values() for x in members) == sorted(image_group())
 
 
 def test_class_sizes():
@@ -146,8 +182,8 @@ def test_conjugacy_traces_frozen():
 
 def test_st_word_has_trace_minus_one():
     classes = conjugacy_classes()
-    assert classes["ST"][0].trace == -CYC_ONE
-    assert classes["(ST)^2"][0].trace == CYC_ONE
+    assert image_group()[classes["ST"][0]].trace() == -CYC_ONE
+    assert image_group()[classes["(ST)^2"][0]].trace() == CYC_ONE
 
 
 # ---------------------------------------------------------------------------
@@ -208,8 +244,8 @@ def reference_projector(character_index: int) -> CycMatrix:
     row = CHARACTER_TABLE[character_index - 1]
     acc = None
     for name, value in zip(CLASS_ORDER, row):
-        for el in conjugacy_classes()[name]:
-            term = el.matrix.scale(value.conjugate())
+        for x in conjugacy_classes()[name]:
+            term = image_group()[x].scale(value.conjugate())
             acc = term if acc is None else acc + term
     return acc.scale(Fraction(character_degrees()[character_index - 1], 48))
 
