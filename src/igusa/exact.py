@@ -19,8 +19,6 @@ from typing import Iterable, Sequence, Union
 
 import numpy as np
 
-Rational = Fraction
-
 Scalar = Union[int, Fraction, "Cyclotomic"]
 
 # Power basis 1, z, ..., z^7 of Q(z), z a primitive 24th root of unity,

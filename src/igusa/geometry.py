@@ -10,10 +10,10 @@ six distinguished base points certifies that the induced self-map has
 degree sixteen.  All structural checks are exact over the rationals.  There
 is one curve construction, `fibre_curve`: the fibre of the cubic map through
 a point with six distinct coordinates, in closed form over the integers,
-and the degree count is certified on it exactly (degree-16 term nonzero,
-squarefree); floats serve only as oracles with explicit tolerances: the
-residual of the float curve at its nodes, the root separation of the float
-composition, and a float composition from the curve's rows.
+and the degree count is certified on it exactly, on the degree-16 binary
+form of the composition (degree at least 15, squarefree); floats serve
+only as oracles with explicit tolerances: an independent float composition
+from the curve's rows, and the root separation of the float composition.
 """
 
 from __future__ import annotations
@@ -55,7 +55,6 @@ __all__ = [
     "base_lines",
     "ExactCurve",
     "fibre_curve",
-    "interpolation_residual",
     "exact_quartic_composition",
     "poly_is_squarefree",
     "cubic_base_locus_check",
@@ -850,43 +849,6 @@ def _conv(a, b):
     return out
 
 
-def _mobius_chart(form, nodes, gauge) -> tuple:
-    """The integer form (ascending) in the chart s where the three
-    parameters t take the gauge values, both given as integer pairs (p, r)
-    meaning p / r: G(s) = sum_k f_k (alpha s + beta)^k (gamma s + delta)^(n
-    - k) for the integer Mobius map t = (alpha s + beta) / (gamma s +
-    delta), divided by its content.  A rescaled map scales G by an even
-    power, so G is unique.  ValueError if the gauge repeats."""
-
-    def basis(triple):
-        # sends the three values p / r to 0, 1, infinity
-        (p0, r0), (p1, r1), (p2, r2) = triple
-        a, b = p1 * r2 - p2 * r1, p1 * r0 - p0 * r1
-        return ((a * r0, -a * p0), (b * r2, -b * p2))
-
-    (a, b), (c, d) = basis(nodes)
-    src = basis(gauge)
-    inv = ((d, -b), (-c, a))
-    alpha, beta, gamma, delta = (
-        sum(inv[i][k] * src[k][j] for k in range(2))
-        for i in range(2) for j in range(2)
-    )
-    if alpha * delta == beta * gamma:
-        raise ValueError("gauge triple is degenerate")
-    n = len(form) - 1
-    num = [[1]]
-    den = [[1]]
-    for _ in range(n):
-        num.append(_conv(num[-1], [beta, alpha]))
-        den.append(_conv(den[-1], [delta, gamma]))
-    poly = [0] * (n + 1)
-    for k, f in enumerate(form):
-        if f:
-            for j, v in enumerate(_conv(num[k], den[n - k])):
-                poly[j] += f * v
-    return tuple(_primitive(poly))
-
-
 def exact_quartic_composition(curve: ExactCurve) -> tuple:
     """The quartic evaluated along the curve's six ambient coordinate
     polynomials, as 17 integers (ascending powers): the products over the
@@ -969,29 +931,19 @@ def poly_is_squarefree(poly) -> bool:
     return _prs_is_squarefree(a)
 
 
-def _float_values(coeffs: np.ndarray, pairs) -> np.ndarray:
-    """Values at the homogeneous parameters (p, r) (one row each) of the
-    polynomial map with float coefficient rows coeffs (ascending powers):
-    sum_k A_k p^k r^(4-k), which covers r = 0 without a special case."""
-    p, r = np.asarray(pairs, dtype=float).T[:, :, None]
-    k = np.arange(5)
-    return (p**k * r ** (4 - k)) @ coeffs.T
-
-
-def interpolation_residual(curve: ExactCurve, charts) -> float:
-    """Worst relative float residual of the curve at its nodes: the miss
-    |x(p_i, r_i) - l_i c_i|, with l_i the least-squares scale onto the
-    chart c_i of the point interpolated there, over the size
-    |sum |A_k| |p_i|^k |r_i|^(4-k)| of the terms that x(p_i, r_i) sums
-    (cancelling terms say nothing about the curve)."""
+def _float_composition_residual(curve: ExactCurve, form) -> float:
+    """Worst coefficient gap between the exact form and a float
+    composition built from the curve's float rows by numpy convolutions,
+    not from the form, each scaled to largest coefficient 1.  A form wrong
+    in one coefficient misses by about that coefficient's relative size."""
     coeffs = np.array(curve.X, dtype=float)
-    pairs = np.array(curve.nodes, dtype=float)
-    xs = _float_values(coeffs, pairs)
-    sizes = _float_values(np.abs(coeffs), np.abs(pairs))
-    ps = np.array(charts, dtype=float)
-    scales = np.sum(xs * ps, axis=1) / np.sum(ps * ps, axis=1)
-    misses = np.linalg.norm(xs - scales[:, None] * ps, axis=1)
-    return float(np.max(misses / np.linalg.norm(sizes, axis=1)))
+    rows = np.vstack([coeffs, -coeffs.sum(axis=0)])
+    squares = [np.convolve(row, row) for row in rows]
+    s2 = sum(squares)
+    floats = np.convolve(s2, s2) - 4 * sum(np.convolve(q, q) for q in squares)
+    exact = np.array(form, dtype=float)
+    return float(np.max(np.abs(floats / np.max(np.abs(floats))
+                               - exact / np.max(np.abs(exact)))))
 
 
 def quartic_point_composition_check() -> dict:
@@ -999,9 +951,9 @@ def quartic_point_composition_check() -> dict:
     ON the quartic, the composed degree-16 polynomial has a root at that
     point's parameter t = 0.  The vanishing is certified
     exactly (zero constant term, nonzero degree-16 term) and confirmed by
-    an independent float composition: numpy convolutions of the float rows,
+    the independent float composition of `_float_composition_residual`,
     which must agree with the exact form to 1e-9 of its largest
-    coefficient, each scaled to largest coefficient 1.
+    coefficient.
 
     The witness (-8, -7, 0, 3, 5, 7) is a double root of its composition
     (the t and constant terms both vanish): the fibre curve is tangent to
@@ -1018,14 +970,7 @@ def quartic_point_composition_check() -> dict:
         raise ValueError("exact composition does not vanish at the witness")
     if poly[16] == 0:
         raise ValueError("exact composition drops below degree 16")
-    coeffs = np.array(curve.X, dtype=float)
-    rows = np.vstack([coeffs, -coeffs.sum(axis=0)])
-    squares = [np.convolve(row, row) for row in rows]
-    s2 = sum(squares)
-    floats = np.convolve(s2, s2) - 4 * sum(np.convolve(q, q) for q in squares)
-    exact = np.array(poly, dtype=float)
-    residual = float(np.max(np.abs(floats / np.max(np.abs(floats))
-                                   - exact / np.max(np.abs(exact)))))
+    residual = _float_composition_residual(curve, poly)
     bound = 1e-9
     if residual > bound:
         raise ValueError(
@@ -1047,104 +992,73 @@ def degree16_check(
 ) -> dict:
     """Monte Carlo certification that composing the quartic with rational
     normal curves through the six base points and a random rational seventh
-    point yields a degree-16 polynomial with 16 distinct roots.
+    point yields a degree-16 binary form with 16 distinct roots on P^1.
 
     The curve through the seventh point x is its `fibre_curve`, the fibre
-    of the cubic map through x.  Candidate draws on the quartic, on a base
-    line (four equal coordinates), or with two equal coordinates (no curve
-    passes through the seven points) are redrawn, up to 8 per trial;
-    `rejected_draws` counts them by cause.  A trial whose curve misses its
-    seven points in floats by more than residual_tol (relative) is
-    discarded, as is one that fails the exact or numeric criteria;
-    `discarded` records each with its cause.  Each trial composes once, to
-    the integers of `exact_quartic_composition`; other charts for the float
-    criteria are Mobius substitutions into that form."""
+    of the cubic map through x.  Candidate draws on the quartic or with two
+    equal coordinates (no curve passes through the seven points) are
+    redrawn, up to 8 per trial; `rejected_draws` counts them by cause.
+
+    Each trial composes once, to the integers f of
+    `exact_quartic_composition`, and certifies the binary form F(p, r) =
+    r^16 f(p / r) exactly: a root at t = infinity has multiplicity
+    16 - deg f, so F has 16 distinct roots exactly when deg f >= 15 and f
+    is squarefree.  Floats serve as two oracles that can fail: the
+    independent float composition of the curve's rows must match f to
+    residual_tol (`_float_composition_residual`), and the finite float
+    roots of f, polished by Newton steps, must be separated by more than
+    separation_tol.  A trial that fails a criterion is discarded;
+    `discarded` records each with its cause."""
     if trials < 1:
         raise ValueError("at least one trial required")
     if trials > MAX_TRIALS:
         raise ValueError(f"at most {MAX_TRIALS} trials")
     _, quartic = canonical_polys()
-    # the float oracle takes each base point scaled to first coordinate 1;
-    # another scale changes its residual only by rounding
-    base_charts = [[c / b[0] for c in b[:5]] for b in base_points()]
     rng = random.Random(seed)
     successes = 0
     discarded = []
-    rejected = {"on_quartic": 0, "on_base_line": 0, "repeated_coordinate": 0}
+    rejected = {"on_quartic": 0, "repeated_coordinate": 0}
     worst_residual = 0.0
     for trial in range(trials):
         exact_curve = None
         for _ in range(8):
-            cand = _random_hyperplane_point(rng)
-            ints, _ = clear_denominators(cand)
-            values = sorted(ints)
+            ints, _ = clear_denominators(_random_hyperplane_point(rng))
             if quartic.evaluate_rows([ints])[0] == 0:
                 rejected["on_quartic"] += 1
-            elif any(values[i] == values[i + 3] for i in range(3)):
-                rejected["on_base_line"] += 1  # four equal coordinates
-            else:
-                try:
-                    exact_curve = fibre_curve(ints)
-                    break
-                except ValueError:
-                    rejected["repeated_coordinate"] += 1
+                continue
+            try:
+                exact_curve = fibre_curve(ints)
+                break
+            except ValueError:
+                rejected["repeated_coordinate"] += 1
         if exact_curve is None:
             discarded.append((trial, "no_generic_point"))
             continue
-        residual = interpolation_residual(exact_curve,
-                                          [ints[:5], *base_charts])
+        form = exact_quartic_composition(exact_curve)
+        residual = _float_composition_residual(exact_curve, form)
         worst_residual = max(worst_residual, residual)
         if residual > residual_tol:
-            discarded.append((trial, "interpolation_residual"))
+            discarded.append((trial, "composition_residual"))
             continue
-        # exact certification of the composed form, then the numeric
-        # criteria; a failed numeric criterion earns a fresh Mobius chart
-        # of the form
-        form = exact_quartic_composition(exact_curve)
-        succeeded = False
-        cause = None
-        for attempt in range(3):
-            poly = form
-            if attempt:
-                while True:  # three distinct gauge values p / r
-                    triple = tuple((rng.randint(-6, 6), rng.randint(1, 3))
-                                   for _ in range(3))
-                    if all(p * s != q * r
-                           for (p, r), (q, s) in combinations(triple, 2)):
-                        break
-                poly = _mobius_chart(form, exact_curve.nodes[:3], triple)
-            if poly[16] == 0:
-                cause = "degree_drop_exact"
-                continue
-            if not poly_is_squarefree(poly):
-                cause = "repeated_roots_exact"
-                break  # gauge-invariant: the 16 intersections collide
-            cmax = max(map(abs, poly))
-            coeffs = np.array([c / cmax for c in poly])
-            if abs(coeffs[16]) <= 1e-8 * float(np.max(np.abs(coeffs))):
-                cause = "small_float_leading_coefficient"
-                continue
-            roots = np.roots(coeffs[::-1])
-            # polish with a few Newton steps on the univariate polynomial
-            p1 = np.poly1d(coeffs[::-1])
-            dpoly = np.polyder(p1)
-            for _ in range(3):
-                vals = p1(roots)
-                dvals = dpoly(roots)
-                ok = np.abs(dvals) > 1e-14
-                roots[ok] = roots[ok] - vals[ok] / dvals[ok]
-            sep = np.min(
-                np.abs(roots[:, None] - roots[None, :]) + np.eye(16) * 1e9
-            )
-            if sep <= separation_tol:
-                cause = "root_clustering"
-                continue
-            succeeded = True
-            break
-        if succeeded:
-            successes += 1
-        else:
-            discarded.append((trial, cause))
+        if _poly_degree(form) < 15 or not poly_is_squarefree(form):
+            discarded.append((trial, "repeated_roots_exact"))
+            continue
+        cmax = max(map(abs, form))
+        p1 = np.poly1d([c / cmax for c in form[::-1]])
+        roots = p1.roots
+        # polish with a few Newton steps on the univariate polynomial
+        dpoly = np.polyder(p1)
+        for _ in range(3):
+            vals = p1(roots)
+            dvals = dpoly(roots)
+            ok = np.abs(dvals) > 1e-14
+            roots[ok] = roots[ok] - vals[ok] / dvals[ok]
+        sep = np.min(np.abs(roots[:, None] - roots[None, :])
+                     + np.eye(len(roots)) * 1e9)
+        if sep <= separation_tol:
+            discarded.append((trial, "root_clustering"))
+            continue
+        successes += 1
     report = {
         "trials": trials,
         "successes": successes,
@@ -1153,7 +1067,7 @@ def degree16_check(
         "rejected_draws": rejected,
         "residual_tol": residual_tol,
         "separation_tol": separation_tol,
-        "worst_interpolation_residual": worst_residual,
+        "worst_composition_residual": worst_residual,
     }
     if successes == 0:
         raise ValueError(f"degree-16 verification failed in every trial: {report}")

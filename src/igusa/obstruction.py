@@ -678,8 +678,10 @@ def _pair_divisor(divisor: DivisorSpec, series: dict) -> Fraction:
 
 
 def borcherds_weights_table() -> dict:
-    """Weights of the four standard divisor families."""
-    series = f_tuple(terms=8)
+    """Weights of the four standard divisor families: exact pairings with
+    the Eisenstein components, so their float validation is left to the
+    caller's own tolerance."""
+    series = f_tuple(terms=8, validate=False)
     return {
         name: _pair_divisor(heegner_divisor(name), series)
         for name in ("kappa", "3/2", "1", "1/2")

@@ -129,7 +129,7 @@ def _plain(value):
     if value is None or isinstance(value, (bool, int, str)):
         return value
     if isinstance(value, float):
-        return float(repr(value) and value)
+        return float(value)
     if isinstance(value, Fraction):
         return int(value) if value.denominator == 1 else str(value)
     if isinstance(value, Cyclotomic):

@@ -33,6 +33,8 @@ from igusa.lattices import (
 )
 from igusa.weil import ambient_module, ambient_orthogonal_group
 
+from test_weil import run_demo
+
 
 @pytest.fixture(scope="module")
 def AN():
@@ -550,3 +552,8 @@ def test_find_isomorphism_positive_and_negative():
     # u is not isomorphic to A1 + A1: q-value multisets differ
     s = direct_sum(a1, a1)
     assert find_isomorphism(u2, s) is None
+
+
+def test_discriminant_census_demo_runs():
+    out = run_demo("01_discriminant_census.py")
+    assert "=== Pairing table (72 entries) ===\n" in out

@@ -655,11 +655,14 @@ def outcome(build, *args):
 def test_fibre_curve_matches_the_frame_reference():
     # the Fraction frame construction through a draw x and the six base
     # points fails exactly when x repeats a coordinate x_e = x_f, naming the
-    # 5-subset of x and the base points other than e and f; otherwise one
-    # Mobius chart onto the frame's first three parameters turns the fibre
-    # curve's form into the frame curve's, exactly
+    # 5-subset of x and the base points other than e and f; otherwise the
+    # Fraction gauge transport that sends three fibre nodes with finite
+    # parameters to the frame's parameters of the same points carries every
+    # node to its frame parameter and the fibre curve's form to the frame
+    # curve's, exactly
     rng = random.Random(11)
     bases = list(base_points())
+    charts = [b[:5] for b in bases]
     curves = 0
     for _ in range(60):
         x = exact.clear_denominators(geometry._random_hyperplane_point(rng))[0]
@@ -676,11 +679,12 @@ def test_fibre_curve_matches_the_frame_reference():
             continue
         coeffs, parameters = expected
         curve = fibre_curve(x)
-        form = geometry._mobius_chart(exact_quartic_composition(curve),
-                                      curve.nodes[:3],
-                                      tuple(map(as_pair, parameters[:3])))
-        assert form == exact_quartic_composition(
-            integer_curve(coeffs, parameters))
+        finite = [k for k, (_, r) in enumerate(curve.nodes) if r][:3]
+        (rows, params), _ = reference_gauge_transport(
+            curve, [x[:5], *charts], finite, [parameters[k] for k in finite])
+        assert params == parameters
+        assert exact_quartic_composition(integer_curve(rows, params)) == \
+            exact_quartic_composition(integer_curve(coeffs, parameters))
         curves += 1
     assert 30 < curves < 60
 
@@ -706,23 +710,24 @@ def reference_mobius_through(pairs):
     return m
 
 
-def reference_gauge_transport(curve, charts, gauge):
-    """The gauge transport over Fractions of a curve given as (coefficient
-    rows, parameters): expand (gamma s + delta)^4 x(...) term by term, then
-    normalize by the first scale and verify."""
-    coeffs, parameters = curve
-    g = [F(v) for v in gauge]
-    mob = reference_mobius_through(tuple(zip(parameters[:3], g)))
+def reference_gauge_transport(curve, charts, sources, targets):
+    """The transport over Fractions of an exact curve by the Mobius map
+    sending the finite parameters of the three source nodes to the target
+    values: expand (gamma s + delta)^4 x(...) term by term, carry every
+    node (p, r) to (m00 p + m01 r) / (m10 p + m11 r), then normalize by
+    the first scale and verify."""
+    mob = reference_mobius_through(
+        [(F(*curve.nodes[k]), t) for k, t in zip(sources, targets)])
     (m00, m01), (m10, m11) = mob
     params = []
-    for s in parameters:
-        den = m10 * s + m11
+    for p, r in curve.nodes:
+        den = m10 * p + m11 * r
         if den == 0:
             raise ValueError("a parameter is transported to infinity")
-        params.append((m00 * s + m01) / den)
+        params.append((m00 * p + m01 * r) / den)
     alpha, beta, gamma, delta = m11, -m01, -m10, m00
     rows = []
-    for row in coeffs:
+    for row in curve.X:
         acc = [F(0)] * 5
         for k in range(5):
             term = [F(1)]
@@ -753,53 +758,6 @@ def integer_curve(coeffs, parameters):
     flat, _ = exact.clear_denominators([c for row in coeffs for c in row])
     return ExactCurve(tuple(tuple(flat[k:k + 5]) for k in range(0, 25, 5)),
                       tuple(map(as_pair, parameters)))
-
-
-def test_gauge_transport_matches_fraction_reference():
-    # seeded curves and gauge triples: the Mobius chart of the integer
-    # composition against the composition along the Fraction reference's
-    # transported curve.  Both are primitive, so a positive multiple is
-    # equality.  A triple sending the fourth parameter to infinity, which
-    # the curve transport refuses, is a valid chart whose degree-16
-    # coefficient has the sign of the form at that parameter; a repeated
-    # triple raises in both
-    rng = random.Random(12)
-    base_charts = [b[:5] for b in base_points()]
-    results = []
-    poles = 0
-    for x in distinct_draws(12, seed=12):
-        if 0 in x:
-            continue  # a node at infinity, which the reference cannot take
-        curve = fibre_curve(x)
-        charts = [x[:5], *base_charts]
-        form = exact_quartic_composition(curve)
-        coeffs, parameters = as_fractions(curve)
-        triples = [tuple(F(rng.randint(-6, 6), rng.randint(1, 3))
-                         for _ in range(3)) for _ in range(4)]
-        pole = parameters[3]
-        triples.append(tuple(1 / (s - pole) for s in parameters[:3]))
-        triples.append((F(1), F(1), F(2)))
-        for triple in triples:
-            expected = outcome(reference_gauge_transport,
-                               (coeffs, parameters), charts, triple)
-            chart = outcome(geometry._mobius_chart, form, curve.nodes[:3],
-                            tuple(map(as_pair, triple)))
-            if expected == (ValueError,
-                            "a parameter is transported to infinity"):
-                value = sum(c * pole**k for k, c in enumerate(form))
-                assert (chart[16] > 0) - (chart[16] < 0) == \
-                    (value > 0) - (value < 0)
-                poles += 1
-            elif expected[0] is ValueError:
-                assert chart == expected
-            else:
-                assert chart == exact_quartic_composition(
-                    integer_curve(*expected[0]))
-                assert len(chart) == 17 and gcd(*chart) == 1
-            results.append(expected)
-    assert sum(r[0] is not ValueError for r in results) >= 30
-    assert poles > 0
-    assert (ValueError, "gauge triple is degenerate") in results
 
 
 # ---------------------------------------------------------------------------
@@ -913,10 +871,8 @@ def test_float_roots_map_to_distinct_quartic_points(monkeypatch):
 
 DEGREE16_CAUSES = {
     "no_generic_point",
-    "interpolation_residual",
-    "degree_drop_exact",
+    "composition_residual",
     "repeated_roots_exact",
-    "small_float_leading_coefficient",
     "root_clustering",
 }
 
@@ -929,7 +885,7 @@ def test_degree16_counts_sixteen_distinct_roots(seed):
     assert report["success_rate"] >= 0.95
     assert report["residual_tol"] == 1e-9
     assert report["separation_tol"] == 1e-6
-    assert 0 < report["worst_interpolation_residual"] <= 1e-9
+    assert 0 < report["worst_composition_residual"] <= 1e-9
     for trial, cause in report["discarded"]:
         assert 0 <= trial < trials
         assert cause in DEGREE16_CAUSES
@@ -1012,25 +968,75 @@ def test_squarefree_certificate_falls_back_exactly(monkeypatch):
     assert len(calls) == 3
 
 
-@pytest.mark.parametrize("seed, runs", [(0, 0), (4, 1)])
+# the composition of seed 4's trial 7 has degree 14, a double root at
+# infinity, so its degree decides it without the remainder sequence
+@pytest.mark.parametrize("seed, runs", [(0, 0), (4, 0)])
 def test_degree16_runs_the_remainder_sequence_only_on_repeated_roots(
         monkeypatch, seed, runs):
     calls = counted_remainder_sequence(monkeypatch)
     report = degree16_check(trials=40, seed=seed)
     assert len(calls) == runs
-    assert report["discarded"] == (
-        ((7, "repeated_roots_exact"),) if runs else ())
+    assert report["discarded"] == DEGREE16_OUTCOMES_40[seed][1]
+
+
+def fed_form(monkeypatch, form):
+    """Feed one integer form to every trial of degree16_check in place of
+    the composition of its curve; the float composition oracle, which would
+    tell the two apart, is switched off."""
+    monkeypatch.setattr(geometry, "exact_quartic_composition",
+                        lambda curve: form)
+    monkeypatch.setattr(geometry, "_float_composition_residual",
+                        lambda curve, form: 0.0)
+
+
+@pytest.mark.parametrize("form, cause, runs", [
+    # t^15 - 2: a simple root at infinity and 15 distinct finite roots
+    ((-2,) + (0,) * 14 + (1, 0), None, 0),
+    # t^14 - 2: squarefree, but a double root at infinity; the degree
+    # decides without the squarefree test
+    ((-2,) + (0,) * 13 + (1, 0, 0), "repeated_roots_exact", 0),
+    # (t - 1)^2 (t^14 - 2): a finite double root, which the modular
+    # certificate cannot exclude, so the remainder sequence decides
+    (tuple(geometry._conv([1, -2, 1], [-2] + [0] * 13 + [1])),
+     "repeated_roots_exact", 1),
+], ids=["degree-15", "degree-14", "finite-double-root"])
+def test_degree16_certifies_the_binary_form(monkeypatch, form, cause, runs):
+    fed_form(monkeypatch, form)
+    calls = counted_remainder_sequence(monkeypatch)
+    if cause is None:
+        report = degree16_check(trials=1, seed=0)
+        assert (report["successes"], report["discarded"]) == (1, ())
+    else:
+        with pytest.raises(ValueError, match=re.escape(f"((0, '{cause}'),)")):
+            degree16_check(trials=1, seed=0)
+    assert len(calls) == runs
+
+
+def test_degree16_discards_a_form_the_float_composition_misses(monkeypatch):
+    # the float composition of each trial is built from its curve's rows,
+    # so an exact form moved in one coefficient discards every trial
+    original = geometry.exact_quartic_composition
+
+    def corrupted(curve):
+        form = list(original(curve))
+        form[8] += max(map(abs, form))
+        return tuple(form)
+
+    monkeypatch.setattr(geometry, "exact_quartic_composition", corrupted)
+    causes = re.escape(str(tuple((t, "composition_residual")
+                                 for t in range(3))))
+    with pytest.raises(ValueError, match=causes):
+        degree16_check(trials=3, seed=0)
 
 
 # (successes, discarded, repeated_coordinate rejections) of
-# degree16_check(trials=40, seed=s) for s = 0..11; the Mobius charts that
-# a failed float criterion draws consume the seeded generator too
+# degree16_check(trials=40, seed=s) for s = 0..11
 DEGREE16_OUTCOMES_40 = [
     (40, (), 20),
     (40, (), 17),
     (40, (), 20),
     (40, (), 19),
-    (39, ((7, "repeated_roots_exact"),), 10),
+    (39, ((7, "repeated_roots_exact"),), 14),
     (40, (), 23),
     (40, (), 12),
     (40, (), 17),
@@ -1048,8 +1054,7 @@ def test_degree16_sampled_outcomes_are_pinned():
         assert (report["successes"], report["discarded"],
                 report["rejected_draws"]) == (
             successes, discarded,
-            {"on_quartic": 0, "on_base_line": 0,
-             "repeated_coordinate": repeated})
+            {"on_quartic": 0, "repeated_coordinate": repeated})
 
 
 # ---------------------------------------------------------------------------

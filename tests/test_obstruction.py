@@ -381,7 +381,8 @@ def test_weights_table():
     }
 
 
-def test_obstruction_suite_validates_each_series_once(monkeypatch):
+@pytest.mark.parametrize("tolerance", [1e-6, 1e-3])
+def test_obstruction_suite_validates_each_series_once(monkeypatch, tolerance):
     from igusa.report import SuiteRunner, obstruction_suite
 
     calls = []
@@ -399,19 +400,19 @@ def test_obstruction_suite_validates_each_series_once(monkeypatch):
     clear()
     try:
         runner = SuiteRunner()
-        obstruction_suite(runner)
+        obstruction_suite(runner, tolerance=tolerance)
         assert all(check.status == "pass" for check in runner.checks)
         assert len(calls) == 6
         # the unvalidated 4-term and validated 8-term tuples share one
         # expansion per series
         assert obstruction._eisenstein_G3.cache_info().misses == 6
         # the same series however written is not validated again ...
-        eisenstein_G3(5, -2, terms=8)
-        eisenstein_G3(1, 2, 8, box=1600, tolerance=1e-6, validate=True)
+        eisenstein_G3(5, -2, terms=8, tolerance=tolerance)
+        eisenstein_G3(1, 2, 8, box=1600, tolerance=tolerance, validate=True)
         assert len(calls) == 6
         # ... but another tolerance or box is
         eisenstein_G3(1, 2, 8, tolerance=1e-5)
-        eisenstein_G3(1, 2, 8, box=800)
+        eisenstein_G3(1, 2, 8, box=800, tolerance=tolerance)
         assert len(calls) == 8
         assert obstruction._eisenstein_G3.cache_info().misses == 6
     finally:

@@ -23,6 +23,8 @@ from igusa.restriction import (
 )
 from igusa.weil import ambient_module
 
+from test_weil import run_demo
+
 HALF = Fraction(1, 2)
 
 
@@ -540,3 +542,8 @@ def test_seven_lines_structure():
 def test_seven_lines_input_validation():
     with pytest.raises(ValueError, match="order-8"):
         seven_lines(frozenset({0, 1, 2}))
+
+
+def test_heegner_restriction_demo_runs():
+    out = run_demo("06_heegner_restriction.py")
+    assert "classification identical across boxes: True\n" in out
