@@ -23,7 +23,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 from numbers import Integral
 from operator import add, getitem, index
 
@@ -40,7 +40,9 @@ from .exact import (
 
 __all__ = [
     "MultiPoly",
+    "evaluate_polys",
     "PAIR_PARTITIONS",
+    "LINE_PARAMETERS",
     "canonical_polys",
     "LineParam",
     "fifteen_lines",
@@ -66,7 +68,7 @@ __all__ = [
 
 # Largest trial count of the degree-16 certification; each trial builds one
 # fibre curve and its degree-16 composition, and
-# `igusa geometry --trials 1000` takes about 2 s and 32 MB via the CLI on
+# `igusa geometry --trials 1000` takes about 0.9 s and 33 MB via the CLI on
 # a 2-vCPU Xeon.
 MAX_TRIALS = 1000
 
@@ -82,12 +84,10 @@ class MultiPoly:
 
     The constructor validates its input and raises TypeError on a
     coefficient that is not an integer; every operation builds its result
-    with the trusted `_from_terms`, which only drops zero terms.
-    `compose` substitutes through one power table per variable, and
-    `evaluate_rows` evaluates at every row of an integer array at once, in
-    int64 while an overflow bound allows and in Python integers beyond it.
-    These polynomials have at most a few dozen terms, so a dict of terms
-    beats packed numpy arrays operation by operation."""
+    with the trusted `_from_terms`, which only drops zero terms.  Values
+    come from `evaluate_polys`, one packed pass for many polynomials at many
+    integer points; identities along a line are values at `LINE_PARAMETERS`,
+    and `compose` substitutes symbolically."""
 
     __slots__ = ("nvars", "terms")
 
@@ -207,54 +207,16 @@ class MultiPoly:
         return len(degrees) <= 1
 
     def evaluate_rows(self, points) -> np.ndarray:
-        """Values at every row of an integer array (int64, or Python ints
-        beyond it), from one power table per variable.  The sum of |c| prod
-        max(|x_v|, 1)^e_v over the terms bounds every power, product and
-        partial sum, so the arithmetic runs in int64 below 2^63 and in
-        Python integers (dtype object) beyond; it never wraps.  A rational
-        point is evaluated cleared of its denominators; for a homogeneous
-        polynomial that changes no zero test."""
-        points = np.asarray(points)
-        if points.ndim != 2 or points.shape[1] != self.nvars:
-            raise ValueError("expected one row of values per point")
-        if points.dtype.kind not in "iu" and not (
-                points.dtype == object
-                and all(type(v) is int for v in points.flat)):
-            raise TypeError("cannot evaluate at non-integer points")
-        sizes = [
-            max(-int(np.min(col, initial=0)), int(np.max(col, initial=0)), 1)
-            for col in points.T
-        ]
-        bound = sum(abs(c) * math.prod(map(pow, sizes, exps))
-                    for exps, c in self.terms.items())
-        dtype = _packed_dtype(bound, points)
-        points = points.astype(dtype)
-        tables = []
-        for column, top in zip(points.T, map(max, zip(*self.terms))):
-            powers = [None, column]
-            for _ in range(top - 1):
-                powers.append(powers[-1] * column)
-            tables.append(powers)
-        total = np.zeros(len(points), dtype=dtype)
-        for exps, coeff in self.terms.items():
-            term = None
-            for powers, e in zip(tables, exps):
-                if e:
-                    term = powers[e] if term is None else term * powers[e]
-            total += coeff if term is None else coeff * term
-        return total
+        """Values at every row of an integer array: the one-polynomial case
+        of `evaluate_polys`."""
+        return evaluate_polys([self], points)[:, 0]
 
     def partial(self, index: int) -> "MultiPoly":
-        out = {}
-        for exps, coeff in self.terms.items():
-            e = exps[index]
-            if not e:
-                continue
-            new = list(exps)
-            new[index] = e - 1
-            key = tuple(new)
-            out[key] = out.get(key, 0) + coeff * e
-        return MultiPoly._from_terms(self.nvars, out)
+        """The derivative in one variable; lowering its exponent keeps
+        distinct terms distinct."""
+        return MultiPoly._from_terms(self.nvars, {
+            exps[:index] + (e - 1,) + exps[index + 1:]: coeff * e
+            for exps, coeff in self.terms.items() if (e := exps[index])})
 
     def compose(self, substitutions) -> "MultiPoly":
         """Substitute a polynomial (all over a common variable set) for each
@@ -287,6 +249,54 @@ class MultiPoly:
         return MultiPoly._from_terms(nout, out)
 
 
+def evaluate_polys(polys, points) -> np.ndarray:
+    """Values of integer polynomials in the same variables at every row of
+    an integer array, one column per polynomial (int64, or Python ints
+    beyond it): one power table per variable, and each distinct monomial
+    multiplied out once and added into every column by its coefficients.
+    The sum of |c| prod max(|x_v|, 1)^e_v over a polynomial's terms bounds
+    every power, monomial, product and partial sum of its values, so the
+    arithmetic runs in int64 while the largest such bound is below 2^63 and
+    in Python integers (dtype object) beyond; it never wraps.  A rational
+    point is evaluated cleared of its denominators; for a homogeneous
+    polynomial that changes no zero test."""
+    points = np.asarray(points)
+    if points.ndim != 2 or {poly.nvars for poly in polys} != {points.shape[1]}:
+        raise ValueError("expected one row of values per point")
+    if points.dtype.kind not in "iu" and not (
+            points.dtype == object
+            and all(type(v) is int for v in points.flat)):
+        raise TypeError("cannot evaluate at non-integer points")
+    column = {e: None for poly in polys for e in poly.terms}
+    column = {e: k for k, e in enumerate(column)}  # monomial -> row of coeffs
+    sizes = [max(-lo, hi, 1) for lo, hi in zip(
+        points.min(axis=0, initial=0).tolist(),
+        points.max(axis=0, initial=0).tolist())]
+    weights = {e: math.prod(map(pow, sizes, e)) for e in column}
+    bound = max(sum(abs(c) * weights[e] for e, c in poly.terms.items())
+                for poly in polys)
+    dtype = _packed_dtype(bound, points)
+    coeffs = np.zeros((len(column), len(polys)), dtype=dtype)
+    for j, poly in enumerate(polys):
+        for e, c in poly.terms.items():
+            coeffs[column[e], j] = c
+    tables = []
+    for base, top in zip(np.array(points.T, dtype=dtype),
+                         map(max, zip(*column))):
+        powers = [None, base]
+        for _ in range(top - 1):
+            powers.append(powers[-1] * base)
+        tables.append(powers)
+    values = np.zeros((len(points), len(polys)), dtype=dtype)
+    for exps, row in zip(column, coeffs):
+        term = None
+        for powers, e in zip(tables, exps):
+            if e:
+                term = powers[e] if term is None else term * powers[e]
+        values += row if term is None else term[:, None] * row
+    return values
+
+
 # ---------------------------------------------------------------------------
 # Canonical hypersurfaces
 # ---------------------------------------------------------------------------
@@ -295,17 +305,11 @@ class MultiPoly:
 @lru_cache(maxsize=1)
 def canonical_polys():
     """(cubic, quartic): the sum of cubes, and (sum of squares)^2 minus four
-    times the sum of fourth powers, in six variables over the rationals."""
+    times the sum of fourth powers, in six variables over the integers."""
     xs = [MultiPoly.variable(6, i) for i in range(6)]
-    cubes = MultiPoly.zero(6)
-    squares = MultiPoly.zero(6)
-    fourths = MultiPoly.zero(6)
-    for x in xs:
-        cubes = cubes + x**3
-        squares = squares + x**2
-        fourths = fourths + x**4
-    quartic = squares**2 - 4 * fourths
-    return cubes, quartic
+    cubes, squares, fourths = (sum((x**k for x in xs), MultiPoly.zero(6))
+                               for k in (3, 2, 4))
+    return cubes, squares**2 - 4 * fourths
 
 
 # ---------------------------------------------------------------------------
@@ -313,20 +317,27 @@ def canonical_polys():
 # ---------------------------------------------------------------------------
 
 
-def _pair_partitions(items):
-    items = list(items)
-    if not items:
-        yield ()
-        return
-    first = items[0]
-    for k in range(1, len(items)):
-        pair = (first, items[k])
-        rest = items[1:k] + items[k + 1 :]
-        for tail in _pair_partitions(rest):
-            yield (pair,) + tail
+# the fifteen partitions of the six indices into pairs, each pair and each
+# partition sorted
+PAIR_PARTITIONS = tuple(
+    p for p in combinations(combinations(range(6), 2), 3)
+    if len({i for pair in p for i in pair}) == 6)
 
 
-PAIR_PARTITIONS = tuple(sorted(_pair_partitions(range(6))))
+# Pairwise non-proportional parameter pairs (a, b).  Restricted to a line
+# whose coordinates are linear forms in (a, b), a form of degree d becomes a
+# binary form of degree d, and a nonzero one has at most d zeros on P^1: a
+# form of degree d <= 4 that vanishes at the first d + 1 pairs vanishes
+# identically on the line.
+LINE_PARAMETERS = ((1, 0), (0, 1), (1, 1), (1, -1), (1, 2))
+
+
+def _line_points(lines, degree: int) -> np.ndarray:
+    """The points of each line, given by six (coeff_a, coeff_b) pairs, at
+    the first degree + 1 parameter pairs: degree + 1 consecutive integer
+    rows per line, in line order."""
+    pairs = np.array(LINE_PARAMETERS[: degree + 1])
+    return (np.array(lines) @ pairs.T).transpose(0, 2, 1).reshape(-1, 6)
 
 
 @dataclass(frozen=True)
@@ -337,12 +348,6 @@ class LineParam:
 
     partition: tuple
     coefficients: tuple  # six (coeff_a, coeff_b) pairs of ints
-
-    def substitutions(self) -> list:
-        """The six coordinates as polynomials in the two parameters."""
-        pa = MultiPoly.variable(2, 0)
-        pb = MultiPoly.variable(2, 1)
-        return [ca * pa + cb * pb for ca, cb in self.coefficients]
 
     def contains(self, point) -> bool:
         """Whether the six coordinates (any nonzero multiple) lie on the
@@ -356,25 +361,21 @@ class LineParam:
 def fifteen_lines() -> tuple:
     """The fifteen lines with coordinates (a, a, b, b, -a-b, -a-b) up to
     permutation, one per partition of the six indices into pairs; each is
-    verified to lie identically on the quartic and the hyperplane."""
+    verified to lie identically on the hyperplane, and on the quartic by its
+    values at the five points of `LINE_PARAMETERS`, all in one evaluation."""
     _, quartic = canonical_polys()
-    lines = []
-    for partition in PAIR_PARTITIONS:
-        weights = ((1, 0), (0, 1), (-1, -1))
-        coeffs = [None] * 6
-        for pair, w in zip(partition, weights):
-            for idx in pair:
-                coeffs[idx] = w
-        line = LineParam(partition, tuple(coeffs))
-        subs = line.substitutions()
-        total = MultiPoly.zero(2)
-        for s in subs:
-            total = total + s
-        if total:
-            raise AssertionError("line leaves the hyperplane")
-        if quartic.compose(subs):
-            raise AssertionError(f"line {partition} is not on the quartic")
-        lines.append(line)
+    weights = ((1, 0), (0, 1), (-1, -1))  # of the first, second, third pair
+    lines = [LineParam(part, tuple(w for i in range(6) for pair, w in
+                                   zip(part, weights) if i in pair))
+             for part in PAIR_PARTITIONS]
+    coefficients = [line.coefficients for line in lines]
+    if np.array(coefficients).sum(axis=1).any():
+        raise AssertionError("line leaves the hyperplane")
+    values = quartic.evaluate_rows(_line_points(coefficients, 4))
+    missed = np.flatnonzero(values.reshape(len(lines), -1).any(axis=1))
+    if len(missed):
+        raise AssertionError(
+            f"line {lines[missed[0]].partition} is not on the quartic")
     if len({line.partition for line in lines}) != 15:
         raise AssertionError("the fifteen lines must be pairwise distinct")
     return tuple(lines)
@@ -387,12 +388,8 @@ def boundary_points() -> tuple:
     scaled to first coordinate 1: the order of 2 c / p_0, exact since p_0
     is 1 or -2."""
     _, quartic = canonical_polys()
-    points = []
-    for low in combinations(range(6), 2):
-        coords = [1] * 6
-        for i in low:
-            coords[i] = -2
-        points.append(tuple(coords))
+    points = [tuple(-2 if i in low else 1 for i in range(6))
+              for low in combinations(range(6), 2)]
     missed = np.flatnonzero(quartic.evaluate_rows(points))
     if any(map(sum, points)) or len(missed):
         raise AssertionError("a boundary point fails the equations")
@@ -425,33 +422,33 @@ def incidence_153() -> dict:
 def singular_inclusion_check() -> dict:
     """Certify the fifteen lines lie in the singular locus of the quartic
     surface cut on the hyperplane: along each line, identically in the two
-    parameters, the quartic vanishes and its gradient is proportional to the
-    all-ones hyperplane gradient.  Also exhibits quartic points off the
-    lines where the gradient is not proportional: every nonzero integer
-    point of the hyperplane with first five entries in [-2, 2] (in
-    itertools.product order) is evaluated at once, and `witnesses` lists
-    those on the quartic and off every line."""
+    parameters, the quartic vanishes (`fifteen_lines`) and its gradient is
+    proportional to the all-ones hyperplane gradient, as each cubic g_i -
+    g_0 of partial derivatives vanishes at four `LINE_PARAMETERS` points.
+    Also exhibits quartic points off the lines where the gradient is not
+    proportional: every nonzero integer point of the hyperplane with first
+    five entries in [-2, 2] (in itertools.product order) is evaluated at
+    once, and `witnesses` lists those on the quartic and off every line."""
     _, quartic = canonical_polys()
     grad = [quartic.partial(i) for i in range(6)]
-    for line in fifteen_lines():
-        subs = line.substitutions()
-        restricted = [g.compose(subs) for g in grad]
-        for i in range(1, 6):
-            if restricted[i] != restricted[0]:
-                raise ValueError(
-                    f"gradient not proportional to all-ones on {line.partition}"
-                )
+    lines = fifteen_lines()
+    values = evaluate_polys(
+        grad, _line_points([line.coefficients for line in lines], 3))
+    bent = np.flatnonzero((values != values[:, :1]).any(axis=1))
+    if len(bent):
+        raise ValueError("gradient not proportional to all-ones on "
+                         f"{lines[bent[0] // 4].partition}")
 
     # rational quartic points off every line must have non-constant gradient
     head = np.indices((5,) * 5).reshape(5, -1).T - 2
     box = np.column_stack([head, -head.sum(axis=1)])
     keep = box.any(axis=1) & (quartic.evaluate_rows(box) == 0)
     # an integer point is on a line when its coordinates agree in pairs
-    for line in fifteen_lines():
+    for line in lines:
         keep &= ~np.all([box[:, i] == box[:, j] for i, j in line.partition],
                         axis=0)
     witnesses = box[keep]
-    values = np.column_stack([g.evaluate_rows(witnesses) for g in grad])
+    values = evaluate_polys(grad, witnesses)
     flat = np.flatnonzero(np.all(values == values[:, :1], axis=1))
     if len(flat):
         coords = tuple(map(int, witnesses[flat[0]]))
@@ -486,27 +483,11 @@ def fifteen_cubics() -> tuple:
     return tuple(cubics)
 
 
-def _degree3_monomials():
-    monos = sorted(
-        e
-        for e in _compositions(3, 6)
-    )
-    if len(monos) != 56:
-        raise AssertionError("six-variable cubic monomial count must be 56")
-    return monos
-
-
-def _compositions(total, parts):
-    if parts == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for tail in _compositions(total - head, parts - 1):
-            yield (head,) + tail
-
-
-def _coeff_vector(poly: MultiPoly, monomials) -> tuple:
-    return tuple(poly.terms.get(m, 0) for m in monomials)
+def _cubic_monomials(nvars: int) -> list:
+    """The exponent vectors of the cubic monomials in nvars variables,
+    sorted."""
+    return sorted(tuple(c.count(i) for i in range(nvars))
+                  for c in combinations_with_replacement(range(nvars), 3))
 
 
 def _solve_in_span(basis_vectors, target):
@@ -530,9 +511,11 @@ def cubic_span() -> dict:
     cubics: rank 5, a greedy independent basis, and the expansion of every
     cubic in that basis (each expansion verified by exact solve, and
     integral)."""
-    cubics = fifteen_cubics()
-    monomials = _degree3_monomials()
-    vectors = [_coeff_vector(c, monomials) for c in cubics]
+    monomials = _cubic_monomials(6)
+    if len(monomials) != 56:
+        raise AssertionError("six-variable cubic monomial count must be 56")
+    vectors = [tuple(c.terms.get(m, 0) for m in monomials)
+               for c in fifteen_cubics()]
     _, pivots = integer_echelon(vectors)
     rank = len(pivots)
     if rank != 5:
@@ -571,40 +554,39 @@ def base_points() -> tuple:
 @lru_cache(maxsize=1)
 def base_lines() -> tuple:
     """The fifteen base lines of the cubic system: four coordinates equal,
-    intersected with the hyperplane; parametrized by (common value, one free
-    coordinate)."""
+    intersected with the hyperplane; parametrized by (common value a, one
+    free coordinate b), each as (the four indices, six (coeff_a, coeff_b)
+    pairs)."""
     lines = []
-    pa = MultiPoly.variable(2, 0)
-    pb = MultiPoly.variable(2, 1)
     for four in combinations(range(6), 4):
         rest = [i for i in range(6) if i not in four]
-        subs = [None] * 6
-        for i in four:
-            subs[i] = pa
-        subs[rest[0]] = pb
-        subs[rest[1]] = -4 * pa - pb
-        lines.append((four, tuple(subs)))
+        coeffs = [(1, 0)] * 6
+        coeffs[rest[0]] = (0, 1)
+        coeffs[rest[1]] = (-4, -1)
+        lines.append((four, tuple(coeffs)))
     return tuple(lines)
 
 
 def cubic_base_locus_check() -> dict:
     """Every one of the fifteen cubics vanishes identically on every base
-    line, and vanishes with identically zero gradient at every base point."""
+    line, at the four points of `LINE_PARAMETERS` on it, and vanishes with
+    identically zero gradient at every base point: the cubics and their 90
+    partial derivatives are evaluated at all these points in one call."""
     cubics = fifteen_cubics()
-    for four, subs in base_lines():
-        for cubic in cubics:
-            if cubic.compose(list(subs)):
-                raise ValueError(f"cubic does not vanish on base line {four}")
+    lines = base_lines()
+    on_lines = _line_points([coeffs for _, coeffs in lines], 3)
     points = base_points()
-    rows = np.array(points)
-    for cubic in cubics:
-        polys = [("cubic", cubic)]
-        polys += [("cubic gradient", cubic.partial(i)) for i in range(6)]
-        for what, poly in polys:
-            missed = np.flatnonzero(poly.evaluate_rows(rows))
-            if len(missed):
-                raise ValueError(
-                    f"{what} does not vanish at {points[missed[0]]}")
+    polys = list(cubics) + [c.partial(i) for c in cubics for i in range(6)]
+    values = evaluate_polys(polys, np.vstack([on_lines, points]))
+    missed = np.flatnonzero(values[: len(on_lines), : len(cubics)]
+                            .reshape(len(lines), -1).any(axis=1))
+    if len(missed):
+        raise ValueError(
+            f"cubic does not vanish on base line {lines[missed[0]][0]}")
+    missed = np.flatnonzero(values[len(on_lines):].any(axis=1))
+    if len(missed):
+        raise ValueError(
+            f"a cubic or its gradient does not vanish at {points[missed[0]]}")
     return {"base_lines": 15, "base_points": 6, "vanishing_order": 2}
 
 
@@ -614,15 +596,10 @@ def cubic_base_locus_check() -> dict:
 
 
 def _apply_permutation(poly: MultiPoly, perm) -> MultiPoly:
-    """Relabel variables: x_i -> x_perm[i]."""
-    out = {}
-    for exps, coeff in poly.terms.items():
-        new = [0] * poly.nvars
-        for i, e in enumerate(exps):
-            new[perm[i]] = e
-        key = tuple(new)
-        out[key] = out.get(key, 0) + coeff
-    return MultiPoly._from_terms(poly.nvars, out)
+    """Relabel variables: x_i -> x_perm[i], a bijection on the terms."""
+    inverse = [perm.index(j) for j in range(poly.nvars)]
+    return MultiPoly._from_terms(poly.nvars, {
+        tuple(exps[i] for i in inverse): c for exps, c in poly.terms.items()})
 
 
 def _partition_image(partition, perm):
@@ -638,12 +615,6 @@ def s6_equivariance() -> dict:
     is transitive."""
     cubics = fifteen_cubics()
     index_of = {partition: i for i, partition in enumerate(PAIR_PARTITIONS)}
-
-    def signed_matrix(table):
-        mat = np.zeros((15, 15), dtype=np.int64)
-        for src, (dst, sign) in enumerate(table):
-            mat[dst, src] = sign
-        return mat
 
     tables = {}
     for k in range(5):
@@ -664,7 +635,10 @@ def s6_equivariance() -> dict:
             table.append((target, sign))
         tables[f"s{k + 1}"] = tuple(table)
 
-    mats = {name: signed_matrix(t) for name, t in tables.items()}
+    mats = {}
+    for name, table in tables.items():
+        mats[name] = np.zeros((15, 15), dtype=np.int64)
+        mats[name][[t for t, _ in table], range(15)] = [s for _, s in table]
     identity = np.eye(15, dtype=np.int64)
     names = [f"s{k + 1}" for k in range(5)]
     for a in range(5):
@@ -676,17 +650,9 @@ def s6_equivariance() -> dict:
             if not np.array_equal(power, identity):
                 raise ValueError(f"braid relation fails for {names[a]},{names[b]}")
 
-    seen = {0}
-    frontier = [0]
-    while frontier:
-        nxt = []
-        for i in frontier:
-            for t in tables.values():
-                j = t[i][0]
-                if j not in seen:
-                    seen.add(j)
-                    nxt.append(j)
-        frontier = nxt
+    seen = {0}  # the orbit of cubic 0, grown until it is closed
+    for _ in range(14):
+        seen |= {t[i][0] for i in seen for t in tables.values()}
     if len(seen) != 15:
         raise ValueError("the action is not transitive on the cubics")
     return tables
@@ -711,8 +677,8 @@ def _image_values(points) -> np.ndarray:
     the scale, so the image point is unchanged."""
     ints = np.array([clear_denominators(point)[0] for point in points])
     cubics = fifteen_cubics()
-    return np.column_stack([cubics[i].evaluate_rows(ints)
-                            for i in cubic_span()["basis_indices"]])
+    return evaluate_polys([cubics[i] for i in cubic_span()["basis_indices"]],
+                          ints)
 
 
 def image_cubic_relation(samples: int = 60, seed: int = 0) -> MultiPoly:
@@ -728,7 +694,7 @@ def image_cubic_relation(samples: int = 60, seed: int = 0) -> MultiPoly:
     if samples < 60:
         raise ValueError("at least 60 samples required")
     rng = random.Random(seed)
-    monomials = sorted(_compositions(3, 5))
+    monomials = _cubic_monomials(5)
     if len(monomials) != 35:
         raise AssertionError("five-variable cubic monomial count must be 35")
 
@@ -773,11 +739,8 @@ def image_relation_equivariance(relation: MultiPoly) -> dict:
         subs = []
         for b in basis:
             target, sign = table[b]
-            combo = MultiPoly.zero(5)
-            for pos, coeff in enumerate(expansions[target]):
-                if coeff:
-                    combo = combo + (sign * coeff) * ys[pos]
-            subs.append(combo)
+            subs.append(sum((sign * c * y for c, y in
+                             zip(expansions[target], ys)), MultiPoly.zero(5)))
         moved = relation.compose(subs)
         if moved == relation:
             outcomes[name] = 1
@@ -946,6 +909,35 @@ def _float_composition_residual(curve: ExactCurve, form) -> float:
                                - exact / np.max(np.abs(exact)))))
 
 
+def _root_separations(forms) -> np.ndarray:
+    """The least distance between two float roots of each integer form
+    (ascending, scaled to largest coefficient 1): the roots of `np.roots`
+    (for f(0) != 0), from companion matrices stacked by degree, one
+    `np.linalg.eigvals` call per stack, then three Newton steps wherever
+    |f'| > 1e-14; entry by entry the float operations of one form alone."""
+    groups = {}  # stacks of at most 64 forms of one degree bound the memory
+    for k, form in enumerate(forms):
+        groups.setdefault((_poly_degree(form), k // 64), []).append(k)
+    separations = np.empty(len(forms))
+    for (degree, _), members in groups.items():
+        top = [max(map(abs, forms[k])) for k in members]
+        coeffs = np.array([[c / m for c in forms[k][degree::-1]]
+                           for k, m in zip(members, top)]).T  # descending
+        companion = np.zeros((len(members), degree, degree))
+        companion[:, 0] = (-coeffs[1:] / coeffs[:1]).T
+        companion[:, np.arange(1, degree), np.arange(degree - 1)] = 1
+        roots = np.linalg.eigvals(companion)
+        derivative = coeffs[:-1] * np.arange(degree, 0, -1)[:, None]
+        for _ in range(3):  # np.polyval's Horner loop runs down the stack
+            vals, dvals = (np.polyval(c[:, :, None], roots)
+                           for c in (coeffs, derivative))
+            ok = np.abs(dvals) > 1e-14
+            roots[ok] = roots[ok] - vals[ok] / dvals[ok]
+        i, j = np.triu_indices(degree, 1)
+        separations[members] = np.abs(roots[:, i] - roots[:, j]).min(axis=1)
+    return separations
+
+
 def quartic_point_composition_check() -> dict:
     """Consistency witness: along the fibre curve through a rational point
     ON the quartic, the composed degree-16 polynomial has a root at that
@@ -1007,23 +999,31 @@ def degree16_check(
     independent float composition of the curve's rows must match f to
     residual_tol (`_float_composition_residual`), and the finite float
     roots of f, polished by Newton steps, must be separated by more than
-    separation_tol.  A trial that fails a criterion is discarded;
-    `discarded` records each with its cause."""
+    separation_tol, for all certified forms at once after the last trial.
+    Draws come in blocks of as many as trials remain, each tested on the
+    quartic in one evaluation.  A trial that fails a criterion is
+    discarded; `discarded` records each with its cause, in trial order."""
     if trials < 1:
         raise ValueError("at least one trial required")
     if trials > MAX_TRIALS:
         raise ValueError(f"at most {MAX_TRIALS} trials")
     _, quartic = canonical_polys()
     rng = random.Random(seed)
-    successes = 0
+    drawn = []  # (point, on the quartic) for unused draws, last draw first
+    certified = []  # (trial, form) that passed the exact certificate
     discarded = []
     rejected = {"on_quartic": 0, "repeated_coordinate": 0}
     worst_residual = 0.0
     for trial in range(trials):
         exact_curve = None
         for _ in range(8):
-            ints, _ = clear_denominators(_random_hyperplane_point(rng))
-            if quartic.evaluate_rows([ints])[0] == 0:
+            if not drawn:
+                block = [clear_denominators(_random_hyperplane_point(rng))[0]
+                         for _ in range(trials - trial)]
+                drawn = list(zip(block, quartic.evaluate_rows(block) == 0))
+                drawn.reverse()
+            ints, on_quartic = drawn.pop()
+            if on_quartic:
                 rejected["on_quartic"] += 1
                 continue
             try:
@@ -1043,22 +1043,12 @@ def degree16_check(
         if _poly_degree(form) < 15 or not poly_is_squarefree(form):
             discarded.append((trial, "repeated_roots_exact"))
             continue
-        cmax = max(map(abs, form))
-        p1 = np.poly1d([c / cmax for c in form[::-1]])
-        roots = p1.roots
-        # polish with a few Newton steps on the univariate polynomial
-        dpoly = np.polyder(p1)
-        for _ in range(3):
-            vals = p1(roots)
-            dvals = dpoly(roots)
-            ok = np.abs(dvals) > 1e-14
-            roots[ok] = roots[ok] - vals[ok] / dvals[ok]
-        sep = np.min(np.abs(roots[:, None] - roots[None, :])
-                     + np.eye(len(roots)) * 1e9)
-        if sep <= separation_tol:
-            discarded.append((trial, "root_clustering"))
-            continue
-        successes += 1
+        certified.append((trial, form))
+    separations = _root_separations([form for _, form in certified])
+    clustered = [trial for (trial, _), sep in zip(certified, separations)
+                 if sep <= separation_tol]
+    discarded = sorted(discarded + [(t, "root_clustering") for t in clustered])
+    successes = len(certified) - len(clustered)
     report = {
         "trials": trials,
         "successes": successes,

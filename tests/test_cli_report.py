@@ -299,6 +299,18 @@ def test_cli_all_report_is_pinned_in_fresh_interpreters():
         assert hashlib.sha256(done.stdout).hexdigest() == ALL_SHA256, extra
 
 
+def test_package_runs_as_a_module():
+    # `python -m igusa` runs the igusa command
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src), PYTHONIOENCODING="utf-8")
+    for argv in (["--version"], ["geometry", "--trials", "0"]):
+        done = subprocess.run([sys.executable, "-m", "igusa", *argv],
+                              capture_output=True, text=True, env=env,
+                              timeout=300)
+        assert done.returncode == 0, (argv, done.stderr)
+    assert done.stdout.startswith("{")
+
+
 GEOMETRY_SHA256 = (
     "0f7571f1fe17857cf98ce6f6f1ba4ee39aeb5e8ce418beb08b0e111b88c305cc"
 )

@@ -7,7 +7,7 @@ import subprocess
 import sys
 from fractions import Fraction
 from itertools import combinations, product
-from math import gcd, prod
+from math import gcd, isqrt, prod
 from pathlib import Path
 
 import numpy as np
@@ -27,6 +27,7 @@ from igusa.geometry import (
     cubic_base_locus_check,
     cubic_span,
     degree16_check,
+    evaluate_polys,
     exact_quartic_composition,
     fibre_curve,
     fifteen_cubics,
@@ -193,6 +194,39 @@ def test_batched_evaluation_stays_exact_past_int64():
         x.evaluate_rows(np.array([[1, 2, 3]]))
 
 
+def test_evaluation_switches_to_python_integers_at_the_largest_bound():
+    # one dtype serves every polynomial: the largest overflow bound, 3 top^2
+    # of the first polynomial, decides between int64 and Python integers,
+    # and every side returns the exact integers
+    x = MultiPoly.variable(2, 0)
+    y = MultiPoly.variable(2, 1)
+    polys = [x**2 - y**2 + x * y, x**2, 3 * y - 1]
+    edge = isqrt((2**63 - 1) // 3)
+    for top, dtype in ((edge, np.int64), (edge + 1, object)):
+        rows = [[top, top - 1], [-top, top], [1, -top]]
+        values = evaluate_polys(polys, rows)
+        assert values.shape == (3, 3) and values.dtype == dtype
+        assert values.tolist() == [[reference_evaluate(p, r) for p in polys]
+                                   for r in rows]
+
+
+def test_evaluate_polys_is_one_column_per_polynomial():
+    # the many-polynomial kernel agrees column by column with
+    # `evaluate_rows`, shared monomials, constants and zero polynomials
+    # included
+    _, quartic = canonical_polys()
+    polys = [quartic, MultiPoly.zero(6), MultiPoly.constant(6, -7)]
+    polys += [quartic.partial(i) for i in range(6)] + list(fifteen_cubics())
+    rows = [[1, 1, 1, 1, -2, -2], [3, -1, 0, 4, -5, -1], [0] * 6]
+    values = evaluate_polys(polys, rows)
+    assert values.shape == (3, len(polys))
+    for column, poly in zip(values.T, polys):
+        assert column.tolist() == poly.evaluate_rows(rows).tolist()
+        assert column.tolist() == [reference_evaluate(poly, r) for r in rows]
+    with pytest.raises(ValueError):  # the polynomials share their variables
+        evaluate_polys([quartic, MultiPoly.variable(2, 0)], rows)
+
+
 def test_canonical_values_at_reference_points():
     cubes, quartic = canonical_polys()
     assert quartic.is_homogeneous() and quartic.degree() == 4
@@ -301,6 +335,72 @@ def test_singular_locus_contains_all_lines():
     assert len(set(grads)) > 1
 
 
+def test_line_parameters_prove_identities_up_to_degree_four():
+    # a nonzero binary form of degree d has at most d zeros on P^1, so d + 1
+    # pairwise non-proportional parameter pairs decide an identity
+    pairs = geometry.LINE_PARAMETERS
+    assert len(pairs) == 5
+    for (a, b), (c, d) in combinations(pairs, 2):
+        assert a * d - b * c != 0
+    lines = [line.coefficients for line in fifteen_lines()[:2]]
+    for degree in (3, 4):
+        points = geometry._line_points(lines, degree)
+        assert points.shape == (2 * (degree + 1), 6)
+        assert points.tolist() == [
+            [ca * a + cb * b for ca, cb in line]
+            for line in lines for a, b in pairs[: degree + 1]]
+
+
+# a set of pairs that meets every pair partition but TARGET: the product of
+# its coordinate differences vanishes on the other fourteen lines
+TARGET = ((0, 1), (2, 3), (4, 5))
+HITTING = [(0, 2), (0, 3), (0, 4), (0, 5), (2, 4), (2, 5)]
+
+
+def difference_product(power):
+    xs = [MultiPoly.variable(6, i) for i in range(6)]
+    poly = MultiPoly.constant(6, 1)
+    for i, j in HITTING:
+        poly = poly * (xs[i] - xs[j]) ** power
+    return poly
+
+
+def test_hitting_set_misses_only_the_target_partition():
+    assert [p for p in PAIR_PARTITIONS if not set(p) & set(HITTING)] == [
+        TARGET]
+
+
+def test_fifteen_lines_catch_a_quartic_off_one_line(monkeypatch):
+    cubes, quartic = canonical_polys()
+    monkeypatch.setattr(geometry, "canonical_polys",
+                        lambda: (cubes, quartic + difference_product(1)))
+    fifteen_lines.cache_clear()
+    try:
+        with pytest.raises(AssertionError,
+                           match=re.escape(f"line {TARGET} is not on")):
+            fifteen_lines()
+    finally:
+        fifteen_lines.cache_clear()
+
+
+def test_singular_check_catches_a_gradient_bent_on_one_line(monkeypatch):
+    # the squared differences vanish to order two on fourteen lines, so
+    # the mutant's gradient stays proportional there and bends on TARGET
+    cubes, quartic = canonical_polys()
+    mutant = quartic + difference_product(2)
+    grad = [mutant.partial(i) for i in range(6)]
+    lines = fifteen_lines()
+    params = [(1, k) for k in range(12)]  # more than the degree 11 of grad
+    for line in lines:
+        values = evaluate_polys(grad, [[ca * a + cb * b for ca, cb in
+                                        line.coefficients] for a, b in params])
+        bent = (values != values[:, :1]).any()
+        assert bent == (line.partition == TARGET)
+    monkeypatch.setattr(geometry, "canonical_polys", lambda: (cubes, mutant))
+    with pytest.raises(ValueError, match=re.escape(f"all-ones on {TARGET}")):
+        singular_inclusion_check()
+
+
 # ---------------------------------------------------------------------------
 # The fifteen cubics and their five-dimensional span
 # ---------------------------------------------------------------------------
@@ -348,6 +448,24 @@ def test_cubic_base_locus():
     assert points == tuple(tuple(-5 if j == i else 1 for j in range(6))
                            for i in range(6))
     assert quartic.evaluate_rows(points).tolist() == [-1620] * 6
+
+
+def test_base_locus_needs_every_parameter_point(monkeypatch):
+    # a cubic that vanishes at three of the four parameter points of one
+    # base line but not identically: on the line (0, 1, 2, 3), x_0 = a and
+    # x_4 = b, and b_k x_0 - a_k x_4 vanishes at the pair (a_k, b_k)
+    four, coeffs = base_lines()[0]
+    assert four == (0, 1, 2, 3)
+    xs = [MultiPoly.variable(6, i) for i in range(6)]
+    planted = MultiPoly.constant(6, 1)
+    for a, b in geometry.LINE_PARAMETERS[:3]:
+        planted = planted * (b * xs[0] - a * xs[4])
+    values = planted.evaluate_rows(geometry._line_points([coeffs], 3))
+    assert values[:3].tolist() == [0, 0, 0] and values[3] != 0
+    monkeypatch.setattr(geometry, "base_lines", lambda: ((four, coeffs),))
+    monkeypatch.setattr(geometry, "fifteen_cubics", lambda: (planted,))
+    with pytest.raises(ValueError, match=re.escape(f"base line {four}")):
+        cubic_base_locus_check()
 
 
 # ---------------------------------------------------------------------------
@@ -1045,6 +1163,58 @@ DEGREE16_OUTCOMES_40 = [
     (40, (), 13),
     (40, (), 12),
 ]
+
+
+def reference_separation(form):
+    """The root oracle one form at a time: `np.poly1d` roots, three Newton
+    steps where |f'| > 1e-14, and the least distance between two roots."""
+    cmax = max(map(abs, form))
+    poly = np.poly1d([c / cmax for c in form[::-1]])
+    roots = poly.roots
+    derivative = np.polyder(poly)
+    for _ in range(3):
+        vals, dvals = poly(roots), derivative(roots)
+        ok = np.abs(dvals) > 1e-14
+        roots[ok] = roots[ok] - vals[ok] / dvals[ok]
+    return np.min(np.abs(roots[:, None] - roots[None, :])
+                  + np.eye(len(roots)) * 1e9)
+
+
+def test_batched_root_oracle_matches_the_per_form_reference(monkeypatch):
+    forms = []
+    batched = geometry._root_separations
+    monkeypatch.setattr(geometry, "_root_separations",
+                        lambda batch: forms.extend(batch) or batched(batch))
+    seeds = range(len(DEGREE16_OUTCOMES_40))
+    reports = [degree16_check(trials=40, seed=s) for s in seeds]
+    monkeypatch.setattr(geometry, "_root_separations", lambda batch: np.array(
+        [reference_separation(form) for form in batch]))
+    for seed, report in zip(seeds, reports):
+        reference = degree16_check(trials=40, seed=seed)
+        assert (reference["successes"], reference["discarded"]) == (
+            report["successes"], report["discarded"])
+    # the same float operations entry by entry, a degree-15 form among the
+    # degree-16 ones: the separations agree bit for bit
+    forms.append((-2,) + (0,) * 14 + (1, 0))
+    assert len(forms) > 400
+    assert batched(forms).tolist() == [reference_separation(f) for f in forms]
+
+
+def test_degree16_lists_root_clustering_in_trial_order(monkeypatch):
+    # trial 0 has two roots 1e-7 apart, caught only by the float oracle
+    # after the last trial; trial 1 has a double root at infinity
+    n = 10**7
+    clustered = geometry._conv([n * n + n, -2 * n * n - n, n * n],
+                               [-2] + [0] * 13 + [1])
+    forms = iter([tuple(clustered), (-2,) + (0,) * 13 + (1, 0, 0)])
+    monkeypatch.setattr(geometry, "exact_quartic_composition",
+                        lambda curve: next(forms))
+    monkeypatch.setattr(geometry, "_float_composition_residual",
+                        lambda curve, form: 0.0)
+    assert poly_is_squarefree(clustered)
+    with pytest.raises(ValueError, match=re.escape(
+            "((0, 'root_clustering'), (1, 'repeated_roots_exact'))")):
+        degree16_check(trials=2, seed=0)
 
 
 def test_degree16_sampled_outcomes_are_pinned():
