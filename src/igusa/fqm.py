@@ -115,7 +115,8 @@ class FiniteQuadraticModule:
         # modules are shared through caches: every table is read-only
         for table in (self.q4, self.b4, self.add_table, self.neg_table, elt_orders):
             table.setflags(write=False)
-        self._types = self._radical = None  # see element_types, radical_class
+        # see element_types, radical_class, isotropic_planes
+        self._types = self._radical = self._planes = None
 
         # optional lattice provenance (set by lattices.discriminant_module)
         self._lattice = None
@@ -363,9 +364,12 @@ def isotropic_vectors(A: FiniteQuadraticModule) -> list:
     return [x for x in A.elements() if x != 0 and A.q4[x] == 0]
 
 
-def isotropic_planes(A: FiniteQuadraticModule) -> list:
+def isotropic_planes(A: FiniteQuadraticModule) -> tuple:
     """Order-4 subgroups on which q vanishes identically and b vanishes on
-    all pairs. Returned as sorted tuples of the three nonzero elements."""
+    all pairs, as a sorted tuple of sorted tuples of the three nonzero
+    elements; computed once per module."""
+    if A._planes is not None:
+        return A._planes
     iso = isotropic_vectors(A)
     found = set()
     # Klein four-groups {0, a, b, a+b}
@@ -386,7 +390,8 @@ def isotropic_planes(A: FiniteQuadraticModule) -> list:
             members = {x, A.scalar_mul(2, x), A.scalar_mul(3, x)}
             if all(A.b4[u, v] == 0 for u in members for v in members):
                 found.add(tuple(sorted(members)))
-    return sorted(found)
+    A._planes = tuple(sorted(found))
+    return A._planes
 
 
 # ---------------------------------------------------------------------------

@@ -490,19 +490,24 @@ def _cubic_monomials(nvars: int) -> list:
                   for c in combinations_with_replacement(range(nvars), 3))
 
 
-def _solve_in_span(basis_vectors, target):
-    """Coefficients expressing target as a combination of the basis rows;
-    raises if the system is inconsistent."""
+def _solve_in_span(basis_vectors, targets) -> list:
+    """Coefficients expressing each target as a combination of the basis
+    rows, from one elimination of the system augmented by every target;
+    raises if the basis rows are dependent or a target is outside their
+    span."""
     k = len(basis_vectors)
-    # row-reduce the transpose, augmented by the target
-    rows = [[v[i] for v in basis_vectors] + [t] for i, t in enumerate(target)]
+    # row-reduce the transpose, augmented by the targets
+    rows = [list(entries) for entries in zip(*basis_vectors, *targets)]
     reduced, pivots = integer_echelon(rows, width=k)
     if len(pivots) != k:
         raise ValueError("basis rows are dependent")
     used = {p for p, _ in pivots}
-    if any(row[k] for i, row in enumerate(reduced) if i not in used):
+    if any(any(row[k:]) for i, row in enumerate(reduced) if i not in used):
         raise ValueError("target outside the span")
-    return tuple(Fraction(reduced[p][k], reduced[p][col]) for p, col in pivots)
+    return [
+        tuple(Fraction(reduced[p][k + j], reduced[p][col]) for p, col in pivots)
+        for j in range(len(targets))
+    ]
 
 
 @lru_cache(maxsize=1)
@@ -523,8 +528,7 @@ def cubic_span() -> dict:
     basis_indices = tuple(sorted(p for p, _ in pivots))
     basis_vectors = [vectors[i] for i in basis_indices]
     expansions = []
-    for v in vectors:
-        coeffs = _solve_in_span(basis_vectors, v)
+    for coeffs in _solve_in_span(basis_vectors, vectors):
         if any(c.denominator != 1 for c in coeffs):
             raise ValueError("a cubic has a non-integral expansion")
         expansions.append(tuple(c.numerator for c in coeffs))

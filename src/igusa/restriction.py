@@ -51,9 +51,9 @@ __all__ = [
     "seven_lines",
 ]
 
-# Largest box half-width of the Heegner case table.  The three norm level
-# sets of the box grow like bound^4; `igusa restriction --box 10` takes
-# 0.7 s and peaks at 92 MB via the CLI on a 2-vCPU Xeon.
+# Largest box half-width of the Heegner case table.  The relevant vectors
+# of the three norm level sets grow like bound^4; `igusa restriction --box
+# 10` takes 0.32-0.37 s and peaks at 55 MB via the CLI on a 2-vCPU Xeon.
 MAX_BOX = 10
 
 
@@ -303,44 +303,68 @@ def restriction_case(r) -> RestrictionCase:
     )
 
 
-def _level_sets(bound: int, targets) -> dict:
-    """Every integer vector r with max-norm <= bound and r^2 in targets, as
-    (k, 6) int64 arrays in lexicographic order, keyed by target.
+def _relevant_level_sets(bound: int, targets) -> dict:
+    """For each target norm n: the integer vectors r with max-norm <= bound,
+    r^2 = n and a member component of negative norm ((x5 + x6)^2 < -n), as a
+    (k, 6) int64 array in lexicographic order, their max-norms, and the
+    number of all vectors of norm n, relevant or not, in each box 0..bound.
 
-    The norm splits as r^2 = 4*x1*x2 + t with t = 4*x3*x4 - 2*(x5^2 + x6^2).
-    The (2b+1)^4 tail values t are sorted once; each head (x1, x2) then takes
-    the tails with t = target - 4*x1*x2 by binary search, so only the level
-    sets are materialised, never the box.  A stable sort keeps equal tails
-    in lexicographic order."""
+    A vector is three coordinate pairs: the head (x1, x2) and the tail
+    (x3, x4), (x5, x6).  The norm splits as r^2 = 4*x1*x2 + t with
+    t = 4*x3*x4 - 2*(x5^2 + x6^2), and relevance reads only (x5, x6).  The
+    relevant tails are sorted by t (stably, so equal tails stay in
+    lexicographic order) and each head takes those with t = n - 4*x1*x2 by
+    binary search: only relevant vectors are materialised.  The counts come
+    from all tails sorted by (t, tail max-norm), one binary search per box."""
     rng = np.arange(-bound, bound + 1, dtype=np.int64)
-    tail = np.stack(np.meshgrid(rng, rng, rng, rng, indexing="ij"), -1).reshape(-1, 4)
-    t = 4 * tail[:, 0] * tail[:, 1] - 2 * (tail[:, 2] ** 2 + tail[:, 3] ** 2)
-    order = np.argsort(t, kind="stable")
-    t_sorted = t[order]
-    head = np.stack(np.meshgrid(rng, rng, indexing="ij"), -1).reshape(-1, 2)
+    pairs = np.stack(np.meshgrid(rng, rng, indexing="ij"), -1).reshape(-1, 2)
+    size = len(pairs)
+    pair_width = np.abs(pairs).max(axis=1)
+    four_x1x2 = 4 * pairs[:, 0] * pairs[:, 1]
+    # tail index i * size + j for the pairs i = (x3, x4) and j = (x5, x6)
+    t = (four_x1x2[:, None] - 2 * (pairs**2).sum(axis=1)).ravel()
+    tail_width = np.maximum.outer(pair_width, pair_width).ravel()
+    keys = np.sort(t * (bound + 1) + tail_width)  # (t, width) order: width <= bound
+    m_squared = pairs.sum(axis=1) ** 2
     sets = {}
     for target in targets:
-        need = target - 4 * head[:, 0] * head[:, 1]
+        need = target - four_x1x2
+        lo = np.searchsorted(keys, need * (bound + 1), side="left")
+        totals = []
+        for box in range(bound + 1):
+            hi = np.searchsorted(keys, need * (bound + 1) + box, side="right")
+            totals.append(int((hi - lo)[pair_width <= box].sum()))
+        relevant = (
+            np.arange(0, size * size, size)[:, None]
+            + np.flatnonzero(m_squared < -target)
+        ).ravel()
+        order = relevant[np.argsort(t[relevant], kind="stable")]
+        t_sorted = t[order]
         lo = np.searchsorted(t_sorted, need, side="left")
         counts = np.searchsorted(t_sorted, need, side="right") - lo
         # solution j of head i sits at t_sorted[lo[i] + j - (solutions before head i)]
         shift = np.repeat(lo - (np.cumsum(counts) - counts), counts)
         picks = order[shift + np.arange(counts.sum())]
-        sets[target] = np.concatenate(
-            [np.repeat(head, counts, axis=0), tail[picks]], axis=1
-        )
+        heads = np.repeat(np.arange(size), counts)
+        rows = pairs[np.stack([heads, *np.divmod(picks, size)], axis=1)].reshape(-1, 6)
+        width = np.maximum(pair_width[heads], tail_width[picks])
+        sets[target] = rows, width, totals
     return sets
 
 
 def _vectorized_classes(module, K: np.ndarray) -> np.ndarray:
     """Class indices from integer dual-pairing vectors K (rows of G @ x)."""
-    push = np.array(module._push_mat, dtype=np.int64)
-    s = K @ push.T
-    digits = np.stack(
-        [s[:, i] % module.orders[pos] for pos, i in enumerate(module._kept)],
-        axis=1,
-    )
-    return digits @ module._radix
+    push = np.array(module._push_mat, dtype=np.int64)[module._kept]
+    return (K @ push.T) % np.array(module.orders) @ module._radix
+
+
+def _least_widths(values: np.ndarray, width: np.ndarray) -> dict:
+    """Each distinct entry of the integer array values, mapped to the least
+    width of the rows that hold it."""
+    low, absent = int(values.min()), int(width.max()) + 1
+    least = np.full(int(values.max()) - low + 1, absent)
+    np.minimum.at(least, values - low, width)
+    return {v + low: w for v, w in enumerate(least.tolist()) if w < absent}
 
 
 def _raise_first(rows: np.ndarray, failures, **fields) -> None:
@@ -360,23 +384,41 @@ def _raise_first(rows: np.ndarray, failures, **fields) -> None:
         raise ValueError(f"{message}: r = {tuple(int(v) for v in rows[i])}")
 
 
+def _pairing_vectors(rows: np.ndarray, form, d: int, message: str) -> np.ndarray:
+    """The integer vectors (rows @ form) / d, raising with message at the
+    first row where they are not integral.  When d divides every entry of
+    form, no integer row can fail and one product of rows with form / d
+    gives them."""
+    form = np.array(form, dtype=np.int64)
+    if not (form % d).any():
+        return rows @ (form // d)
+    k = rows @ form
+    _raise_first(rows, [((k % d).any(axis=1), message)])
+    return k // d
+
+
 def _split_classes(rows: np.ndarray):
     """For integer ambient vectors r with r/2 in the ambient dual, written as
     r = r1 + (m/2) * complement: m = x5 + x6, the ambient class of r/2 and
     the member class of r1/2, whose doubled member coordinates are
     (2x1, 2x2, 2x3, 2x4, x5 - x6)."""
-    k_n = rows @ np.array(ambient_lattice().gram, dtype=np.int64)
-    _raise_first(rows, [((k_n % 2).any(axis=1), "r/2 outside the ambient dual")])
-    two_r1 = np.concatenate([2 * rows[:, :4], rows[:, 4:5] - rows[:, 5:6]], axis=1)
-    k_m = two_r1 @ np.array(restriction_lattice().gram, dtype=np.int64)
-    _raise_first(
-        rows,
-        [((k_m % 4).any(axis=1), "member component outside the member dual")],
+    two_r1 = np.array(  # rows @ two_r1 are the doubled member coordinates
+        [[2, 0, 0, 0, 0], [0, 2, 0, 0, 0], [0, 0, 2, 0, 0], [0, 0, 0, 2, 0],
+         [0, 0, 0, 0, 1], [0, 0, 0, 0, -1]],
+        dtype=np.int64,
     )
     return (
         rows[:, 4] + rows[:, 5],
-        _vectorized_classes(ambient_module(), k_n // 2),
-        _vectorized_classes(restriction_module(), k_m // 4),
+        _vectorized_classes(
+            ambient_module(),
+            _pairing_vectors(rows, ambient_lattice().gram, 2,
+                             "r/2 outside the ambient dual"),
+        ),
+        _vectorized_classes(
+            restriction_module(),
+            _pairing_vectors(rows, two_r1 @ restriction_lattice().gram, 4,
+                             "member component outside the member dual"),
+        ),
     )
 
 
@@ -397,10 +439,11 @@ def heegner_restriction_cases(bound: int = 3) -> dict:
 
     and that for the odd-m cases the vectors pair off (same member
     component, m = +1 and m = -1), giving each hyperplane multiplicity 2.
-    The three norm level sets of the box are enumerated once, without
-    visiting the rest of the box, and the table of every half-width
-    3..bound ("by_box"; "cases" is the top one) is read off and verified
-    by a max-norm mask.  Any violation raises with the witness vector."""
+    The three norm level sets of the box are counted once, without
+    visiting the rest of the box, and only their relevant vectors are built
+    and classified; the table of every half-width 3..bound ("by_box";
+    "cases" is the top one) is read off and verified by a max-norm mask.
+    Any violation raises with the witness vector."""
     if bound < 3:
         raise ValueError("bound must be at least 3")
     if bound > MAX_BOX:
@@ -413,18 +456,12 @@ def heegner_restriction_cases(bound: int = 3) -> dict:
     am_types = np.array(am_labels)
     kappa_n = radical_class(AN)
 
-    level_sets = _level_sets(bound, _CASE_NORMS)
     levels = []
-    for target in _CASE_NORMS:
-        rows = level_sets.pop(target)  # drop each full level set once read
-        width = np.abs(rows).max(axis=1)
-        totals = np.cumsum(np.bincount(width, minlength=bound + 1))
-        # relevant: the member component has norm r1^2 = r^2 + m^2 < 0
-        relevant = (rows[:, 4] + rows[:, 5]) ** 2 < -target
-        rows, width = rows[relevant], width[relevant]
+    level_sets = _relevant_level_sets(bound, _CASE_NORMS)
+    for target, (rows, width, totals) in level_sets.items():
         m, cn, cm = _split_classes(rows)
         b_type = am_types[cm]
-        keys = None
+        groups = None
         if target == -4:
             failures = [
                 (m != 0, "norm -4 case with m != 0"),
@@ -440,40 +477,45 @@ def heegner_restriction_cases(bound: int = 3) -> dict:
                 (np.abs(m) != 1, f"norm {target} case with m = {{m}}"),
                 (b_type != expected, f"norm {target} member class of type {{b}}"),
             ]
-            # equal keys <=> equal member components (x1, x2, x3, x4, x5 - x6)
+            # equal groups <=> equal member components (x1, x2, x3, x4, x5 - x6)
             member = np.concatenate(
                 [rows[:, :4], rows[:, 4:5] - rows[:, 5:6]], axis=1
             )
             keys = np.ravel_multi_index(
                 tuple((member + 2 * bound).T), (4 * bound + 1,) * 5
             )
-        levels.append((target, totals, rows, width, m, cn, cm, b_type, failures, keys))
+            groups = np.unique(keys, return_inverse=True)[1]
+        # the least box holding each m value, ambient class and member class
+        least = [_least_widths(v, width) for v in (m, cn, cm)]
+        levels.append(
+            (target, totals, rows, width, m, cn, b_type, failures, groups, least)
+        )
 
     by_box = {}
+    spot_checked = set()
     for box in range(3, bound + 1):
         cases = by_box[box] = {}
         witnesses = []
-        for target, totals, rows, width, m, cn, cm, b_type, failures, keys in levels:
+        for target, totals, rows, width, m, cn, b_type, failures, groups, least in levels:
             inside = width <= box  # a mask keeps lexicographic order
             _raise_first(rows, [(f & inside, t) for f, t in failures], m=m, b=b_type)
+            m_in = m[inside]
             paired = None
-            if keys is not None:
+            if groups is not None:
                 # every odd-m hyperplane is hit by exactly the pair m = +1, m = -1
-                m_in = m[inside]
-                _, inverse, counts = np.unique(
-                    keys[inside], return_inverse=True, return_counts=True
-                )
-                m_sums = np.bincount(inverse, weights=m_in, minlength=len(counts))
-                unpaired = ((counts != 2) | (m_sums != 0))[inverse]
+                g_in = groups[inside]
+                counts = np.bincount(g_in)
+                m_sums = np.bincount(g_in, weights=m_in)
+                unpaired = ((counts != 2) | (m_sums != 0))[g_in]
                 if unpaired.any():
                     i = int(np.flatnonzero(unpaired)[0])
                     r = [int(v) for v in rows[np.flatnonzero(inside)[i]]]
                     raise ValueError(
                         f"multiplicity pairing fails for member component "
                         f"{(*r[:4], r[4] - r[5])}: m values "
-                        f"{sorted(int(v) for v in m_in[inverse == inverse[i]])}"
+                        f"{sorted(int(v) for v in m_in[g_in == g_in[i]])}"
                     )
-                paired = len(counts)
+                paired = int(np.count_nonzero(counts))
             # exact spot check witnesses: the first, middle and last relevant
             # vector of this norm in the box, in lexicographic order
             kept = np.flatnonzero(inside)
@@ -481,32 +523,32 @@ def heegner_restriction_cases(bound: int = 3) -> dict:
                 (tuple(int(v) for v in rows[i]), int(m[i]), an_types[cn[i]], b_type[i])
                 for i in kept[[0, len(kept) // 2, -1]]
             ]
-            # value sets without np.unique, whose first plain call loads numpy.ma
-            m_values = tuple(sorted(set(m[inside].tolist())))
+            m_values, an_in, am_in = (
+                [v for v, w in f.items() if w <= box] for f in least
+            )
             cases[target] = {
-                "vectors_in_box": int(totals[box]),
-                "relevant": int(np.count_nonzero(inside)),
-                "m_values": m_values,
+                "vectors_in_box": totals[box],
+                "relevant": len(kept),
+                "m_values": tuple(sorted(m_values)),
                 "r1_norms": tuple(sorted({target + v * v for v in m_values})),
-                "ambient_types": tuple(sorted(
-                    {an_types[c] for c in np.flatnonzero(np.bincount(cn[inside]))}
-                )),
-                "beta_types": tuple(sorted(
-                    {am_labels[c] for c in np.flatnonzero(np.bincount(cm[inside]))}
-                )),
+                "ambient_types": tuple(sorted({an_types[c] for c in an_in})),
+                "beta_types": tuple(sorted({am_labels[c] for c in am_in})),
                 "hyperplane_multiplicity": 1 if target == -4 else 2,
                 "paired_hyperplanes": paired,
             }
 
         # exact-arithmetic spot check of the vectorized classification, by
-        # norm (-4, -2, -6)
+        # norm (-4, -2, -6); a witness of a smaller box has passed already
         for witness, *classified in witnesses:
+            if witness in spot_checked:
+                continue
             case = restriction_case(witness)
             if [case.m, case.ambient_type, case.beta_type] != classified:
                 raise AssertionError(
                     f"vectorized classification disagrees with the exact path "
                     f"at r = {witness}"
                 )
+            spot_checked.add(witness)
     return {"bound": bound, "cases": by_box[bound], "by_box": by_box}
 
 
@@ -526,9 +568,7 @@ def _norm_minus4_projection() -> dict:
     emb = build_embedding()
     AN = ambient_module()
     AM = restriction_module()
-    rows = _level_sets(2, (-4,))[-4]
-    # relevant: r1^2 = -4 + m^2 < 0
-    rows = rows[(rows[:, 4] + rows[:, 5]) ** 2 < 4]
+    rows = _relevant_level_sets(2, (-4,))[-4][0]
     m, cn, cm = _split_classes(rows)
     classes, first = np.unique(cn, return_index=True)
     _raise_first(

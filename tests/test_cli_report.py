@@ -339,7 +339,7 @@ def test_cli_restriction_enumerates_the_level_sets_once(monkeypatch, capsys):
     import igusa.restriction as restriction
 
     calls = []
-    original = restriction._level_sets
+    original = restriction._relevant_level_sets
 
     def counted(bound, targets):
         calls.append((bound, tuple(targets)))
@@ -349,7 +349,7 @@ def test_cli_restriction_enumerates_the_level_sets_once(monkeypatch, capsys):
     # cached: drop them so the projection is counted
     restriction._norm_minus4_projection.cache_clear()
     restriction.all_v1_images.cache_clear()
-    monkeypatch.setattr(restriction, "_level_sets", counted)
+    monkeypatch.setattr(restriction, "_relevant_level_sets", counted)
     assert main(["restriction", "--box", "5"]) == 0
     capsys.readouterr()
     # one enumeration for the case table of boxes 3..5, one for the projection

@@ -443,6 +443,34 @@ if HAVE_HYPOTHESIS:
 # ---------------------------------------------------------------------------
 
 
+@pytest.mark.parametrize(
+    "den", [1, 2, 2**20, 2**62, 3 * 2**5, 3 * 2**61, 7, 45, 2**63 - 1, 3 * 2**63]
+)
+def test_cycarray_lowest_terms_match_math_gcd(den):
+    rng = np.random.default_rng(den % 1000)
+    extremes = [0, 1, -1, np.iinfo(np.int64).max, -np.iinfo(np.int64).max,
+                np.iinfo(np.int64).min]
+    for trial in range(60):
+        shape = (int(rng.integers(0, 4)), 8)
+        scale = int(rng.choice([1, 2, 3, 6, 2**10, 3 * 2**40, 45]))
+        num = rng.integers(-40, 41, size=shape) * scale
+        if trial % 3 == 1 and num.size:
+            num.flat[rng.integers(num.size)] = rng.choice(extremes)
+        elif trial % 3 == 2:
+            num[:] = 0
+        g = math.gcd(den, *num.ravel().tolist())
+        arr = CycArray(num, den)
+        assert arr.den == den // g, (num, den)
+        assert arr.num.dtype == np.int64
+        assert arr.num.tolist() == [[v // g for v in row] for row in num.tolist()]
+
+
+def test_cycarray_difference_to_zero_past_int64_denominators():
+    a = CycArray(np.array([[1, 0, 0, 0, 0, 0, 0, 6]]), 3 * 2**63)
+    zero = a - a
+    assert zero.den == 1 and zero.num.dtype == np.int64 and not zero.num.any()
+
+
 def _diag(entries):
     return CycMatrix.diagonal([Cyclotomic.coerce(e) for e in entries])
 

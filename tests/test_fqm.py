@@ -222,6 +222,27 @@ def test_isotropic_structure_of_restriction_module(AM):
     assert all(len(s) == 3 for s in subgroups)
 
 
+def test_isotropic_planes_are_computed_once_per_module(monkeypatch):
+    calls = []
+    original = fqm.isotropic_vectors
+
+    def counted(A):
+        calls.append(A)
+        return original(A)
+
+    monkeypatch.setattr(fqm, "isotropic_vectors", counted)
+    fresh = discriminant_module(restriction_lattice())
+    planes = isotropic_planes(fresh)
+    assert isotropic_planes(fresh) is planes
+    assert calls == [fresh]
+    # the shared result is immutable
+    assert type(planes) is tuple and all(type(p) is tuple for p in planes)
+    assert planes == tuple(sorted(planes))
+    other = discriminant_module(restriction_lattice())
+    assert isotropic_planes(other) == planes
+    assert calls == [fresh, other]
+
+
 # ---------------------------------------------------------------------------
 # reflections
 # ---------------------------------------------------------------------------

@@ -1280,11 +1280,16 @@ def test_reference_kernels_on_a_fixed_case():
     reduced, pivots = integer_echelon(rows)
     assert pivots == [(0, 0), (2, 1)]
     assert reduced[1] == [0, 0, 0]
-    assert geometry._solve_in_span([[1, 0, 1], [0, 1, 1]], [2, 3, 5]) == (2, 3)
+    basis = [[1, 0, 1], [0, 1, 1]]
+    assert geometry._solve_in_span(basis, [[2, 3, 5], [F(1, 2), -1, F(-1, 2)]]) == [
+        (2, 3), (F(1, 2), -1)
+    ]
+    assert geometry._solve_in_span(basis, []) == []
+    # one target outside the span fails the whole system
     with pytest.raises(ValueError, match="outside the span"):
-        geometry._solve_in_span([[1, 0, 1], [0, 1, 1]], [2, 3, 4])
+        geometry._solve_in_span(basis, [[2, 3, 5], [2, 3, 4]])
     with pytest.raises(ValueError, match="dependent"):
-        geometry._solve_in_span([[1, 0, 1], [2, 0, 2]], [1, 0, 1])
+        geometry._solve_in_span([[1, 0, 1], [2, 0, 2]], [[1, 0, 1]])
 
 
 if HAVE_HYPOTHESIS:
@@ -1323,20 +1328,22 @@ if HAVE_HYPOTHESIS:
     @given(rational_matrices(), st.data())
     @settings(max_examples=80, deadline=None)
     def test_solve_in_span_matches_reference(basis, data):
-        if data.draw(st.booleans()):
-            coeffs = data.draw(st.lists(rationals, min_size=len(basis),
-                                        max_size=len(basis)))
-            target = [sum(c * row[k] for c, row in zip(coeffs, basis))
-                      for k in range(len(basis[0]))]
-        else:
-            target = data.draw(st.lists(rationals, min_size=len(basis[0]),
-                                        max_size=len(basis[0])))
-        expected = reference_solve(basis, target)
-        if expected is None:
+        targets = []
+        for _ in range(data.draw(st.integers(1, 4))):
+            if data.draw(st.booleans()):
+                coeffs = data.draw(st.lists(rationals, min_size=len(basis),
+                                            max_size=len(basis)))
+                targets.append([sum(c * row[k] for c, row in zip(coeffs, basis))
+                                for k in range(len(basis[0]))])
+            else:
+                targets.append(data.draw(st.lists(
+                    rationals, min_size=len(basis[0]), max_size=len(basis[0]))))
+        expected = [reference_solve(basis, target) for target in targets]
+        if None in expected:
             with pytest.raises(ValueError):
-                geometry._solve_in_span(basis, target)
+                geometry._solve_in_span(basis, targets)
         else:
-            assert geometry._solve_in_span(basis, target) == expected
+            assert geometry._solve_in_span(basis, targets) == expected
 
     @given(st.lists(rationals, max_size=7),
            st.lists(st.integers(0, 6), max_size=3), rationals.filter(bool))

@@ -228,6 +228,92 @@ def test_bound_guard():
         heegner_restriction_cases(MAX_BOX + 1)
 
 
+def _reference_level_sets(bound, targets):
+    """Every integer vector r with max-norm <= bound and r^2 in targets, as
+    (k, 6) int64 arrays in lexicographic order, keyed by target: the full
+    level sets, relevant or not, kept as the reference for the library's
+    enumeration of the relevant vectors.
+
+    The norm splits as r^2 = 4*x1*x2 + t with t = 4*x3*x4 - 2*(x5^2 + x6^2).
+    The (2b+1)^4 tail values t are sorted once; each head (x1, x2) then takes
+    the tails with t = target - 4*x1*x2 by binary search.  A stable sort
+    keeps equal tails in lexicographic order."""
+    rng = np.arange(-bound, bound + 1, dtype=np.int64)
+    tail = np.stack(np.meshgrid(rng, rng, rng, rng, indexing="ij"), -1).reshape(-1, 4)
+    t = 4 * tail[:, 0] * tail[:, 1] - 2 * (tail[:, 2] ** 2 + tail[:, 3] ** 2)
+    order = np.argsort(t, kind="stable")
+    t_sorted = t[order]
+    head = np.stack(np.meshgrid(rng, rng, indexing="ij"), -1).reshape(-1, 2)
+    sets = {}
+    for target in targets:
+        need = target - 4 * head[:, 0] * head[:, 1]
+        lo = np.searchsorted(t_sorted, need, side="left")
+        counts = np.searchsorted(t_sorted, need, side="right") - lo
+        # solution j of head i sits at t_sorted[lo[i] + j - (solutions before head i)]
+        shift = np.repeat(lo - (np.cumsum(counts) - counts), counts)
+        picks = order[shift + np.arange(counts.sum())]
+        sets[target] = np.concatenate(
+            [np.repeat(head, counts, axis=0), tail[picks]], axis=1
+        )
+    return sets
+
+
+def _brute_force_level_sets(bound, targets):
+    """The same level sets from all (2b+1)^6 vectors of the box."""
+    rng = np.arange(-bound, bound + 1, dtype=np.int64)
+    box = np.stack(np.meshgrid(*[rng] * 6, indexing="ij"), -1).reshape(-1, 6)
+    gram = np.array(ambient_lattice().gram, dtype=np.int64)
+    norms = np.einsum("ij,jk,ik->i", box, gram, box)
+    return {target: box[norms == target] for target in targets}
+
+
+def test_reference_level_sets_match_the_whole_box():
+    reference = _reference_level_sets(3, (-4, -2, -6))
+    brute = _brute_force_level_sets(3, (-4, -2, -6))
+    for target in (-4, -2, -6):
+        assert np.array_equal(reference[target], brute[target]), target
+    counts = {target: len(rows) for target, rows in brute.items()}
+    totals = {target: case["vectors_in_box"]
+              for target, case in heegner_restriction_cases(3)["cases"].items()}
+    assert totals == counts
+
+
+@pytest.mark.parametrize("bound", range(3, 9))
+def test_relevant_level_sets_match_the_reference(bound):
+    reference = _reference_level_sets(bound, (-4, -2, -6))
+    relevant = restriction._relevant_level_sets(bound, (-4, -2, -6))
+    assert list(relevant) == [-4, -2, -6]
+    for target, (rows, width, totals) in relevant.items():
+        full = reference[target]
+        expected = full[(full[:, 4] + full[:, 5]) ** 2 < -target]
+        assert rows.dtype == np.int64
+        assert np.array_equal(rows, expected), target  # order included
+        assert np.array_equal(width, np.abs(expected).max(axis=1)), target
+
+
+@pytest.mark.parametrize("bound", range(3, 9))
+def test_box_totals_match_the_reference(bound):
+    reference = _reference_level_sets(bound, (-4, -2, -6))
+    relevant = restriction._relevant_level_sets(bound, (-4, -2, -6))
+    for target, (_, _, totals) in relevant.items():
+        widths = np.abs(reference[target]).max(axis=1)
+        expected = np.cumsum(np.bincount(widths, minlength=bound + 1))
+        assert totals == expected.tolist(), target
+
+
+def test_pairing_vectors_check_rows_unless_the_form_decides():
+    pairing = restriction._pairing_vectors
+    rows = np.array([[2, 0], [1, 1], [1, 0], [0, 1]], dtype=np.int64)
+    # every entry even: no row can fail, one product gives (rows @ form) / 2
+    even = pairing(rows, ((2, 0), (0, -2)), 2, "odd")
+    assert even.tolist() == [[2, 0], [1, -1], [1, 0], [0, -1]]
+    # an odd entry: the rows are checked, the first failing one is named
+    with pytest.raises(ValueError, match=r"^odd: r = \(1, 1\)$"):
+        pairing(rows, ((1, 0), (0, 2)), 2, "odd")
+    checked = pairing(rows[[0, 3]], ((1, 0), (0, 2)), 2, "odd")
+    assert checked.tolist() == [[1, 0], [0, 1]]
+
+
 def _reference_cases(bound):
     """The per-box loop that enumerated each box on its own: one call per
     half-width, kept as the reference for the single enumeration.  Library
@@ -241,7 +327,7 @@ def _reference_cases(bound):
 
     cases = {}
     witnesses = []
-    for target, rows in restriction._level_sets(bound, (-4, -2, -6)).items():
+    for target, rows in _reference_level_sets(bound, (-4, -2, -6)).items():
         total = len(rows)
         rows = rows[(rows[:, 4] + rows[:, 5]) ** 2 < -target]
         m, cn, cm = restriction._split_classes(rows)
