@@ -544,22 +544,6 @@ def _pack(values: Sequence[Scalar]) -> tuple[np.ndarray, int]:
     return num.reshape(len(cycs), _DEGREE), den
 
 
-def _common_factor(num: np.ndarray, den: int) -> int:
-    """gcd(den, every entry of num).  For int64 entries the power of 2 is the
-    lowest set bit of their bitwise or (negation keeps trailing zeros), and
-    the odd part is read from the entries reduced modulo the odd part of
-    den, so no entry is taken absolute or runs a long Euclid chain."""
-    if num.dtype == object or den >= _INT64_LIMIT:
-        return math.gcd(int(np.gcd.reduce(np.abs(num), axis=None)), den)
-    two = den & -den
-    bits = int(np.bitwise_or.reduce(num, axis=None))
-    g = math.gcd(two, bits & -bits)
-    if den > two:
-        odd = den // two
-        g *= math.gcd(int(np.gcd.reduce(num % odd, axis=None)), odd)
-    return g
-
-
 class CycArray:
     """Exact array over the conductor-24 field, packed as an integer
     component array with a single positive denominator.
@@ -583,9 +567,11 @@ class CycArray:
         if den < 0:
             num, den = -num, -den
         if _normalize and den > 1:
-            g = _common_factor(num, den)
+            # np.gcd ignores signs, so no |num| copy is made; a gcd of -2^63
+            # (every entry 0 or -2^63) comes back negative and math.gcd fixes it
+            g = math.gcd(int(np.gcd.reduce(num, axis=None)), den)
             if g > 1:
-                # g < 2^63 unless every entry is 0
+                # a g of 2^63 or more (den >= 2^63) does not fit an int64 //
                 num = (num if g < _INT64_LIMIT else num.astype(object)) // g
                 den //= g
         if num.dtype == object and _max_abs(num) < _INT64_LIMIT:

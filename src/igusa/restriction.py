@@ -358,15 +358,6 @@ def _vectorized_classes(module, K: np.ndarray) -> np.ndarray:
     return (K @ push.T) % np.array(module.orders) @ module._radix
 
 
-def _least_widths(values: np.ndarray, width: np.ndarray) -> dict:
-    """Each distinct entry of the integer array values, mapped to the least
-    width of the rows that hold it."""
-    low, absent = int(values.min()), int(width.max()) + 1
-    least = np.full(int(values.max()) - low + 1, absent)
-    np.minimum.at(least, values - low, width)
-    return {v + low: w for v, w in enumerate(least.tolist()) if w < absent}
-
-
 def _raise_first(rows: np.ndarray, failures, **fields) -> None:
     """Raise ValueError naming the first row that fails any check.
 
@@ -385,16 +376,13 @@ def _raise_first(rows: np.ndarray, failures, **fields) -> None:
 
 
 def _pairing_vectors(rows: np.ndarray, form, d: int, message: str) -> np.ndarray:
-    """The integer vectors (rows @ form) / d, raising with message at the
-    first row where they are not integral.  When d divides every entry of
-    form, no integer row can fail and one product of rows with form / d
-    gives them."""
+    """The integer vectors (rows @ form) / d.  d divides every entry of both
+    forms used here, so no integer row lies outside the dual; a form that d
+    does not divide raises with message."""
     form = np.array(form, dtype=np.int64)
-    if not (form % d).any():
-        return rows @ (form // d)
-    k = rows @ form
-    _raise_first(rows, [((k % d).any(axis=1), message)])
-    return k // d
+    if (form % d).any():
+        raise ValueError(message)
+    return rows @ (form // d)
 
 
 def _split_classes(rows: np.ndarray):
@@ -485,10 +473,8 @@ def heegner_restriction_cases(bound: int = 3) -> dict:
                 tuple((member + 2 * bound).T), (4 * bound + 1,) * 5
             )
             groups = np.unique(keys, return_inverse=True)[1]
-        # the least box holding each m value, ambient class and member class
-        least = [_least_widths(v, width) for v in (m, cn, cm)]
         levels.append(
-            (target, totals, rows, width, m, cn, b_type, failures, groups, least)
+            (target, totals, rows, width, m, cn, cm, b_type, failures, groups)
         )
 
     by_box = {}
@@ -496,7 +482,7 @@ def heegner_restriction_cases(bound: int = 3) -> dict:
     for box in range(3, bound + 1):
         cases = by_box[box] = {}
         witnesses = []
-        for target, totals, rows, width, m, cn, b_type, failures, groups, least in levels:
+        for target, totals, rows, width, m, cn, cm, b_type, failures, groups in levels:
             inside = width <= box  # a mask keeps lexicographic order
             _raise_first(rows, [(f & inside, t) for f, t in failures], m=m, b=b_type)
             m_in = m[inside]
@@ -523,16 +509,19 @@ def heegner_restriction_cases(bound: int = 3) -> dict:
                 (tuple(int(v) for v in rows[i]), int(m[i]), an_types[cn[i]], b_type[i])
                 for i in kept[[0, len(kept) // 2, -1]]
             ]
-            m_values, an_in, am_in = (
-                [v for v, w in f.items() if w <= box] for f in least
-            )
+            # value sets without np.unique, whose first plain call loads numpy.ma
+            m_values = tuple(sorted(set(m_in.tolist())))
             cases[target] = {
                 "vectors_in_box": totals[box],
                 "relevant": len(kept),
-                "m_values": tuple(sorted(m_values)),
+                "m_values": m_values,
                 "r1_norms": tuple(sorted({target + v * v for v in m_values})),
-                "ambient_types": tuple(sorted({an_types[c] for c in an_in})),
-                "beta_types": tuple(sorted({am_labels[c] for c in am_in})),
+                "ambient_types": tuple(sorted(
+                    {an_types[c] for c in np.flatnonzero(np.bincount(cn[inside]))}
+                )),
+                "beta_types": tuple(sorted(
+                    {am_labels[c] for c in np.flatnonzero(np.bincount(cm[inside]))}
+                )),
                 "hyperplane_multiplicity": 1 if target == -4 else 2,
                 "paired_hyperplanes": paired,
             }
