@@ -53,7 +53,7 @@ __all__ = [
 
 # Largest box half-width of the Heegner case table.  The relevant vectors
 # of the three norm level sets grow like bound^4; `igusa restriction --box
-# 10` takes 0.32-0.37 s and peaks at 55 MB via the CLI on a 2-vCPU Xeon.
+# 10` takes 0.30-0.37 s and peaks at 53 MB via the CLI on a 2-vCPU Xeon.
 MAX_BOX = 10
 
 
