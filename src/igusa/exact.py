@@ -687,47 +687,29 @@ class CycMatrix(CycArray):
         prod = _packed_product(self.num, vec.num, (self.n,), self.n, np.matmul)
         return vec._like(prod, self.den * vec.den)
 
-    def __pow__(self, k: int) -> "CycMatrix":
-        if not isinstance(k, int) or k < 0:
-            raise ValueError("nonnegative integer powers only")
-        out = CycMatrix.identity(self.n)
-        base = self
-        while k:
-            if k & 1:
-                out = out @ base
-            base = base @ base if k > 1 else base
-            k >>= 1
-        return out
-
     def trace(self) -> Cyclotomic:
         return _entry(packed_sum(self.num[np.arange(self.n), np.arange(self.n)]), self.den)
 
     def is_identity(self) -> bool:
         return self == CycMatrix.identity(self.n)
 
-    def order(self, max_order: int = _CONDUCTOR) -> Union[int, None]:
-        power = self
-        for t in range(1, max_order + 1):
-            if power.is_identity():
-                return t
-            power = power @ self
-        return None
-
 
 def matrix_eigenphase_multiplicities(a: CycMatrix) -> list[tuple[Fraction, int]]:
     """Eigenvalue phases of a finite-order exact matrix.
 
-    Finds the order n <= 24 by repeated multiplication, then recovers the
-    multiplicity of e^(2 pi i j/n) exactly as (1/n) sum_t zeta_n^(-jt) tr(A^t).
+    One pass over the powers collects the traces of I, A, A^2, ... until a
+    power is the identity, which gives the order n (checked up to A^24),
+    then the multiplicity of e^(2 pi i j/n) is exactly
+    (1/n) sum_t zeta_n^(-jt) tr(A^t).
     """
-    n = a.order()
-    if n is None or _CONDUCTOR % n != 0:
-        raise ValueError("matrix has no usable finite order <= 24")
-    traces = []
-    power = CycMatrix.identity(a.n)
-    for _ in range(n):
+    traces = [Cyclotomic(a.n)]  # tr(I)
+    power = a
+    while not power.is_identity() and len(traces) < _CONDUCTOR:
         traces.append(power.trace())
         power = power @ a
+    n = len(traces)
+    if not power.is_identity() or _CONDUCTOR % n != 0:
+        raise ValueError("matrix has no usable finite order <= 24")
     out = []
     total = 0
     for j in range(n):
@@ -898,23 +880,3 @@ def kernel_vector(rows: Sequence[Sequence[int]]) -> list[int]:
         g = -g
     return [v // g for v in vec]
 
-
-def nullspace(matrix: CycArray) -> list[CycArray]:
-    """The reduced row echelon basis of the right kernel of an m x n matrix
-    over the conductor-24 field (num of shape (m, n, 8)): one vector per
-    free column, 1 there and 0 at the other free columns.
-
-    By restriction of scalars the matrix is the 8m x 8n rational matrix
-    whose column (j, k) holds the numerators of zeta^k times column j.  Its
-    pivots come in whole blocks of 8, one block per pivot column over the
-    field, so the field-free columns are the rational free columns with
-    k = 0, and each basis vector is the rational kernel vector of one of
-    them divided by its entry there."""
-    m, n = matrix.num.shape[:2]
-    columns = _packed_product(packed_roots(np.arange(_DEGREE))[:, None, None],
-                              matrix.num, (_DEGREE, m, n))
-    # rows (i, c), columns (j, k): component c of zeta^k a_ij
-    rows = columns.transpose(1, 3, 2, 0).reshape(_DEGREE * m, _DEGREE * n)
-    kernel = _echelon_kernel(*integer_echelon(rows.tolist()), _DEGREE * n)
-    return [CycArray(np.array(vec, dtype=object).reshape(n, _DEGREE), vec[fc])
-            for fc, vec in kernel.items() if fc % _DEGREE == 0]

@@ -667,22 +667,25 @@ def s6_equivariance() -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _random_hyperplane_point(rng) -> tuple:
-    head = [
-        Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(5)
-    ]
-    return tuple(head) + (-sum(head),)
+def _random_hyperplane_point(rng) -> list[int]:
+    """A random rational point of the hyperplane sum x = 0 cleared of its
+    denominators: five fractions n / q with n in [-9, 9] and q in [1, 4],
+    drawn n then q, times d, the least common multiple of their reduced
+    denominators, and minus their sum last.  A positive scaling multiplies
+    the image under the cubics by the cube of the scale, so the image
+    point is that of the rational point."""
+    pairs = [(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(5)]
+    d = math.lcm(*(q // math.gcd(n, q) for n, q in pairs))
+    head = [n * d // q for n, q in pairs]
+    return head + [-sum(head)]
 
 
 def _image_values(points) -> np.ndarray:
-    """Integer images of rational hyperplane points under the five basis
-    cubics, one row per point.  Each point is first cleared of its
-    denominators; that positive scaling multiplies its image by the cube of
-    the scale, so the image point is unchanged."""
-    ints = np.array([clear_denominators(point)[0] for point in points])
+    """Integer images of cleared hyperplane points under the five basis
+    cubics, one row per point."""
     cubics = fifteen_cubics()
     return evaluate_polys([cubics[i] for i in cubic_span()["basis_indices"]],
-                          ints)
+                          points)
 
 
 def image_cubic_relation(samples: int = 60, seed: int = 0) -> MultiPoly:
@@ -1022,7 +1025,7 @@ def degree16_check(
         exact_curve = None
         for _ in range(8):
             if not drawn:
-                block = [clear_denominators(_random_hyperplane_point(rng))[0]
+                block = [_random_hyperplane_point(rng)
                          for _ in range(trials - trial)]
                 drawn = list(zip(block, quartic.evaluate_rows(block) == 0))
                 drawn.reverse()

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 import math
-from typing import Mapping, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -32,10 +32,10 @@ from .exact import (
     CycMatrix,
     QSeries,
     eigenphase_sum,
-    nullspace,
+    matrix_eigenphase_multiplicities,
     packed_sum,
 )
-from .fqm import TYPE_ORDER_AMBIENT, element_types, pairing_table, radical_class
+from .fqm import TYPE_ORDER_AMBIENT, element_types, pairing_table
 from .weil import ambient_module, ambient_orthogonal_group, weil_generator
 
 __all__ = [
@@ -198,14 +198,14 @@ def dimension_formula_data() -> dict:
 
     # d = dimension of the (-1)^k eigenspace of the image of -E; the image of
     # -E is S^2, which is minus the identity, so for odd k this is everything.
-    d = len(nullspace(s6 @ s6 + CycMatrix.identity(6)))
+    d = s6.n
 
     alpha_s = eigenphase_sum(s6.scale(-CYC_I))  # e^(pi i k/2) = -i at k = 3
     st_scaled = (s6 @ t6).scale(-CYC_ONE)  # e^(pi i k/3) = -1 at k = 3
-    order = st_scaled.order()
-    if order is None:
-        raise ValueError("scaled ST matrix is not of finite order")
-    alpha_st = eigenphase_sum(st_scaled ** (order - 1))
+    # the inverse has the phase 1 - phi for each nonzero phase phi, 0 for 0
+    alpha_st = sum(((1 - phase) * mult for phase, mult in
+                    matrix_eigenphase_multiplicities(st_scaled) if phase),
+                   Fraction(0))
     alpha_t = eigenphase_sum(t6)
 
     dim = Fraction(d) + Fraction(d * k, 12) - alpha_s - alpha_st - alpha_t
@@ -232,15 +232,13 @@ def dim_modular_forms(k: int = 3) -> Fraction:
 def eisenstein_subspace() -> tuple:
     """Basis of the subspace isomorphic to the space of Eisenstein forms:
     vectors fixed by the T-collapse on which the image of -E acts by
-    (-1)^k (automatic at odd weight).  Returned as coordinate tuples in
-    TYPE_ORDER."""
-    rep = collapsed_rep()
-    basis = nullspace(rep.T_matrix - CycMatrix.identity(6))
-    minus_e = rep.S_matrix @ rep.S_matrix
-    for vec in basis:
-        if minus_e.apply(vec) != -vec:
-            raise ValueError("T-fixed vector escapes the odd-weight eigenspace")
-    return tuple(tuple(vec.entry(i) for i in range(6)) for vec in basis)
+    (-1)^k.  `collapsed_rep` certifies that T is diagonal and S^2 = -E, so
+    at odd weight this is the unit vectors e_a with T[a][a] = 1, the
+    reduced row echelon basis of the T-fixed space.  Returned as coordinate
+    tuples in TYPE_ORDER."""
+    t6 = collapsed_rep().T_matrix
+    return tuple(tuple(CYC_ONE if i == a else CYC_ZERO for i in range(6))
+                 for a in range(6) if t6.entry(a, a) == CYC_ONE)
 
 
 def cusp_dimension() -> Fraction:

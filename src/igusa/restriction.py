@@ -268,6 +268,8 @@ class RestrictionCase:
     m: int
     r_norm: Fraction
     r1_norm: Fraction
+    ambient_class: int  # class of r/2 in the ambient discriminant group
+    beta_class: int  # class of r1/2 in the member discriminant group
     ambient_type: str
     beta_type: str
 
@@ -288,18 +290,19 @@ def restriction_case(r) -> RestrictionCase:
     r1_norm = N.norm(r1)
     if r_norm != r1_norm - m * m:
         raise AssertionError("norm bookkeeping r^2 = r1^2 - m^2 fails")
-    half = tuple(c / 2 for c in r)
-    ambient_type = element_types(AN)[AN.class_of_vector(half)]
-    half_m = tuple(c / 2 for c in emb.member_coordinates(r1))
-    beta_type = element_types(AM)[AM.class_of_vector(half_m)]
+    ambient_class = AN.class_of_vector(tuple(c / 2 for c in r))
+    beta_class = AM.class_of_vector(
+        tuple(c / 2 for c in emb.member_coordinates(r1)))
     return RestrictionCase(
         r=tuple(int(c) for c in r),
         r1=r1,
         m=m,
         r_norm=r_norm,
         r1_norm=r1_norm,
-        ambient_type=ambient_type,
-        beta_type=beta_type,
+        ambient_class=ambient_class,
+        beta_class=beta_class,
+        ambient_type=element_types(AN)[ambient_class],
+        beta_type=element_types(AM)[beta_class],
     )
 
 
@@ -552,11 +555,7 @@ def _norm_minus4_projection() -> dict:
     relevant norm (-4) representatives in the box [-2, 2]^6: maps class
     index (ambient) to class index (member), verified independent of the
     representative.  The first representative of each class is also
-    classified on the exact path (split, member coordinates, class of the
-    half vectors)."""
-    emb = build_embedding()
-    AN = ambient_module()
-    AM = restriction_module()
+    classified on the exact path of `restriction_case`."""
     rows = _relevant_level_sets(2, (-4,))[-4][0]
     m, cn, cm = _split_classes(rows)
     classes, first = np.unique(cn, return_index=True)
@@ -574,16 +573,12 @@ def _norm_minus4_projection() -> dict:
     images = {}
     for i in np.sort(first):
         r = tuple(int(v) for v in rows[i])
-        r1, _ = emb.split(r)
-        exact = (
-            AN.class_of_vector(tuple(Fraction(c, 2) for c in r)),
-            AM.class_of_vector(tuple(c / 2 for c in emb.member_coordinates(r1))),
-        )
-        if exact != (cn[i], cm[i]):
+        case = restriction_case(r)
+        if (case.m, case.ambient_class, case.beta_class) != (0, cn[i], cm[i]):
             raise AssertionError(
                 f"vectorized projection disagrees with the exact path at r = {r}"
             )
-        images[exact[0]] = exact[1]
+        images[case.ambient_class] = case.beta_class
     return images
 
 

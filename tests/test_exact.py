@@ -22,9 +22,10 @@ from igusa.exact import (
     integer_echelon,
     kernel_vector,
     matrix_eigenphase_multiplicities,
-    nullspace,
     packed_sum,
 )
+
+from helpers import inverse_by_products, reference_apply
 
 try:
     from hypothesis import given, settings
@@ -491,7 +492,9 @@ def test_matrix_arithmetic_does_not_wrap_past_int64():
     assert expected == Fraction(16 * 3**60, 343)
     assert all(cube.entry(i, j).as_rational() == expected
                for i in range(4) for j in range(4))
-    assert m**3 == cube and hash(m**3) == hash(cube)
+    regrouped = m @ (m @ m)
+    assert regrouped.num.dtype == object
+    assert regrouped == cube and hash(regrouped) == hash(cube)
     square = m @ m
     assert (square + square).entry(0, 0).as_rational() == Fraction(8 * 3**40, 49)
     assert square.scale(2) == square + square
@@ -590,8 +593,11 @@ def test_matrix_order():
     s = CycMatrix.from_rows(
         [[CYC_ZERO, -CYC_ONE], [CYC_ONE, CYC_ZERO]]
     )
-    assert s.order() == 4
-    assert (s @ s).entry(0, 0) == -CYC_ONE
+    square = s @ s
+    assert square.entry(0, 0) == -CYC_ONE
+    assert not s.is_identity() and not square.is_identity()
+    assert not (square @ s).is_identity() and (square @ square).is_identity()
+    assert matrix_eigenphase_multiplicities(s) == [(Fraction(1, 4), 1), (Fraction(3, 4), 1)]
 
 
 def test_eigenphase_multiplicities_identity():
@@ -623,12 +629,41 @@ def test_eigenphase_reconstructs_trace():
     assert total == m.trace()
 
 
+def permutation_matrix(perm) -> CycMatrix:
+    """The matrix sending basis vector j to basis vector perm[j]."""
+    n = len(perm)
+    return CycMatrix.from_rows([[int(perm[j] == i) for j in range(n)] for i in range(n)])
+
+
 def test_eigenphase_rejects_infinite_order():
     m = CycMatrix.from_rows(
         [[CYC_ONE, CYC_ONE], [CYC_ZERO, CYC_ONE]]
     )  # unipotent, infinite order
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="no usable finite order"):
         matrix_eigenphase_multiplicities(m)
+
+
+def test_eigenphase_rejects_an_order_prime_to_24():
+    # a 5-cycle has order 5, which does not divide 24
+    five_cycle = permutation_matrix([1, 2, 3, 4, 0])
+    assert not five_cycle.is_identity()
+    with pytest.raises(ValueError, match="no usable finite order"):
+        matrix_eigenphase_multiplicities(five_cycle)
+
+
+@pytest.mark.parametrize("a", [
+    _diag([cyclotomic_root(1), CYC_I, -1, 1, cyclotomic_root(8), cyclotomic_root(21)]),
+    _diag([1, 1, -1]),
+    permutation_matrix([1, 2, 3, 4, 5, 0]),
+    permutation_matrix([1, 2, 3, 4, 5, 0]).scale(CYC_I),
+], ids=["diagonal-order-24", "diagonal-signs", "6-cycle", "i-times-6-cycle"])
+def test_inverse_phases_are_read_off_the_phases(a):
+    # A^-1 has the phase 1 - phi for every nonzero phase phi of A, 0 for 0
+    inverse = inverse_by_products(a)
+    assert (inverse @ a).is_identity()
+    from_phases = sum(((1 - phase) * mult for phase, mult in
+                       matrix_eigenphase_multiplicities(a) if phase), Fraction(0))
+    assert from_phases == eigenphase_sum(inverse)
 
 
 def test_matrix_conjugate_and_trace():
@@ -637,14 +672,6 @@ def test_matrix_conjugate_and_trace():
     c = m.conjugate()
     assert c.entry(0, 0) == -CYC_I
     assert c.entry(1, 1) == CYC_I
-
-
-def reference_apply(matrix: CycMatrix, vec) -> list:
-    """Matrix times vector entry by entry in Fraction cyclotomic arithmetic,
-    independent of the packed product kernel."""
-    vals = [Cyclotomic.coerce(v) for v in vec]
-    return [sum((matrix.entry(i, j) * vals[j] for j in range(matrix.n) if vals[j]),
-                CYC_ZERO) for i in range(matrix.n)]
 
 
 def test_apply_vector():
@@ -675,87 +702,6 @@ if HAVE_HYPOTHESIS:
         assert [out.entry(i) for i in range(matrix.n)] == expected
         assert out == CycArray.from_values(expected)
         assert hash(out) == hash(CycArray.from_values(expected))
-
-
-# ---------------------------------------------------------------------------
-# Linear algebra helpers
-# ---------------------------------------------------------------------------
-
-
-def annihilates(rows, vec) -> bool:
-    """Whether every row kills vec, by scalar arithmetic entry by entry."""
-    entries = [vec.entry(j) for j in range(len(vec.num))]
-    return all(sum((a * b for a, b in zip(row, entries)), CYC_ZERO) == CYC_ZERO
-               for row in rows)
-
-
-def test_rational_rank_and_nullspace():
-    rows = [
-        [Fraction(1), Fraction(2), Fraction(3)],
-        [Fraction(2), Fraction(4), Fraction(6)],
-        [Fraction(0), Fraction(1), Fraction(1)],
-    ]  # rank 2
-    null = nullspace(CycMatrix.from_rows(rows))
-    assert len(null) == 1
-    assert annihilates(rows, null[0])
-    # the reduced row echelon basis vector of the free column 2
-    assert null[0] == CycArray.from_values([-1, -1, 1])
-
-
-def test_cyclotomic_rref():
-    rows = [
-        [CYC_I, CYC_ONE],
-        [CYC_ONE, -CYC_I],
-    ]  # second row = -i * first: rank 1
-    null = nullspace(CycMatrix.from_rows(rows))
-    assert len(null) == 1
-    assert annihilates(rows, null[0])
-    assert null[0] == CycArray.from_values([CYC_I, CYC_ONE])
-    assert nullspace(CycMatrix.from_rows([[CYC_I, CYC_ONE], [CYC_ONE, CYC_I]])) == []
-    assert len(nullspace(CycMatrix.from_rows([[0, 0], [0, 0]]))) == 2
-
-
-if HAVE_HYPOTHESIS:
-
-    @st.composite
-    def deficient_matrices(draw):
-        """m x n cyclotomic matrices, m, n <= 4, in which some rows are
-        zeta^k-multiples, or sums of zeta^k-multiples, of earlier rows."""
-        m, n = draw(st.integers(1, 4)), draw(st.integers(1, 4))
-        entries = st.one_of(st.just(CYC_ZERO), cyclotomics())
-        rows = [[draw(entries) for _ in range(n)]]
-        for _ in range(m - 1):
-            kind = draw(st.sampled_from(["random", "multiple", "sum"]))
-            if kind == "random":
-                rows.append([draw(entries) for _ in range(n)])
-                continue
-            picks = draw(st.lists(st.integers(0, len(rows) - 1), min_size=1,
-                                  max_size=1 if kind == "multiple" else 2))
-            row = [CYC_ZERO] * n
-            for i in picks:
-                z = cyclotomic_root(draw(st.integers(0, 23)))
-                row = [a + z * b for a, b in zip(row, rows[i])]
-            rows.append(row)
-        return rows
-
-    @given(deficient_matrices())
-    @settings(max_examples=60, deadline=None)
-    def test_nullspace_is_the_reduced_kernel_basis(rows):
-        m, n = len(rows), len(rows[0])
-        flat = CycArray.from_values([v for row in rows for v in row])
-        null = nullspace(CycArray(flat.num.reshape(m, n, 8), flat.den))
-        complex_rows = np.array([[v.to_complex() for v in row] for row in rows])
-        assert len(null) == n - np.linalg.matrix_rank(complex_rows)
-        own = []
-        for vec in null:
-            assert annihilates(rows, vec)
-            # the RREF pattern: 1 at the vector's own free column, its last
-            # nonzero entry, and 0 there in every other vector
-            own.append(max(j for j in range(n) if vec.entry(j)))
-            assert vec.entry(own[-1]) == CYC_ONE
-        assert own == sorted(set(own))
-        for vec, col in zip(null, own):
-            assert all(not other.entry(col) for other in null if other is not vec)
 
 
 # ---------------------------------------------------------------------------

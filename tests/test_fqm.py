@@ -33,7 +33,7 @@ from igusa.lattices import (
 )
 from igusa.weil import ambient_module, ambient_orthogonal_group
 
-from test_weil import run_demo
+from helpers import run_demo
 
 
 @pytest.fixture(scope="module")

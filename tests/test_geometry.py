@@ -1,14 +1,10 @@
 """Lines, cubics, symmetry, and rational-curve interpolation on the quartic."""
 
-import os
 import random
 import re
-import subprocess
-import sys
 from fractions import Fraction
 from itertools import combinations, product
 from math import gcd, isqrt, prod
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -41,6 +37,8 @@ from igusa.geometry import (
     singular_inclusion_check,
 )
 
+from helpers import run_demo
+
 try:
     from hypothesis import given, settings
     from hypothesis import strategies as st
@@ -50,7 +48,6 @@ except Exception:  # pragma: no cover
     HAVE_HYPOTHESIS = False
 
 F = Fraction
-REPO = Path(__file__).resolve().parents[1]
 
 
 def reference_evaluate(poly, point):
@@ -83,10 +80,22 @@ def distinct_draws(count, seed=0):
     rng = random.Random(seed)
     draws = []
     while len(draws) < count:
-        x = exact.clear_denominators(geometry._random_hyperplane_point(rng))[0]
+        x = geometry._random_hyperplane_point(rng)
         if len(set(x)) == 6:
             draws.append(x)
     return draws
+
+
+def test_hyperplane_draw_is_the_cleared_fraction_draw():
+    # the integer draw takes the same (n, q) pairs from the generator as
+    # five Fractions n / q and clears them over their least denominator
+    for seed in range(10):
+        rng, ref = random.Random(seed), random.Random(seed)
+        for _ in range(50):
+            head = [F(ref.randint(-9, 9), ref.randint(1, 4)) for _ in range(5)]
+            expected, _ = exact.clear_denominators(head + [-sum(head)])
+            assert geometry._random_hyperplane_point(rng) == expected
+        assert rng.random() == ref.random()
 
 
 # ---------------------------------------------------------------------------
@@ -783,7 +792,7 @@ def test_fibre_curve_matches_the_frame_reference():
     charts = [b[:5] for b in bases]
     curves = 0
     for _ in range(60):
-        x = exact.clear_denominators(geometry._random_hyperplane_point(rng))[0]
+        x = geometry._random_hyperplane_point(rng)
         expected = outcome(reference_frame_curve, [x, *bases])
         if len(set(x)) < 6:
             with pytest.raises(ValueError, match="repeated coordinate"):
@@ -1444,10 +1453,5 @@ def test_evaluate_rejects_non_rational_inputs():
 
 
 def test_quartic_geometry_demo_runs():
-    env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
-    done = subprocess.run(
-        [sys.executable, str(REPO / "demos" / "07_quartic_geometry.py")],
-        capture_output=True, text=True, env=env, timeout=300,
-    )
-    assert done.returncode == 0, done.stderr
-    assert "quartic at (1,-1,0,0,0,0):  -4\n" in done.stdout
+    out = run_demo("07_quartic_geometry.py")
+    assert "quartic at (1,-1,0,0,0,0):  -4\n" in out

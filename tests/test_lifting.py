@@ -1,10 +1,6 @@
 """Eta powers, multiplier bookkeeping, and lift leading coefficients."""
 
-import os
-import subprocess
-import sys
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 
@@ -25,6 +21,8 @@ from igusa.lifting import (
 )
 from igusa.report import eta_product_mismatches
 from igusa.weil import ambient_module, theta_vector, w0_vector
+
+from helpers import run_demo
 
 HALF = Fraction(1, 2)
 
@@ -331,11 +329,5 @@ def test_theta0_identities():
 
 
 def test_additive_lifts_demo_runs():
-    repo = Path(__file__).resolve().parents[1]
-    env = dict(os.environ, PYTHONPATH=str(repo / "src"))
-    done = subprocess.run(
-        [sys.executable, str(repo / "demos" / "05_additive_lifts.py")],
-        capture_output=True, text=True, env=env, timeout=300,
-    )
-    assert done.returncode == 0, done.stderr
-    assert "leading lift coefficient: Cyc(-1) (nonzero)\n" in done.stdout
+    out = run_demo("05_additive_lifts.py")
+    assert "leading lift coefficient: Cyc(-1) (nonzero)\n" in out

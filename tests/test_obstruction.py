@@ -5,7 +5,15 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from igusa.exact import CYC_I, CYC_ONE, CYC_ZERO, Cyclotomic, CycMatrix, QSeries
+from igusa.exact import (
+    CYC_I,
+    CYC_ONE,
+    CYC_ZERO,
+    Cyclotomic,
+    CycMatrix,
+    QSeries,
+    eigenphase_sum,
+)
 from igusa.fqm import element_types, radical_class, reflection
 from igusa import obstruction
 from igusa.obstruction import (
@@ -32,7 +40,7 @@ from igusa.obstruction import (
 )
 from igusa.weil import ambient_module, ambient_orthogonal_group, weil_generator
 
-from test_weil import run_demo
+from helpers import inverse_by_products, run_demo
 
 MINUS_I_OVER_8 = Cyclotomic(Fraction(-1, 8)) * CYC_I
 
@@ -112,6 +120,12 @@ def test_dimension_formula_values():
     )
     assert data["dimension"] == 2
     assert dim_modular_forms(3) == 2
+    # alpha((e^(pi i k/3) S T)^-1) read off the phases of -ST equals the
+    # phase sum of the inverse built by products
+    rep = collapsed_rep()
+    st_scaled = (rep.S_matrix @ rep.T_matrix).scale(-CYC_ONE)
+    assert eigenphase_sum(inverse_by_products(st_scaled)) == data["alpha_ST"]
+    assert data["d"] == len(TYPE_ORDER)
     with pytest.raises(ValueError):
         dim_modular_forms(4)
 

@@ -1,5 +1,6 @@
 """Embedding, member-discriminant combinatorics, and restriction cases."""
 
+import dataclasses
 from fractions import Fraction
 from itertools import product
 
@@ -23,7 +24,7 @@ from igusa.restriction import (
 )
 from igusa.weil import ambient_module
 
-from test_weil import run_demo
+from helpers import run_demo
 
 HALF = Fraction(1, 2)
 
@@ -147,6 +148,15 @@ def test_characteristic_vector_case():
     case = restriction_case((0, 0, 0, 0, 1, -1))
     assert case.m == 0 and case.r1_norm == -4
     assert case.ambient_type == "10" and case.beta_type == "10"
+
+
+def test_case_classes_name_the_types():
+    AN, AM = ambient_module(), restriction_module()
+    for r in ((0, 0, 0, 0, 1, 0), (1, -1, 0, 0, 0, 0), (0, 0, 0, 0, 1, -1)):
+        case = restriction_case(r)
+        assert case.ambient_class == AN.class_of_vector(tuple(c * HALF for c in r))
+        assert element_types(AN)[case.ambient_class] == case.ambient_type
+        assert element_types(AM)[case.beta_class] == case.beta_type
 
 
 def test_case_requires_integral_vector():
@@ -558,6 +568,24 @@ def test_norm_minus4_projection_matches_the_exact_path():
         assert images.setdefault(cn, cm) == cm, r
     assert len(images) == 16
     assert restriction._norm_minus4_projection() == images
+
+
+def test_norm_minus4_projection_is_checked_on_the_exact_path(monkeypatch):
+    original = restriction.restriction_case
+    size = restriction_module().size
+
+    def planted(r):
+        case = original(r)
+        return dataclasses.replace(case, beta_class=(case.beta_class + 1) % size)
+
+    monkeypatch.setattr(restriction, "restriction_case", planted)
+    restriction._norm_minus4_projection.cache_clear()
+    try:
+        with pytest.raises(AssertionError, match="vectorized projection disagrees "
+                           "with the exact path at r = "):
+            restriction._norm_minus4_projection()
+    finally:
+        restriction._norm_minus4_projection.cache_clear()
 
 
 # ---------------------------------------------------------------------------
