@@ -12,6 +12,7 @@ import math
 
 from igusa.exact import CYC_I, Cyclotomic
 from igusa.obstruction import (
+    TYPE_ORDER,
     borcherds_weight,
     collapsed_rep,
     cusp_dimension,
@@ -28,7 +29,7 @@ EIGHT_I = Cyclotomic(8) * CYC_I
 def main():
     rep = collapsed_rep()
     print("=== The collapsed action ===")
-    print(f"type order: {rep.type_order}")
+    print(f"type order: {TYPE_ORDER}")
     print(f"type sizes: {rep.type_sizes}")
     print("S matrix = -i/8 times:")
     for a in range(6):
@@ -51,10 +52,10 @@ def main():
     print("=== One Eisenstein series against its oracle ===")
     series = eisenstein_G3(1, 0, terms=16)
     shown = {str(e): repr(c)
-             for e, c in sorted(series.series.terms.items()) if c}
+             for e, c in sorted(series.terms.items()) if c}
     print(f"series (1,0) nonzero coefficients: {shown}")
     unit = 1j * (2 * math.pi) ** 3 / 2**7
-    symbolic = unit * series.series.evaluate(math.exp(-math.pi / 2))
+    symbolic = unit * series.evaluate(math.exp(-math.pi / 2))
     numeric = numeric_double_sum(1, 0, box=800)
     print(f"series value at the imaginary unit: {symbolic:.10f}")
     print(f"numeric double sum:                 {numeric:.10f}")

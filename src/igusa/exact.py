@@ -369,11 +369,6 @@ CYC_ONE = Cyclotomic(1)
 CYC_I = Cyclotomic.root(6)
 
 
-def cyclotomic_root(k: int) -> Cyclotomic:
-    """zeta^k in canonical form; cyclotomic_root(6) squares to -1."""
-    return Cyclotomic.root(k)
-
-
 _EXP_DEN = 4  # q-series exponents live in (1/4)Z
 
 

@@ -72,6 +72,10 @@ __all__ = [
 # a 2-vCPU Xeon.
 MAX_TRIALS = 1000
 
+# Tolerances of the float oracles: composition residual, root separation.
+_RESIDUAL_TOL = 1e-9
+_SEPARATION_TOL = 1e-6
+
 
 # ---------------------------------------------------------------------------
 # Exact multivariate polynomials
@@ -951,7 +955,7 @@ def quartic_point_composition_check() -> dict:
     point's parameter t = 0.  The vanishing is certified
     exactly (zero constant term, nonzero degree-16 term) and confirmed by
     the independent float composition of `_float_composition_residual`,
-    which must agree with the exact form to 1e-9 of its largest
+    which must agree with the exact form to _RESIDUAL_TOL of its largest
     coefficient.
 
     The witness (-8, -7, 0, 3, 5, 7) is a double root of its composition
@@ -970,8 +974,7 @@ def quartic_point_composition_check() -> dict:
     if poly[16] == 0:
         raise ValueError("exact composition drops below degree 16")
     residual = _float_composition_residual(curve, poly)
-    bound = 1e-9
-    if residual > bound:
+    if residual > _RESIDUAL_TOL:
         raise ValueError(
             f"float composition misses the exact form by {residual}"
         )
@@ -979,16 +982,11 @@ def quartic_point_composition_check() -> dict:
         "constant_term_exact_zero": True,
         "leading_term_nonzero": True,
         "witness_residual": residual,
-        "bound": bound,
+        "bound": _RESIDUAL_TOL,
     }
 
 
-def degree16_check(
-    trials: int = 20,
-    seed: int = 0,
-    residual_tol: float = 1e-9,
-    separation_tol: float = 1e-6,
-) -> dict:
+def degree16_check(trials: int = 20, seed: int = 0) -> dict:
     """Monte Carlo certification that composing the quartic with rational
     normal curves through the six base points and a random rational seventh
     point yields a degree-16 binary form with 16 distinct roots on P^1.
@@ -1004,9 +1002,9 @@ def degree16_check(
     16 - deg f, so F has 16 distinct roots exactly when deg f >= 15 and f
     is squarefree.  Floats serve as two oracles that can fail: the
     independent float composition of the curve's rows must match f to
-    residual_tol (`_float_composition_residual`), and the finite float
+    _RESIDUAL_TOL (`_float_composition_residual`), and the finite float
     roots of f, polished by Newton steps, must be separated by more than
-    separation_tol, for all certified forms at once after the last trial.
+    _SEPARATION_TOL, for all certified forms at once after the last trial.
     Draws come in blocks of as many as trials remain, each tested on the
     quartic in one evaluation.  A trial that fails a criterion is
     discarded; `discarded` records each with its cause, in trial order."""
@@ -1044,7 +1042,7 @@ def degree16_check(
         form = exact_quartic_composition(exact_curve)
         residual = _float_composition_residual(exact_curve, form)
         worst_residual = max(worst_residual, residual)
-        if residual > residual_tol:
+        if residual > _RESIDUAL_TOL:
             discarded.append((trial, "composition_residual"))
             continue
         if _poly_degree(form) < 15 or not poly_is_squarefree(form):
@@ -1053,7 +1051,7 @@ def degree16_check(
         certified.append((trial, form))
     separations = _root_separations([form for _, form in certified])
     clustered = [trial for (trial, _), sep in zip(certified, separations)
-                 if sep <= separation_tol]
+                 if sep <= _SEPARATION_TOL]
     discarded = sorted(discarded + [(t, "root_clustering") for t in clustered])
     successes = len(certified) - len(clustered)
     report = {
@@ -1062,8 +1060,8 @@ def degree16_check(
         "success_rate": successes / trials,
         "discarded": tuple(discarded),
         "rejected_draws": rejected,
-        "residual_tol": residual_tol,
-        "separation_tol": separation_tol,
+        "residual_tol": _RESIDUAL_TOL,
+        "separation_tol": _SEPARATION_TOL,
         "worst_composition_residual": worst_residual,
     }
     if successes == 0:

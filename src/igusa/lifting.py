@@ -217,15 +217,13 @@ class LiftCheckInput:
     lam: tuple
 
 
-def fixture_lift_input(theta=None) -> LiftCheckInput:
-    """The documented evaluation point: z and z' span the first hyperbolic
-    pair, lam = e2/2 + f2 + a1/2 has norm 3/2, and theta defaults to the
-    fixture-plane vector."""
+def fixture_lift_input() -> LiftCheckInput:
+    """The documented evaluation point: theta is the fixture-plane vector,
+    z and z' span the first hyperbolic pair, and lam = e2/2 + f2 + a1/2 has
+    norm 3/2."""
     lat = ambient_lattice()
-    if theta is None:
-        theta = theta_vector(fixture_plane())
     return LiftCheckInput(
-        theta=theta,
+        theta=theta_vector(fixture_plane()),
         z=lat.vector(e1=1),
         z_prime=lat.vector(f1=_HALF),
         lam=lat.vector(e2=_HALF, f2=1, a1=_HALF),
@@ -254,16 +252,15 @@ def _validate_lift_input(inp: LiftCheckInput):
     return lat, A
 
 
-def lift_leading_coefficient(inp: LiftCheckInput, eta_exponent: int = 18,
-                             terms: int = 16) -> Cyclotomic:
+def lift_leading_coefficient(inp: LiftCheckInput,
+                             eta_exponent: int = 18) -> Cyclotomic:
     """Fourier coefficient of the additive lift of eta^m * theta at the
     vector lam: the two-term sum over the lifts of lam along the isotropic
     direction, each term a theta coefficient times the eta^m expansion
     coefficient at half the lift's norm, weighted by the phase of its
     pairing with z'.  The lift normalization constant is fixed to 1."""
     lat, A = _validate_lift_input(inp)
-    eta = eta_power(eta_exponent, terms)
-    series = eta.series
+    series = eta_power(eta_exponent).series
 
     half_z_plus_lam = tuple(
         Fraction(zc) / 2 + Fraction(lc) for zc, lc in zip(inp.z, inp.lam)

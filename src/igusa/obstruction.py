@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 import math
-from typing import Sequence, Union
+from typing import Sequence
 
 import numpy as np
 
@@ -35,19 +35,16 @@ from .exact import (
     matrix_eigenphase_multiplicities,
     packed_sum,
 )
-from .fqm import TYPE_ORDER_AMBIENT, element_types, pairing_table
+from .fqm import TYPE_ORDER_AMBIENT, element_types, pairing_table, type_census
 from .weil import ambient_module, ambient_orthogonal_group, weil_generator
 
 __all__ = [
     "TYPE_ORDER",
     "CollapsedRep",
-    "dual_generator",
     "collapsed_rep",
     "dimension_formula_data",
-    "dim_modular_forms",
     "eisenstein_subspace",
     "cusp_dimension",
-    "EisensteinSeries",
     "eisenstein_G3",
     "numeric_double_sum",
     "E_LABELS",
@@ -60,7 +57,6 @@ __all__ = [
     "heegner_divisor",
     "borcherds_weight",
     "borcherds_weights_table",
-    "obstruction_vanishing",
 ]
 
 TYPE_ORDER = TYPE_ORDER_AMBIENT  # ("00", "0", "1", "10", "3/2", "1/2")
@@ -92,16 +88,9 @@ class CollapsedRep:
     """The six-dimensional aggregate of the dual action, rows/columns in
     TYPE_ORDER, together with the class sizes used in the aggregation."""
 
-    type_order: tuple
     type_sizes: tuple
     T_matrix: CycMatrix
     S_matrix: CycMatrix
-
-
-def dual_generator(name: str) -> CycMatrix:
-    """Generator matrix of the dual of the metaplectic action on the ambient
-    group ring: entrywise complex conjugate of the primal generator."""
-    return weil_generator(name).conjugate()
 
 
 @lru_cache(maxsize=1)
@@ -121,8 +110,9 @@ def collapsed_rep() -> CollapsedRep:
     idx = _type_indices()
     sizes = tuple(int(len(idx[t])) for t in TYPE_ORDER)
 
-    s64 = dual_generator("S")
-    t64 = dual_generator("T")
+    # The dual action is the entrywise conjugate of the primal generators.
+    s64 = weil_generator("S").conjugate()
+    t64 = weil_generator("T").conjugate()
 
     # Aggregate the rows of each value class; the resulting column pattern
     # must be constant on every value class for the collapse to exist.
@@ -180,7 +170,7 @@ def collapsed_rep() -> CollapsedRep:
     if (st @ st) @ st != s6 @ s6:
         raise ValueError("collapsed generators violate the braid relation")
 
-    return CollapsedRep(TYPE_ORDER, sizes, t6, s6)
+    return CollapsedRep(sizes, t6, s6)
 
 
 @lru_cache(maxsize=1)
@@ -220,14 +210,6 @@ def dimension_formula_data() -> dict:
     }
 
 
-def dim_modular_forms(k: int = 3) -> Fraction:
-    """Dimension of the space of weight-k forms for the collapsed dual
-    action.  Only the weight-3 case is supported."""
-    if k != 3:
-        raise ValueError("only the weight-3 dimension is supported")
-    return dimension_formula_data()["dimension"]
-
-
 @lru_cache(maxsize=1)
 def eisenstein_subspace() -> tuple:
     """Basis of the subspace isomorphic to the space of Eisenstein forms:
@@ -243,7 +225,7 @@ def eisenstein_subspace() -> tuple:
 
 def cusp_dimension() -> Fraction:
     """Dimension of the cusp subspace: total minus Eisenstein."""
-    total = dim_modular_forms(3)
+    total = dimension_formula_data()["dimension"]
     eis = len(eisenstein_subspace())
     cusp = total - eis
     if cusp < 0:
@@ -267,15 +249,6 @@ _CONSTANT_TERMS = {
     2: CYC_ZERO,
     3: Cyclotomic(Fraction(1, 2)) * CYC_I,
 }
-
-
-@dataclass(frozen=True)
-class EisensteinSeries:
-    """Fourier expansion of the weight-3 level-4 congruence series attached
-    to a pair (a1, a2) mod 4, in units of i*(2*pi)^3 / 2^7."""
-
-    label: tuple
-    series: QSeries
 
 
 def _fourier_coefficient(j: int, a1: int, a2: int) -> Cyclotomic:
@@ -344,10 +317,10 @@ def _validate_expansion(series: QSeries, a1: int, a2: int, box: int,
 
 def eisenstein_G3(a1: int, a2: int, terms: int = 16, *, box: int = 1600,
                   tolerance: float = 1e-6, validate: bool = True
-                  ) -> EisensteinSeries:
-    """Weight-3 level-4 congruence Eisenstein series for the residue pair
-    (a1, a2) mod 4, expanded through the coefficient of q^(terms/4), in units
-    of i*(2*pi)^3 / 2^7.
+                  ) -> QSeries:
+    """The q-expansion of the weight-3 level-4 congruence Eisenstein series
+    for the residue pair (a1, a2) mod 4, through the coefficient of
+    q^(terms/4), in units of i*(2*pi)^3 / 2^7.
 
     The expansion is validated against the numeric double sum at tau = i
     unless validate is False; disagreement raises ValueError, and so does a
@@ -378,7 +351,7 @@ def eisenstein_G3(a1: int, a2: int, terms: int = 16, *, box: int = 1600,
         full = QSeries(
             {e: c for e, c in full.terms.items() if e < cutoff}, cutoff
         )
-    return EisensteinSeries((a1, a2), full)
+    return full
 
 
 @lru_cache(maxsize=None)
@@ -432,7 +405,7 @@ def f_tuple(p=Fraction(-1), r=Fraction(0), terms: int = 16,
     p = Fraction(p)
     r = Fraction(r)
     hats = [
-        eisenstein_G3(a1, a2, terms, validate=validate).series
+        eisenstein_G3(a1, a2, terms, validate=validate)
         for (a1, a2) in E_LABELS
     ]
     coeffs = _component_matrix(p, r)
@@ -575,12 +548,10 @@ def per_element_coefficient(element: int, exponent) -> Fraction:
     if not 0 <= element < A.size:
         raise ValueError(f"element index {element} out of range")
     t = labels[element]
-    sizes = {lab: labels.count(lab) for lab in TYPE_ORDER}
-    series = f_tuple()[t]
-    coeff = series.coefficient(Fraction(exponent))
+    coeff = f_tuple()[t].coefficient(Fraction(exponent))
     if not coeff.is_rational:
         raise ValueError("aggregate coefficient is not rational")
-    return coeff.as_rational() / sizes[t]
+    return coeff.as_rational() / type_census(A)[t]
 
 
 # Admissible negative norms by value class, matching the half-period of each
@@ -591,8 +562,6 @@ _ALLOWED_NORM = {
     "3/2": Fraction(-1, 2),
     "1/2": Fraction(-3, 2),
 }
-
-DivisorKey = Union[str, int]
 
 
 @dataclass(frozen=True)
@@ -612,32 +581,23 @@ class DivisorSpec:
             norm.append((key, Fraction(n), int(mult)))
         return cls(tuple(norm))
 
-    @classmethod
-    def empty(cls) -> "DivisorSpec":
-        return cls(())
-
 
 def heegner_divisor(name: str) -> DivisorSpec:
     """The four standard divisor families: the characteristic-element family
-    ("kappa") and the three full value-class families."""
-    standard = {
-        "kappa": ("10", Fraction(-1)),
-        "3/2": ("3/2", Fraction(-1, 2)),
-        "1": ("1", Fraction(-1)),
-        "1/2": ("1/2", Fraction(-3, 2)),
-    }
-    if name not in standard:
+    ("kappa", the class "10") and the three full value-class families, each
+    at its admissible norm."""
+    if name == "10" or name not in (*_ALLOWED_NORM, "kappa"):
         raise ValueError(f"unknown divisor family {name!r}")
-    key, n = standard[name]
-    return DivisorSpec.from_entries(((key, n, 1),))
+    key = "10" if name == "kappa" else name
+    return DivisorSpec.from_entries(((key, _ALLOWED_NORM[key], 1),))
 
 
-def borcherds_weight(divisor: DivisorSpec, terms: int = 8) -> Fraction:
+def borcherds_weight(divisor: DivisorSpec) -> Fraction:
     """Weight of a product with the given divisor: the pairing of divisor
     multiplicities against the Fourier coefficients of the normalized
     Eisenstein tuple, at exponent -n/2 for a family of norm n.  Per-element
     coefficients are class aggregates divided by class size."""
-    return _pair_divisor(divisor, f_tuple(terms=max(terms, 4)))
+    return _pair_divisor(divisor, f_tuple(terms=8))
 
 
 def _pair_divisor(divisor: DivisorSpec, series: dict) -> Fraction:
@@ -645,7 +605,7 @@ def _pair_divisor(divisor: DivisorSpec, series: dict) -> Fraction:
     type_orbit_check()
     A = ambient_module()
     labels = element_types(A)
-    sizes = {lab: labels.count(lab) for lab in TYPE_ORDER}
+    sizes = type_census(A)
     total = Fraction(0)
     for key, n, mult in divisor.entries:
         if isinstance(key, str):
@@ -683,14 +643,4 @@ def borcherds_weights_table() -> dict:
     return {
         name: _pair_divisor(heegner_divisor(name), series)
         for name in ("kappa", "3/2", "1", "1/2")
-    }
-
-
-def obstruction_vanishing() -> dict:
-    """The cusp subspace of the collapsed dual action is zero, so the pairing
-    condition against cusp forms holds for every divisor combination."""
-    cusp = cusp_dimension()
-    return {
-        "cusp_dimension": int(cusp),
-        "vacuously_satisfied": cusp == 0,
     }

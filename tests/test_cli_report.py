@@ -16,7 +16,6 @@ from igusa.report import (
     CheckResult,
     SuiteRunner,
     build_report,
-    census_suite,
     render_markdown,
 )
 from igusa.report import _first_mismatch, _plain

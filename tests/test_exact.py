@@ -17,7 +17,6 @@ from igusa.exact import (
     CycMatrix,
     KERNEL_PRIME,
     QSeries,
-    cyclotomic_root,
     eigenphase_sum,
     integer_echelon,
     kernel_vector,
@@ -42,11 +41,11 @@ except Exception:  # pragma: no cover
 
 
 def test_roots_of_unity_fixed_points():
-    z = cyclotomic_root(1)
+    z = Cyclotomic.root(1)
     assert z**24 == CYC_ONE
     assert z**12 == -CYC_ONE
-    assert cyclotomic_root(0) == CYC_ONE
-    assert cyclotomic_root(6) == CYC_I
+    assert Cyclotomic.root(0) == CYC_ONE
+    assert Cyclotomic.root(6) == CYC_I
     assert CYC_I * CYC_I == -CYC_ONE
     # primitive cube root of unity
     w = Cyclotomic.e(Fraction(1, 3))
@@ -77,7 +76,7 @@ def test_rational_detection():
 
 
 def test_inverse_and_conjugate():
-    z = cyclotomic_root(1)
+    z = Cyclotomic.root(1)
     x = 3 * z**5 - Fraction(1, 2) * z**2 + 7
     assert x * x.inverse() == CYC_ONE
     # conjugation is a ring homomorphism and an involution
@@ -109,7 +108,7 @@ def reference_inverse(x: Cyclotomic) -> Cyclotomic:
 
 
 def test_inverse_matches_the_gauss_jordan_reference():
-    z = cyclotomic_root(1)
+    z = Cyclotomic.root(1)
     cases = [z, CYC_I, Cyclotomic(Fraction(-3, 7)), 1 + z**4, z**2 - z**10 + 5,
              3 * z**5 - Fraction(1, 2) * z**2 + 7]
     for x in cases:
@@ -126,7 +125,7 @@ def test_to_complex_agrees_with_cmath():
     import cmath
 
     for k in range(24):
-        approx = cyclotomic_root(k).to_complex()
+        approx = Cyclotomic.root(k).to_complex()
         exact = cmath.exp(2j * cmath.pi * k / 24)
         assert abs(approx - exact) < 1e-12
 
@@ -173,7 +172,7 @@ if HAVE_HYPOTHESIS:
 # The integer scalar against the Fraction-tuple reference
 # ---------------------------------------------------------------------------
 
-_REF_BASIS = [cyclotomic_root(k).coefficients for k in range(24)]
+_REF_BASIS = [Cyclotomic.root(k).coefficients for k in range(24)]
 
 
 class FractionCyclotomic:
@@ -268,7 +267,7 @@ def test_integer_scalar_arithmetic_builds_no_fraction():
     import cProfile
     import pstats
 
-    z = cyclotomic_root(1)
+    z = Cyclotomic.root(1)
     xs = [3 * z**5 - Fraction(1, 2) * z**2 + 7, Cyclotomic(Fraction(-3, 7)), z**2 - z**10 + 5,
           Cyclotomic([Fraction(2**70, 9), 0, 1, 0, 0, Fraction(5, 6), 0, -1]), CYC_I]
     profile = cProfile.Profile()
@@ -415,7 +414,7 @@ if HAVE_HYPOTHESIS:
         cyclotomics(),
         st.integers(-2**70, 2**70).map(Cyclotomic),
         st.tuples(st.integers(-2**70, 2**70), st.integers(0, 23)).map(
-            lambda p: p[0] * cyclotomic_root(p[1])),
+            lambda p: p[0] * Cyclotomic.root(p[1])),
     )
 
     @st.composite
@@ -477,11 +476,11 @@ def _diag(entries):
 
 
 def test_matrix_product_full_reduction():
-    z7 = cyclotomic_root(7)
+    z7 = Cyclotomic.root(7)
     m = CycMatrix.from_rows([[z7]])
     sq = m @ m
-    assert sq.entry(0, 0) == cyclotomic_root(14)
-    assert m.scale(z7).entry(0, 0) == cyclotomic_root(14)
+    assert sq.entry(0, 0) == Cyclotomic.root(14)
+    assert m.scale(z7).entry(0, 0) == Cyclotomic.root(14)
 
 
 def test_matrix_arithmetic_does_not_wrap_past_int64():
@@ -621,7 +620,7 @@ def test_eigenphase_multiplicities_mixed_diagonal():
 
 
 def test_eigenphase_reconstructs_trace():
-    m = _diag([CYC_I, CYC_I, -1, cyclotomic_root(8)])
+    m = _diag([CYC_I, CYC_I, -1, Cyclotomic.root(8)])
     mults = matrix_eigenphase_multiplicities(m)
     total = CYC_ZERO
     for phase, mult in mults:
@@ -652,7 +651,7 @@ def test_eigenphase_rejects_an_order_prime_to_24():
 
 
 @pytest.mark.parametrize("a", [
-    _diag([cyclotomic_root(1), CYC_I, -1, 1, cyclotomic_root(8), cyclotomic_root(21)]),
+    _diag([Cyclotomic.root(1), CYC_I, -1, 1, Cyclotomic.root(8), Cyclotomic.root(21)]),
     _diag([1, 1, -1]),
     permutation_matrix([1, 2, 3, 4, 5, 0]),
     permutation_matrix([1, 2, 3, 4, 5, 0]).scale(CYC_I),

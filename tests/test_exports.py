@@ -1,6 +1,8 @@
 """Every name a module exports through ``__all__`` exists, and so does every
-function the benchmark traces by name."""
+function the benchmark traces by name; every name a source file imports is
+read."""
 
+import ast
 import importlib
 import importlib.util
 import pkgutil
@@ -53,3 +55,33 @@ def test_benchmark_traced_names_resolve():
             if target is None:
                 unresolved.add(f"{layer}.{path}")
     assert unresolved - KNOWN_MISSING == set()
+
+
+ROOT = Path(__file__).resolve().parents[1]
+SOURCES = sorted([*ROOT.glob("src/igusa/*.py"), *ROOT.glob("tests/*.py"),
+                  *ROOT.glob("demos/*.py")])
+
+
+def unread_imports(path):
+    """Names that ``path`` imports and no expression in it reads; a name
+    listed in ``__all__`` counts as read."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = set()
+    read = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update((a.asname or a.name).split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(a.asname or a.name for a in node.names)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif (isinstance(node, ast.Assign)
+              and any(isinstance(t, ast.Name) and t.id == "__all__"
+                      for t in node.targets)):
+            read.update(ast.literal_eval(node.value))
+    return sorted(imported - read)
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_every_import_is_read(path):
+    assert unread_imports(path) == []

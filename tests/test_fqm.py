@@ -10,7 +10,6 @@ import pytest
 from igusa import fqm
 from igusa.fqm import (
     TYPE_ORDER_AMBIENT,
-    TYPE_ORDER_RESTRICTION,
     FiniteQuadraticModule,
     direct_sum,
     element_types,

@@ -921,6 +921,8 @@ def test_on_quartic_witness_composition():
     assert report["constant_term_exact_zero"] is True
     assert report["leading_term_nonzero"] is True
     assert report["witness_residual"] <= report["bound"]
+    # the witness and the degree-16 trials read one residual tolerance
+    assert report["bound"] == degree16_check(trials=1)["residual_tol"] == 1e-9
 
 
 def test_witness_is_a_tangency():

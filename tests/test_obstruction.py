@@ -25,15 +25,12 @@ from igusa.obstruction import (
     class_orbits,
     collapsed_rep,
     cusp_dimension,
-    dim_modular_forms,
     dimension_formula_data,
-    dual_generator,
     eisenstein_G3,
     eisenstein_subspace,
     f_tuple,
     heegner_divisor,
     numeric_double_sum,
-    obstruction_vanishing,
     per_element_coefficient,
     transformation_bookkeeping,
     type_orbit_check,
@@ -54,15 +51,14 @@ S_INTEGERS = (
 )
 
 
-def test_dual_generator_is_entrywise_conjugate():
-    for name in ("S", "T"):
-        primal = weil_generator(name)
-        dual = dual_generator(name)
-        assert dual == primal.conjugate()
-    # the dual S has constant entries -i/8 times a sign pattern on the
-    # 2-torsion block; spot the zero-row entry
-    dual_s = dual_generator("S")
-    assert dual_s.entry(0, 0) == MINUS_I_OVER_8
+def test_dual_s_corner_entry():
+    # the dual action is the entrywise conjugate of the primal one: the
+    # dual S has entries -i/8 times a sign, the primal +i/8; spot the
+    # zero-row entry, which the collapse keeps as its (00, 00) entry
+    primal_s = weil_generator("S")
+    assert primal_s.entry(0, 0) == -MINUS_I_OVER_8
+    assert primal_s.conjugate().entry(0, 0) == MINUS_I_OVER_8
+    assert collapsed_rep().S_matrix.entry(0, 0) == MINUS_I_OVER_8
 
 
 def test_collapsed_s_matches_reference():
@@ -89,7 +85,6 @@ def test_collapsed_s_squares_to_minus_identity():
 
 def test_collapsed_type_sizes():
     rep = collapsed_rep()
-    assert rep.type_order == TYPE_ORDER
     assert rep.type_sizes == (1, 15, 15, 1, 20, 12)
 
 
@@ -119,15 +114,12 @@ def test_dimension_formula_values():
         Fraction(2),
     )
     assert data["dimension"] == 2
-    assert dim_modular_forms(3) == 2
     # alpha((e^(pi i k/3) S T)^-1) read off the phases of -ST equals the
     # phase sum of the inverse built by products
     rep = collapsed_rep()
     st_scaled = (rep.S_matrix @ rep.T_matrix).scale(-CYC_ONE)
     assert eigenphase_sum(inverse_by_products(st_scaled)) == data["alpha_ST"]
     assert data["d"] == len(TYPE_ORDER)
-    with pytest.raises(ValueError):
-        dim_modular_forms(4)
 
 
 def test_eisenstein_subspace_and_cusp():
@@ -142,7 +134,7 @@ def test_eisenstein_subspace_and_cusp():
         tuple(CYC_ONE if i == j else CYC_ZERO for i in range(6)) for j in range(2)
     )
     assert cusp_dimension() == 0
-    assert dim_modular_forms(3) == len(basis) + cusp_dimension()
+    assert dimension_formula_data()["dimension"] == len(basis) + cusp_dimension()
 
 
 def test_obstruction_demo_runs():
@@ -153,7 +145,8 @@ def test_obstruction_demo_runs():
 
 
 def test_e2_expansion():
-    series = eisenstein_G3(1, 0, 8).series
+    series = eisenstein_G3(1, 0, 8)
+    assert isinstance(series, QSeries)
     assert series.coefficient(Fraction(1, 4)) == CYC_ONE
     assert series.coefficient(Fraction(1, 2)) == Cyclotomic(4)
     assert series.coefficient(Fraction(3, 4)) == Cyclotomic(8)
@@ -162,14 +155,14 @@ def test_e2_expansion():
 
 
 def test_e6_expansion():
-    series = eisenstein_G3(2, 1, 8).series
+    series = eisenstein_G3(2, 1, 8)
     assert series.coefficient(Fraction(1, 2)) == Cyclotomic(2) * CYC_I
     assert series.coefficient(Fraction(1)) == CYC_ZERO
     assert series.coefficient(Fraction(1, 4)) == CYC_ZERO
 
 
 def test_e1_expansion():
-    series = eisenstein_G3(0, 1, 8).series
+    series = eisenstein_G3(0, 1, 8)
     assert series.coefficient(Fraction(0)) == Cyclotomic(Fraction(-1, 2)) * CYC_I
     assert series.coefficient(Fraction(1)) == Cyclotomic(2) * CYC_I
     assert series.coefficient(Fraction(1, 4)) == CYC_ZERO
@@ -178,14 +171,14 @@ def test_e1_expansion():
 def test_divisor_sum_coefficient_by_hand():
     # q^2 coefficient of the (1, 2) series: factorizations 8 = r*m with
     # m = 1 give r = 8 and i^(16) = 1, hence 64; no m = 3 mod 4 divides 8.
-    series = eisenstein_G3(1, 2, 8).series
+    series = eisenstein_G3(1, 2, 8)
     assert series.coefficient(Fraction(2)) == Cyclotomic(64)
 
 
 def test_negated_label_gives_negated_series():
     for a1, a2 in E_LABELS:
-        plus = eisenstein_G3(a1, a2, 8).series
-        minus = eisenstein_G3((-a1) % 4, (-a2) % 4, 8).series
+        plus = eisenstein_G3(a1, a2, 8)
+        minus = eisenstein_G3((-a1) % 4, (-a2) % 4, 8)
         assert minus == -plus
 
 
@@ -211,20 +204,20 @@ def test_vacuous_tolerance_is_rejected():
         with pytest.raises(ValueError, match="vacuous"):
             eisenstein_G3(1, 2, 8, tolerance=tolerance)
     # an unvalidated expansion does not read the tolerance
-    assert eisenstein_G3(1, 2, 8, tolerance=2, validate=False).series.terms
+    assert eisenstein_G3(1, 2, 8, tolerance=2, validate=False).terms
 
 
 def test_t_rule_on_expansions():
     # shifting tau by one multiplies the coefficient of q^(j/4) by i^j; the
     # result must be the (sign-reduced) series of the label acted on by T
     for src_pos, (a1, a2) in enumerate(E_LABELS):
-        src = eisenstein_G3(a1, a2, 8).series
+        src = eisenstein_G3(a1, a2, 8)
         twisted = QSeries(
             {e: c * (CYC_I ** int(4 * e)) for e, c in src.terms.items()},
             src.truncation,
         )
         dst_pos, sign = obstruction._label_action((a1, a2), "T")
-        dst = eisenstein_G3(*E_LABELS[dst_pos], 8).series
+        dst = eisenstein_G3(*E_LABELS[dst_pos], 8)
         assert twisted == (dst if sign > 0 else -dst)
 
 
@@ -454,7 +447,7 @@ def test_weight_linearity_and_empty():
         (("3/2", Fraction(-1, 2), 2), ("1/2", Fraction(-3, 2), -1))
     )
     assert borcherds_weight(combined) == 2 * borcherds_weight(d1) - borcherds_weight(d2)
-    assert borcherds_weight(DivisorSpec.empty()) == 0
+    assert borcherds_weight(DivisorSpec(())) == 0
 
 
 def test_divisor_validation():
@@ -466,10 +459,15 @@ def test_divisor_validation():
         borcherds_weight(DivisorSpec.from_entries((("5/2", Fraction(-1), 1),)))
     with pytest.raises(ValueError, match="out of range"):
         borcherds_weight(DivisorSpec.from_entries(((64, Fraction(-1), 1),)))
-    with pytest.raises(ValueError):
-        heegner_divisor("00")
+    for name in ("10", "0", "00", "5/2"):
+        with pytest.raises(ValueError, match="unknown divisor family"):
+            heegner_divisor(name)
 
 
-def test_obstruction_vanishing():
-    report = obstruction_vanishing()
-    assert report == {"cusp_dimension": 0, "vacuously_satisfied": True}
+def test_heegner_divisor_families():
+    # each standard family is one value class at its admissible norm; the
+    # characteristic-element family is the one-element class 10
+    expected = {"kappa": ("10", Fraction(-1)), "3/2": ("3/2", Fraction(-1, 2)),
+                "1": ("1", Fraction(-1)), "1/2": ("1/2", Fraction(-3, 2))}
+    for name, (key, n) in expected.items():
+        assert heegner_divisor(name).entries == ((key, n, 1),)
