@@ -27,7 +27,7 @@ SUBCOMMAND_HELP = {
                "lift fixture",
     "restriction": "lattice embedding, divisor restriction cases, and the "
                    "image subspaces",
-    "geometry": "lines and cubics on the quartic, interpolation, and the "
+    "geometry": "lines and cubics on the quartic, the fibre curves, and the "
                 "degree-16 count",
     "all": "every suite above, in order",
 }

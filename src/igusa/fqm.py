@@ -147,9 +147,6 @@ class FiniteQuadraticModule:
     def neg(self, x: int) -> int:
         return int(self.neg_table[x])
 
-    def sub(self, x: int, y: int) -> int:
-        return int(self.add_table[x, self.neg_table[y]])
-
     def scalar_mul(self, n: int, x: int) -> int:
         coords = [(n * c) % d for c, d in zip(self.coords(x), self.orders)]
         return self.from_coords(coords)

@@ -194,7 +194,12 @@ def _first_mismatch(expected, actual, path="$"):
 
 class SuiteRunner:
     """Collects check results; catches check errors as failures so a broken
-    claim never aborts the rest of the report."""
+    claim never aborts the rest of the report.
+
+    A check returns (expected, result).  When both are dicts, only the keys
+    that the expected dict names are compared, and a pass records just
+    those keys; a failure records the whole result beside the first
+    mismatch, so the witness is the library's own report."""
 
     def __init__(self, timings: bool = False):
         self.timings = timings
@@ -204,17 +209,16 @@ class SuiteRunner:
     def run(self, check_id: str, claim: str, fn):
         start = time.perf_counter()
         try:
-            expected, actual = fn()
-            expected = _plain(expected)
-            actual = _plain(actual)
+            expected, result = map(_plain, fn())
+            actual = result
+            if isinstance(expected, dict) and isinstance(result, dict):
+                actual = {k: result.get(k, "<absent>") for k in expected}
             if expected == actual:
                 status = "pass"
             else:
                 status = "fail"
-                actual = {
-                    "value": actual,
-                    "first_mismatch": _first_mismatch(expected, actual),
-                }
+                actual = {"value": result,
+                          "first_mismatch": _first_mismatch(expected, actual)}
         except Exception as exc:  # a failing check must still be reported
             expected, status = None, "fail"
             actual = {"error": f"{type(exc).__name__}: {exc}"}
@@ -427,23 +431,16 @@ def weil_suite(runner: SuiteRunner) -> None:
         lambda: (5, theta_span_rank()),
     )
 
-    def character_norm():
-        info = irreducibility_check()
-        return (
-            {"frobenius_norm": 1, "central_involution_is_minus_one": True,
-             "identity_character": 5},
-            {"frobenius_norm": info["frobenius_norm"],
-             "central_involution_is_minus_one":
-                 info["central_involution_is_minus_one"],
-             "identity_character": info["identity_character"]},
-        )
-
     runner.run(
         "weil-theta-character-norm",
         "the character of the 5-dimensional theta span has Frobenius norm 1 "
         "over the 1440-element symmetry group and the central involution "
         "acts as -1",
-        character_norm,
+        lambda: (
+            {"frobenius_norm": 1, "central_involution_is_minus_one": True,
+             "identity_character": 5},
+            irreducibility_check(),
+        ),
     )
 
 
@@ -487,21 +484,15 @@ def obstruction_suite(runner: SuiteRunner, tolerance: float = 1e-6) -> None:
         collapsed_matrices,
     )
 
-    def dimension_formula():
-        data = dimension_formula_data()
-        return (
-            {"d": 6, "alpha_S": "3/2", "alpha_ST": 2, "alpha_T": 2,
-             "dimension": 2},
-            {"d": data["d"], "alpha_S": data["alpha_S"],
-             "alpha_ST": data["alpha_ST"], "alpha_T": data["alpha_T"],
-             "dimension": data["dimension"]},
-        )
-
     runner.run(
         "obstruction-dimension-formula",
         "the weight-3 dimension formula on the collapsed 6-dimensional "
         "action evaluates to 2 via the invariant-angle triple (3/2, 2, 2)",
-        dimension_formula,
+        lambda: (
+            {"d": 6, "alpha_S": "3/2", "alpha_ST": 2, "alpha_T": 2,
+             "dimension": 2},
+            dimension_formula_data(),
+        ),
     )
     runner.run(
         "obstruction-eisenstein-dimension",
@@ -654,25 +645,17 @@ def lifting_suite(runner: SuiteRunner, terms: int = 30) -> None:
         ),
     )
 
-    def theta0_identities():
-        checks = theta0_checks()
-        return (
-            {"S_eigenvalue": "i", "T_eigenvalue": "i",
-             "kappa_reflection_negates": True,
-             "kappa_translation_antisymmetric": True},
-            {"S_eigenvalue": checks["S_eigenvalue"],
-             "T_eigenvalue": checks["T_eigenvalue"],
-             "kappa_reflection_negates": checks["kappa_reflection_negates"],
-             "kappa_translation_antisymmetric":
-                 checks["kappa_translation_antisymmetric"]},
-        )
-
     runner.run(
         "lifting-theta0-identities",
         "the distinguished weight-1 vector has S- and T-eigenvalue i, is "
         "negated by the characteristic reflection, and is antisymmetric "
         "under the radical translation",
-        theta0_identities,
+        lambda: (
+            {"S_eigenvalue": "i", "T_eigenvalue": "i",
+             "kappa_reflection_negates": True,
+             "kappa_translation_antisymmetric": True},
+            theta0_checks(),
+        ),
     )
 
 
@@ -769,31 +752,23 @@ def restriction_suite(runner: SuiteRunner, box: int = 3) -> None:
         v1_images,
     )
 
-    def seven_line_counts():
-        images = all_v1_images()
-        counts = sorted({len(seven_lines(v1)) for v1 in images.values()})
-        return ({"line_counts": [7]}, {"line_counts": counts})
-
     runner.run(
         "restriction-seven-lines",
         "every one of the fifteen image subspaces meets exactly seven of "
         "the fifteen boundary lines",
-        seven_line_counts,
+        lambda: ({"line_counts": [7]}, {"line_counts": sorted(
+            {len(seven_lines(v1)) for v1 in all_v1_images().values()})}),
     )
-
-    def boundary():
-        config = boundary_configuration()
-        return (
-            {"points": 15, "lines": 15, "lines_through_each_point": 3,
-             "points_on_each_line": 3, "perpendicular_isotropic_count": 7},
-            dict(config),
-        )
 
     runner.run(
         "restriction-boundary-configuration",
         "the fifteen boundary points and fifteen boundary lines form an "
         "exact 3-regular incidence configuration",
-        boundary,
+        lambda: (
+            {"points": 15, "lines": 15, "lines_through_each_point": 3,
+             "points_on_each_line": 3, "perpendicular_isotropic_count": 7},
+            boundary_configuration(),
+        ),
     )
 
 
@@ -819,19 +794,12 @@ def geometry_suite(runner: SuiteRunner, trials: int = 20,
         lambda: (15, len(fifteen_lines())),
     )
 
-    def incidence():
-        data = incidence_153()
-        return (
-            {"row_sums": [3] * 15, "col_sums": [3] * 15},
-            {"row_sums": list(data["row_sums"]),
-             "col_sums": list(data["col_sums"])},
-        )
-
     runner.run(
         "geometry-incidence-153",
         "the fifteen singular points and fifteen lines form the exact "
         "3-regular incidence configuration",
-        incidence,
+        lambda: ({"row_sums": [3] * 15, "col_sums": [3] * 15},
+                 incidence_153()),
     )
 
     def singular():
@@ -839,10 +807,8 @@ def geometry_suite(runner: SuiteRunner, trials: int = 20,
         return (
             {"lines_in_singular_locus": 15, "gradient_identity": "symbolic",
              "off_line_witnesses_positive": True},
-            {"lines_in_singular_locus": report["lines_in_singular_locus"],
-             "gradient_identity": report["gradient_identity"],
-             "off_line_witnesses_positive":
-                 report["off_line_witnesses"] > 0},
+            {**report, "off_line_witnesses_positive":
+                report["off_line_witnesses"] > 0},
         )
 
     runner.run(
@@ -915,40 +881,14 @@ def geometry_suite(runner: SuiteRunner, trials: int = 20,
         "existence, uniqueness and equivariance."
     )
 
-    if trials < 1:
-        runner.skip(
-            "geometry-witness-composition",
-            "composing the quartic with the curve through a point on it "
-            "yields a degree-16 polynomial vanishing at that point",
-            "numeric checks disabled (trials=0)",
-        )
-        runner.skip(
-            "geometry-degree16",
-            "the quartic meets the interpolating curve of seven generic "
-            "points in 16 distinct complex points",
-            "numeric checks disabled (trials=0)",
-        )
-        return
-
     def witness():
         report = quartic_point_composition_check()
         return (
             {"constant_term_exact_zero": True, "leading_term_nonzero": True,
              "witness_within_bound": True},
-            {"constant_term_exact_zero":
-                 report["constant_term_exact_zero"],
-             "leading_term_nonzero": report["leading_term_nonzero"],
-             "witness_within_bound":
-                 report["witness_residual"] <= report["bound"]},
+            {**report, "witness_within_bound":
+                report["witness_residual"] <= report["bound"]},
         )
-
-    runner.run(
-        "geometry-witness-composition",
-        "composing the quartic with the curve through a point on it yields "
-        "a degree-16 polynomial vanishing at that point (constant term "
-        "exactly zero, degree-16 term exactly nonzero)",
-        witness,
-    )
 
     def degree16():
         report = degree16_check(trials=trials, seed=seed)
@@ -956,23 +896,26 @@ def geometry_suite(runner: SuiteRunner, trials: int = 20,
             {"success_rate_at_least_95_percent": True,
              "residual_tol": 1e-9, "separation_tol": 1e-6,
              "trials": trials},
-            {"success_rate_at_least_95_percent":
-                 report["success_rate"] >= 0.95,
-             "residual_tol": report["residual_tol"],
-             "separation_tol": report["separation_tol"],
-             "trials": report["trials"],
-             **({"successes": report["successes"],
-                 "discarded": [list(d) for d in report["discarded"]]}
-                if report["success_rate"] < 0.95 else {})},
+            {**report, "success_rate_at_least_95_percent":
+                report["success_rate"] >= 0.95},
         )
 
-    runner.run(
-        "geometry-degree16",
-        "for seeded random draws of seven generic rational points, the "
-        "composed polynomial has degree exactly 16 with 16 distinct complex "
-        "roots in at least 95% of trials at the stated tolerances",
-        degree16,
-    )
+    for check_id, claim, fn in (
+        ("geometry-witness-composition",
+         "composing the quartic with the curve through a point on it yields "
+         "a degree-16 polynomial vanishing at that point (constant term "
+         "exactly zero, degree-16 term exactly nonzero)",
+         witness),
+        ("geometry-degree16",
+         "for seeded random draws of seven generic rational points, the "
+         "composed polynomial has degree exactly 16 with 16 distinct complex "
+         "roots in at least 95% of trials at the stated tolerances",
+         degree16),
+    ):
+        if trials < 1:
+            runner.skip(check_id, claim, "numeric checks disabled (trials=0)")
+        else:
+            runner.run(check_id, claim, fn)
 
 
 _SUITE_BUILDERS = {
@@ -1027,25 +970,22 @@ def render_markdown(document: dict) -> str:
     """Render the JSON report document as Markdown.  The input is the
     dictionary produced by ReportDocument.to_dict(), so the two output
     formats can never disagree."""
-    lines = []
     summary = document["summary"]
-    lines.append(f"# Verification report: {document['subcommand']}")
-    lines.append("")
-    lines.append(
-        f"tool {document['tool']} {document['version']} "
-        f"(schema {document['schema_version']})"
-    )
     config = document["config"]
     config_text = ", ".join(f"{k}={config[k]}" for k in sorted(config))
-    lines.append(f"configuration: {config_text}")
-    lines.append("")
-    lines.append(
+    lines = [
+        f"# Verification report: {document['subcommand']}",
+        "",
+        f"tool {document['tool']} {document['version']} "
+        f"(schema {document['schema_version']})",
+        f"configuration: {config_text}",
+        "",
         f"**{summary['pass']} passed, {summary['fail']} failed, "
-        f"{summary['skipped']} skipped** of {summary['total']} checks"
-    )
-    lines.append("")
-    lines.append("| check | status | claim |")
-    lines.append("| --- | --- | --- |")
+        f"{summary['skipped']} skipped** of {summary['total']} checks",
+        "",
+        "| check | status | claim |",
+        "| --- | --- | --- |",
+    ]
     for check in document["checks"]:
         claim = check["claim"].replace("|", "\\|")
         lines.append(f"| `{check['id']}` | {check['status']} | {claim} |")

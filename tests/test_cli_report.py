@@ -83,6 +83,38 @@ def test_runner_records_pass_fail_and_error():
     assert by_id["skip"].status == "skipped"
 
 
+def run_one(expected, result):
+    runner = SuiteRunner()
+    runner.run("x", "", lambda: (expected, result))
+    return runner.checks[0]
+
+
+def test_runner_compares_the_keys_the_expected_dict_names():
+    check = run_one({"k": 1}, {"k": 1, "extra": [2]})
+    assert check.status == "pass"
+    assert check.actual == {"k": 1}
+
+
+def test_runner_failure_carries_the_whole_result():
+    missing = run_one({"k": 1, "m": 2}, {"k": 1})
+    assert missing.status == "fail"
+    assert missing.actual == {
+        "value": {"k": 1},
+        "first_mismatch": {"path": "$.m", "expected": 2, "actual": "<absent>"},
+    }
+    wrong = run_one({"k": 1}, {"k": 2, "extra": 3})
+    assert wrong.status == "fail"
+    assert wrong.actual["value"] == {"k": 2, "extra": 3}
+    assert wrong.actual["first_mismatch"]["path"] == "$.k"
+    # a dict result against a non-dict expectation fails as a whole
+    whole = run_one(1, {"k": 1})
+    assert whole.status == "fail"
+    assert whole.actual == {
+        "value": {"k": 1},
+        "first_mismatch": {"path": "$", "expected": 1, "actual": {"k": 1}},
+    }
+
+
 def test_runner_timings_flag_controls_runtime_field():
     silent = SuiteRunner(timings=False)
     silent.run("x", "", lambda: (1, 1))
@@ -125,6 +157,30 @@ def test_geometry_report_with_zero_trials_skips_numeric():
     assert symbolic and all(s == "pass" for s in symbolic)
     assert not doc.failed  # skipped checks do not fail the run
     assert any("open question" in note for note in doc.notes)
+    # a skipped check states the same claim as when it runs
+    ran = build_report("geometry", trials=1)
+    assert all(c.status == "pass" for c in ran.checks)
+    assert ({c.id: c.claim for c in doc.checks}
+            == {c.id: c.claim for c in ran.checks})
+
+
+def test_failing_degree16_check_shows_the_whole_report(monkeypatch):
+    import igusa.geometry
+
+    real = igusa.geometry.degree16_check
+    monkeypatch.setattr(igusa.geometry, "degree16_check",
+                        lambda **kw: {**real(**kw), "success_rate": 0.5})
+    doc = build_report("geometry", trials=2)
+    check = {c.id: c for c in doc.checks}["geometry-degree16"]
+    assert check.status == "fail"
+    mismatch = check.actual["first_mismatch"]
+    assert mismatch["path"] == "$.success_rate_at_least_95_percent"
+    assert mismatch["actual"] is False
+    witness = check.actual["value"]
+    for key in ("successes", "discarded", "rejected_draws",
+                "worst_composition_residual"):
+        assert key in witness
+    assert witness["success_rate"] == 0.5 and witness["trials"] == 2
 
 
 def test_markdown_is_rendered_from_the_json_document():

@@ -1,6 +1,6 @@
 """Every name a module exports through ``__all__`` exists, and so does every
 function the benchmark traces by name; every name a source file imports is
-read."""
+read; every report check id is written once."""
 
 import ast
 import importlib
@@ -85,3 +85,15 @@ def unread_imports(path):
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_every_import_is_read(path):
     assert unread_imports(path) == []
+
+
+def test_each_check_id_is_written_once():
+    # a check id written twice in the report module can carry two claims
+    from igusa.report import build_report
+
+    ids = [c.id for c in build_report("all").checks]
+    assert len(ids) == 36
+    tree = ast.parse((ROOT / "src/igusa/report.py").read_text(encoding="utf-8"))
+    literals = [node.value for node in ast.walk(tree)
+                if isinstance(node, ast.Constant) and node.value in ids]
+    assert sorted(literals) == sorted(ids)
