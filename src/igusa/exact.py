@@ -27,25 +27,11 @@ _DEGREE = 8
 _CONDUCTOR = 24
 
 
-def _zeta_power_table() -> list[tuple[int, ...]]:
-    # integer coefficient vectors of z^k for k = 0..23; x^8 = x^4 - 1
-    table: list[list[int]] = [[0] * _DEGREE for _ in range(_CONDUCTOR)]
-    table[0][0] = 1
-    for k in range(1, _CONDUCTOR):
-        prev = table[k - 1]
-        cur = [0] * (_DEGREE + 1)
-        for idx in range(_DEGREE):
-            cur[idx + 1] = prev[idx]
-        if cur[_DEGREE]:
-            c = cur[_DEGREE]
-            cur[_DEGREE] = 0
-            cur[4] += c
-            cur[0] -= c
-        table[k] = cur[:_DEGREE]
-    return [tuple(row) for row in table]
-
-
-_ZPOW = _zeta_power_table()
+# integer coefficient vectors of z^k for k = 0..23: the basis vectors, then
+# z^k = z^(k-4) - z^(k-8), since z^8 = z^4 - 1
+_ZPOW = [tuple(int(i == k) for i in range(_DEGREE)) for k in range(_DEGREE)]
+for _k in range(_DEGREE, _CONDUCTOR):
+    _ZPOW.append(tuple(a - b for a, b in zip(_ZPOW[_k - 4], _ZPOW[_k - 8])))
 _ZPOW_PACKED = np.array(_ZPOW, dtype=np.int64)
 # z^(i+j) for i, j < 8 never exceeds exponent 14
 _PRODUCT_BASIS = [_ZPOW[k] for k in range(15)]
@@ -67,7 +53,8 @@ _FLOAT64_EXACT_LIMIT = 2**53
 
 
 def _max_abs(num: np.ndarray) -> int:
-    return int(np.abs(num).max()) if num.size else 0
+    # in Python integers: np.abs would copy num and map -2^63 to itself
+    return max(int(num.max()), -int(num.min())) if num.size else 0
 
 
 def _packed_dtype(bound: int, *operands: np.ndarray):
@@ -77,6 +64,11 @@ def _packed_dtype(bound: int, *operands: np.ndarray):
     if bound < _INT64_LIMIT and all(a.dtype != object for a in operands):
         return np.int64
     return object
+
+
+def _negated(num: np.ndarray) -> np.ndarray:
+    """-num, in Python integers when num holds -2^63 (-(-2^63) wraps)."""
+    return -num.astype(_packed_dtype(_max_abs(num), num), copy=False)
 
 
 def packed_sum(num: np.ndarray) -> np.ndarray:
@@ -110,34 +102,37 @@ def _packed_product(a: np.ndarray, b: np.ndarray, shape, terms: int = 1,
                     mul=np.multiply) -> np.ndarray:
     """Numerators of the product of two packed arrays, of shape shape + (8,).
 
-    Component c of a and component d of b are combined by ``mul``, which adds
-    at most ``terms`` products into one entry, and land on zeta^(c + d) in
-    the power basis.  The products run in float64 only for np.matmul with
+    Each nonzero component c of a and d of b is gathered once into a
+    contiguous plane; ``mul`` combines two planes, adding at most ``terms``
+    products into one entry, into component k of an (8,) + shape array for
+    each zeta^k of zeta^(c + d), and the component axis is moved last once
+    at the end (a view: the result is component-major in memory).  The
+    products run in float64 only for np.matmul with
     max|a| * max|b| * terms * _PRODUCT_SPREAD < 2^53, which bounds every
     partial sum to an integer below 2^53, and the result is cast back to
     int64 once; else in int64 or Python integers (see `_product_dtype`).
     """
     dtype = _product_dtype(a, b, terms, mul)
-    a = a.astype(dtype, copy=False)
-    b = b.astype(dtype, copy=False)
-    out = np.zeros(tuple(shape) + (_DEGREE,), dtype=dtype)
-    b_components = _components(b)
+    b_planes = [(d, np.asarray(b[..., d], dtype=dtype, order="C")) for d in _components(b)]
+    out = np.zeros((_DEGREE, *shape), dtype=dtype)
     for c in _components(a):
-        ac = a[..., c]
-        for d in b_components:
-            prod = mul(ac, b[..., d])
+        ac = np.asarray(a[..., c], dtype=dtype, order="C")
+        for d, bd in b_planes:
+            prod = mul(ac, bd)
             for k, coeff in _PRODUCT_TERMS[c + d]:
                 if coeff > 0:
-                    out[..., k] += prod
+                    out[k] += prod
                 else:
-                    out[..., k] -= prod
+                    out[k] -= prod
+    out = np.moveaxis(out, 0, -1)
     return out.astype(np.int64) if dtype is np.float64 else out
 
 
 def _components(num: np.ndarray) -> np.ndarray:
     """The components k with a nonzero entry num[..., k]: numpy reduces
-    over many short rows slowly, so rows of one matrix row each go first."""
-    if num.ndim > 1 and num.size:
+    over many short rows slowly, so rows of one matrix row each go first
+    in a row-major array (a component-major one reduces as it is)."""
+    if num.ndim > 2 and num.size and num.flags.c_contiguous:
         num = num.reshape(-1, num.shape[-2] * _DEGREE).any(axis=0)
     return np.flatnonzero(num.reshape(-1, _DEGREE).any(axis=0))
 
@@ -498,11 +493,7 @@ class QSeries:
             num[i] = row
         return num, den
 
-    def __rmul__(self, other) -> "QSeries":
-        factor = _coerce(other)
-        if factor is None:
-            return NotImplemented
-        return self.scale(factor)
+    __rmul__ = __mul__  # a left factor that is not a QSeries is a scalar
 
     def __pow__(self, n: int) -> "QSeries":
         if not isinstance(n, int) or n < 0:
@@ -560,7 +551,7 @@ class CycArray:
         if den == 0:
             raise ZeroDivisionError("zero denominator")
         if den < 0:
-            num, den = -num, -den
+            num, den = _negated(num), -den
         if _normalize and den > 1:
             # np.gcd ignores signs, so no |num| copy is made; a gcd of -2^63
             # (every entry 0 or -2^63) comes back negative and math.gcd fixes it
@@ -602,7 +593,7 @@ class CycArray:
         return self.den.to_bytes(8, "little") + self.num.tobytes()
 
     def __neg__(self) -> "CycArray":
-        return self._like(-self.num, self.den, False)
+        return self._like(_negated(self.num), self.den, False)
 
     def __add__(self, other: "CycArray") -> "CycArray":
         if type(other) is not type(self):

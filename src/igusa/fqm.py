@@ -428,18 +428,17 @@ def reflection(A: FiniteQuadraticModule, alpha: int) -> np.ndarray:
     return t
 
 
-def is_closed(A: FiniteQuadraticModule, perms) -> bool:
-    """Full closure check of the rows of perms, an (n, size) array of
-    automorphisms of A: each of the n**2 products h(g(x)) is looked up
-    among the rows and compared with that row entry by entry.
-
-    The lookup key of a permutation is a fixed linear form in its values on
-    the module's generators, which tell automorphisms apart; a row listed
-    twice, or distinct rows with equal keys, raise ValueError.  The
-    entrywise comparison makes the check exact whatever the key."""
+def _member_index(A: FiniteQuadraticModule, perms):
+    """A function mapping permutations (..., size) to the index of the equal
+    row of perms, an (n, size) array of automorphisms of A, or -1.  The key
+    of a permutation has its values on the generators as digits in base
+    size, so automorphisms have distinct keys; a repeated row, or two rows
+    with one key, raise ValueError.  Found rows are compared entrywise."""
     n = len(perms)
     base = A.generators()
-    weights = np.random.default_rng(0).integers(1, 2**40, size=len(base))
+    if A.size ** len(base) >= 2**63:
+        raise ValueError("the lookup key of this module would leave int64")
+    weights = A.size ** np.arange(len(base), dtype=np.int64)
     keys = perms[:, base].astype(np.int64) @ weights
     order = np.argsort(keys)
     sorted_keys = keys[order]
@@ -449,13 +448,25 @@ def is_closed(A: FiniteQuadraticModule, perms) -> bool:
         if np.array_equal(perms[i], perms[j]):
             raise ValueError(f"member {j} repeats member {i}")
         raise ValueError("distinct members share a lookup key")
+    members = perms.astype(np.uint8 if A.size <= 256 else np.int32)[order]
+
+    def lookup(candidates):
+        where = np.minimum(np.searchsorted(sorted_keys, candidates[..., base].astype(np.int64)
+                                           @ weights), n - 1)
+        return np.where((members[where] == candidates).all(axis=-1), order[where], -1)
+
+    return lookup
+
+
+def is_closed(A: FiniteQuadraticModule, perms) -> bool:
+    """Full closure check of the rows of perms, an (n, size) array of
+    automorphisms of A: each of the n**2 products h(g(x)) is looked up
+    among the rows with `_member_index`."""
+    lookup = _member_index(A, perms)
     rows = perms.astype(np.uint8 if A.size <= 256 else np.int32)
-    members = rows[order]
-    for start in range(0, n, 128):
+    for start in range(0, len(perms), 128):
         # products[h, j] = h(g_j(x)) for the rows g_j of this chunk
-        products = rows.take(perms[start:start + 128], axis=1)
-        where = np.searchsorted(sorted_keys, products[:, :, base].astype(np.int64) @ weights)
-        if not np.array_equal(members[np.minimum(where, n - 1)], products):
+        if (lookup(rows.take(perms[start:start + 128], axis=1)) < 0).any():
             return False
     return True
 

@@ -358,7 +358,9 @@ def _relevant_level_sets(bound: int, targets) -> dict:
 def _vectorized_classes(module, K: np.ndarray) -> np.ndarray:
     """Class indices from integer dual-pairing vectors K (rows of G @ x)."""
     push = np.array(module._push_mat, dtype=np.int64)[module._kept]
-    return (K @ push.T) % np.array(module.orders) @ module._radix
+    digits = K @ push.T
+    digits %= np.array(module.orders)  # in place: the box-7 table's memory peak is here
+    return digits @ module._radix
 
 
 def _raise_first(rows: np.ndarray, failures, **fields) -> None:

@@ -24,12 +24,15 @@ from .exact import (
     Cyclotomic,
     CycArray,
     CycMatrix,
+    _components,
+    _max_abs,
+    _packed_dtype,
     _packed_product,
     integer_echelon,
     packed_roots,
     packed_sum,
 )
-from .fqm import isotropic_planes, orthogonal_group, radical_class, reflection
+from .fqm import _member_index, isotropic_planes, orthogonal_group, radical_class, reflection
 from .lattices import ambient_lattice, discriminant_module
 
 __all__ = [
@@ -208,13 +211,11 @@ def image_group() -> MappingProxyType:
         new = []
         for x in frontier:
             matrix = group[x]
-            for tag in (_SL2_S, _SL2_T):
-                if tag == _SL2_S:
-                    prod = matrix @ S
-                else:  # T is diagonal: scale column alpha by the unit T[alpha, alpha],
-                    # which keeps the packing in lowest terms
-                    prod = CycMatrix(_packed_product(matrix.num, t_diag[None], (T.n, T.n)),
-                                     matrix.den, False)
+            # T is diagonal: scale column alpha by the unit T[alpha, alpha],
+            # which keeps the packing in lowest terms
+            scaled = CycMatrix(_packed_product(matrix.num, t_diag[None], (T.n, T.n)),
+                               matrix.den, False)
+            for tag, prod in ((_SL2_S, matrix @ S), (_SL2_T, scaled)):
                 xg = _sl2_mul(x, tag)
                 if xg not in group:
                     group[xg] = prod
@@ -384,28 +385,35 @@ def conjugate_decomposition() -> list:
 @lru_cache(maxsize=1)
 def _class_sums() -> CycArray:
     """The sums of the matrices of each conjugacy class, in CLASS_ORDER,
-    packed in shape (10, 64, 64, 8) over one denominator."""
+    packed in shape (10, 64, 64, 8) over one denominator: each member is
+    added in place, in Python integers wherever a sum could leave int64."""
     group = image_group()
-    classes = conjugacy_classes()
+    classes = [[group[x] for x in conjugacy_classes()[name]] for name in CLASS_ORDER]
     den = math.lcm(*(matrix.den for matrix in group.values()))
-    return CycArray(np.stack([
-        packed_sum(np.stack([group[x].num * (den // group[x].den) for x in classes[name]]))
-        for name in CLASS_ORDER
-    ]), den)
+    bound = max(sum(_max_abs(m.num) * (den // m.den) for m in members) for members in classes)
+    dtype = _packed_dtype(bound, *(m.num for m in group.values()))
+    sums = np.zeros((len(classes), *group[_SL2_E].num.shape), dtype=dtype)
+    for total, members in zip(sums, classes):
+        for m in members:
+            total += m.num * (den // m.den)
+    return CycArray(sums, den)
 
 
 @lru_cache(maxsize=None)
 def isotypic_projector(character_index: int) -> CycMatrix:
     """Exact projector (deg/|G|) * sum_g conj(chi(g)) rho(g) onto the
     chi-isotypic component. character_index is 1-based.  The sum runs over
-    the class sums: one packed weighting by the conjugated class values."""
+    the class sums: one packed contraction of the conjugated class values
+    with the class axis."""
     row = CHARACTER_TABLE[character_index - 1]
     deg = row[0].as_rational()
     order = sum(class_sizes())
     sums = _class_sums()
+    classes, n = sums.num.shape[:2]
     weights = CycArray.from_values([deg * chi.conjugate() for chi in row])
-    weighted = _packed_product(weights.num[:, None, None], sums.num, sums.num.shape[:-1])
-    proj = CycMatrix(packed_sum(weighted), sums.den * weights.den * order)
+    flat = _packed_product(weights.num[None], sums.num.reshape(classes, n * n, 8),
+                           (1, n * n), classes, np.matmul)
+    proj = CycMatrix(flat.reshape(n, n, 8), sums.den * weights.den * order)
     if not (proj @ proj) == proj:
         raise AssertionError("isotypic projector is not idempotent")
     return proj
@@ -546,21 +554,46 @@ def _character_norm(proj: CycMatrix, perms: np.ndarray):
     """The characters chi(g) = trace(Perm_g . P) = sum_alpha P[g(alpha), alpha]
     of the permutations in the rows of perms, packed in shape (len(perms), 8),
     and their mean square norm sum_g chi(g) conj(chi(g)) / len(perms)."""
-    chars = CycArray(packed_sum(np.moveaxis(proj.num[perms, np.arange(proj.n)], 1, 0)),
-                     proj.den)
+    # one (len(perms), n) gather per nonzero component plane, summed over alpha
+    cols, nonzero = np.arange(proj.n), _components(proj.num)
+    chars = CycArray(np.stack([packed_sum(proj.num[..., k][perms, cols].T) if k in nonzero
+                               else np.zeros(len(perms), dtype=np.int64) for k in range(8)],
+                              axis=-1), proj.den)
     squares = _packed_product(chars.num, chars.conjugate().num, (len(perms),))
     return chars, CycArray(packed_sum(squares), chars.den**2 * len(perms)).entry()
 
 
+def _certify_group(A, perms, identity: int) -> None:
+    """Raises unless the rows of perms form a group: every row composed with
+    each norm-1 reflection is a row (one lookup per reflection), and a search
+    from the identity along these steps reaches every row."""
+    lookup, rows = _member_index(A, perms), perms.astype(np.uint8)  # 64 classes fit
+    classes = [a for a in A.elements() if A.q4[a] == 4]
+    steps = np.stack([lookup(rows[:, reflection(A, a)]) for a in classes])
+    missing = np.argwhere(steps < 0)
+    if len(missing):
+        i, row = missing[0]
+        raise ValueError(f"row {row} composed with the reflection in class {classes[i]} "
+                         f"is not a row")
+    reached, count = np.arange(len(perms)) == identity, 0
+    while count < reached.sum():
+        count = reached.sum()
+        reached[steps[:, reached]] = True
+    if count < len(perms):
+        raise ValueError(f"the reflections reach {count} of {len(perms)} rows")
+
+
 def irreducibility_check() -> dict:
     """Certificate that W is irreducible under the full orthogonal group:
-    the exact Frobenius norm of its character equals 1, and the central
-    involution acts by the scalar -1."""
+    the 1440 rows averaged over form a group (`_certify_group`), the exact
+    Frobenius norm of the character of W equals 1, and the central
+    involution acts by -1."""
     A = ambient_module()
     perms = ambient_orthogonal_group()
     identity = np.flatnonzero((perms == np.arange(A.size)).all(axis=1))
     if len(identity) != 1:
         raise ValueError(f"expected one identity member, found {len(identity)}")
+    _certify_group(A, perms, int(identity[0]))
     proj = isotypic_projector(4)
     chars, norm = _character_norm(proj, perms)
     t_kappa = reflection(A, radical_class(A))

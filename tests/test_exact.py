@@ -588,6 +588,103 @@ def test_float64_would_round_just_past_the_bound(monkeypatch, rungs):
     assert a @ b != expected
 
 
+def component_major(num: np.ndarray) -> np.ndarray:
+    """The same numerators laid out component by component in memory, as
+    `_packed_product` returns them: a non-contiguous view of shape (..., 8)."""
+    view = np.moveaxis(np.ascontiguousarray(np.moveaxis(num, -1, 0)), 0, -1)
+    assert np.array_equal(view, num) and not view.flags.c_contiguous
+    return view
+
+
+def test_broadcast_product_matches_the_entrywise_reference():
+    # the T-scaling of `image_group`: one row of units broadcast over the
+    # rows of a matrix, so column j is scaled by the row's entry j
+    rng = np.random.default_rng(3)
+    a = random_matrix(rng, _N, 50)
+    row = rng.integers(-50, 50, size=(1, _N, 8), endpoint=True)
+    scale = CycArray(row[0])
+    expected = CycMatrix.from_rows(
+        [[a.entry(i, j) * scale.entry(j) for j in range(_N)] for i in range(_N)])
+    for num in (a.num, component_major(a.num)):
+        assert CycMatrix(exact._packed_product(num, row, (_N, _N)), a.den) == expected
+
+
+@pytest.mark.parametrize("magnitude, rung", [(1000, np.float64), (2**40, object)])
+def test_class_axis_contraction_matches_the_scalar_sum(magnitude, rung, rungs):
+    # the contraction of `isotypic_projector`: weights (classes,) against
+    # class sums (classes, n, n), one matmul of a (1, classes) row
+    classes, n = 5, 3
+    rng = np.random.default_rng(magnitude + 1)
+    sums = rng.integers(-magnitude, magnitude, size=(classes, n, n, 8), endpoint=True)
+    weights = rng.integers(-magnitude, magnitude, size=(classes, 8), endpoint=True)
+    packed = exact._packed_product(weights[None], sums.reshape(classes, n * n, 8),
+                                   (1, n * n), classes, np.matmul)
+    assert rungs == [np.dtype(rung)]
+    w, s = CycArray(weights), CycArray(sums)
+    expected = [[sum((w.entry(c) * s.entry(c, i, j) for c in range(classes)), CYC_ZERO)
+                 for j in range(n)] for i in range(n)]
+    assert CycMatrix(packed.reshape(n, n, 8)) == CycMatrix.from_rows(expected)
+
+
+def test_products_of_non_contiguous_operands_match_the_scalar_reference():
+    rng = np.random.default_rng(11)
+    a, b = random_matrix(rng, _N, 30), random_matrix(rng, _N, 30)
+    # the transposed character table of `verify_character_table`
+    transposed = CycMatrix(a.num.transpose(1, 0, 2), a.den, False)
+    assert not transposed.num.flags.c_contiguous
+    assert transposed @ b == reference_matmul(transposed, b)
+    major = CycMatrix(component_major(b.num), b.den)
+    assert transposed @ major == reference_matmul(transposed, b)
+    assert major @ major == reference_matmul(b, b)
+    column = CycArray(component_major(a.num)[:, 1], a.den)
+    assert b.apply(column) == CycArray.from_values(
+        reference_apply(b, [a.entry(i, 1) for i in range(_N)]))
+
+
+def test_series_convolution_kernel_matches_the_double_loop():
+    # the `QSeries.__mul__` path: np.convolve of component planes, cut at
+    # the product's length; b's rows are a strided slice
+    rng = np.random.default_rng(5)
+    a = rng.integers(-9, 9, size=(6, 8), endpoint=True)
+    b = rng.integers(-9, 9, size=(8, 8), endpoint=True)[::2]
+    length = 7
+    packed = exact._packed_product(a, b, (length,), len(b),
+                                   lambda x, y: np.convolve(x, y)[:length])
+    ca, cb = CycArray(a), CycArray(b)
+    expected = [sum((ca.entry(i) * cb.entry(s - i) for i in range(len(a))
+                     if 0 <= s - i < len(b)), CYC_ZERO) for s in range(length)]
+    assert [CycArray(packed).entry(s) for s in range(length)] == expected
+
+
+def _holding_int64_min() -> CycArray:
+    """The vector [-2^63, 1], packed in int64."""
+    num = np.zeros((2, 8), dtype=np.int64)
+    num[:, 0] = [-2**63, 1]
+    return CycArray(num)
+
+
+def test_square_of_int64_min_does_not_wrap():
+    m = CycMatrix(np.array([[[-2**63, 0, 0, 0, 0, 0, 0, 0]]]))
+    assert m.num.dtype == np.int64
+    assert (m @ m).entry(0, 0) == Cyclotomic(2**126)
+
+
+def test_sum_holding_int64_min_does_not_wrap():
+    v = _holding_int64_min()
+    assert [(v + v).entry(i) for i in range(2)] == [Cyclotomic(-2**64), Cyclotomic(2)]
+
+
+def test_negation_of_int64_min_does_not_wrap():
+    v = _holding_int64_min()
+    assert [(-v).entry(i) for i in range(2)] == [Cyclotomic(2**63), Cyclotomic(-1)]
+
+
+def test_negative_denominator_with_int64_min_does_not_wrap():
+    flipped = CycArray(_holding_int64_min().num, -1)
+    assert flipped.den == 1
+    assert [flipped.entry(i) for i in range(2)] == [Cyclotomic(2**63), Cyclotomic(-1)]
+
+
 def test_matrix_order():
     s = CycMatrix.from_rows(
         [[CYC_ZERO, -CYC_ONE], [CYC_ONE, CYC_ZERO]]

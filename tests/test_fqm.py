@@ -366,6 +366,17 @@ def test_closure_check_sees_a_missing_member(OQN, AN):
     assert not is_closed(AN, OQN[:-1])
 
 
+def test_member_lookup_finds_each_row_and_only_the_rows(OQN, AN):
+    lookup = fqm._member_index(AN, OQN)
+    assert np.array_equal(lookup(OQN), np.arange(len(OQN)))
+    assert np.array_equal(lookup(OQN[::-7]), np.arange(len(OQN))[::-7])
+    # a permutation that fixes the generators but swaps two other classes
+    # has the identity's key and is still not found
+    perm = np.arange(AN.size, dtype=np.int32)
+    perm[[3, 5]] = perm[[5, 3]]
+    assert lookup(perm[None]).tolist() == [-1]
+
+
 def test_closure_check_refuses_members_it_cannot_tell_apart(OQN, AN):
     # a permutation that fixes the generators but swaps two other classes
     # shares the identity's lookup key

@@ -2,6 +2,7 @@
 theory, theta vectors, and the irreducibility certificate."""
 
 import re
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -475,6 +476,49 @@ def test_irreducibility_check_names_a_missing_identity(monkeypatch):
     monkeypatch.setattr(weil, "ambient_orthogonal_group", lambda: rows[1:])
     with pytest.raises(ValueError, match="expected one identity member, found 0"):
         irreducibility_check()
+
+
+def test_irreducibility_check_certifies_that_the_rows_form_a_group(monkeypatch):
+    rows = ambient_orthogonal_group()
+    # the identity is still there, but some row composed with a reflection
+    # is the dropped last row
+    monkeypatch.setattr(weil, "ambient_orthogonal_group", lambda: rows[:-1])
+    with pytest.raises(ValueError, match=r"row \d+ composed with the reflection "
+                                         r"in class \d+ is not a row"):
+        irreducibility_check()
+
+
+def test_group_certificate_needs_the_reflections_to_reach_every_row(monkeypatch):
+    # reflections that all act as the identity keep every row a row, but
+    # generate only the identity
+    monkeypatch.setattr(weil, "reflection", lambda A, alpha: np.arange(A.size))
+    with pytest.raises(ValueError, match="the reflections reach 1 of 1440 rows"):
+        irreducibility_check()
+
+
+def traced_peak(f, *args) -> int:
+    """The peak of the memory that tracemalloc sees (numpy's buffers
+    included) while f(*args) runs, in bytes."""
+    tracemalloc.start()
+    try:
+        f(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_character_norm_gathers_one_component_plane_at_a_time():
+    proj, perms = isotypic_projector(4), ambient_orthogonal_group()
+    # a (1440, 64, 8) gather alone would take 5.9 MB
+    assert traced_peak(weil._character_norm, proj, perms) < 2_000_000
+
+
+def test_projector_accumulates_the_class_sums_in_place():
+    isotypic_projector(4)  # every other cache is warm
+    weil._class_sums.cache_clear()
+    weil.isotypic_projector.cache_clear()
+    # the class sums themselves take 2.6 MB
+    assert traced_peak(isotypic_projector, 4) < 6_000_000
 
 
 def test_character_value_does_not_wrap_past_int64():
