@@ -34,6 +34,12 @@ def main():
     print()
     print("=== Image group ===")
     print(f"the generated matrix group has exactly {len(elements)} elements")
+    # the build certifies that every entry is 0 or a root of unity over the
+    # denominator; count the two shapes this takes
+    nonzero = [(m.den, int(m.num.any(axis=-1).sum())) for m in elements.values()]
+    print(f"  {nonzero.count((1, 64))} monomial matrices over 1 "
+          f"(one root of unity in each row and column)")
+    print(f"  {nonzero.count((8, 64 * 64))} matrices with every entry a root of unity over 8")
 
     sizes = class_sizes()
     traces = conjugacy_traces()

@@ -356,10 +356,16 @@ def _relevant_level_sets(bound: int, targets) -> dict:
 
 
 def _vectorized_classes(module, K: np.ndarray) -> np.ndarray:
-    """Class indices from integer dual-pairing vectors K (rows of G @ x)."""
+    """Class indices from integer dual-pairing vectors K (rows of G @ x).
+    Every generator order is a power of 2, so a digit is reduced modulo it
+    by masking its low bits (two's complement makes that right for negative
+    digits too)."""
+    orders = np.array(module.orders)
+    if (orders & (orders - 1)).any():
+        raise ValueError(f"generator orders {module.orders} are not all powers of 2")
     push = np.array(module._push_mat, dtype=np.int64)[module._kept]
     digits = K @ push.T
-    digits %= np.array(module.orders)  # in place: the box-7 table's memory peak is here
+    digits &= orders - 1  # in place: the box-7 table's memory peak is here
     return digits @ module._radix
 
 

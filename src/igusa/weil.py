@@ -11,9 +11,9 @@ All arithmetic is exact over the conductor-24 cyclotomic field.
 """
 
 import math
+from collections.abc import Mapping
 from fractions import Fraction
 from functools import lru_cache
-from types import MappingProxyType
 
 import numpy as np
 
@@ -25,7 +25,6 @@ from .exact import (
     CycArray,
     CycMatrix,
     _components,
-    _max_abs,
     _packed_dtype,
     _packed_product,
     integer_echelon,
@@ -194,40 +193,101 @@ def _sl2_inv(a):
     return ((s % 4, (-q) % 4), ((-r) % 4, p % 4))
 
 
+# Packed numerators of zeta^k for k < 24, and a zero row at the exponent
+# _ZERO_EXP that marks a zero entry
+_ZERO_EXP = 24
+_ROOTS = np.concatenate([packed_roots(np.arange(_ZERO_EXP)), np.zeros((1, 8), np.int64)])
+# The numerators of 0 and of each root of unity lie in {-1, 0, 1}; read as
+# base-3 digits (plus one) they key the exponent, every other key is -1
+_DIGITS = 3 ** np.arange(8)
+_EXPONENT_OF_KEY = np.full(3**8, -1, dtype=np.int8)
+_EXPONENT_OF_KEY[(_ROOTS + 1) @ _DIGITS] = np.arange(_ZERO_EXP + 1)
+
+
+def _root_exponents(matrix: CycMatrix, x) -> np.ndarray:
+    """The int8 exponents k with matrix = zeta^k / matrix.den entrywise
+    (k = _ZERO_EXP for a zero entry); raises naming the level-4 matrix x and
+    the first entry (i, j) whose numerator is neither 0 nor a root of unity."""
+    clipped = np.clip(matrix.num, -1, 1).astype(np.int64, copy=False)
+    exps = _EXPONENT_OF_KEY[(clipped + 1) @ _DIGITS]
+    exps[(clipped != matrix.num).any(axis=-1)] = -1
+    if (exps < 0).any():
+        i, j = np.argwhere(exps < 0)[0]
+        raise AssertionError(f"entry ({i}, {j}) of the image of the level-4 matrix {x} "
+                             f"is neither 0 nor a root of unity over {matrix.den}")
+    return exps
+
+
+def _same_record(a: tuple, b: tuple) -> bool:
+    return a[0] == b[0] and np.array_equal(a[1], b[1])
+
+
+class _ImageGroup(Mapping):
+    """A read-only map from level-4 matrices to exact 64x64 matrices, each
+    stored as (den, int8 exponents): entry (i, j) is zeta^k / den, k =
+    exps[i, j], or 0 for k = _ZERO_EXP.  A value is unpacked when read."""
+
+    __slots__ = ("_records",)
+
+    def __init__(self, records: dict):
+        self._records = records
+
+    def __getitem__(self, x) -> CycMatrix:
+        den, exps = self._records[x]
+        return CycMatrix(_ROOTS[exps], den, False)
+
+    def __iter__(self):
+        return iter(self._records)
+
+    def __len__(self) -> int:
+        return len(self._records)
+
+    def den(self, x) -> int:
+        return self._records[x][0]
+
+
 @lru_cache(maxsize=1)
-def image_group() -> MappingProxyType:
+def image_group() -> _ImageGroup:
     """The image of SL(2, Z/4) as a read-only map from each level-4 matrix to
     its exact 64x64 matrix, built breadth-first from E by right multiplication
-    with S and T.  A product reaching a level-4 matrix already mapped must
-    equal the matrix stored there (rho is a homomorphism), and only E may map
-    to the identity (rho is faithful, so the 48 matrices are distinct)."""
+    with S and T.  Every entry of every product must be 0 or a root of unity
+    over the denominator (`_root_exponents`), so a matrix is stored as its
+    denominator and exponents, which are canonical in lowest terms.  A product
+    reaching a level-4 matrix already mapped must equal the matrix stored there
+    (rho is a homomorphism), and only E may map to the identity (rho is
+    faithful, so the 48 matrices are distinct).  rho(T) must be diagonal with
+    root-of-unity entries: right multiplication by it adds its exponents to
+    the columns."""
     S = weil_generator("S")
     T = weil_generator("T")
-    ident = CycMatrix.identity(64)
-    t_diag = T.num[np.arange(T.n), np.arange(T.n)]
-    group = {_SL2_E: ident}
+    t_exps = _root_exponents(T, _SL2_T)
+    if T.den != 1 or not np.array_equal(t_exps != _ZERO_EXP, np.eye(T.n, dtype=bool)):
+        raise AssertionError("rho(T) is not a diagonal matrix of roots of unity")
+    t = np.diagonal(t_exps)
+    ident = (1, _root_exponents(CycMatrix.identity(T.n), _SL2_E))
+    group = _ImageGroup({_SL2_E: ident})
+    records = group._records
     frontier = [_SL2_E]
     while frontier:
         new = []
         for x in frontier:
-            matrix = group[x]
-            # T is diagonal: scale column alpha by the unit T[alpha, alpha],
-            # which keeps the packing in lowest terms
-            scaled = CycMatrix(_packed_product(matrix.num, t_diag[None], (T.n, T.n)),
-                               matrix.den, False)
-            for tag, prod in ((_SL2_S, matrix @ S), (_SL2_T, scaled)):
-                xg = _sl2_mul(x, tag)
-                if xg not in group:
-                    group[xg] = prod
+            den, exps = records[x]
+            s_prod = group[x] @ S
+            xs, xt = _sl2_mul(x, _SL2_S), _sl2_mul(x, _SL2_T)
+            shifted = np.where(exps == _ZERO_EXP, exps, (exps + t) % _ZERO_EXP)
+            for xg, record in ((xs, (s_prod.den, _root_exponents(s_prod, xs))),
+                               (xt, (den, shifted))):
+                if xg not in records:
+                    records[xg] = record
                     new.append(xg)
-                elif group[xg] != prod:
+                elif not _same_record(records[xg], record):
                     raise AssertionError(f"two words for the level-4 matrix {xg} "
                                          f"give different matrices")
         frontier = new
-    kernel = [x for x, matrix in group.items() if matrix == ident]
+    kernel = [x for x, record in records.items() if _same_record(record, ident)]
     if kernel != [_SL2_E]:
         raise AssertionError(f"{len(kernel)} level-4 matrices act as the identity")
-    return MappingProxyType(group)
+    return group
 
 
 CLASS_ORDER = ("E", "-E", "S", "-S", "T", "-T", "T^2", "-T^2", "ST", "(ST)^2")
@@ -386,16 +446,19 @@ def conjugate_decomposition() -> list:
 def _class_sums() -> CycArray:
     """The sums of the matrices of each conjugacy class, in CLASS_ORDER,
     packed in shape (10, 64, 64, 8) over one denominator: each member is
-    added in place, in Python integers wherever a sum could leave int64."""
+    unpacked and added in place in turn, in Python integers wherever a sum
+    could leave int64.  Every numerator of a member is 0 or +-1 (roots of
+    unity, see `image_group`), so a class sum's numerators are at most the
+    sum of den / d over its members d."""
     group = image_group()
-    classes = [[group[x] for x in conjugacy_classes()[name]] for name in CLASS_ORDER]
-    den = math.lcm(*(matrix.den for matrix in group.values()))
-    bound = max(sum(_max_abs(m.num) * (den // m.den) for m in members) for members in classes)
-    dtype = _packed_dtype(bound, *(m.num for m in group.values()))
-    sums = np.zeros((len(classes), *group[_SL2_E].num.shape), dtype=dtype)
+    classes = [conjugacy_classes()[name] for name in CLASS_ORDER]
+    den = math.lcm(*(group.den(x) for x in group))
+    bound = max(sum(den // group.den(x) for x in members) for members in classes)
+    n = ambient_module().size
+    sums = np.zeros((len(classes), n, n, 8), dtype=_packed_dtype(bound))
     for total, members in zip(sums, classes):
-        for m in members:
-            total += m.num * (den // m.den)
+        for x in members:
+            total += group[x].num * (den // group.den(x))
     return CycArray(sums, den)
 
 

@@ -597,8 +597,8 @@ def component_major(num: np.ndarray) -> np.ndarray:
 
 
 def test_broadcast_product_matches_the_entrywise_reference():
-    # the T-scaling of `image_group`: one row of units broadcast over the
-    # rows of a matrix, so column j is scaled by the row's entry j
+    # a product with a diagonal matrix: one row broadcast over the rows of
+    # a matrix, so column j is scaled by the row's entry j
     rng = np.random.default_rng(3)
     a = random_matrix(rng, _N, 50)
     row = rng.integers(-50, 50, size=(1, _N, 8), endpoint=True)

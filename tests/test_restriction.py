@@ -3,6 +3,7 @@
 import dataclasses
 from fractions import Fraction
 from itertools import product
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -311,6 +312,28 @@ def test_pairing_vectors_need_a_form_divisible_by_d():
     assert even.tolist() == [[2, 0], [1, -1], [1, 0], [0, -1]]
     with pytest.raises(ValueError, match=r"^odd$"):
         pairing(rows, ((1, 0), (0, 2)), 2, "odd")
+
+
+def test_masked_class_digits_match_the_modulo_reference(monkeypatch):
+    rows = np.indices((7,) * 6).reshape(6, -1).T - 3  # the whole box of half-width 3
+    masked = restriction._split_classes(rows)
+    negative = []
+
+    def modulo(module, K):
+        digits = K @ np.array(module._push_mat, dtype=np.int64)[module._kept].T
+        negative.append(bool((digits < 0).any()))
+        return (digits % np.array(module.orders)) @ module._radix
+
+    monkeypatch.setattr(restriction, "_vectorized_classes", modulo)
+    for got, expected in zip(masked, restriction._split_classes(rows)):
+        assert np.array_equal(got, expected)
+    assert negative == [True, True]  # both modules see negative digits
+
+
+def test_class_digits_need_orders_that_are_powers_of_two():
+    module = SimpleNamespace(orders=(2, 4, 6))
+    with pytest.raises(ValueError, match=r"generator orders \(2, 4, 6\) are not all powers of 2"):
+        restriction._vectorized_classes(module, np.zeros((1, 3), dtype=np.int64))
 
 
 def _reference_cases(bound):

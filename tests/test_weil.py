@@ -123,14 +123,63 @@ def test_image_group_is_a_homomorphism_on_a_sample(i):
 
 
 def test_two_words_disagreeing_at_one_level4_matrix_raise(monkeypatch):
+    # zeta T keeps every entry a root of unity, but (zeta T)^4 = zeta^4 T^4 is
+    # not the identity that the level-4 relations ask for
+    corrupted = {"S": weil_generator("S"), "T": weil_generator("T").scale(Cyclotomic.root(1))}
+    monkeypatch.setattr(weil, "weil_generator", corrupted.__getitem__)
+    with pytest.raises(AssertionError, match=re.escape(
+            "two words for the level-4 matrix ((0, 3), (1, 3)) give different matrices")):
+        image_group.__wrapped__()
+
+
+def test_a_product_off_the_roots_of_unity_names_its_entry(monkeypatch):
+    # negating one entry of S keeps S a matrix of roots of unity over 8, but
+    # not unitary: S^2 has entries that are not 0 or a root of unity over 32
     S = weil_generator("S")
     num = S.num.copy()
     num[0, 1] = -num[0, 1]
     corrupted = {"S": CycMatrix(num, S.den), "T": weil_generator("T")}
     monkeypatch.setattr(weil, "weil_generator", corrupted.__getitem__)
-    with pytest.raises(AssertionError, match=r"two words for the level-4 matrix "
-                       r"\(\(\d, \d\), \(\d, \d\)\) give different matrices"):
+    with pytest.raises(AssertionError, match=re.escape(
+            "entry (0, 0) of the image of the level-4 matrix ((3, 0), (0, 3)) "
+            "is neither 0 nor a root of unity over 32")):
         image_group.__wrapped__()
+
+
+def test_right_multiplication_by_T_needs_a_diagonal_of_roots_of_unity(monkeypatch):
+    monkeypatch.setattr(weil, "weil_generator", lambda name: weil_generator("S"))
+    with pytest.raises(AssertionError, match="rho\\(T\\) is not a diagonal matrix of roots of unity"):
+        image_group.__wrapped__()
+
+
+@pytest.mark.parametrize("entry", [1 + Cyclotomic.root(1), Fraction(2, 3)])
+def test_root_exponents_name_an_entry_off_the_roots_of_unity(entry):
+    matrix = CycMatrix.from_rows([[Fraction(1, 3), 0], [entry, -Cyclotomic.root(5) / 3]])
+    assert matrix.den == 3
+    with pytest.raises(AssertionError, match=re.escape(
+            "entry (1, 0) of the image of the level-4 matrix ((1, 0), (0, 1)) "
+            "is neither 0 nor a root of unity over 3")):
+        weil._root_exponents(matrix, ((1, 0), (0, 1)))
+    matrix = CycMatrix.from_rows([[Fraction(1, 3), 0], [Cyclotomic.root(23) / 3, -CYC_I / 3]])
+    assert weil._root_exponents(matrix, None).tolist() == [[0, 24], [23, 18]]
+
+
+def test_image_group_keeps_exponents_not_dense_matrices():
+    image_group()  # the generators and the module are cached
+    tracemalloc.start()
+    try:
+        group = image_group.__wrapped__()
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    # 48 dense (64, 64, 8) int64 matrices would take 12.6 MB
+    assert len(group) == 48 and held < 500_000
+
+
+def test_image_group_census_of_monomial_and_root_of_unity_matrices():
+    shapes = [(m.den, int(m.num.any(axis=-1).sum())) for m in image_group().values()]
+    assert sorted(set(shapes)) == [(1, 64), (8, 4096)]
+    assert shapes.count((1, 64)) == 16 and shapes.count((8, 4096)) == 32
 
 
 def test_a_trivial_action_is_consistent_but_not_faithful(monkeypatch):
@@ -544,8 +593,10 @@ def test_character_value_does_not_wrap_past_int64():
 
 
 def test_weil_and_theta_demos_run():
-    assert "the generated matrix group has exactly 48 elements\n" in run_demo(
-        "02_weil_representation.py")
+    out = run_demo("02_weil_representation.py")
+    assert "the generated matrix group has exactly 48 elements\n" in out
+    assert "  16 monomial matrices over 1 " in out
+    assert "  32 matrices with every entry a root of unity over 8\n" in out
     out = run_demo("03_theta_vectors.py")
     assert "rho(S) theta = rho(T) theta = -i theta for all 15: True\n" in out
     assert "rank of the 15 vectors: 5\n" in out
