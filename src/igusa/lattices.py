@@ -54,10 +54,6 @@ class Lattice:
     def is_even(self) -> bool:
         return all(self.gram[i][i] % 2 == 0 for i in range(self.rank))
 
-    def basis_vector(self, label):
-        i = self.labels.index(label)
-        return tuple(Fraction(1) if j == i else Fraction(0) for j in range(self.rank))
-
     def vector(self, **coeffs):
         """Rational combination of labeled basis vectors."""
         out = [Fraction(0)] * self.rank

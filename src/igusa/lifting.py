@@ -249,6 +249,14 @@ def _validate_lift_input(inp: LiftCheckInput):
         raise ValueError("lam must be orthogonal to z and z_prime")
     if lat.norm(inp.lam) <= 0:
         raise ValueError("lam must have positive norm")
+    # the coefficient sums over every n with lam/n in the dual; only n = 1 is summed
+    pairing = [sum(g * Fraction(x) for g, x in zip(row, inp.lam)) for row in lat.gram]
+    if all(p.denominator == 1 for p in pairing):
+        n = gcd(*(int(p) for p in pairing))
+        if n > 1:
+            raise ValueError(
+                f"lam/{n} lies in the dual: the lift's terms for n >= 2 are not summed"
+            )
     return lat, A
 
 
@@ -258,7 +266,9 @@ def lift_leading_coefficient(inp: LiftCheckInput,
     vector lam: the two-term sum over the lifts of lam along the isotropic
     direction, each term a theta coefficient times the eta^m expansion
     coefficient at half the lift's norm, weighted by the phase of its
-    pairing with z'.  The lift normalization constant is fixed to 1."""
+    pairing with z'.  The lift normalization constant is fixed to 1.  These
+    are the n = 1 terms of the sum over n with lam/n in the dual, so a lam
+    with such an n >= 2 is rejected."""
     lat, A = _validate_lift_input(inp)
     series = eta_power(eta_exponent).series
 

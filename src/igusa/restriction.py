@@ -18,7 +18,6 @@ from itertools import combinations
 
 import numpy as np
 
-from .exact import integer_echelon
 from .fqm import (
     TYPE_ORDER_RESTRICTION,
     element_types,
@@ -70,59 +69,36 @@ def restriction_module():
 
 @dataclass(frozen=True)
 class EmbeddedSublattice:
-    """The rank-5 member lattice inside the rank-6 ambient lattice.
+    """The rank-5 member lattice inside the rank-6 ambient lattice, with the
+    certified integer split of every ambient vector.
 
-    member_basis holds ambient coordinates of the five basis vectors
+    member_basis holds integer ambient coordinates of the five basis vectors
     (the two hyperbolic pairs and the difference of the root generators);
-    complement_generator is the sum of the root generators."""
+    complement_generator c is the sum of the root generators.  An integer
+    ambient vector r splits as r = r1 + (m/2) * c with r1 orthogonal to c:
+    m = r @ multiple, and r @ projection are the member coordinates of
+    2 * r1.  Both are read-only int64 arrays, of shapes (6,) and (6, 5)."""
 
     ambient: object
     member_basis: tuple
     complement_generator: tuple
+    projection: np.ndarray
+    multiple: np.ndarray
 
-    def embed(self, coords) -> tuple:
-        """Ambient coordinates of a member vector given in member coordinates."""
-        if len(coords) != len(self.member_basis):
-            raise ValueError("member coordinate length mismatch")
-        n = self.ambient.rank
-        out = [Fraction(0)] * n
-        for c, basis_vec in zip(coords, self.member_basis):
-            c = Fraction(c)
-            for i in range(n):
-                out[i] += c * basis_vec[i]
-        return tuple(out)
 
-    def split(self, coords):
-        """Write an ambient vector r as r1 + (m/2) * complement with r1 in
-        the member's rational span; returns (r1 ambient coords, m)."""
-        c = self.complement_generator
-        c_norm = self.ambient.norm(c)
-        m = 2 * self.ambient.ip(coords, c) / c_norm
-        if m.denominator != 1:
-            raise ValueError("vector does not split with an integer m")
-        m = int(m)
-        r1 = tuple(
-            Fraction(x) - Fraction(m, 2) * Fraction(ci)
-            for x, ci in zip(coords, c)
-        )
-        if self.ambient.ip(r1, c):
-            raise AssertionError("split component must be orthogonal")
-        return r1, m
-
-    def member_coordinates(self, ambient_coords) -> tuple:
-        """Member coordinates of an ambient vector in the member's rational
-        span (exact integer Gauss-Jordan solve; raises if outside the span)."""
-        k = len(self.member_basis)
-        rows = [
-            [v[i] for v in self.member_basis] + [ambient_coords[i]]
-            for i in range(self.ambient.rank)
-        ]
-        reduced, pivots = integer_echelon(rows)
-        if [c for _, c in pivots[:k]] != list(range(k)):
-            raise AssertionError("member basis must have full rank")
-        if len(pivots) > k:
-            raise ValueError("vector lies outside the member span")
-        return tuple(Fraction(reduced[r][k], reduced[r][c]) for r, c in pivots)
+def _certify_split(gram, basis, complement, projection, multiple) -> None:
+    """Raise unless the integer arrays split every ambient vector r as
+    r = r1 + (m/2) * c with r1 orthogonal to c, m = r @ multiple and
+    r @ projection the member coordinates of 2 * r1.  Two identities prove
+    it for all r at once: c^2 * multiple = 2 * G @ c gives m * c^2 = 2 <r, c>,
+    so <r1, c> = 0; projection @ basis + outer(multiple, c) = 2 * I gives
+    (r @ projection) @ basis = 2r - m * c = 2 * r1."""
+    gram, basis, c = (np.array(a, dtype=np.int64) for a in (gram, basis, complement))
+    if not np.array_equal((c @ gram @ c) * multiple, 2 * gram @ c):
+        raise ValueError("multiple is not 2 <r, c> / c^2")
+    two = 2 * np.eye(len(gram), dtype=np.int64)
+    if not np.array_equal(projection @ basis + np.outer(multiple, c), two):
+        raise ValueError("projection and multiple do not split 2r")
 
 
 @lru_cache(maxsize=1)
@@ -130,36 +106,37 @@ def build_embedding() -> EmbeddedSublattice:
     """Construct and fully verify the primitive embedding: the member Gram
     matrix matches the abstract rank-5 lattice, the basis is primitive in
     the ambient lattice (all Smith elementary divisors 1), the complement
-    generator is orthogonal with norm -4, the index bookkeeping gives
-    index 2, and the member discriminant group has orders (2,2,2,2,4)."""
+    generator has norm -4, the index bookkeeping gives index 2, and the
+    member discriminant group has orders (2,2,2,2,4).
+
+    The split arrays are built here once: multiple = 2 * G @ c / c^2, and
+    projection = (2 * I - outer(multiple, c)) times a right inverse of the
+    basis read off its Smith form.  `_certify_split` proves the split for
+    every ambient vector, and with it that c is orthogonal to the member."""
     N = ambient_lattice()
     M = restriction_lattice()
+
+    def integral(**coeffs):
+        return tuple(int(x) for x in N.vector(**coeffs))
+
     basis = (
-        N.basis_vector("e1"),
-        N.basis_vector("f1"),
-        N.basis_vector("e2"),
-        N.basis_vector("f2"),
-        tuple(
-            a - b
-            for a, b in zip(N.basis_vector("a1"), N.basis_vector("a2"))
-        ),
+        integral(e1=1),
+        integral(f1=1),
+        integral(e2=1),
+        integral(f2=1),
+        integral(a1=1, a2=-1),
     )
-    complement = tuple(
-        a + b for a, b in zip(N.basis_vector("a1"), N.basis_vector("a2"))
-    )
-    emb = EmbeddedSublattice(N, basis, complement)
+    complement = integral(a1=1, a2=1)
 
     gram = [[int(N.ip(u, v)) for v in basis] for u in basis]
     if gram != [list(row) for row in M.gram]:
         raise ValueError("member basis Gram matrix mismatch")
     if gram[4][4] != -4:
         raise ValueError("difference of root generators must have norm -4")
-    if N.ip(basis[4], complement):
-        raise ValueError("complement generator must be orthogonal to the member")
     if N.norm(complement) != -4:
         raise ValueError("complement generator must have norm -4")
 
-    _, d, _ = smith_normal_form([list(map(int, v)) for v in basis])
+    u, d, v = smith_normal_form(basis)
     divisors = [d[i][i] for i in range(len(basis))]
     if divisors != [1] * len(basis):
         raise ValueError(f"member basis is not primitive: divisors {divisors}")
@@ -173,7 +150,16 @@ def build_embedding() -> EmbeddedSublattice:
     A = restriction_module()
     if A.orders != (2, 2, 2, 2, 4):
         raise ValueError(f"member discriminant group has orders {A.orders}")
-    return emb
+
+    G = np.array(N.gram, dtype=np.int64)
+    c = np.array(complement, dtype=np.int64)
+    multiple = 2 * G @ c // (c @ G @ c)
+    # U @ basis @ V = (I | 0), so basis @ V[:, :5] @ U = I
+    inverse = np.array(v, dtype=np.int64)[:, : len(basis)] @ np.array(u, dtype=np.int64)
+    projection = (2 * np.eye(N.rank, dtype=np.int64) - np.outer(multiple, c)) @ inverse
+    _certify_split(N.gram, basis, complement, projection, multiple)
+    projection.flags.writeable = multiple.flags.writeable = False
+    return EmbeddedSublattice(N, basis, complement, projection, multiple)
 
 
 # ---------------------------------------------------------------------------
@@ -275,26 +261,31 @@ class RestrictionCase:
 
 
 def restriction_case(r) -> RestrictionCase:
-    """Split one ambient lattice vector and classify both halves: the class
-    of r/2 in the ambient discriminant group and, when r1/2 lies in the
-    member dual, the class of r1/2 in the member discriminant group."""
+    """Split one integral ambient vector by the certified arrays of
+    `build_embedding` and classify both halves: the class of r/2 in the
+    ambient discriminant group and the class of r1/2 in the member
+    discriminant group, each by `class_of_vector`."""
     emb = build_embedding()
     N = emb.ambient
     AN = ambient_module()
     AM = restriction_module()
-    r = tuple(Fraction(c) for c in r)
-    if any(c.denominator != 1 for c in r):
+    if len(r) != N.rank:
+        raise ValueError("coordinate length mismatch")
+    if any(Fraction(c).denominator != 1 for c in r):
         raise ValueError("r must be an integral ambient vector")
-    r1, m = emb.split(r)
+    r = tuple(int(c) for c in r)
+    vec = np.array(r, dtype=np.int64)
+    m = int(vec @ emb.multiple)
+    two_r1 = vec @ emb.projection  # member coordinates of 2 * r1
+    r1 = tuple(Fraction(2 * x - m * c, 2) for x, c in zip(r, emb.complement_generator))
     r_norm = N.norm(r)
     r1_norm = N.norm(r1)
     if r_norm != r1_norm - m * m:
         raise AssertionError("norm bookkeeping r^2 = r1^2 - m^2 fails")
-    ambient_class = AN.class_of_vector(tuple(c / 2 for c in r))
-    beta_class = AM.class_of_vector(
-        tuple(c / 2 for c in emb.member_coordinates(r1)))
+    ambient_class = AN.class_of_vector(tuple(Fraction(x, 2) for x in r))
+    beta_class = AM.class_of_vector(tuple(Fraction(int(y), 4) for y in two_r1))
     return RestrictionCase(
-        r=tuple(int(c) for c in r),
+        r=r,
         r1=r1,
         m=m,
         r_norm=r_norm,
@@ -308,17 +299,21 @@ def restriction_case(r) -> RestrictionCase:
 
 def _relevant_level_sets(bound: int, targets) -> dict:
     """For each target norm n: the integer vectors r with max-norm <= bound,
-    r^2 = n and a member component of negative norm ((x5 + x6)^2 < -n), as a
+    r^2 = n and a member component of negative norm (r1^2 = n + m^2 < 0), as a
     (k, 6) int64 array in lexicographic order, their max-norms, and the
     number of all vectors of norm n, relevant or not, in each box 0..bound.
 
     A vector is three coordinate pairs: the head (x1, x2) and the tail
     (x3, x4), (x5, x6).  The norm splits as r^2 = 4*x1*x2 + t with
-    t = 4*x3*x4 - 2*(x5^2 + x6^2), and relevance reads only (x5, x6).  The
+    t = 4*x3*x4 - 2*(x5^2 + x6^2), and relevance reads only (x5, x6): the
+    certified multiple of `build_embedding` vanishes on the first four.  The
     relevant tails are sorted by t (stably, so equal tails stay in
     lexicographic order) and each head takes those with t = n - 4*x1*x2 by
     binary search: only relevant vectors are materialised.  The counts come
     from all tails sorted by (t, tail max-norm), one binary search per box."""
+    multiple = build_embedding().multiple
+    if multiple[:4].any():
+        raise AssertionError("m must read only the last coordinate pair")
     rng = np.arange(-bound, bound + 1, dtype=np.int64)
     pairs = np.stack(np.meshgrid(rng, rng, indexing="ij"), -1).reshape(-1, 2)
     size = len(pairs)
@@ -328,7 +323,7 @@ def _relevant_level_sets(bound: int, targets) -> dict:
     t = (four_x1x2[:, None] - 2 * (pairs**2).sum(axis=1)).ravel()
     tail_width = np.maximum.outer(pair_width, pair_width).ravel()
     keys = np.sort(t * (bound + 1) + tail_width)  # (t, width) order: width <= bound
-    m_squared = pairs.sum(axis=1) ** 2
+    m_squared = (pairs @ multiple[4:]) ** 2
     sets = {}
     for target in targets:
         need = target - four_x1x2
@@ -397,25 +392,20 @@ def _pairing_vectors(rows: np.ndarray, form, d: int, message: str) -> np.ndarray
 
 
 def _split_classes(rows: np.ndarray):
-    """For integer ambient vectors r with r/2 in the ambient dual, written as
-    r = r1 + (m/2) * complement: m = x5 + x6, the ambient class of r/2 and
-    the member class of r1/2, whose doubled member coordinates are
-    (2x1, 2x2, 2x3, 2x4, x5 - x6)."""
-    two_r1 = np.array(  # rows @ two_r1 are the doubled member coordinates
-        [[2, 0, 0, 0, 0], [0, 2, 0, 0, 0], [0, 0, 2, 0, 0], [0, 0, 0, 2, 0],
-         [0, 0, 0, 0, 1], [0, 0, 0, 0, -1]],
-        dtype=np.int64,
-    )
+    """For integer ambient vectors r with r/2 in the ambient dual, split by
+    the certified arrays of `build_embedding` as r = r1 + (m/2) * complement:
+    m, the ambient class of r/2 and the member class of r1/2."""
+    emb = build_embedding()
     return (
-        rows[:, 4] + rows[:, 5],
+        rows @ emb.multiple,
         _vectorized_classes(
             ambient_module(),
-            _pairing_vectors(rows, ambient_lattice().gram, 2,
+            _pairing_vectors(rows, emb.ambient.gram, 2,
                              "r/2 outside the ambient dual"),
         ),
         _vectorized_classes(
             restriction_module(),
-            _pairing_vectors(rows, two_r1 @ restriction_lattice().gram, 4,
+            _pairing_vectors(rows, emb.projection @ restriction_lattice().gram, 4,
                              "member component outside the member dual"),
         ),
     )
@@ -447,7 +437,7 @@ def heegner_restriction_cases(bound: int = 3) -> dict:
         raise ValueError("bound must be at least 3")
     if bound > MAX_BOX:
         raise ValueError(f"bound must be at most {MAX_BOX}")
-    build_embedding()  # verifies the embedding that _split_classes assumes
+    projection = build_embedding().projection
     AN = ambient_module()
     AM = restriction_module()
     an_types = element_types(AN)
@@ -476,12 +466,10 @@ def heegner_restriction_cases(bound: int = 3) -> dict:
                 (np.abs(m) != 1, f"norm {target} case with m = {{m}}"),
                 (b_type != expected, f"norm {target} member class of type {{b}}"),
             ]
-            # equal groups <=> equal member components (x1, x2, x3, x4, x5 - x6)
-            member = np.concatenate(
-                [rows[:, :4], rows[:, 4:5] - rows[:, 5:6]], axis=1
-            )
+            # equal groups <=> equal member components 2 * r1
+            span = bound * np.abs(projection).sum(axis=0)
             keys = np.ravel_multi_index(
-                tuple((member + 2 * bound).T), (4 * bound + 1,) * 5
+                tuple((rows @ projection + span).T), tuple(2 * span + 1)
             )
             groups = np.unique(keys, return_inverse=True)[1]
         levels.append(
@@ -506,10 +494,10 @@ def heegner_restriction_cases(bound: int = 3) -> dict:
                 unpaired = ((counts != 2) | (m_sums != 0))[g_in]
                 if unpaired.any():
                     i = int(np.flatnonzero(unpaired)[0])
-                    r = [int(v) for v in rows[np.flatnonzero(inside)[i]]]
+                    two_r1 = rows[np.flatnonzero(inside)[i]] @ projection
                     raise ValueError(
                         f"multiplicity pairing fails for member component "
-                        f"{(*r[:4], r[4] - r[5])}: m values "
+                        f"2 * r1 = {tuple(int(v) for v in two_r1)}: m values "
                         f"{sorted(int(v) for v in m_in[g_in == g_in[i]])}"
                     )
                 paired = int(np.count_nonzero(counts))

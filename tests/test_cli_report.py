@@ -390,6 +390,18 @@ def test_cli_restriction_report_is_pinned(capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == RESTRICTION_SHA256
 
 
+RESTRICTION_BOX10_SHA256 = (
+    "edeee7fbfd002b830d7a5ec4081906a05a29611fe28e7e8cad36986955bbec12"
+)
+
+
+def test_cli_restriction_box10_report_is_pinned(capsys):
+    # the largest box, MAX_BOX: every half-width from 3 to 10
+    assert main(["restriction", "--box", "10"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == RESTRICTION_BOX10_SHA256
+
+
 def test_cli_restriction_enumerates_the_level_sets_once(monkeypatch, capsys):
     import igusa.restriction as restriction
 

@@ -114,9 +114,9 @@ def test_signature_zero_diagonal_block():
 
 def test_inner_products():
     N = ambient_lattice()
-    e1 = N.basis_vector("e1")
-    f1 = N.basis_vector("f1")
-    a1 = N.basis_vector("a1")
+    e1 = N.vector(e1=1)
+    f1 = N.vector(f1=1)
+    a1 = N.vector(a1=1)
     assert N.ip(e1, f1) == 2
     assert N.norm(e1) == 0
     assert N.norm(a1) == -2

@@ -313,6 +313,15 @@ def test_lift_input_validation():
         )
 
 
+def test_lift_input_with_a_divisible_lam_is_rejected():
+    # lam = 2 * (e2/2 + f2 + a1/2): the n = 2 term of the coefficient is not summed
+    good = fixture_lift_input()
+    lam = ambient_lattice().vector(e2=1, f2=2, a1=1)
+    assert lam == tuple(2 * x for x in good.lam)
+    with pytest.raises(ValueError, match=r"^lam/2 lies in the dual"):
+        lift_leading_coefficient(LiftCheckInput(good.theta, good.z, good.z_prime, lam))
+
+
 # ---------------------------------------------------------------------------
 # The one-dimensional eigenline
 # ---------------------------------------------------------------------------

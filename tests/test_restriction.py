@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import igusa.restriction as restriction
+from igusa.exact import integer_echelon
 from igusa.fqm import element_types, isotropic_planes, radical_class
 from igusa.lattices import ambient_lattice, restriction_lattice
 from igusa.restriction import (
@@ -55,27 +56,106 @@ def test_member_discriminant_group_structure():
     assert A.class_of_vector(lat.vector(a=HALF)) == radical_class(A)
 
 
+def _reference_split(r):
+    """The Fraction split of an ambient vector r as r1 + (m/2) * complement
+    with r1 in the member's rational span: returns (r1 ambient coords, m).
+    Kept as the reference for the certified arrays of build_embedding."""
+    emb = build_embedding()
+    N, c = emb.ambient, emb.complement_generator
+    m = 2 * N.ip(r, c) / N.norm(c)
+    if m.denominator != 1:
+        raise ValueError("vector does not split with an integer m")
+    r1 = tuple(Fraction(x) - m / 2 * ci for x, ci in zip(r, c))
+    assert N.ip(r1, c) == 0, "split component must be orthogonal"
+    return r1, int(m)
+
+
+def _reference_member_coordinates(ambient_coords):
+    """Member coordinates of an ambient vector in the member's rational span,
+    by an exact integer Gauss-Jordan solve; raises if outside the span."""
+    emb = build_embedding()
+    k = len(emb.member_basis)
+    rows = [
+        [v[i] for v in emb.member_basis] + [ambient_coords[i]]
+        for i in range(emb.ambient.rank)
+    ]
+    reduced, pivots = integer_echelon(rows)
+    assert [c for _, c in pivots[:k]] == list(range(k)), "basis must have full rank"
+    if len(pivots) > k:
+        raise ValueError("vector lies outside the member span")
+    return tuple(Fraction(reduced[r][k], reduced[r][c]) for r, c in pivots)
+
+
 def test_embed_split_roundtrip():
     emb = build_embedding()
-    vec = emb.embed((1, 2, 0, -1, 3))
+    vec = tuple(int(v) for v in np.array((1, 2, 0, -1, 3)) @ emb.member_basis)
     assert vec == (1, 2, 0, -1, 3, -3)
-    r1, m = emb.split(vec)
+    r1, m = _reference_split(vec)
     assert m == 0 and r1 == vec
-    assert emb.member_coordinates(r1) == (1, 2, 0, -1, 3)
+    assert _reference_member_coordinates(r1) == (1, 2, 0, -1, 3)
+    assert vec @ emb.multiple == 0
+    assert (vec @ emb.projection).tolist() == [2, 4, 0, -2, 6]
     # a root generator splits with m = 1
-    r1, m = emb.split((0, 0, 0, 0, 1, 0))
+    root = (0, 0, 0, 0, 1, 0)
+    r1, m = _reference_split(root)
     assert m == 1
     assert r1 == (0, 0, 0, 0, HALF, -HALF)
+    assert root @ emb.multiple == 1
+    assert (root @ emb.projection).tolist() == [0, 0, 0, 0, 1]
 
 
 def test_split_and_solve_rejections():
-    emb = build_embedding()
     with pytest.raises(ValueError, match="integer m"):
-        emb.split((0, 0, 0, 0, HALF, 0))
+        _reference_split((0, 0, 0, 0, HALF, 0))
     with pytest.raises(ValueError, match="outside the member span"):
-        emb.member_coordinates((0, 0, 0, 0, 1, 0))
+        _reference_member_coordinates((0, 0, 0, 0, 1, 0))
     with pytest.raises(ValueError, match="length"):
-        emb.embed((1, 2, 3))
+        _reference_split((1, 2, 3))
+
+
+def test_certified_split_matches_the_reference_on_a_box():
+    emb = build_embedding()
+    rows = np.array(list(product(range(-2, 3), repeat=6)), dtype=np.int64)
+    assert len(rows) == 15_625
+    m, two_r1 = rows @ emb.multiple, rows @ emb.projection
+    for r, m_r, y in zip(rows.tolist(), m.tolist(), two_r1.tolist()):
+        r1, m_ref = _reference_split(r)
+        assert m_ref == m_r, r
+        assert [2 * x for x in _reference_member_coordinates(r1)] == y, r
+
+
+def test_split_arrays_are_read_only():
+    emb = build_embedding()
+    for array in (emb.projection, emb.multiple):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 7
+
+
+def _certify(projection=None, multiple=None):
+    emb = build_embedding()
+    restriction._certify_split(
+        emb.ambient.gram,
+        emb.member_basis,
+        emb.complement_generator,
+        emb.projection if projection is None else projection,
+        emb.multiple if multiple is None else multiple,
+    )
+
+
+def test_split_certificate_rejects_a_flipped_projection_sign():
+    projection = build_embedding().projection
+    entries = list(zip(*np.nonzero(projection)))
+    assert len(entries) == 6
+    for entry in entries:
+        flipped = projection.copy()
+        flipped[entry] *= -1
+        with pytest.raises(ValueError, match="projection and multiple do not split 2r"):
+            _certify(projection=flipped)
+
+
+def test_split_certificate_rejects_a_wrong_multiple():
+    with pytest.raises(ValueError, match="multiple is not"):
+        _certify(multiple=np.array((0, 0, 0, 0, 1, -1), dtype=np.int64))
 
 
 # ---------------------------------------------------------------------------
@@ -161,8 +241,14 @@ def test_case_classes_name_the_types():
 
 
 def test_case_requires_integral_vector():
-    with pytest.raises(ValueError, match="integral"):
+    with pytest.raises(ValueError, match="r must be an integral ambient vector"):
         restriction_case((HALF, 0, 0, 0, 0, 0))
+
+
+@pytest.mark.parametrize("r", [(1, 2, 3), (0,) * 7])
+def test_case_requires_an_ambient_length(r):
+    with pytest.raises(ValueError, match="coordinate length mismatch"):
+        restriction_case(r)
 
 
 # ---------------------------------------------------------------------------
@@ -373,8 +459,9 @@ def _reference_cases(bound):
 
         paired = None
         if target != -4:
+            # member coordinates of 2 * r1: (2x1, 2x2, 2x3, 2x4, x5 - x6)
             member = np.concatenate(
-                [rows[:, :4], rows[:, 4:5] - rows[:, 5:6]], axis=1
+                [2 * rows[:, :4], rows[:, 4:5] - rows[:, 5:6]], axis=1
             )
             keys = np.ravel_multi_index(
                 tuple((member + 2 * bound).T), (4 * bound + 1,) * 5
@@ -386,7 +473,7 @@ def _reference_cases(bound):
                 i = int(np.flatnonzero(unpaired)[0])
                 key = tuple(int(v) for v in member[i])
                 raise ValueError(
-                    f"multiplicity pairing fails for member component {key}: "
+                    f"multiplicity pairing fails for member component 2 * r1 = {key}: "
                     f"m values {sorted(int(v) for v in m[inverse == inverse[i]])}"
                 )
             paired = len(counts)
@@ -582,12 +669,13 @@ def test_norm_minus4_projection_matches_the_exact_path():
     for r in product(range(-2, 3), repeat=6):
         if 4 * (r[0] * r[1] + r[2] * r[3]) - 2 * (r[4] ** 2 + r[5] ** 2) != -4:
             continue
-        r1, m = emb.split(r)
+        r1, m = _reference_split(r)
         if N.norm(r1) >= 0:
             continue
         assert N.norm(r) == -4 and m == 0
         cn = AN.class_of_vector(tuple(c * HALF for c in r))
-        cm = AM.class_of_vector(tuple(c * HALF for c in emb.member_coordinates(r1)))
+        cm = AM.class_of_vector(
+            tuple(c * HALF for c in _reference_member_coordinates(r1)))
         assert images.setdefault(cn, cm) == cm, r
     assert len(images) == 16
     assert restriction._norm_minus4_projection() == images
