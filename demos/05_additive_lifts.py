@@ -5,18 +5,19 @@ computed exactly from the pentagonal-number theorem.  A vector-valued form
 can be paired with an eta power only when their multiplier systems agree on
 both generators; the compatibility matrix singles out exponent 18 for the
 theta vectors and exponent 6 for the distinguished weight-1 vector.  The
-leading Fourier coefficient of the lifted fixture is a two-term exact sum
-that evaluates to -1, hence the lift is not identically zero.
+lift's Fourier coefficient at the fixture point is Borcherds' divisor sum at
+the cusp z = e1, z' = f1/2; the point is primitive, so the sum has only its
+n = 1 term, which evaluates to -1: the lift is not identically zero.
 """
 
 from fractions import Fraction
 
 from igusa.lifting import (
+    FIXTURE_LAM,
     eta_power,
-    fixture_lift_input,
     fixture_plane,
     fixture_support_families,
-    lift_leading_coefficient,
+    lift_coefficient,
     multiplier_compatibility,
     theta0_checks,
 )
@@ -26,12 +27,10 @@ from igusa.weil import theta_vector, w0_vector
 def main():
     print("=== Eta powers ===")
     for m in (6, 18):
-        eta = eta_power(m, terms=10)
-        coeffs = [
-            int(eta.unit_series.coefficient(Fraction(k)).as_rational())
-            for k in range(8)
-        ]
-        print(f"eta^{m:<2}: leading exponent {eta.leading_exponent}, "
+        unit = eta_power(m, 10)
+        coeffs = [int(unit.coefficient(Fraction(k)).as_rational())
+                  for k in range(8)]
+        print(f"eta^{m:<2}: leading exponent {Fraction(m, 24)}, "
               f"unit-series coefficients {coeffs}")
 
     print()
@@ -55,7 +54,7 @@ def main():
     print(f"fixture plane: {sorted(fixture_plane())}")
     for family, classes in families.items():
         print(f"  support family {family:>16}: classes {sorted(classes)}")
-    coefficient = lift_leading_coefficient(fixture_lift_input())
+    coefficient = lift_coefficient(theta, FIXTURE_LAM)
     print(f"leading lift coefficient: {coefficient!r} (nonzero)")
 
     print()

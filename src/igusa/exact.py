@@ -446,11 +446,6 @@ class QSeries:
         factor = _coerce(factor)
         return QSeries({e: c * factor for e, c in self.terms.items()}, self.truncation)
 
-    def shift(self, exponent) -> "QSeries":
-        """Multiply by the monomial q^exponent."""
-        s = Fraction(exponent)
-        return QSeries({e + s: c for e, c in self.terms.items()}, self.truncation + s)
-
     def __mul__(self, other) -> "QSeries":
         if not isinstance(other, QSeries):
             factor = _coerce(other)

@@ -1,19 +1,20 @@
-"""Eta powers, multiplier compatibility, and lift leading coefficients.
+"""Eta powers, multiplier compatibility, and Fourier coefficients of lifts.
 
-Multiplying a constant eigenvector of the metaplectic action by a power of
-the eta function produces a vector-valued modular form when the eta
-multipliers cancel the eigenvalues.  The additive lift of such a form is an
-automorphic form on the period domain; this module computes the one Fourier
-coefficient of the lift that certifies it is nonzero, together with the
-supporting eta-power expansions and support-set bookkeeping.
+Multiplying a constant eigenvector theta of the metaplectic action by a power
+eta^m of the eta function produces a vector-valued modular form of weight m/2
+when the eta multipliers cancel the eigenvalues, which fixes m by theta's
+T-eigenvalue.  The additive lift of such a form is an automorphic form of
+weight m/2 + 1 on the period domain.  This module computes its Fourier
+coefficients at the one cusp z = e1, z' = f1/2 by the divisor sum of
+Borcherds (Invent. Math. 132, 1998, Thm 14.3), together with the eta-power
+expansions and the support of the fixture vector.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import floor, gcd
 
 from .exact import CYC_I, CYC_ONE, CYC_ZERO, Cyclotomic, QSeries
 from .fqm import element_types, radical_class, reflection
@@ -27,53 +28,40 @@ from .weil import (
 )
 
 __all__ = [
-    "EtaPower",
     "eta_power",
     "multiplier_compatibility",
     "fixture_plane",
-    "theta_support",
     "fixture_support_families",
-    "LiftCheckInput",
-    "fixture_lift_input",
-    "lift_leading_coefficient",
+    "CUSP_Z",
+    "CUSP_Z_PRIME",
+    "FIXTURE_LAM",
+    "lift_coefficient",
     "theta0_checks",
     "MAX_TERMS",
 ]
 
-# Largest q-series truncation of the eta powers.  The expansion of eta^m
+# Largest q-series truncation of the eta powers, and so the largest
+# q(lam) - m/24 a lift coefficient can be read at.  The expansion of eta^m
 # through q^terms costs about terms^2 m coefficient products; `igusa
-# lifting --terms 200` takes 0.5 s and 53 MB via the CLI on a 2-vCPU Xeon.
+# lifting --terms 200` takes about 0.4 s and 38 MB via the CLI on a 2-vCPU
+# Xeon.
 MAX_TERMS = 200
+
+_HALF = Fraction(1, 2)
+
+# The cusp of every lift, in lattice coordinates: z is primitive and
+# isotropic, and z' is a dual vector with <z, z'> = 1.
+CUSP_Z = ambient_lattice().vector(e1=1)
+CUSP_Z_PRIME = ambient_lattice().vector(f1=_HALF)
+
+# The documented evaluation point of the fixture lift: orthogonal to the
+# cusp, primitive in the dual, of norm 3/2.
+FIXTURE_LAM = ambient_lattice().vector(e2=_HALF, f2=1, a1=_HALF)
 
 
 # ---------------------------------------------------------------------------
 # Eta powers
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class EtaPower:
-    """q-expansion of the m-th power of the eta function.
-
-    unit_series is the integer-exponent factor prod_{n>=1} (1 - q^n)^m; the
-    full expansion is q^(m/24) times it.  The shifted form is available as
-    .series whenever m/24 lands in the quarter-integer exponent lattice."""
-
-    exponent: int
-    unit_series: QSeries
-
-    @property
-    def leading_exponent(self) -> Fraction:
-        return Fraction(self.exponent, 24)
-
-    @property
-    def series(self) -> QSeries:
-        if (4 * self.exponent) % 24 != 0:
-            raise ValueError(
-                f"eta^{self.exponent} has leading exponent "
-                f"{self.leading_exponent}, outside the quarter-integer lattice"
-            )
-        return self.unit_series.shift(self.leading_exponent)
 
 
 def _euler_unit(truncation: int) -> QSeries:
@@ -93,17 +81,17 @@ def _euler_unit(truncation: int) -> QSeries:
     return QSeries(data, Fraction(truncation))
 
 
-def eta_power(m: int, terms: int = 16) -> EtaPower:
-    """Truncated expansion of eta^m with unit-series coefficients through
-    q^terms; m must be a nonnegative integer."""
-    if not isinstance(m, int) or m < 0:
+def eta_power(m: int, terms: int) -> QSeries:
+    """prod_{n>=1} (1 - q^n)^m through q^terms: the unit series of
+    eta^m = q^(m/24) prod_{n>=1} (1 - q^n)^m.  m is a nonnegative integer
+    and terms an integer from 1 to MAX_TERMS."""
+    if type(m) is not int or m < 0:  # a bool is not an exponent
         raise ValueError("the eta exponent must be a nonnegative integer")
-    if terms < 1:
-        raise ValueError("terms must be positive")
+    if type(terms) is not int or terms < 1:
+        raise ValueError("terms must be a positive integer")
     if terms > MAX_TERMS:
         raise ValueError(f"terms must be at most {MAX_TERMS}")
-    unit = _euler_unit(terms + 1) ** m
-    return EtaPower(m, unit)
+    return _euler_unit(terms + 1) ** m
 
 
 # ---------------------------------------------------------------------------
@@ -156,10 +144,8 @@ def multiplier_compatibility(theta: GroupRingVector, m: int) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# The documented fixture plane and support sets
+# The documented fixture plane and its support
 # ---------------------------------------------------------------------------
-
-_HALF = Fraction(1, 2)
 
 
 @lru_cache(maxsize=1)
@@ -173,18 +159,13 @@ def fixture_plane() -> tuple:
     return tuple(sorted((f1h, e2h, A.add(f1h, e2h))))
 
 
-def theta_support(plane) -> frozenset:
-    """Support of the signed two-coset vector attached to an isotropic
-    plane, as a frozenset of element indices.  `lifting-fixture-support`
-    counts the documented families; only the tests compare them with it."""
-    return theta_vector(plane).support
-
-
 @lru_cache(maxsize=1)
 def fixture_support_families() -> dict:
     """The support of the fixture vector, grouped into the three documented
     two-element families plus the two half-root classes that complete the
-    8-element coset."""
+    8-element coset.  Raises ValueError unless each family has two distinct
+    classes and the families together are exactly the support of
+    theta_vector(fixture_plane())."""
     A = ambient_module()
     lat = ambient_lattice()
     h = _HALF
@@ -192,102 +173,86 @@ def fixture_support_families() -> dict:
     def cls(**coeffs):
         return A.class_of_vector(lat.vector(**coeffs))
 
-    return {
+    families = {
         "f1_plus_root": (cls(f1=h, a1=h), cls(f1=h, a2=h)),
         "e2_plus_root": (cls(e2=h, a1=h), cls(e2=h, a2=h)),
         "f1_e2_plus_root": (cls(f1=h, e2=h, a1=h), cls(f1=h, e2=h, a2=h)),
         "half_roots": (cls(a1=h), cls(a2=h)),
     }
+    if any(a == b for a, b in families.values()):
+        raise ValueError("a support family repeats a class")
+    union = {x for pair in families.values() for x in pair}
+    if union != theta_vector(fixture_plane()).support:
+        raise ValueError(
+            "the support families are not the fixture vector's support")
+    return families
 
 
 # ---------------------------------------------------------------------------
-# Lift leading coefficient
+# Lift coefficients
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LiftCheckInput:
-    """Data for the leading-coefficient evaluation: a constant vector theta,
-    a primitive isotropic lattice vector z, a dual vector z' with
-    <z, z'> = 1, and a positive-norm dual vector lam orthogonal to both."""
-
-    theta: GroupRingVector
-    z: tuple
-    z_prime: tuple
-    lam: tuple
-
-
-def fixture_lift_input() -> LiftCheckInput:
-    """The documented evaluation point: theta is the fixture-plane vector,
-    z and z' span the first hyperbolic pair, and lam = e2/2 + f2 + a1/2 has
-    norm 3/2."""
-    lat = ambient_lattice()
-    return LiftCheckInput(
-        theta=theta_vector(fixture_plane()),
-        z=lat.vector(e1=1),
-        z_prime=lat.vector(f1=_HALF),
-        lam=lat.vector(e2=_HALF, f2=1, a1=_HALF),
-    )
+def _eta_exponent(theta: GroupRingVector) -> int:
+    """The even m in 2..24 with e^(pi i m/12) equal to the T-eigenvalue of
+    theta, certified on both generators by multiplier_compatibility."""
+    t_eigen = _eigenvalue(theta, weil_generator("T"))
+    for m in range(2, 25, 2):
+        if Cyclotomic.e_half(Fraction(m, 12)) == t_eigen:
+            return multiplier_compatibility(theta, m)["exponent"]
+    raise ValueError(f"the T-eigenvalue {t_eigen!r} is not e^(pi i m/12) "
+                     "for an even m")
 
 
-def _validate_lift_input(inp: LiftCheckInput):
+def lift_coefficient(theta: GroupRingVector, lam) -> Cyclotomic:
+    """Fourier coefficient at lam of the additive lift of eta^m * theta at
+    the cusp z = CUSP_Z, z' = CUSP_Z_PRIME (Borcherds, Thm 14.3):
+
+        sum over n with lam/n in the dual of  n^(k-1) * sum over
+        delta in {lam/n, lam/n + z/2} of  e(<n delta, z'>) theta(delta)
+        c(q(lam/n) - m/24),
+
+    where c(j) is the q^j coefficient of eta_power(m), k = m/2 + 1 is the
+    lift weight and q(x) = x^2/2.  The exponent m is the even m in 2..24
+    with e^(pi i m/12) equal to theta's T-eigenvalue (_eta_exponent).  lam
+    must be a dual vector of positive norm orthogonal to z and z', with
+    q(lam) - m/24 at most MAX_TERMS.  The lift normalization constant is
+    fixed to 1."""
     lat = ambient_lattice()
     A = ambient_module()
-    for name, vec in (("z", inp.z), ("z_prime", inp.z_prime), ("lam", inp.lam)):
-        if len(vec) != lat.rank:
-            raise ValueError(f"{name} has wrong length")
-    z = tuple(Fraction(c) for c in inp.z)
-    if any(c.denominator != 1 for c in z) or not any(z):
-        raise ValueError("z must be a nonzero integral lattice vector")
-    if gcd(*(int(c) for c in z)) != 1:
-        raise ValueError("z must be primitive")
-    if lat.norm(z):
-        raise ValueError("z must be isotropic")
-    if lat.ip(z, inp.z_prime) != 1:
-        raise ValueError("z and z_prime must pair to 1")
-    if lat.ip(inp.lam, z) or lat.ip(inp.lam, inp.z_prime):
+    if len(lam) != lat.rank:
+        raise ValueError("lam has wrong length")
+    if lat.ip(lam, CUSP_Z) or lat.ip(lam, CUSP_Z_PRIME):
         raise ValueError("lam must be orthogonal to z and z_prime")
-    if lat.norm(inp.lam) <= 0:
+    norm = lat.norm(lam)
+    if norm <= 0:
         raise ValueError("lam must have positive norm")
-    # the coefficient sums over every n with lam/n in the dual; only n = 1 is summed
-    pairing = [sum(g * Fraction(x) for g, x in zip(row, inp.lam)) for row in lat.gram]
-    if all(p.denominator == 1 for p in pairing):
-        n = gcd(*(int(p) for p in pairing))
-        if n > 1:
-            raise ValueError(
-                f"lam/{n} lies in the dual: the lift's terms for n >= 2 are not summed"
-            )
-    return lat, A
+    A.class_of_vector(lam)  # rejects anything outside the dual
 
+    m = _eta_exponent(theta)
+    # the n = 1 term reads the eta expansion furthest out
+    top = floor(norm / 2 - Fraction(m, 24))
+    if top > MAX_TERMS:
+        raise ValueError(f"lam needs the eta^{m} expansion through q^{top}, "
+                         f"beyond MAX_TERMS = {MAX_TERMS}")
+    unit = eta_power(m, max(top, 1))
 
-def lift_leading_coefficient(inp: LiftCheckInput,
-                             eta_exponent: int = 18) -> Cyclotomic:
-    """Fourier coefficient of the additive lift of eta^m * theta at the
-    vector lam: the two-term sum over the lifts of lam along the isotropic
-    direction, each term a theta coefficient times the eta^m expansion
-    coefficient at half the lift's norm, weighted by the phase of its
-    pairing with z'.  The lift normalization constant is fixed to 1.  These
-    are the n = 1 terms of the sum over n with lam/n in the dual, so a lam
-    with such an n >= 2 is rejected."""
-    lat, A = _validate_lift_input(inp)
-    series = eta_power(eta_exponent).series
-
-    half_z_plus_lam = tuple(
-        Fraction(zc) / 2 + Fraction(lc) for zc, lc in zip(inp.z, inp.lam)
-    )
+    # lam/n is in the dual exactly when n divides every entry of G lam
+    content = gcd(*(int(sum(g * x for g, x in zip(row, lam)))
+                    for row in lat.gram))
     total = CYC_ZERO
-    for vec in (tuple(Fraction(c) for c in inp.lam), half_z_plus_lam):
-        cls = A.class_of_vector(vec)  # rejects anything outside the dual
-        n = lat.norm(vec) / 2
-        if n >= series.truncation:
-            raise ValueError("increase terms: lift exponent beyond truncation")
-        if (4 * n).denominator != 1:
-            continue  # no quarter-integer power can contribute
-        theta_coeff = inp.theta.entry(cls)
-        if not theta_coeff:
+    for n in range(1, content + 1):
+        if content % n:
             continue
-        phase = Cyclotomic.e(lat.ip(vec, inp.z_prime) % 1)
-        total = total + theta_coeff * series.coefficient(n) * phase
+        base = tuple(Fraction(x) / n for x in lam)
+        j = lat.norm(base) / 2 - Fraction(m, 24)
+        if j < 0 or j.denominator != 1:
+            continue  # no power of the unit series sits there
+        weight = unit.coefficient(j) * n ** (m // 2)
+        for delta in (base, tuple(b + zc / 2 for b, zc in zip(base, CUSP_Z))):
+            phase = Cyclotomic.e(n * lat.ip(delta, CUSP_Z_PRIME) % 1)
+            theta_coeff = theta.entry(A.class_of_vector(delta))
+            total = total + theta_coeff * weight * phase
     return total
 
 

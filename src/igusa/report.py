@@ -572,19 +572,19 @@ def eta_product_mismatches(unit: QSeries, m: int, terms: int) -> list:
 
 def lifting_suite(runner: SuiteRunner, terms: int = 30) -> None:
     from .lifting import (
+        FIXTURE_LAM,
         eta_power,
-        fixture_lift_input,
+        fixture_plane,
         fixture_support_families,
-        lift_leading_coefficient,
+        lift_coefficient,
         multiplier_compatibility,
         theta0_checks,
     )
-    from .weil import theta_vectors, w0_vector
+    from .weil import theta_vector, theta_vectors, w0_vector
 
     def eta_oracle():
         outcomes = {
-            f"eta^{m}": eta_product_mismatches(
-                eta_power(m, terms=terms).unit_series, m, terms)
+            f"eta^{m}": eta_product_mismatches(eta_power(m, terms), m, terms)
             for m in (18, 6)
         }
         return ({"eta^18": [], "eta^6": []}, outcomes)
@@ -640,7 +640,7 @@ def lifting_suite(runner: SuiteRunner, terms: int = 30) -> None:
         lambda: (
             {"value": -1, "nonzero": True},
             (lambda c: {"value": c, "nonzero": bool(c)})(
-                lift_leading_coefficient(fixture_lift_input())
+                lift_coefficient(theta_vector(fixture_plane()), FIXTURE_LAM)
             ),
         ),
     )

@@ -390,6 +390,18 @@ def test_cli_restriction_report_is_pinned(capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == RESTRICTION_SHA256
 
 
+LIFTING_MAX_TERMS_SHA256 = (
+    "647378590de07e7a0013f65ed5fe051ed1a1f59dfd8ab5aa46e48c3bfa0435cd"
+)
+
+
+def test_cli_lifting_max_terms_report_is_pinned(capsys):
+    # the eta-product oracle at the largest truncation, MAX_TERMS
+    assert main(["lifting", "--terms", str(MAX_TERMS)]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == LIFTING_MAX_TERMS_SHA256
+
+
 RESTRICTION_BOX10_SHA256 = (
     "edeee7fbfd002b830d7a5ec4081906a05a29611fe28e7e8cad36986955bbec12"
 )

@@ -1,6 +1,8 @@
-"""Eta powers, multiplier bookkeeping, and lift leading coefficients."""
+"""Eta powers, multiplier bookkeeping, and lift coefficients."""
 
+import hashlib
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -8,19 +10,20 @@ from igusa.exact import CYC_I, CYC_ONE, Cyclotomic, QSeries
 from igusa.fqm import element_types, isotropic_planes
 from igusa.lattices import ambient_lattice
 from igusa.lifting import (
-    EtaPower,
-    LiftCheckInput,
+    CUSP_Z,
+    CUSP_Z_PRIME,
+    FIXTURE_LAM,
+    MAX_TERMS,
+    _eta_exponent,
     eta_power,
-    fixture_lift_input,
     fixture_plane,
     fixture_support_families,
-    lift_leading_coefficient,
+    lift_coefficient,
     multiplier_compatibility,
     theta0_checks,
-    theta_support,
 )
 from igusa.report import eta_product_mismatches
-from igusa.weil import ambient_module, theta_vector, w0_vector
+from igusa.weil import ambient_module, theta_vector, theta_vectors, w0_vector
 
 from helpers import run_demo
 
@@ -53,59 +56,41 @@ def naive_eta_unit(m: int, terms: int) -> QSeries:
 
 @pytest.mark.parametrize("m", [1, 6, 18, 24])
 def test_eta_unit_series_matches_product_oracle(m):
-    fast = eta_power(m, 30).unit_series
+    fast = eta_power(m, 30)
     slow = naive_eta_unit(m, 30)
     for e in range(31):
         assert fast.coefficient(Fraction(e)) == slow.coefficient(Fraction(e))
 
 
 def test_eta18_documented_expansion():
-    series = eta_power(18, 8).series
-    expected = {
-        Fraction(3, 4): 1,
-        Fraction(7, 4): -18,
-        Fraction(11, 4): 135,
-        Fraction(15, 4): -510,
-    }
-    for exp, coeff in expected.items():
-        assert series.coefficient(exp) == Cyclotomic.coerce(coeff)
-    # nothing between the quarter-integer powers
-    assert series.coefficient(Fraction(5, 4)) == Cyclotomic.coerce(0)
+    # eta^18 = q^(3/4) (1 - 18 q + 135 q^2 - 510 q^3 + ...)
+    unit = eta_power(18, 8)
+    for exp, coeff in enumerate([1, -18, 135, -510]):
+        assert unit.coefficient(exp) == Cyclotomic.coerce(coeff)
+    # the unit series has integer exponents only
+    assert all(exp.denominator == 1 for exp in unit.terms)
 
 
 def test_eta6_documented_expansion():
-    series = eta_power(6, 8).series
-    expected = {
-        Fraction(1, 4): 1,
-        Fraction(5, 4): -6,
-        Fraction(9, 4): 9,
-        Fraction(13, 4): 10,
-    }
-    for exp, coeff in expected.items():
-        assert series.coefficient(exp) == Cyclotomic.coerce(coeff)
+    # eta^6 = q^(1/4) (1 - 6 q + 9 q^2 + 10 q^3 + ...)
+    unit = eta_power(6, 8)
+    for exp, coeff in enumerate([1, -6, 9, 10]):
+        assert unit.coefficient(exp) == Cyclotomic.coerce(coeff)
 
 
 def test_eta_zeroth_power_is_one():
     e0 = eta_power(0, 8)
-    assert e0.leading_exponent == 0
-    assert e0.series.coefficient(Fraction(0)) == CYC_ONE
-    assert e0.series.coefficient(Fraction(3)) == Cyclotomic.coerce(0)
+    assert e0 == QSeries.one(9)
+    assert e0.coefficient(Fraction(3)) == Cyclotomic.coerce(0)
 
 
 def test_eta_power_is_multiplicative_in_the_exponent():
-    a = eta_power(6, 20).unit_series
-    b = eta_power(12, 20).unit_series
-    c = eta_power(18, 20).unit_series
+    a = eta_power(6, 20)
+    b = eta_power(12, 20)
+    c = eta_power(18, 20)
     product = a * b
     for e in range(20):
         assert product.coefficient(Fraction(e)) == c.coefficient(Fraction(e))
-
-
-def test_eta_shift_guard_outside_quarter_lattice():
-    with pytest.raises(ValueError, match="quarter-integer"):
-        eta_power(4, 8).series
-    # multiples of 6 shift cleanly
-    assert eta_power(12, 8).series.coefficient(Fraction(1, 2)) == CYC_ONE
 
 
 def test_eta_power_input_validation():
@@ -113,6 +98,15 @@ def test_eta_power_input_validation():
         eta_power(-2, 8)
     with pytest.raises(ValueError, match="positive"):
         eta_power(6, 0)
+    with pytest.raises(ValueError, match=f"at most {MAX_TERMS}"):
+        eta_power(6, MAX_TERMS + 1)
+    # a bool is not an exponent, and a float truncation is not a term count
+    for m, terms in ((True, 3), (18.0, 3)):
+        with pytest.raises(ValueError, match="nonnegative integer"):
+            eta_power(m, terms)
+    for m, terms in ((18, 2.5), (18, True)):
+        with pytest.raises(ValueError, match="positive integer"):
+            eta_power(m, terms)
 
 
 def perturbed(unit: QSeries, k: int) -> QSeries:
@@ -124,7 +118,7 @@ def perturbed(unit: QSeries, k: int) -> QSeries:
 
 @pytest.mark.parametrize("m", [18, 6])
 def test_eta_product_oracle_reports_a_perturbed_coefficient(m):
-    unit = eta_power(m, 30).unit_series
+    unit = eta_power(m, 30)
     assert eta_product_mismatches(unit, m, 30) == []
     for k in (0, 13, 30):
         assert eta_product_mismatches(perturbed(unit, k), m, 30) == [k]
@@ -132,7 +126,7 @@ def test_eta_product_oracle_reports_a_perturbed_coefficient(m):
 
 def test_eta_product_oracle_multiplies_only_python_integers(monkeypatch):
     # the oracle shares no product code with the expansion it checks
-    unit = eta_power(18, 30).unit_series
+    unit = eta_power(18, 30)
 
     def forbidden(*args):
         raise AssertionError("the oracle multiplied exact numbers")
@@ -147,9 +141,9 @@ def test_eta_product_check_fails_on_a_perturbed_expansion(monkeypatch):
     import igusa.lifting
     from igusa.report import SuiteRunner, lifting_suite
 
-    def broken(m, terms=16):
-        eta = eta_power(m, terms)
-        return EtaPower(m, perturbed(eta.unit_series, 5) if m == 6 else eta.unit_series)
+    def broken(m, terms):
+        unit = eta_power(m, terms)
+        return perturbed(unit, 5) if m == 6 else unit
 
     monkeypatch.setattr(igusa.lifting, "eta_power", broken)
     runner = SuiteRunner()
@@ -216,9 +210,9 @@ def test_fixture_plane_is_one_of_the_fifteen():
 def test_fixture_support_matches_documented_families():
     families = fixture_support_families()
     union = frozenset(x for pair in families.values() for x in pair)
-    support = theta_support(fixture_plane())
+    support = theta_vector(fixture_plane()).support
     assert support == union
-    assert len(support) == 8
+    assert support == {16, 17, 24, 25, 32, 33, 40, 41}
     # the three documented pair-families plus the two half-root classes
     assert set(families) == {
         "f1_plus_root",
@@ -230,96 +224,125 @@ def test_fixture_support_matches_documented_families():
     assert {labels[x] for x in support} == {"3/2"}
 
 
+def test_fixture_support_families_reject_another_plane(monkeypatch):
+    # the families are checked against the vector, not just counted
+    import igusa.lifting
+
+    other = next(p for p in isotropic_planes(ambient_module())
+                 if p != fixture_plane())
+    monkeypatch.setattr(igusa.lifting, "fixture_plane", lambda: other)
+    with pytest.raises(ValueError, match="not the fixture vector's support"):
+        fixture_support_families.__wrapped__()
+
+
 def test_every_plane_has_support_of_size_eight():
     A = ambient_module()
     for plane in isotropic_planes(A):
-        assert len(theta_support(plane)) == 8
+        assert len(theta_vector(plane).support) == 8
 
 
 def test_documented_membership_and_avoidance():
     A = ambient_module()
     lat = ambient_lattice()
-    support = theta_support(fixture_plane())
-    lam_class = A.class_of_vector(lat.vector(e2=HALF, f2=1, a1=HALF))
-    assert lam_class in support
+    support = theta_vector(fixture_plane()).support
+    assert A.class_of_vector(FIXTURE_LAM) in support
     shifted = A.class_of_vector(lat.vector(e1=HALF, e2=HALF, f2=1, a1=HALF))
     assert shifted not in support
 
 
 # ---------------------------------------------------------------------------
-# Lift leading coefficient
+# Lift coefficients
 # ---------------------------------------------------------------------------
 
 
+def test_cusp_is_primitive_isotropic_with_a_dual_partner():
+    lat = ambient_lattice()
+    assert lat.norm(CUSP_Z) == 0
+    assert lat.ip(CUSP_Z, CUSP_Z_PRIME) == 1
+    assert all(c.denominator == 1 for c in CUSP_Z)
+    assert gcd(*(int(c) for c in CUSP_Z)) == 1
+    ambient_module().class_of_vector(CUSP_Z_PRIME)  # z' is in the dual
+
+
 def test_fixture_lift_coefficient_is_nonzero():
-    value = lift_leading_coefficient(fixture_lift_input())
+    lat = ambient_lattice()
+    assert FIXTURE_LAM == lat.vector(e2=HALF, f2=1, a1=HALF)
+    assert lat.norm(FIXTURE_LAM) == Fraction(3, 2)
+    value = lift_coefficient(theta_vector(fixture_plane()), FIXTURE_LAM)
     assert value == -CYC_ONE
 
 
+def test_eta_exponent_is_read_off_the_multipliers():
+    assert [_eta_exponent(theta) for theta in theta_vectors()] == [18] * 15
+    assert _eta_exponent(w0_vector()) == 6
+
+
 def test_lift_is_linear_in_theta():
+    planes = isotropic_planes(ambient_module())
+    lams = [FIXTURE_LAM, tuple(2 * x for x in FIXTURE_LAM),
+            ambient_lattice().vector(e2=HALF, f2=2, a2=HALF)]
+    for p, q in ((1, 4), (2, 7), (8, 5)):
+        theta_p, theta_q = theta_vector(planes[p]), theta_vector(planes[q])
+        for lam in lams:
+            assert lift_coefficient(theta_p + theta_q, lam) == (
+                lift_coefficient(theta_p, lam) + lift_coefficient(theta_q, lam))
     theta = theta_vector(fixture_plane())
-    base = fixture_lift_input()
-    single = lift_leading_coefficient(base)
-    doubled = lift_leading_coefficient(
-        LiftCheckInput(theta + theta, base.z, base.z_prime, base.lam)
-    )
-    assert doubled == single + single
-    zero = lift_leading_coefficient(
-        LiftCheckInput(theta - theta, base.z, base.z_prime, base.lam)
-    )
-    assert not zero
+    single = lift_coefficient(theta, FIXTURE_LAM)
+    assert lift_coefficient(theta + theta, FIXTURE_LAM) == single + single
+
+
+def test_lift_needs_a_multiplier_eigenvector():
+    theta = theta_vector(fixture_plane())
+    with pytest.raises(ValueError, match="not an eigenvector"):
+        lift_coefficient(theta + w0_vector(), FIXTURE_LAM)
+    with pytest.raises(ValueError, match="zero vector"):
+        lift_coefficient(theta - theta, FIXTURE_LAM)
 
 
 def test_theta0_lift_value_is_reported():
     lat = ambient_lattice()
     lam = lat.vector(e2=HALF, f2=HALF, a1=HALF)
     assert lat.norm(lam) == HALF
-    inp = LiftCheckInput(w0_vector(), lat.vector(e1=1), lat.vector(f1=HALF), lam)
-    value = lift_leading_coefficient(inp, eta_exponent=6)
-    assert value == Cyclotomic.coerce(-2)
+    assert lift_coefficient(w0_vector(), lam) == Cyclotomic.coerce(-2)
 
 
 def test_lift_input_validation():
     lat = ambient_lattice()
     theta = theta_vector(fixture_plane())
-    good = fixture_lift_input()
-    with pytest.raises(ValueError, match="integral"):
-        lift_leading_coefficient(
-            LiftCheckInput(theta, lat.vector(e1=HALF), good.z_prime, good.lam)
-        )
-    with pytest.raises(ValueError, match="primitive"):
-        lift_leading_coefficient(
-            LiftCheckInput(theta, lat.vector(e1=2), good.z_prime, good.lam)
-        )
-    with pytest.raises(ValueError, match="isotropic"):
-        lift_leading_coefficient(
-            LiftCheckInput(theta, lat.vector(a1=1), good.z_prime, good.lam)
-        )
-    with pytest.raises(ValueError, match="pair to 1"):
-        lift_leading_coefficient(
-            LiftCheckInput(theta, good.z, lat.vector(f2=HALF), good.lam)
-        )
+    with pytest.raises(ValueError, match="wrong length"):
+        lift_coefficient(theta, FIXTURE_LAM[:5])
     with pytest.raises(ValueError, match="orthogonal"):
-        lift_leading_coefficient(
-            LiftCheckInput(theta, good.z, good.z_prime, lat.vector(f1=1, e2=HALF, f2=1, a1=HALF))
-        )
+        lift_coefficient(theta, lat.vector(f1=1, e2=HALF, f2=1, a1=HALF))
+    with pytest.raises(ValueError, match="orthogonal"):
+        lift_coefficient(theta, lat.vector(e1=1, e2=HALF, f2=1, a1=HALF))
     with pytest.raises(ValueError, match="positive norm"):
-        lift_leading_coefficient(
-            LiftCheckInput(theta, good.z, good.z_prime, lat.vector(a1=HALF))
-        )
+        lift_coefficient(theta, lat.vector(a1=HALF))
     with pytest.raises(ValueError, match="dual"):
-        lift_leading_coefficient(
-            LiftCheckInput(theta, good.z, good.z_prime, lat.vector(e2=Fraction(1, 4), f2=1))
-        )
+        lift_coefficient(theta, lat.vector(e2=Fraction(1, 4), f2=1))
 
 
-def test_lift_input_with_a_divisible_lam_is_rejected():
-    # lam = 2 * (e2/2 + f2 + a1/2): the n = 2 term of the coefficient is not summed
-    good = fixture_lift_input()
-    lam = ambient_lattice().vector(e2=1, f2=2, a1=1)
-    assert lam == tuple(2 * x for x in good.lam)
-    with pytest.raises(ValueError, match=r"^lam/2 lies in the dual"):
-        lift_leading_coefficient(LiftCheckInput(good.theta, good.z, good.z_prime, lam))
+def test_lift_expansion_is_capped_at_max_terms():
+    # q(e2/2 + y f2 + a1/2) - 18/24 = y - 1
+    lat = ambient_lattice()
+    theta = theta_vector(fixture_plane())
+    edge = lat.vector(e2=HALF, f2=MAX_TERMS + 1, a1=HALF)
+    assert lift_coefficient(theta, edge) == (
+        -eta_power(18, MAX_TERMS).coefficient(MAX_TERMS))
+    beyond = lat.vector(e2=HALF, f2=MAX_TERMS + 2, a1=HALF)
+    with pytest.raises(ValueError, match=f"beyond MAX_TERMS = {MAX_TERMS}"):
+        lift_coefficient(theta, beyond)
+
+
+def test_lift_sums_every_divisor_of_lam():
+    # lam = 2 mu for the fixture point mu: the n = 1 term vanishes since
+    # q(2 mu) - 3/4 = 9/4, and the n = 2 term is 2^9 theta(mu) = -512
+    theta = theta_vector(fixture_plane())
+    assert lift_coefficient(theta, tuple(2 * x for x in FIXTURE_LAM)) == (
+        Cyclotomic.coerce(-512))
+    # lam = 3 mu: both terms count, theta(3 mu) c(6) and 3^9 theta(mu) c(0)
+    c6 = eta_power(18, 6).coefficient(6)
+    assert lift_coefficient(theta, tuple(3 * x for x in FIXTURE_LAM)) == (
+        -c6 - 3 ** 9)
 
 
 # ---------------------------------------------------------------------------
@@ -337,6 +360,12 @@ def test_theta0_identities():
     assert "reflection" in report["notation_note"]
 
 
+ADDITIVE_LIFTS_DEMO_SHA256 = (
+    "198fc741ce975f31dd7364e240a863e8a5dd3b7c441c210d77e83c5097e6ea29"
+)
+
+
 def test_additive_lifts_demo_runs():
     out = run_demo("05_additive_lifts.py")
     assert "leading lift coefficient: Cyc(-1) (nonzero)\n" in out
+    assert hashlib.sha256(out.encode()).hexdigest() == ADDITIVE_LIFTS_DEMO_SHA256
