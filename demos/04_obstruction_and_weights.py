@@ -4,8 +4,8 @@ The story: the weight-3 dual action only sees the six class types, so the
 obstruction space lives inside a 6-dimensional representation.  A standard
 dimension count gives 2, and both dimensions are realized by explicit
 Eisenstein series whose Fourier coefficients are validated against a
-numeric double sum.  Pairing the Eisenstein coefficients with each divisor
-yields the weights of the four product expansions.
+numeric double sum.  Each divisor family is a whole value class, so the
+weight of its product is that class's aggregate Eisenstein coefficient.
 """
 
 import math
@@ -13,13 +13,12 @@ import math
 from igusa.exact import CYC_I, Cyclotomic
 from igusa.obstruction import (
     TYPE_ORDER,
-    borcherds_weight,
+    borcherds_weights_table,
     collapsed_rep,
     cusp_dimension,
     dimension_formula_data,
     eisenstein_G3,
     f_tuple,
-    heegner_divisor,
     numeric_double_sum,
 )
 
@@ -50,7 +49,7 @@ def main():
 
     print()
     print("=== One Eisenstein series against its oracle ===")
-    series = eisenstein_G3(1, 0, terms=16)
+    series = eisenstein_G3(1, 0)
     shown = {str(e): repr(c)
              for e, c in sorted(series.terms.items()) if c}
     print(f"series (1,0) nonzero coefficients: {shown}")
@@ -63,7 +62,7 @@ def main():
 
     print()
     print("=== Aggregated components ===")
-    components = f_tuple(terms=4, validate=False)
+    components = f_tuple()
     for label, comp in components.items():
         text = " + ".join(
             f"({coeff!r}) q^{exp}" for exp, coeff in sorted(comp.terms.items())
@@ -72,9 +71,7 @@ def main():
 
     print()
     print("=== Product weights ===")
-    for name in ("kappa", "3/2", "1", "1/2"):
-        divisor = heegner_divisor(name)
-        weight = borcherds_weight(divisor)
+    for name, weight in borcherds_weights_table().items():
         assert weight.denominator == 1
         print(f"  divisor family {name:>5}: weight {int(weight):2d}")
 

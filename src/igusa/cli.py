@@ -125,8 +125,9 @@ def _validate(parser: argparse.ArgumentParser, args) -> None:
         from .lifting import MAX_TERMS
 
         if args.terms > MAX_TERMS:
-            parser.error(f"--terms must be at most {MAX_TERMS} (the eta "
-                         "expansions grow like the square of the terms)")
+            parser.error(f"--terms must be at most {MAX_TERMS} (the "
+                         "eta-product oracle grows like the square of the "
+                         "terms)")
     if not 0 < args.tolerance < 1:
         # at 1 or above the zero series would pass the relative test
         parser.error("--tolerance must lie strictly between 0 and 1")

@@ -367,11 +367,6 @@ CYC_I = Cyclotomic.root(6)
 _EXP_DEN = 4  # q-series exponents live in (1/4)Z
 
 
-def _quarters(exponent: Fraction) -> int:
-    """4 * exponent for an exponent in (1/4)Z."""
-    return exponent.numerator * (_EXP_DEN // exponent.denominator)
-
-
 class QSeries:
     """Truncated series in q with exponents in (1/4)Z and cyclotomic
     coefficients. Exponents >= truncation are unknown, not zero."""
@@ -398,37 +393,16 @@ class QSeries:
     def zero(cls, truncation) -> "QSeries":
         return cls({}, truncation)
 
-    @classmethod
-    def one(cls, truncation) -> "QSeries":
-        return cls({Fraction(0): CYC_ONE}, truncation)
-
-    @classmethod
-    def monomial(cls, exponent, coeff=1, truncation=None) -> "QSeries":
-        if truncation is None:
-            raise ValueError("monomial needs an explicit truncation")
-        return cls({Fraction(exponent): coeff}, truncation)
-
     def coefficient(self, exponent) -> Cyclotomic:
         expo = Fraction(exponent)
         if expo >= self.truncation:
             raise ValueError(f"coefficient at {expo} is beyond truncation {self.truncation}")
         return self.terms.get(expo, CYC_ZERO)
 
-    @property
-    def leading_exponent(self) -> Fraction:
-        # for an all-zero prefix the first unknown exponent is the truncation
-        return min(self.terms) if self.terms else self.truncation
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, QSeries):
             return NotImplemented
         return self.terms == other.terms and self.truncation == other.truncation
-
-    def __hash__(self) -> int:
-        return hash((frozenset(self.terms.items()), self.truncation))
-
-    def __neg__(self) -> "QSeries":
-        return QSeries({e: -c for e, c in self.terms.items()}, self.truncation)
 
     def __add__(self, other: "QSeries") -> "QSeries":
         if not isinstance(other, QSeries):
@@ -439,69 +413,14 @@ class QSeries:
             acc[e] = acc.get(e, CYC_ZERO) + c
         return QSeries(acc, trunc)
 
-    def __sub__(self, other: "QSeries") -> "QSeries":
-        return self + (-other)
-
-    def scale(self, factor: Scalar) -> "QSeries":
-        factor = _coerce(factor)
+    def __mul__(self, other) -> "QSeries":
+        """The series times a scalar; series are never multiplied together."""
+        factor = _coerce(other)
+        if factor is None:
+            return NotImplemented
         return QSeries({e: c * factor for e, c in self.terms.items()}, self.truncation)
 
-    def __mul__(self, other) -> "QSeries":
-        if not isinstance(other, QSeries):
-            factor = _coerce(other)
-            if factor is None:
-                return NotImplemented
-            return self.scale(factor)
-        trunc = min(self.truncation + other.leading_exponent,
-                    other.truncation + self.leading_exponent)
-        if not self.terms or not other.terms:
-            return QSeries({}, trunc)
-        # slot i of the product is the exponent lead + i/4, known below trunc
-        lead = _quarters(self.leading_exponent) + _quarters(other.leading_exponent)
-        length = math.ceil(trunc * _EXP_DEN) - lead
-        a, da = self._grid(length)
-        b, db = other._grid(length)
-        length = min(length, len(a) + len(b) - 1)
-        num = _packed_product(a, b, (length,), min(len(a), len(b)),
-                              lambda x, y: np.convolve(x, y)[:length])
-        out = object.__new__(QSeries)
-        out.truncation = trunc
-        out.terms = {Fraction(lead + i, _EXP_DEN): Cyclotomic._packed(tuple(row), da * db)
-                     for i, row in enumerate(num.tolist()) if any(row)}
-        return out
-
-    def _grid(self, length: int) -> tuple[np.ndarray, int]:
-        """Numerators (shape (n, 8), n <= length) of the coefficients at the
-        exponents leading_exponent + i/4 for i < length, over their least
-        common denominator; the series must have a term."""
-        lead = _quarters(self.leading_exponent)
-        den = math.lcm(*(c._den for c in self.terms.values()))
-        slots = {}
-        for e, c in self.terms.items():
-            i = _quarters(e) - lead
-            if i < length:
-                slots[i] = [v * (den // c._den) for v in c._num]
-        big = max(abs(v) for row in slots.values() for v in row)
-        num = np.zeros((max(slots) + 1, _DEGREE),
-                       dtype=np.int64 if big < _INT64_LIMIT else object)
-        for i, row in slots.items():
-            num[i] = row
-        return num, den
-
-    __rmul__ = __mul__  # a left factor that is not a QSeries is a scalar
-
-    def __pow__(self, n: int) -> "QSeries":
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("nonnegative integer powers only")
-        out = QSeries.one(self.truncation) if n == 0 else None
-        base = self
-        while n:
-            if n & 1:
-                out = base if out is None else out * base
-            n >>= 1
-            if n:
-                base = base * base
-        return out if out is not None else QSeries.one(self.truncation)
+    __rmul__ = __mul__
 
     def evaluate(self, q_quarter: complex) -> complex:
         """Numeric value with q^(1/4) = q_quarter; used only by oracles."""

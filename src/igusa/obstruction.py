@@ -4,13 +4,14 @@ Summing the components of a vector-valued form over each value class of the
 ambient discriminant group yields a six-dimensional representation of
 SL(2, Z).  This module builds that collapse exactly, evaluates the weight-3
 dimension formula with eigenphase sums, expands the weight-3 level-4
-congruence Eisenstein series, assembles the distinguished six-tuple of
-aggregated Eisenstein components, and pairs divisor data against its Fourier
-coefficients to produce product weights.
+congruence Eisenstein series, and assembles the distinguished six-tuple of
+aggregated Eisenstein components.  Each of the four standard divisor
+families is a whole value class, so the weight of its product is the
+class's aggregate Fourier coefficient in that tuple.
 
 All series coefficients carry the fixed transcendental unit i*(2*pi)^3 / 2^7
 symbolically; the unit is only ever evaluated inside the numeric
-double-sum validation oracle.
+double-sum oracle, `eisenstein_oracle`.
 """
 
 from __future__ import annotations
@@ -35,8 +36,8 @@ from .exact import (
     matrix_eigenphase_multiplicities,
     packed_sum,
 )
-from .fqm import TYPE_ORDER_AMBIENT, element_types, pairing_table, type_census
-from .weil import ambient_module, ambient_orthogonal_group, weil_generator
+from .fqm import TYPE_ORDER_AMBIENT, element_types, pairing_table
+from .weil import ambient_module, weil_generator
 
 __all__ = [
     "TYPE_ORDER",
@@ -47,15 +48,10 @@ __all__ = [
     "cusp_dimension",
     "eisenstein_G3",
     "numeric_double_sum",
+    "eisenstein_oracle",
     "E_LABELS",
     "f_tuple",
     "transformation_bookkeeping",
-    "class_orbits",
-    "type_orbit_check",
-    "per_element_coefficient",
-    "DivisorSpec",
-    "heegner_divisor",
-    "borcherds_weight",
     "borcherds_weights_table",
 ]
 
@@ -300,74 +296,54 @@ def numeric_double_sum(a1: int, a2: int, box: int = 1600) -> complex:
 
 _SERIES_UNIT = 1j * (2 * math.pi) ** 3 / 2**7
 
-
-def _validate_expansion(series: QSeries, a1: int, a2: int, box: int,
-                        tolerance: float) -> None:
-    approx = _SERIES_UNIT * series.evaluate(math.exp(-math.pi / 2))
-    direct = numeric_double_sum(a1, a2, box=box)
-    scale = max(abs(direct), abs(approx))
-    if scale == 0:
-        raise ValueError("numeric oracle degenerate: both sides vanish")
-    if abs(direct - approx) > tolerance * scale:
-        raise ValueError(
-            f"series for ({a1}, {a2}) disagrees with the double-sum oracle: "
-            f"|{direct} - {approx}| > {tolerance} relative"
-        )
+# Every expansion runs through q^(_TERMS/4) = q^4: far enough that its
+# relative truncation error at q^(1/4) = e^(-pi/2), below 1e-8, is under a
+# tenth of the double sum's own error at the default box.
+_TERMS = 16
 
 
-def eisenstein_G3(a1: int, a2: int, terms: int = 16, *, box: int = 1600,
-                  tolerance: float = 1e-6, validate: bool = True
-                  ) -> QSeries:
+@lru_cache(maxsize=None)
+def eisenstein_G3(a1: int, a2: int) -> QSeries:
     """The q-expansion of the weight-3 level-4 congruence Eisenstein series
-    for the residue pair (a1, a2) mod 4, through the coefficient of
-    q^(terms/4), in units of i*(2*pi)^3 / 2^7.
-
-    The expansion is validated against the numeric double sum at tau = i
-    unless validate is False; disagreement raises ValueError, and so does a
-    tolerance of 1 or more (or NaN), which the zero series would meet.
-    Expansions and validations are cached on the reduced residues and the
-    other arguments, however written, so shorter truncations and
-    unvalidated calls reuse the same expansion.
-    """
-    a1 %= 4
-    a2 %= 4
+    for the residue pair (a1, a2) mod 4, through the coefficient of q^4, in
+    units of i*(2*pi)^3 / 2^7.  `eisenstein_oracle` checks the expansions
+    against the numeric double sum."""
+    if not (0 <= a1 < 4 and 0 <= a2 < 4):
+        return eisenstein_G3(a1 % 4, a2 % 4)  # one expansion per reduced pair
     if (a1, a2) == (0, 0):
         raise ValueError(
             "the pair (0, 0) sums to zero identically: opposite pairs cancel"
         )
-    if not 1 <= terms <= 64:
-        raise ValueError("terms must lie between 1 and 64")
-    if validate and not tolerance < 1:
-        raise ValueError(f"tolerance {tolerance} makes the oracle vacuous: "
-                         "it must be below 1")
-    # Always expand far enough that the oracle's series truncation error is
-    # far below the tolerance at q^(1/4) = e^(-pi/2).
-    work = max(terms, 16)
-    full = _eisenstein_G3(a1, a2, work)
-    if validate:
-        _validated(a1, a2, work, box, tolerance)
-    if terms < work:
-        cutoff = Fraction(terms + 1, 4)
-        full = QSeries(
-            {e: c for e, c in full.terms.items() if e < cutoff}, cutoff
-        )
-    return full
-
-
-@lru_cache(maxsize=None)
-def _eisenstein_G3(a1, a2, work) -> QSeries:
-    """The expansion through the coefficient of q^(work/4)."""
     data = {}
     if a1 == 0:
         data[Fraction(0)] = _CONSTANT_TERMS[a2]
-    for j in range(1, work + 1):
+    for j in range(1, _TERMS + 1):
         data[Fraction(j, 4)] = _fourier_coefficient(j, a1, a2)
-    return QSeries(data, Fraction(work + 1, 4))
+    return QSeries(data, Fraction(_TERMS + 1, 4))
 
 
-@lru_cache(maxsize=None)
-def _validated(a1, a2, work, box, tolerance) -> None:
-    _validate_expansion(_eisenstein_G3(a1, a2, work), a1, a2, box, tolerance)
+def eisenstein_oracle(tolerance: float = 1e-6) -> int:
+    """Check each of the six expansions in E_LABELS against
+    `numeric_double_sum` at tau = i, to the given relative tolerance, and
+    return the number of series checked.  The tolerance must lie in (0, 1):
+    at 0 or below no truncated sum can meet it, and at 1 or more even the
+    zero series would.  Disagreement raises ValueError."""
+    if not 0 < tolerance < 1:  # NaN fails both comparisons
+        raise ValueError(f"tolerance {tolerance} must lie strictly between "
+                         "0 and 1")
+    q_quarter = math.exp(-math.pi / 2)  # q^(1/4) at tau = i
+    for a1, a2 in E_LABELS:
+        approx = _SERIES_UNIT * eisenstein_G3(a1, a2).evaluate(q_quarter)
+        direct = numeric_double_sum(a1, a2)
+        scale = max(abs(direct), abs(approx))
+        if scale == 0:
+            raise ValueError("numeric oracle degenerate: both sides vanish")
+        if abs(direct - approx) > tolerance * scale:
+            raise ValueError(
+                f"series for ({a1}, {a2}) disagrees with the double-sum "
+                f"oracle: |{direct} - {approx}| > {tolerance} relative"
+            )
+    return len(E_LABELS)
 
 
 # ---------------------------------------------------------------------------
@@ -395,27 +371,19 @@ def _component_matrix(p: Fraction, r: Fraction) -> list:
     ]
 
 
-def f_tuple(p=Fraction(-1), r=Fraction(0), terms: int = 16,
-            validate: bool = True) -> dict:
-    """The six aggregated Eisenstein components as q-expansions, keyed by
-    class label in TYPE_ORDER.  Parameters (p, r) are rational and measured
-    in units of 2^7/(2*pi)^3; the default point (-1, 0) normalizes the
+def f_tuple() -> dict:
+    """The six aggregated Eisenstein components as q-expansions through q^1
+    (truncation 5/4), keyed by class label in TYPE_ORDER, at the parameter
+    point (p, r) = (-1, 0) of `_component_matrix`: it normalizes the
     constant term of the zero-class component to -1/2 and kills every other
     constant term."""
-    p = Fraction(p)
-    r = Fraction(r)
-    hats = [
-        eisenstein_G3(a1, a2, terms, validate=validate)
-        for (a1, a2) in E_LABELS
-    ]
-    coeffs = _component_matrix(p, r)
+    hats = [eisenstein_G3(a1, a2) for (a1, a2) in E_LABELS]
     out = {}
-    for row, t in enumerate(TYPE_ORDER):
-        acc = QSeries.zero(Fraction(terms + 1, 4))
-        for col in range(6):
-            c = coeffs[row][col]
+    for t, row in zip(TYPE_ORDER, _component_matrix(Fraction(-1), Fraction(0))):
+        acc = QSeries.zero(Fraction(5, 4))
+        for c, hat in zip(row, hats):
             if c:
-                acc = acc + hats[col] * c
+                acc = acc + hat * c
         out[t] = acc
     return out
 
@@ -506,141 +474,30 @@ def transformation_bookkeeping() -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Product weights from divisor data
+# Product weights
 # ---------------------------------------------------------------------------
 
-
-def class_orbits(perms: np.ndarray, labels: Sequence[str]) -> np.ndarray:
-    """The orbit of every element under the group whose members are the rows
-    of perms, named by its least element: the orbit of x is column x of the
-    stacked permutations.  Raises ValueError unless the orbits are exactly
-    the value classes given by labels, one orbit per class."""
-    orbit = perms.min(axis=0)
-    kinds = {}
-    for x, o in enumerate(orbit.tolist()):
-        kinds.setdefault(o, set()).add(labels[x])
-    if len(kinds) != len(TYPE_ORDER):
-        raise ValueError(f"expected {len(TYPE_ORDER)} orbits, found {len(kinds)}")
-    if any(len(k) != 1 for k in kinds.values()):
-        raise ValueError("an orbit mixes distinct value classes")
-    return orbit
-
-
-@lru_cache(maxsize=1)
-def type_orbit_check() -> bool:
-    """The orthogonal group of the ambient discriminant form is transitive
-    on each value class: its orbit partition, read off the stacked
-    permutations of all 1440 members (``class_orbits``), equals the class
-    partition.  This justifies recovering a per-element Fourier coefficient
-    as the class aggregate divided by the class size."""
-    class_orbits(ambient_orthogonal_group(), element_types(ambient_module()))
-    return True
-
-
-def per_element_coefficient(element: int, exponent) -> Fraction:
-    """Fourier coefficient of the normalized Eisenstein tuple at a single
-    group element: the class aggregate divided by the class size, justified
-    by class transitivity of the orthogonal group.  No report check reads a
-    single element's coefficient; the tests check the even split here."""
-    type_orbit_check()
-    A = ambient_module()
-    labels = element_types(A)
-    if not 0 <= element < A.size:
-        raise ValueError(f"element index {element} out of range")
-    t = labels[element]
-    coeff = f_tuple()[t].coefficient(Fraction(exponent))
-    if not coeff.is_rational:
-        raise ValueError("aggregate coefficient is not rational")
-    return coeff.as_rational() / type_census(A)[t]
-
-
-# Admissible negative norms by value class, matching the half-period of each
-# aggregated component's exponent lattice.
-_ALLOWED_NORM = {
-    "10": Fraction(-1),
-    "1": Fraction(-1),
-    "3/2": Fraction(-1, 2),
-    "1/2": Fraction(-3, 2),
+# The four standard divisor families, each a whole value class t at the
+# negative norm n of its vectors: the characteristic-element family
+# ("kappa", the one-element class "10") and three full value classes.
+_FAMILIES = {
+    "kappa": ("10", Fraction(-1)),
+    "3/2": ("3/2", Fraction(-1, 2)),
+    "1": ("1", Fraction(-1)),
+    "1/2": ("1/2", Fraction(-3, 2)),
 }
 
 
-@dataclass(frozen=True)
-class DivisorSpec:
-    """Integer combination of norm-labelled divisor families.  Each entry is
-    (key, n, multiplicity) where key is a value-class label or a single
-    group-element index, and n is the (negative) norm of the family."""
-
-    entries: tuple
-
-    @classmethod
-    def from_entries(cls, entries) -> "DivisorSpec":
-        norm = []
-        for key, n, mult in entries:
-            if not isinstance(key, str):
-                key = int(key)
-            norm.append((key, Fraction(n), int(mult)))
-        return cls(tuple(norm))
-
-
-def heegner_divisor(name: str) -> DivisorSpec:
-    """The four standard divisor families: the characteristic-element family
-    ("kappa", the class "10") and the three full value-class families, each
-    at its admissible norm."""
-    if name == "10" or name not in (*_ALLOWED_NORM, "kappa"):
-        raise ValueError(f"unknown divisor family {name!r}")
-    key = "10" if name == "kappa" else name
-    return DivisorSpec.from_entries(((key, _ALLOWED_NORM[key], 1),))
-
-
-def borcherds_weight(divisor: DivisorSpec) -> Fraction:
-    """Weight of a product with the given divisor: the pairing of divisor
-    multiplicities against the Fourier coefficients of the normalized
-    Eisenstein tuple, at exponent -n/2 for a family of norm n.  Per-element
-    coefficients are class aggregates divided by class size."""
-    return _pair_divisor(divisor, f_tuple(terms=8))
-
-
-def _pair_divisor(divisor: DivisorSpec, series: dict) -> Fraction:
-    """The weight of ``borcherds_weight`` from the built Eisenstein tuple."""
-    type_orbit_check()
-    A = ambient_module()
-    labels = element_types(A)
-    sizes = type_census(A)
-    total = Fraction(0)
-    for key, n, mult in divisor.entries:
-        if isinstance(key, str):
-            t = key
-            if t not in TYPE_ORDER:
-                raise ValueError(f"unknown value-class label {t!r}")
-            members = sizes[t]
-        else:
-            if not 0 <= key < A.size:
-                raise ValueError(f"element index {key} out of range")
-            t = labels[key]
-            members = 1
-        if t in ("00", "0"):
-            raise ValueError(
-                f"class {t} is isotropic and admits no divisor family"
-            )
-        if Fraction(n) != _ALLOWED_NORM[t]:
-            raise ValueError(
-                f"norm {n} incompatible with class {t}; expected "
-                f"{_ALLOWED_NORM[t]}"
-            )
-        aggregate = series[t].coefficient(-Fraction(n) / 2)
-        if not aggregate.is_rational:
-            raise ValueError("aggregate coefficient is not rational")
-        share = aggregate.as_rational() / sizes[t]
-        total += share * members * mult
-    return total
-
-
 def borcherds_weights_table() -> dict:
-    """Weights of the four standard divisor families: exact pairings with
-    the Eisenstein components, so their float validation is left to the
-    caller's own tolerance."""
-    series = f_tuple(terms=8, validate=False)
-    return {
-        name: _pair_divisor(heegner_divisor(name), series)
-        for name in ("kappa", "3/2", "1", "1/2")
-    }
+    """Weights of the products with the four standard divisor families: the
+    aggregate Fourier coefficient of f_tuple()[t] at q^(-n/2) for the
+    family of class t and norm n.  Exact, so no numeric oracle runs."""
+    series = f_tuple()
+    weights = {}
+    for name, (t, n) in _FAMILIES.items():
+        coeff = series[t].coefficient(-n / 2)
+        if not coeff.is_rational:
+            raise ValueError(f"aggregate coefficient of class {t} is not "
+                             "rational")
+        weights[name] = coeff.as_rational()
+    return weights

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from igusa.cli import _validate, build_parser, main
-from igusa.exact import CYC_I, Cyclotomic, QSeries
+from igusa.exact import CYC_I, Cyclotomic
 from igusa.report import (
     CheckResult,
     SuiteRunner,
@@ -22,6 +22,8 @@ from igusa.report import _first_mismatch, _plain
 from igusa.geometry import MAX_TRIALS
 from igusa.lifting import MAX_TERMS
 from igusa.restriction import MAX_BOX
+
+from helpers import run_demo
 
 
 # ---------------------------------------------------------------------------
@@ -37,11 +39,6 @@ def test_plain_serialization_of_exact_values():
     assert _plain(-CYC_I) == "-i"
     assert _plain(Cyclotomic(8) * CYC_I) == "8i"
     assert _plain(Cyclotomic(-8) * CYC_I) == "-8i"
-    series = QSeries({Fraction(0): Cyclotomic(Fraction(-1, 2)),
-                      Fraction(1): Cyclotomic(10)}, Fraction(5, 4))
-    plain = _plain(series)
-    assert plain["coefficients"] == {"0": "-1/2", "1": 10}
-    assert plain["truncation_exponent"] == "5/4"
     assert _plain((1, frozenset({3, 2}))) == [1, [2, 3]]
 
 
@@ -388,6 +385,29 @@ def test_cli_restriction_report_is_pinned(capsys):
     assert main(["restriction", "--box", "7", "--seed", "0"]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == RESTRICTION_SHA256
+
+
+OBSTRUCTION_LOOSE_SHA256 = (
+    "186be8beb091eec3b02866a3d03327e7286b87d38c91b8d5725b0c4f9de61999"
+)
+
+
+def test_cli_obstruction_loose_tolerance_report_is_pinned(capsys):
+    # the numeric oracle at a looser tolerance than the default
+    assert main(["obstruction", "--tolerance", "1e-3"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == OBSTRUCTION_LOOSE_SHA256
+
+
+OBSTRUCTION_DEMO_SHA256 = (
+    "903e1836a9158fd9830d16a04a6146e3cf508efcac0b2ef5af676fd0cbbba5fd"
+)
+
+
+def test_obstruction_demo_output_is_pinned():
+    # every line demo 04 prints, the weights and components included
+    out = run_demo("04_obstruction_and_weights.py")
+    assert hashlib.sha256(out.encode()).hexdigest() == OBSTRUCTION_DEMO_SHA256
 
 
 LIFTING_MAX_TERMS_SHA256 = (

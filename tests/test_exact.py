@@ -319,123 +319,17 @@ if HAVE_HYPOTHESIS:
 # ---------------------------------------------------------------------------
 
 
-def test_monomial_products():
-    q34 = QSeries.monomial(Fraction(3, 4), truncation=Fraction(4))
-    q14 = QSeries.monomial(Fraction(1, 4), truncation=Fraction(4))
-    prod = q34 * q14
-    assert prod.coefficient(Fraction(1)) == CYC_ONE
-    assert prod.leading_exponent == Fraction(1)
-
-
-def test_difference_of_squares():
-    one = QSeries.one(truncation=Fraction(5))
-    q = QSeries.monomial(Fraction(1), truncation=Fraction(5))
-    prod = (one - q) * (one + q)
-    assert prod.coefficient(Fraction(0)) == CYC_ONE
-    assert prod.coefficient(Fraction(1)) == CYC_ZERO
-    assert prod.coefficient(Fraction(2)) == -CYC_ONE
-
-
-def test_hand_expanded_square():
-    # (q^{3/4}(1 - 18q))^2 = q^{3/2}(1 - 36q + 324q^2), truncation-aware
-    t = Fraction(4)
-    f = QSeries.monomial(Fraction(3, 4), truncation=t) - 18 * QSeries.monomial(
-        Fraction(7, 4), truncation=t
-    )
-    sq = f * f
-    assert sq.coefficient(Fraction(3, 2)) == CYC_ONE
-    assert sq.coefficient(Fraction(5, 2)) == Cyclotomic(-36)
-    assert sq.coefficient(Fraction(7, 2)) == Cyclotomic(324)
-
-
-def test_truncation_propagates_through_products():
-    # a is known to O(q^2), b has leading exponent 1: product known to O(q^3)
-    a = QSeries.one(truncation=Fraction(2))
-    b = QSeries.monomial(Fraction(1), truncation=Fraction(10))
-    prod = a * b
-    assert prod.truncation == Fraction(3)
-    assert prod.coefficient(Fraction(1)) == CYC_ONE
-    with pytest.raises(ValueError):
-        prod.coefficient(Fraction(3))
-
-
 def test_exponent_denominator_guard():
     with pytest.raises(ValueError):
-        QSeries.monomial(Fraction(1, 3), truncation=Fraction(2))
+        QSeries({Fraction(1, 3): 1}, Fraction(2))
 
 
 def test_evaluate_matches_terms():
-    s = QSeries.monomial(Fraction(1, 4), truncation=Fraction(2)) + 5 * QSeries.monomial(
-        Fraction(1), truncation=Fraction(2)
+    s = QSeries({Fraction(1, 4): 1}, Fraction(2)) + 5 * QSeries(
+        {Fraction(1): 1}, Fraction(2)
     )
     val = s.evaluate(0.1 + 0j)  # argument is q^{1/4}
     assert abs(val - (0.1 + 5 * 0.1**4)) < 1e-12
-
-
-def reference_series_product(a: QSeries, b: QSeries) -> QSeries:
-    """The dict double loop that QSeries.__mul__ ran before the packed
-    convolution: every pair of terms, cut at the product's truncation."""
-    trunc = min(a.truncation + b.leading_exponent, b.truncation + a.leading_exponent)
-    acc = {}
-    for ea, ca in a.terms.items():
-        for eb, cb in b.terms.items():
-            e = ea + eb
-            if e >= trunc:
-                continue
-            acc[e] = acc.get(e, CYC_ZERO) + ca * cb
-    return QSeries(acc, trunc)
-
-
-def test_series_product_past_int64_matches_the_double_loop(rungs):
-    # one product (2^29 + 1)^2 fits int64 with room to spare, but 62 of them
-    # land on q^(57/4): the Python-integer rung, chosen by the term count
-    big = 2**29 + 1
-    a = QSeries({Fraction(k, 4): big for k in range(-2, 60)}, Fraction(16))
-    prod = a * a
-    assert rungs == [np.dtype(object)]
-    assert prod == reference_series_product(a, a)
-    assert prod.truncation == Fraction(31, 2)
-    assert prod.coefficient(Fraction(57, 4)) == Cyclotomic(62 * big**2)
-    assert big**2 * exact._PRODUCT_SPREAD < 2**63 < 62 * big**2
-
-
-def test_series_product_with_the_zero_series():
-    a = QSeries({Fraction(-1, 4): 3, Fraction(1): CYC_I}, Fraction(5, 2))
-    zero = QSeries.zero(Fraction(2))  # leading exponent = truncation = 2
-    for prod in (a * zero, zero * a):
-        assert prod == reference_series_product(a, zero)
-        assert not prod.terms and prod.truncation == Fraction(7, 4)
-        assert prod.leading_exponent == prod.truncation
-
-
-if HAVE_HYPOTHESIS:
-    series_coefficients = st.one_of(
-        st.just(CYC_ZERO),
-        cyclotomics(),
-        st.integers(-2**70, 2**70).map(Cyclotomic),
-        st.tuples(st.integers(-2**70, 2**70), st.integers(0, 23)).map(
-            lambda p: p[0] * Cyclotomic.root(p[1])),
-    )
-
-    @st.composite
-    def series(draw):
-        # truncations in (1/12)Z, so some fall between the quarter exponents;
-        # terms at or past the truncation are dropped, which leaves an
-        # all-zero prefix (leading exponent = truncation) when every term is
-        truncation = Fraction(draw(st.integers(-24, 72)), 12)
-        exponents = draw(st.lists(st.integers(-12, 24), max_size=10, unique=True))
-        return QSeries({Fraction(k, 4): draw(series_coefficients) for k in exponents},
-                       truncation)
-
-    @given(series(), series())
-    @settings(max_examples=200, deadline=None)
-    def test_series_product_matches_the_double_loop(a, b):
-        prod = a * b
-        expected = reference_series_product(a, b)
-        assert prod == expected and b * a == expected
-        assert prod.truncation == expected.truncation
-        assert prod.leading_exponent == expected.leading_exponent
-        assert all(c and e < prod.truncation for e, c in prod.terms.items())
 
 
 # ---------------------------------------------------------------------------
@@ -639,21 +533,6 @@ def test_products_of_non_contiguous_operands_match_the_scalar_reference():
     column = CycArray(component_major(a.num)[:, 1], a.den)
     assert b.apply(column) == CycArray.from_values(
         reference_apply(b, [a.entry(i, 1) for i in range(_N)]))
-
-
-def test_series_convolution_kernel_matches_the_double_loop():
-    # the `QSeries.__mul__` path: np.convolve of component planes, cut at
-    # the product's length; b's rows are a strided slice
-    rng = np.random.default_rng(5)
-    a = rng.integers(-9, 9, size=(6, 8), endpoint=True)
-    b = rng.integers(-9, 9, size=(8, 8), endpoint=True)[::2]
-    length = 7
-    packed = exact._packed_product(a, b, (length,), len(b),
-                                   lambda x, y: np.convolve(x, y)[:length])
-    ca, cb = CycArray(a), CycArray(b)
-    expected = [sum((ca.entry(i) * cb.entry(s - i) for i in range(len(a))
-                     if 0 <= s - i < len(b)), CYC_ZERO) for s in range(length)]
-    assert [CycArray(packed).entry(s) for s in range(length)] == expected
 
 
 def _holding_int64_min() -> CycArray:

@@ -14,28 +14,23 @@ from igusa.exact import (
     QSeries,
     eigenphase_sum,
 )
-from igusa.fqm import element_types, radical_class, reflection
 from igusa import obstruction
 from igusa.obstruction import (
     E_LABELS,
     TYPE_ORDER,
-    DivisorSpec,
-    borcherds_weight,
     borcherds_weights_table,
-    class_orbits,
     collapsed_rep,
     cusp_dimension,
     dimension_formula_data,
     eisenstein_G3,
+    eisenstein_oracle,
     eisenstein_subspace,
     f_tuple,
-    heegner_divisor,
     numeric_double_sum,
-    per_element_coefficient,
     transformation_bookkeeping,
-    type_orbit_check,
 )
-from igusa.weil import ambient_module, ambient_orthogonal_group, weil_generator
+from igusa.report import build_report
+from igusa.weil import weil_generator
 
 from helpers import inverse_by_products, run_demo
 
@@ -145,8 +140,9 @@ def test_obstruction_demo_runs():
 
 
 def test_e2_expansion():
-    series = eisenstein_G3(1, 0, 8)
+    series = eisenstein_G3(1, 0)
     assert isinstance(series, QSeries)
+    assert series.truncation == Fraction(17, 4)  # through q^4
     assert series.coefficient(Fraction(1, 4)) == CYC_ONE
     assert series.coefficient(Fraction(1, 2)) == Cyclotomic(4)
     assert series.coefficient(Fraction(3, 4)) == Cyclotomic(8)
@@ -155,14 +151,14 @@ def test_e2_expansion():
 
 
 def test_e6_expansion():
-    series = eisenstein_G3(2, 1, 8)
+    series = eisenstein_G3(2, 1)
     assert series.coefficient(Fraction(1, 2)) == Cyclotomic(2) * CYC_I
     assert series.coefficient(Fraction(1)) == CYC_ZERO
     assert series.coefficient(Fraction(1, 4)) == CYC_ZERO
 
 
 def test_e1_expansion():
-    series = eisenstein_G3(0, 1, 8)
+    series = eisenstein_G3(0, 1)
     assert series.coefficient(Fraction(0)) == Cyclotomic(Fraction(-1, 2)) * CYC_I
     assert series.coefficient(Fraction(1)) == Cyclotomic(2) * CYC_I
     assert series.coefficient(Fraction(1, 4)) == CYC_ZERO
@@ -171,54 +167,64 @@ def test_e1_expansion():
 def test_divisor_sum_coefficient_by_hand():
     # q^2 coefficient of the (1, 2) series: factorizations 8 = r*m with
     # m = 1 give r = 8 and i^(16) = 1, hence 64; no m = 3 mod 4 divides 8.
-    series = eisenstein_G3(1, 2, 8)
+    series = eisenstein_G3(1, 2)
     assert series.coefficient(Fraction(2)) == Cyclotomic(64)
 
 
 def test_negated_label_gives_negated_series():
     for a1, a2 in E_LABELS:
-        plus = eisenstein_G3(a1, a2, 8)
-        minus = eisenstein_G3((-a1) % 4, (-a2) % 4, 8)
-        assert minus == -plus
+        plus = eisenstein_G3(a1, a2)
+        minus = eisenstein_G3((-a1) % 4, (-a2) % 4)
+        assert minus == plus * -1
 
 
 def test_eisenstein_guards():
-    with pytest.raises(ValueError):
-        eisenstein_G3(0, 0, 8)
-    with pytest.raises(ValueError):
-        eisenstein_G3(1, 0, 0)
-    with pytest.raises(ValueError):
-        eisenstein_G3(1, 0, 65)
+    for a1, a2 in ((0, 0), (4, -8)):
+        with pytest.raises(ValueError, match="zero identically"):
+            eisenstein_G3(a1, a2)
+    # residues however written name one expansion
+    assert eisenstein_G3(5, -2) is eisenstein_G3(1, 2)
 
 
 def test_oracle_disagreement_raises():
-    # an absurd tolerance cannot be met by the truncated double sum
-    with pytest.raises(ValueError, match="double-sum oracle"):
-        eisenstein_G3(1, 2, 8, box=300, tolerance=1e-13)
+    # the truncated double sum at box 1600 agrees to about 1e-7 relative,
+    # so a tolerance of 1e-9 is missed, first by the series (0, 1)
+    with pytest.raises(ValueError, match=r"series for \(0, 1\) disagrees "
+                       "with the double-sum oracle"):
+        eisenstein_oracle(1e-9)
 
 
-def test_vacuous_tolerance_is_rejected():
-    # at a relative tolerance of 1 or more (or NaN) even the zero series
-    # would meet the oracle, so such a tolerance is refused before it runs
-    for tolerance in (1, 2, 1e6, float("inf"), float("nan")):
-        with pytest.raises(ValueError, match="vacuous"):
-            eisenstein_G3(1, 2, 8, tolerance=tolerance)
-    # an unvalidated expansion does not read the tolerance
-    assert eisenstein_G3(1, 2, 8, tolerance=2, validate=False).terms
+OUT_OF_BOUND_TOLERANCES = (-1.0, 0.0, 1.0, 2.0, float("nan"), float("inf"))
+
+
+def test_vacuous_tolerance_is_rejected(monkeypatch):
+    # at 0 or below no truncated sum meets the tolerance, and at 1 or more
+    # (or NaN) even the zero series would: refused before any sum runs
+    monkeypatch.setattr(obstruction, "numeric_double_sum", None)
+    for tolerance in OUT_OF_BOUND_TOLERANCES:
+        with pytest.raises(ValueError, match="strictly between 0 and 1"):
+            eisenstein_oracle(tolerance)
+
+
+@pytest.mark.parametrize("tolerance", OUT_OF_BOUND_TOLERANCES)
+def test_report_rejects_a_tolerance_outside_the_unit_interval(tolerance):
+    # the bound of --tolerance, not a disagreement blamed on a series
+    with pytest.raises(ValueError, match="strictly between 0 and 1"):
+        build_report("obstruction", tolerance=tolerance)
 
 
 def test_t_rule_on_expansions():
     # shifting tau by one multiplies the coefficient of q^(j/4) by i^j; the
     # result must be the (sign-reduced) series of the label acted on by T
     for src_pos, (a1, a2) in enumerate(E_LABELS):
-        src = eisenstein_G3(a1, a2, 8)
+        src = eisenstein_G3(a1, a2)
         twisted = QSeries(
             {e: c * (CYC_I ** int(4 * e)) for e, c in src.terms.items()},
             src.truncation,
         )
         dst_pos, sign = obstruction._label_action((a1, a2), "T")
-        dst = eisenstein_G3(*E_LABELS[dst_pos], 8)
-        assert twisted == (dst if sign > 0 else -dst)
+        dst = eisenstein_G3(*E_LABELS[dst_pos])
+        assert twisted == dst * sign
 
 
 def test_s_rule_at_numeric_fixed_point():
@@ -258,15 +264,19 @@ def test_double_sum_leaves_out_the_origin():
 
 
 def test_f_tuple_leading_terms():
+    # through q^1 (truncation 5/4), with exactly these terms and no others
     f = f_tuple()
-    assert f["00"].coefficient(Fraction(0)) == Cyclotomic(Fraction(-1, 2))
-    assert f["00"].coefficient(Fraction(1)) == Cyclotomic(10)
-    assert f["0"].coefficient(Fraction(0)) == CYC_ZERO
-    assert f["0"].coefficient(Fraction(1)) == Cyclotomic(120)
-    assert f["1"].coefficient(Fraction(1, 2)) == Cyclotomic(30)
-    assert f["10"].coefficient(Fraction(1, 2)) == Cyclotomic(4)
-    assert f["3/2"].coefficient(Fraction(1, 4)) == Cyclotomic(10)
-    assert f["1/2"].coefficient(Fraction(3, 4)) == Cyclotomic(48)
+    assert list(f) == list(TYPE_ORDER)
+    assert all(series.truncation == Fraction(5, 4) for series in f.values())
+    assert {t: series.terms for t, series in f.items()} == {
+        "00": {Fraction(0): Cyclotomic(Fraction(-1, 2)),
+               Fraction(1): Cyclotomic(10)},
+        "0": {Fraction(1): Cyclotomic(120)},
+        "1": {Fraction(1, 2): Cyclotomic(30)},
+        "10": {Fraction(1, 2): Cyclotomic(4)},
+        "3/2": {Fraction(1, 4): Cyclotomic(10)},
+        "1/2": {Fraction(3, 4): Cyclotomic(48)},
+    }
 
 
 def test_f_tuple_exponent_supports():
@@ -285,9 +295,16 @@ def test_f_tuple_exponent_supports():
 
 
 def test_f_tuple_second_parameter_normalization():
-    f = f_tuple(Fraction(0), Fraction(1))
-    assert f["0"].coefficient(Fraction(0)) == Cyclotomic(Fraction(1, 2))
-    assert f["00"].coefficient(Fraction(0)) == CYC_ZERO
+    # at (p, r) = (0, 1) the zero-class constant term is 1/2 and the
+    # isotropic class 00 has none
+    rows = obstruction._component_matrix(Fraction(0), Fraction(1))
+    constants = [eisenstein_G3(*label).coefficient(0) for label in E_LABELS]
+    constant = {
+        t: sum((c * k for c, k in zip(row, constants)), CYC_ZERO)
+        for t, row in zip(TYPE_ORDER, rows)
+    }
+    assert constant["0"] == Cyclotomic(Fraction(1, 2))
+    assert constant["00"] == CYC_ZERO
 
 
 def test_transformation_bookkeeping():
@@ -305,77 +322,16 @@ def test_bookkeeping_detects_broken_rules(monkeypatch):
         transformation_bookkeeping()
 
 
-def test_type_orbit_partition():
-    assert type_orbit_check() is True
+# The four standard divisor families as (value class, norm).
+FAMILIES = {"kappa": ("10", Fraction(-1)), "3/2": ("3/2", Fraction(-1, 2)),
+            "1": ("1", Fraction(-1)), "1/2": ("1/2", Fraction(-3, 2))}
 
 
-def reference_orbits(gens, size):
-    """Orbit ids by a stack walk over the generating permutation arrays gens,
-    each orbit named by its least element (the first one the walk starts
-    from)."""
-    orbit = np.full(size, -1, dtype=np.int64)
-    for start in range(size):
-        if orbit[start] >= 0:
-            continue
-        stack = [start]
-        orbit[start] = start
-        while stack:
-            x = stack.pop()
-            for g in gens:
-                y = int(g[x])
-                if orbit[y] < 0:
-                    orbit[y] = start
-                    stack.append(y)
-    return orbit
-
-
-def test_class_orbits_match_the_generator_walk():
-    # the 16 reflections in norm-1 classes generate the orthogonal group
-    # (tests/test_fqm.py), so their walk has the group's orbits
-    A = ambient_module()
-    reflections = [reflection(A, x) for x in A.elements() if A.q4[x] == 4]
-    orbit = class_orbits(ambient_orthogonal_group(), element_types(A))
-    assert np.array_equal(orbit, reference_orbits(reflections, A.size))
-    assert len(set(orbit.tolist())) == len(TYPE_ORDER)
-
-
-def test_class_orbits_reject_a_mixed_orbit():
-    A = ambient_module()
-    perms = ambient_orthogonal_group()
-    labels = list(element_types(A))
-    # relabel one norm-1 class as norm 3/2: its orbit now mixes two labels
-    planted = labels.index("1")
-    labels[planted] = "3/2"
-    with pytest.raises(ValueError, match="mixes"):
-        class_orbits(perms, labels)
-    # the identity alone has 64 orbits, not 6
-    with pytest.raises(ValueError, match="expected 6 orbits, found 64"):
-        class_orbits(np.arange(A.size)[None, :], element_types(A))
-
-
-def test_per_element_shares_constant_on_classes():
-    A = ambient_module()
-    labels = element_types(A)
-    exponents = {
-        "00": Fraction(1),
-        "0": Fraction(1),
-        "1": Fraction(1, 2),
-        "10": Fraction(1, 2),
-        "3/2": Fraction(1, 4),
-        "1/2": Fraction(3, 4),
-    }
-    expected = {
-        "00": Fraction(10),
-        "0": Fraction(8),
-        "1": Fraction(2),
-        "10": Fraction(4),
-        "3/2": Fraction(1, 2),
-        "1/2": Fraction(4),
-    }
-    for t in TYPE_ORDER:
-        members = [x for x in range(A.size) if labels[x] == t][:2]
-        shares = {per_element_coefficient(x, exponents[t]) for x in members}
-        assert shares == {expected[t]}
+def test_heegner_divisor_families():
+    # each standard family is one value class at its admissible norm; the
+    # characteristic-element family is the one-element class 10
+    assert obstruction._FAMILIES == FAMILIES
+    assert dict(zip(TYPE_ORDER, collapsed_rep().type_sizes))["10"] == 1
 
 
 def test_weights_table():
@@ -386,6 +342,11 @@ def test_weights_table():
         "1": Fraction(30),
         "1/2": Fraction(48),
     }
+    # each weight is the aggregate coefficient of its class t at q^(-n/2)
+    # for the family norm n
+    f = f_tuple()
+    for name, (t, n) in FAMILIES.items():
+        assert f[t].coefficient(-n / 2) == table[name]
 
 
 @pytest.mark.parametrize("tolerance", [1e-6, 1e-3])
@@ -399,75 +360,13 @@ def test_obstruction_suite_validates_each_series_once(monkeypatch, tolerance):
         calls.append(args)
         return original(*args, **kwargs)
 
-    def clear():
-        obstruction._eisenstein_G3.cache_clear()
-        obstruction._validated.cache_clear()
-
     monkeypatch.setattr(obstruction, "numeric_double_sum", counted)
-    clear()
-    try:
-        runner = SuiteRunner()
-        obstruction_suite(runner, tolerance=tolerance)
-        assert all(check.status == "pass" for check in runner.checks)
-        assert len(calls) == 6
-        # the unvalidated 4-term and validated 8-term tuples share one
-        # expansion per series
-        assert obstruction._eisenstein_G3.cache_info().misses == 6
-        # the same series however written is not validated again ...
-        eisenstein_G3(5, -2, terms=8, tolerance=tolerance)
-        eisenstein_G3(1, 2, 8, box=1600, tolerance=tolerance, validate=True)
-        assert len(calls) == 6
-        # ... but another tolerance or box is
-        eisenstein_G3(1, 2, 8, tolerance=1e-5)
-        eisenstein_G3(1, 2, 8, box=800, tolerance=tolerance)
-        assert len(calls) == 8
-        assert obstruction._eisenstein_G3.cache_info().misses == 6
-    finally:
-        clear()
+    runner = SuiteRunner()
+    obstruction_suite(runner, tolerance=tolerance)
+    assert all(check.status == "pass" for check in runner.checks)
+    assert sorted(calls) == sorted(E_LABELS)
+    # the tuple and the weights are exact: no numeric sum runs for them
+    f_tuple()
+    borcherds_weights_table()
+    assert len(calls) == 6
 
-
-def test_weight_by_single_elements_matches_class_family():
-    A = ambient_module()
-    labels = element_types(A)
-    members = [x for x in range(A.size) if labels[x] == "3/2"]
-    assert len(members) == 20
-    singles = DivisorSpec.from_entries(
-        [(x, Fraction(-1, 2), 1) for x in members]
-    )
-    assert borcherds_weight(singles) == Fraction(10)
-    kappa = radical_class(A)
-    one = DivisorSpec.from_entries(((kappa, Fraction(-1), 1),))
-    assert borcherds_weight(one) == Fraction(4)
-
-
-def test_weight_linearity_and_empty():
-    d1 = heegner_divisor("3/2")
-    d2 = heegner_divisor("1/2")
-    combined = DivisorSpec.from_entries(
-        (("3/2", Fraction(-1, 2), 2), ("1/2", Fraction(-3, 2), -1))
-    )
-    assert borcherds_weight(combined) == 2 * borcherds_weight(d1) - borcherds_weight(d2)
-    assert borcherds_weight(DivisorSpec(())) == 0
-
-
-def test_divisor_validation():
-    with pytest.raises(ValueError, match="isotropic"):
-        borcherds_weight(DivisorSpec.from_entries((("0", Fraction(-1), 1),)))
-    with pytest.raises(ValueError, match="incompatible"):
-        borcherds_weight(DivisorSpec.from_entries((("3/2", Fraction(-1), 1),)))
-    with pytest.raises(ValueError, match="unknown"):
-        borcherds_weight(DivisorSpec.from_entries((("5/2", Fraction(-1), 1),)))
-    with pytest.raises(ValueError, match="out of range"):
-        borcherds_weight(DivisorSpec.from_entries(((64, Fraction(-1), 1),)))
-    for name in ("10", "0", "00", "5/2"):
-        with pytest.raises(ValueError, match="unknown divisor family"):
-            heegner_divisor(name)
-
-
-def test_heegner_divisor_families():
-    # each standard family is one value class at its admissible norm; the
-    # characteristic-element family is the one-element class 10
-    expected = {"kappa": ("10", Fraction(-1)), "3/2": ("3/2", Fraction(-1, 2)),
-                "1": ("1", Fraction(-1)), "1/2": ("1/2", Fraction(-3, 2))}
-    for name, (key, n) in expected.items():
-        assert heegner_divisor(name).entries == ((key, n, 1),)
