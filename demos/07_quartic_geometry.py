@@ -16,6 +16,7 @@ import math
 import random
 from fractions import Fraction
 
+from igusa.exact import clear_denominators
 from igusa.geometry import (
     PAIR_PARTITIONS,
     boundary_points,
@@ -73,8 +74,8 @@ def main():
     print(f"quartic at (1,1,1,1,-2,-2): {on_line}")
     print(f"quartic at (1,-1,0,0,0,0):  {off_line}")
     print(f"pair partitions of six letters: {len(PAIR_PARTITIONS)}")
-    line0 = fifteen_lines()[0]
-    print(f"first line, partition {line0.partition}: coordinates "
+    partition, _ = fifteen_lines()[0]
+    print(f"first line, partition {partition}: coordinates "
           "(a, a, b, b, -a-b, -a-b)")
     sing = singular_inclusion_check()
     print(f"lines inside the singular locus: {sing['lines_in_singular_locus']}"
@@ -115,7 +116,7 @@ def main():
 
     print()
     print("=== The image cubic ===")
-    relation = image_cubic_relation(samples=60, seed=0)
+    relation = image_cubic_relation(seed=0)
     names = [f"y{i}" for i in range(5)]
     print("unique cubic relation among the five basis cubics:")
     print(f"  {poly_to_str(relation, names)} = 0")
@@ -128,18 +129,18 @@ def main():
     point = generic_point()
     print("a generic rational point x on the hyperplane:")
     print(f"  {tuple(str(c) for c in point)}")
-    exact = fibre_curve(point)
-    x = [r for _, r in exact.nodes[1:]]  # base point k at the node (1, x_k)
+    rows = fibre_curve(point)
+    x, _ = clear_denominators(point)
     print(f"cleared of denominators: {tuple(x)}")
     print("its fibre R(s)_i = 6 P_i(s) - sum_k P_k(s), with "
           "P_i(s) = prod_{j != i} (x_j - s),")
     print("in the chart t = 1/s, coefficient rows in ascending powers of t:")
-    for row in exact.X:
+    for row in rows:
         print(f"  {row}")
     print("x sits at t = 0 (row -6x), base point k at t = 1/x_k")
     s = 5
     chart = [sum(c * s ** (4 - k) for k, c in enumerate(row))
-             for row in exact.X]
+             for row in rows]
     on_curve = chart + [-sum(chart)]
     factor = -216 * math.prod(v - s for v in x) ** 2
     cubics = fifteen_cubics()
@@ -148,7 +149,7 @@ def main():
         == factor * int(c.evaluate_rows([x])[0]) for c in cubics)
     print(f"all fifteen cubics at R({s}) are -216 D({s})^2 = {factor} "
           f"times their values at x: {contracted}")
-    composed = exact_quartic_composition(exact)
+    composed = exact_quartic_composition(rows)
     degree = max(i for i, c in enumerate(composed) if c)
     print(f"exact pullback of the quartic along the curve: "
           f"degree {degree} in the parameter, "

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
 from fractions import Fraction
 from operator import mul
 from typing import Iterable, Sequence, Union
@@ -167,6 +168,18 @@ def _galois_num(a: tuple, k: int) -> tuple:
     return tuple(acc)
 
 
+def _rational(value):
+    """An exact rational input as an int or a Fraction: other
+    `numbers.Rational` values, numpy integers among them, become Fractions
+    of Python ints, and anything else, a float or a Decimal included, raises
+    TypeError rather than being read by its binary or decimal expansion."""
+    if isinstance(value, (int, Fraction)):
+        return value
+    if isinstance(value, numbers.Rational):
+        return Fraction(int(value.numerator), int(value.denominator))
+    raise TypeError(f"{value!r} is not an exact rational")
+
+
 class Cyclotomic:
     """An element of the degree-8 field generated by a primitive 24th root of
     unity: 8 integer numerators in the power basis over one positive
@@ -182,8 +195,10 @@ class Cyclotomic:
     def __init__(self, value: Union[int, Fraction, Sequence[Fraction]] = 0):
         if isinstance(value, (int, Fraction)):
             c = [value]
+        elif isinstance(value, numbers.Number):
+            c = [_rational(value)]
         else:
-            c = [v if isinstance(v, (int, Fraction)) else Fraction(v) for v in value]
+            c = [v if isinstance(v, (int, Fraction)) else _rational(v) for v in value]
             if len(c) != _DEGREE:
                 raise ValueError(f"need {_DEGREE} coordinates, got {len(c)}")
         den = math.lcm(*(v.denominator for v in c))
@@ -639,8 +654,9 @@ def _primitive(row: list[int]) -> list[int]:
 
 
 def clear_denominators(values: Iterable) -> tuple[list[int], int]:
-    """Integers X and the least positive denominator d with values == X / d."""
-    values = [v if isinstance(v, (int, Fraction)) else Fraction(v) for v in values]
+    """Integers X and the least positive denominator d with values == X / d;
+    TypeError on a value that is not an exact rational."""
+    values = [v if isinstance(v, (int, Fraction)) else _rational(v) for v in values]
     d = math.lcm(*(v.denominator for v in values))
     return [v.numerator * (d // v.denominator) for v in values], d
 

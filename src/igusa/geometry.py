@@ -20,8 +20,6 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement
 from numbers import Integral
@@ -44,7 +42,6 @@ __all__ = [
     "PAIR_PARTITIONS",
     "LINE_PARAMETERS",
     "canonical_polys",
-    "LineParam",
     "fifteen_lines",
     "boundary_points",
     "incidence_153",
@@ -55,7 +52,6 @@ __all__ = [
     "image_cubic_relation",
     "base_points",
     "base_lines",
-    "ExactCurve",
     "fibre_curve",
     "exact_quartic_composition",
     "poly_is_squarefree",
@@ -75,6 +71,10 @@ MAX_TRIALS = 1000
 # Tolerances of the float oracles: composition residual, root separation.
 _RESIDUAL_TOL = 1e-9
 _SEPARATION_TOL = 1e-6
+
+# Sample rows of the image cubic relation: 35 cubic monomials in five
+# variables and 25 rows to spare.
+_RELATION_SAMPLES = 60
 
 
 # ---------------------------------------------------------------------------
@@ -206,10 +206,6 @@ class MultiPoly:
     def degree(self) -> int:
         return max((sum(e) for e in self.terms), default=-1)
 
-    def is_homogeneous(self) -> bool:
-        degrees = {sum(e) for e in self.terms}
-        return len(degrees) <= 1
-
     def evaluate_rows(self, points) -> np.ndarray:
         """Values at every row of an integer array: the one-polynomial case
         of `evaluate_polys`."""
@@ -339,50 +335,53 @@ LINE_PARAMETERS = ((1, 0), (0, 1), (1, 1), (1, -1), (1, 2))
 def _line_points(lines, degree: int) -> np.ndarray:
     """The points of each line, given by six (coeff_a, coeff_b) pairs, at
     the first degree + 1 parameter pairs: degree + 1 consecutive integer
-    rows per line, in line order."""
+    rows per line, in line order.  ValueError above degree 4, where the five
+    parameter pairs no longer decide an identity."""
+    if degree > len(LINE_PARAMETERS) - 1:
+        raise ValueError(f"degree {degree} needs more than "
+                         f"{len(LINE_PARAMETERS)} parameter pairs")
     pairs = np.array(LINE_PARAMETERS[: degree + 1])
     return (np.array(lines) @ pairs.T).transpose(0, 2, 1).reshape(-1, 6)
 
 
-@dataclass(frozen=True)
-class LineParam:
-    """A line with coordinates that are linear forms in two parameters: the
-    first pair of the partition carries (1,0), the second (0,1), and the
-    third (-1,-1)."""
-
-    partition: tuple
-    coefficients: tuple  # six (coeff_a, coeff_b) pairs of ints
-
-    def contains(self, point) -> bool:
-        """Whether the six coordinates (any nonzero multiple) lie on the
-        line."""
-        return all(
-            point[i] == point[j] for i, j in self.partition
-        ) and sum(point) == 0
+def _on_lines(points, partitions) -> np.ndarray:
+    """Which integer points of the hyperplane lie on which singular lines:
+    a boolean matrix with one row per point and one column per pair
+    partition, true where the point's coordinates agree within every pair of
+    the partition."""
+    points = np.asarray(points)
+    pairs = np.array(partitions)  # lines x 3 pairs x 2 indices
+    # booleans throughout: gathering the coordinates themselves would make
+    # two int64 copies per line of the 3,125-point witness box
+    same = points[:, :, None] == points[:, None, :]
+    return same[:, pairs[..., 0], pairs[..., 1]].all(axis=2)
 
 
 @lru_cache(maxsize=1)
 def fifteen_lines() -> tuple:
     """The fifteen lines with coordinates (a, a, b, b, -a-b, -a-b) up to
-    permutation, one per partition of the six indices into pairs; each is
-    verified to lie identically on the hyperplane, and on the quartic by its
-    values at the five points of `LINE_PARAMETERS`, all in one evaluation."""
+    permutation, one per partition of the six indices into pairs, each as
+    (the partition, six (coeff_a, coeff_b) pairs): the first pair of the
+    partition carries (1, 0), the second (0, 1) and the third (-1, -1).
+    Each is verified to lie identically on the hyperplane, and on the
+    quartic by its values at the five points of `LINE_PARAMETERS`, all in
+    one evaluation."""
     _, quartic = canonical_polys()
     weights = ((1, 0), (0, 1), (-1, -1))  # of the first, second, third pair
-    lines = [LineParam(part, tuple(w for i in range(6) for pair, w in
-                                   zip(part, weights) if i in pair))
-             for part in PAIR_PARTITIONS]
-    coefficients = [line.coefficients for line in lines]
+    lines = tuple((part, tuple(w for i in range(6) for pair, w in
+                               zip(part, weights) if i in pair))
+                  for part in PAIR_PARTITIONS)
+    coefficients = [coeffs for _, coeffs in lines]
     if np.array(coefficients).sum(axis=1).any():
         raise AssertionError("line leaves the hyperplane")
     values = quartic.evaluate_rows(_line_points(coefficients, 4))
     missed = np.flatnonzero(values.reshape(len(lines), -1).any(axis=1))
     if len(missed):
         raise AssertionError(
-            f"line {lines[missed[0]].partition} is not on the quartic")
-    if len({line.partition for line in lines}) != 15:
+            f"line {lines[missed[0]][0]} is not on the quartic")
+    if len({part for part, _ in lines}) != 15:
         raise AssertionError("the fifteen lines must be pairwise distinct")
-    return tuple(lines)
+    return lines
 
 
 @lru_cache(maxsize=1)
@@ -403,11 +402,10 @@ def boundary_points() -> tuple:
 def incidence_153() -> dict:
     """Incidence between the fifteen boundary points and fifteen lines:
     a 15 x 15 zero-one matrix with all row and column sums equal to 3."""
-    lines = fifteen_lines()
+    partitions = tuple(part for part, _ in fifteen_lines())
     points = boundary_points()
-    matrix = tuple(
-        tuple(1 if line.contains(p) else 0 for line in lines) for p in points
-    )
+    matrix = tuple(map(tuple, _on_lines(points, partitions).astype(int)
+                       .tolist()))
     row_sums = [sum(row) for row in matrix]
     col_sums = [sum(row[j] for row in matrix) for j in range(15)]
     if set(row_sums) != {3}:
@@ -419,7 +417,7 @@ def incidence_153() -> dict:
         "row_sums": tuple(row_sums),
         "col_sums": tuple(col_sums),
         "points": points,
-        "lines": tuple(line.partition for line in lines),
+        "lines": partitions,
     }
 
 
@@ -437,20 +435,17 @@ def singular_inclusion_check() -> dict:
     grad = [quartic.partial(i) for i in range(6)]
     lines = fifteen_lines()
     values = evaluate_polys(
-        grad, _line_points([line.coefficients for line in lines], 3))
+        grad, _line_points([coeffs for _, coeffs in lines], 3))
     bent = np.flatnonzero((values != values[:, :1]).any(axis=1))
     if len(bent):
         raise ValueError("gradient not proportional to all-ones on "
-                         f"{lines[bent[0] // 4].partition}")
+                         f"{lines[bent[0] // 4][0]}")
 
     # rational quartic points off every line must have non-constant gradient
     head = np.indices((5,) * 5).reshape(5, -1).T - 2
     box = np.column_stack([head, -head.sum(axis=1)])
     keep = box.any(axis=1) & (quartic.evaluate_rows(box) == 0)
-    # an integer point is on a line when its coordinates agree in pairs
-    for line in lines:
-        keep &= ~np.all([box[:, i] == box[:, j] for i, j in line.partition],
-                        axis=0)
+    keep &= ~_on_lines(box, [part for part, _ in lines]).any(axis=1)
     witnesses = box[keep]
     values = evaluate_polys(grad, witnesses)
     flat = np.flatnonzero(np.all(values == values[:, :1], axis=1))
@@ -478,13 +473,8 @@ def fifteen_cubics() -> tuple:
     with the sign convention: pairs sorted by least element (so the first
     factor involves the first coordinate), minuend the smaller index."""
     xs = [MultiPoly.variable(6, i) for i in range(6)]
-    cubics = []
-    for partition in PAIR_PARTITIONS:
-        poly = MultiPoly.constant(6, 1)
-        for i, j in partition:
-            poly = poly * (xs[i] - xs[j])
-        cubics.append(poly)
-    return tuple(cubics)
+    return tuple(math.prod(xs[i] - xs[j] for i, j in partition)
+                 for partition in PAIR_PARTITIONS)
 
 
 def _cubic_monomials(nvars: int) -> list:
@@ -494,48 +484,37 @@ def _cubic_monomials(nvars: int) -> list:
                   for c in combinations_with_replacement(range(nvars), 3))
 
 
-def _solve_in_span(basis_vectors, targets) -> list:
-    """Coefficients expressing each target as a combination of the basis
-    rows, from one elimination of the system augmented by every target;
-    raises if the basis rows are dependent or a target is outside their
-    span."""
-    k = len(basis_vectors)
-    # row-reduce the transpose, augmented by the targets
-    rows = [list(entries) for entries in zip(*basis_vectors, *targets)]
-    reduced, pivots = integer_echelon(rows, width=k)
-    if len(pivots) != k:
-        raise ValueError("basis rows are dependent")
-    used = {p for p, _ in pivots}
-    if any(any(row[k:]) for i, row in enumerate(reduced) if i not in used):
-        raise ValueError("target outside the span")
-    return [
-        tuple(Fraction(reduced[p][k + j], reduced[p][col]) for p, col in pivots)
-        for j in range(len(targets))
-    ]
-
-
 @lru_cache(maxsize=1)
 def cubic_span() -> dict:
-    """Exact linear algebra on the 15 x 56 coefficient matrix of the fifteen
-    cubics: rank 5, a greedy independent basis, and the expansion of every
-    cubic in that basis (each expansion verified by exact solve, and
-    integral)."""
+    """Exact linear algebra on the coefficient vectors of the fifteen
+    cubics, by one `integer_echelon` of the 56 x 15 matrix whose columns
+    they are: rank 5, the pivot columns as basis (each cubic independent of
+    those before it), and every cubic's integral expansion in that basis,
+    its coefficient on pivot column c being entry / pivot in pivot row p of
+    the reduced matrix.  Certificate: the expansions times the basis vectors
+    rebuild all fifteen coefficient vectors, exactly."""
     monomials = _cubic_monomials(6)
     if len(monomials) != 56:
         raise AssertionError("six-variable cubic monomial count must be 56")
     vectors = [tuple(c.terms.get(m, 0) for m in monomials)
                for c in fifteen_cubics()]
-    _, pivots = integer_echelon(vectors)
+    reduced, pivots = integer_echelon(list(zip(*vectors)))
     rank = len(pivots)
     if rank != 5:
         raise ValueError(f"cubic span has rank {rank}, expected 5")
-    basis_indices = tuple(sorted(p for p, _ in pivots))
-    basis_vectors = [vectors[i] for i in basis_indices]
+    basis_indices = tuple(col for _, col in pivots)
     expansions = []
-    for coeffs in _solve_in_span(basis_vectors, vectors):
-        if any(c.denominator != 1 for c in coeffs):
-            raise ValueError("a cubic has a non-integral expansion")
-        expansions.append(tuple(c.numerator for c in coeffs))
+    for j in range(len(vectors)):
+        coeffs = []
+        for p, col in pivots:
+            coeff, rest = divmod(reduced[p][j], reduced[p][col])
+            if rest:
+                raise ValueError("a cubic has a non-integral expansion")
+            coeffs.append(coeff)
+        expansions.append(tuple(coeffs))
+    basis = np.array([vectors[i] for i in basis_indices])
+    if not np.array_equal(np.array(expansions) @ basis, np.array(vectors)):
+        raise ValueError("the expansions do not rebuild the cubics")
     return {
         "rank": rank,
         "basis_indices": basis_indices,
@@ -692,29 +671,28 @@ def _image_values(points) -> np.ndarray:
                           points)
 
 
-def image_cubic_relation(samples: int = 60, seed: int = 0) -> MultiPoly:
+def image_cubic_relation(seed: int = 0) -> MultiPoly:
     """The unique (up to scale) cubic relation among the five basis cubics:
-    evaluates the basis at random rational hyperplane points, each cleared
-    to integers, and takes the kernel of the samples x 35 integer monomial
-    matrix with `exact.kernel_vector`.  Its certificate makes the nullity
-    exactly 1 over the rationals: nullity 1 modulo a large prime bounds the
-    rank below by 34, and the reconstructed kernel vector, checked exactly
-    against every sample row, bounds it above.  The relation is validated
-    on 50 fresh holdout samples and returned with primitive integer
-    coefficients, its last nonzero coefficient positive."""
-    if samples < 60:
-        raise ValueError("at least 60 samples required")
+    evaluates the basis at 60 random rational hyperplane points with a
+    nonzero image, each cleared to integers, and takes the kernel of the
+    60 x 35 integer monomial matrix with `exact.kernel_vector`.  Its
+    certificate makes the nullity exactly 1 over the rationals: nullity 1
+    modulo a large prime bounds the rank below by 34, and the reconstructed
+    kernel vector, checked exactly against every sample row, bounds it
+    above.  The relation is validated on 50 fresh holdout samples and
+    returned with primitive integer coefficients, its last nonzero
+    coefficient positive."""
     rng = random.Random(seed)
     monomials = _cubic_monomials(5)
     if len(monomials) != 35:
         raise AssertionError("five-variable cubic monomial count must be 35")
 
     rows = []
-    while len(rows) < samples:
+    while len(rows) < _RELATION_SAMPLES:
         # as many draws as rows are missing; the draws with a zero image
         # are skipped, so the rows are those of drawing one at a time
         points = [_random_hyperplane_point(rng)
-                  for _ in range(samples - len(rows))]
+                  for _ in range(_RELATION_SAMPLES - len(rows))]
         for y in _image_values(points).tolist():
             if any(y):
                 powers = [(1, v, v * v, v * v * v) for v in y]
@@ -767,18 +745,7 @@ def image_relation_equivariance(relation: MultiPoly) -> dict:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ExactCurve:
-    """A degree-4 rational curve over the integers: at the parameter
-    t = p / r its i-th chart coordinate is sum_k X[i][k] p^k r^(4-k) up to
-    the factor r^4, and nodes holds the parameters of the seven points it
-    passes through as integer pairs (p, r); r = 0 is t = infinity."""
-
-    X: tuple  # 5 rows of 5 ints, ascending powers
-    nodes: tuple  # 7 (p, r) pairs
-
-
-def fibre_curve(point) -> ExactCurve:
+def fibre_curve(point) -> tuple:
     """The fibre of the cubic map through a rational hyperplane point x
     (cleared of denominators on entry): with P_i(s) = prod_{j != i}
     (x_j - s) and D(s) = prod_j (x_j - s), the degree-4 curve R(s)_i =
@@ -790,11 +757,13 @@ def fibre_curve(point) -> ExactCurve:
     points, the Howard-Millson-Snowden-Vakil coordinates of the Segre
     cubic.
 
-    Returned in the chart t = 1/s (rows reversed): x sits at the node
-    (0, 1), where the row is -6x, and base point k at the node (1, x_k).
-    ValueError if two coordinates x_a = x_b agree: then x and the four
-    base points other than a and b span only a 3-space, so no degree-4
-    rational normal curve passes through the seven points."""
+    Returned as its five integer rows in the chart t = 1/s, in ascending
+    powers of t: at t = p / r the i-th chart coordinate is sum_k row_i[k]
+    p^k r^(4-k) up to the factor r^4, and the sixth is minus their sum.
+    With x cleared, x sits at t = 0, where the rows are -6x, and base point
+    k at t = 1 / x_k.  ValueError if two coordinates x_a = x_b agree: then
+    x and the four base points other than a and b span only a 3-space, so
+    no degree-4 rational normal curve passes through the seven points."""
     x, _ = clear_denominators(point)
     if len(x) != 6 or sum(x):
         raise ValueError("the point must lie on the hyperplane")
@@ -809,8 +778,7 @@ def fibre_curve(point) -> ExactCurve:
         products.append(poly)
     total = [sum(col) for col in zip(*products)]
     rows = [[6 * a - b for a, b in zip(poly, total)] for poly in products]
-    return ExactCurve(tuple(tuple(row[4::-1]) for row in rows[:5]),
-                      ((0, 1), *((1, v) for v in x)))
+    return tuple(tuple(row[4::-1]) for row in rows[:5])
 
 
 def _conv(a, b):
@@ -823,11 +791,12 @@ def _conv(a, b):
     return out
 
 
-def exact_quartic_composition(curve: ExactCurve) -> tuple:
-    """The quartic evaluated along the curve's six ambient coordinate
-    polynomials, as 17 integers (ascending powers): the products over the
-    integer rows X of the curve, divided by their positive content."""
-    rows = [list(r) for r in curve.X]
+def exact_quartic_composition(curve) -> tuple:
+    """The quartic evaluated along the six ambient coordinate polynomials
+    of a curve given by its five integer rows (ascending powers), as 17
+    integers (ascending powers): the products over the rows, divided by
+    their positive content."""
+    rows = [list(r) for r in curve]
     rows.append([-sum(col) for col in zip(*rows)])
     s2 = [0] * 9
     s4 = [0] * 17
@@ -905,12 +874,12 @@ def poly_is_squarefree(poly) -> bool:
     return _prs_is_squarefree(a)
 
 
-def _float_composition_residual(curve: ExactCurve, form) -> float:
+def _float_composition_residual(curve, form) -> float:
     """Worst coefficient gap between the exact form and a float
     composition built from the curve's float rows by numpy convolutions,
     not from the form, each scaled to largest coefficient 1.  A form wrong
     in one coefficient misses by about that coefficient's relative size."""
-    coeffs = np.array(curve.X, dtype=float)
+    coeffs = np.array(curve, dtype=float)
     rows = np.vstack([coeffs, -coeffs.sum(axis=0)])
     squares = [np.convolve(row, row) for row in rows]
     s2 = sum(squares)
@@ -1020,7 +989,7 @@ def degree16_check(trials: int = 20, seed: int = 0) -> dict:
     rejected = {"on_quartic": 0, "repeated_coordinate": 0}
     worst_residual = 0.0
     for trial in range(trials):
-        exact_curve = None
+        curve = None
         for _ in range(8):
             if not drawn:
                 block = [_random_hyperplane_point(rng)
@@ -1031,16 +1000,16 @@ def degree16_check(trials: int = 20, seed: int = 0) -> dict:
             if on_quartic:
                 rejected["on_quartic"] += 1
                 continue
-            try:
-                exact_curve = fibre_curve(ints)
-                break
-            except ValueError:
+            if len(set(ints)) < 6:
                 rejected["repeated_coordinate"] += 1
-        if exact_curve is None:
+                continue
+            curve = fibre_curve(ints)
+            break
+        if curve is None:
             discarded.append((trial, "no_generic_point"))
             continue
-        form = exact_quartic_composition(exact_curve)
-        residual = _float_composition_residual(exact_curve, form)
+        form = exact_quartic_composition(curve)
+        residual = _float_composition_residual(curve, form)
         worst_residual = max(worst_residual, residual)
         if residual > _RESIDUAL_TOL:
             discarded.append((trial, "composition_residual"))

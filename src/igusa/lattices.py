@@ -9,7 +9,7 @@ lattice together with the projection map from dual vectors to classes.
 from fractions import Fraction
 from math import prod
 
-from .exact import clear_denominators
+from .exact import _rational, clear_denominators
 from .fqm import FiniteQuadraticModule
 
 __all__ = [
@@ -55,10 +55,11 @@ class Lattice:
         return all(self.gram[i][i] % 2 == 0 for i in range(self.rank))
 
     def vector(self, **coeffs):
-        """Rational combination of labeled basis vectors."""
+        """Rational combination of labeled basis vectors; TypeError on a
+        coefficient that is not an exact rational."""
         out = [Fraction(0)] * self.rank
         for label, c in coeffs.items():
-            out[self.labels.index(label)] += Fraction(c)
+            out[self.labels.index(label)] += _rational(c)
         return tuple(out)
 
     def ip(self, x, y) -> Fraction:

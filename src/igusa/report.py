@@ -841,7 +841,7 @@ def geometry_suite(runner: SuiteRunner, trials: int = 20,
     )
 
     def image_relation():
-        relation = image_cubic_relation(samples=60, seed=seed)
+        relation = image_cubic_relation(seed=seed)
         signs = image_relation_equivariance(relation)
         return (
             {"nullity": 1, "degree": 3, "holdout_samples": 50,

@@ -375,6 +375,41 @@ def test_cli_geometry_report_is_pinned(capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == GEOMETRY_SHA256
 
 
+GEOMETRY_MD_SHA256 = (
+    "95199b9537e913430a3ddb27a7882c6132f4560761b11751d75fd6f8319c8fc4"
+)
+
+
+def test_cli_geometry_markdown_report_is_pinned(capsys):
+    # the geometry suite at default flags, rendered as markdown
+    assert main(["geometry", "--format", "md"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == GEOMETRY_MD_SHA256
+
+
+GEOMETRY_MAX_TRIALS_SHA256 = (
+    "8353910bdbfa2fbbb8a8f13b6d0f78f47e3eafb1de8a0897f6593130ad81aa14"
+)
+
+
+def test_cli_geometry_max_trials_report_is_pinned(capsys):
+    # the degree-16 certification at its largest trial count, MAX_TRIALS
+    assert main(["geometry", "--trials", str(MAX_TRIALS)]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == GEOMETRY_MAX_TRIALS_SHA256
+
+
+GEOMETRY_DEMO_SHA256 = (
+    "e21d03a73da02d6c89eccb51fd0e3c718615b9105637085acbad38543e284854"
+)
+
+
+def test_geometry_demo_output_is_pinned():
+    # every line demo 07 prints, the fibre curve's rows included
+    out = run_demo("07_quartic_geometry.py")
+    assert hashlib.sha256(out.encode()).hexdigest() == GEOMETRY_DEMO_SHA256
+
+
 RESTRICTION_SHA256 = (
     "50e35852335147381b6a717dd1de73bc1b18bfec442ce43754793db880f8bc9f"
 )

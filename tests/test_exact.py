@@ -2,6 +2,8 @@
 series, and packed cyclotomic matrices."""
 
 import math
+import re
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -73,6 +75,28 @@ def test_rational_detection():
     assert not CYC_I.is_rational
     with pytest.raises(ValueError):
         CYC_I.as_rational()
+
+
+NOT_EXACT = [0.1, np.float64(0.5), Decimal("0.5")]
+
+
+@pytest.mark.parametrize("value", NOT_EXACT, ids=["float", "float64", "decimal"])
+def test_exact_inputs_refuse_non_rational_values(value):
+    # a float or a Decimal would be read by its binary or decimal value
+    named = re.escape(f"{value!r} is not an exact rational")
+    with pytest.raises(TypeError, match=named):
+        exact.clear_denominators([value, 1])
+    with pytest.raises(TypeError, match=named):
+        Cyclotomic(value)
+    with pytest.raises(TypeError, match=named):
+        Cyclotomic([1, value] + [0] * 6)
+
+
+def test_exact_inputs_accept_numpy_integers():
+    ints, den = exact.clear_denominators([np.int64(3), Fraction(1, 2)])
+    assert (ints, den) == ([6, 1], 2) and all(type(v) is int for v in ints)
+    assert Cyclotomic(np.int64(3)) == Cyclotomic(3)
+    assert Cyclotomic([np.int64(3)] + [0] * 7) == Cyclotomic(3)
 
 
 def test_inverse_and_conjugate():

@@ -14,7 +14,6 @@ import igusa.geometry as geometry
 from igusa.exact import integer_echelon
 from igusa.geometry import (
     PAIR_PARTITIONS,
-    ExactCurve,
     MultiPoly,
     base_lines,
     base_points,
@@ -62,17 +61,16 @@ def reference_evaluate(poly, point):
     return total
 
 
-def as_fractions(curve):
-    """The chart coefficients X and the finite parameters p / r of an exact
-    curve, as Fractions."""
-    return (tuple(tuple(map(F, row)) for row in curve.X),
-            tuple(F(p, r) for p, r in curve.nodes))
+def fibre_nodes(x):
+    """The parameters (p, r) of the seven points on the fibre curve through
+    a cleared point x: x at t = 0, base point k at t = 1 / x_k."""
+    return ((0, 1), *((1, v) for v in x))
 
 
-def as_pair(t):
-    """A rational t as the integer pair (p, r) with t = p / r."""
-    t = F(t)
-    return t.numerator, t.denominator
+def on_line(partition, point):
+    """Whether a point lies on the singular line of a pair partition, one
+    coordinate pair at a time."""
+    return all(point[i] == point[j] for i, j in partition) and sum(point) == 0
 
 
 def distinct_draws(count, seed=0):
@@ -111,7 +109,6 @@ def test_multipoly_arithmetic_and_calculus():
     q = x**3 - 3 * x * y
     assert all(type(c) is int for c in q.terms.values())
     assert q.degree() == 3
-    assert not q.is_homogeneous()
     assert q.evaluate_rows([[2, 5]]).tolist() == [8 - 30]
     assert q.partial(0) == 3 * x**2 - 3 * y
     assert q.partial(1) == -3 * x
@@ -238,8 +235,8 @@ def test_evaluate_polys_is_one_column_per_polynomial():
 
 def test_canonical_values_at_reference_points():
     cubes, quartic = canonical_polys()
-    assert quartic.is_homogeneous() and quartic.degree() == 4
-    assert cubes.is_homogeneous() and cubes.degree() == 3
+    assert {sum(e) for e in quartic.terms} == {4} == {quartic.degree()}
+    assert {sum(e) for e in cubes.terms} == {3} == {cubes.degree()}
     rows = [(1, 1, 1, 1, -2, -2), (1, -1, 0, 0, 0, 0)]
     assert quartic.evaluate_rows(rows).tolist() == [0, -4]
     assert cubes.evaluate_rows(rows[1:]).tolist() == [0]
@@ -253,19 +250,35 @@ def test_canonical_values_at_reference_points():
 def test_fifteen_lines_partitions_and_membership():
     lines = fifteen_lines()
     assert len(lines) == 15
-    assert len({line.partition for line in lines}) == 15
+    assert [part for part, _ in lines] == list(PAIR_PARTITIONS)
     # every partition pairs up all six indices, pairs sorted by minimum
-    for line in lines:
-        flat = sorted(i for pair in line.partition for i in pair)
+    for part, coeffs in lines:
+        flat = sorted(i for pair in part for i in pair)
         assert flat == list(range(6))
+        # (1, 0) on the first pair, (0, 1) on the second, (-1, -1) on the
+        # third: the shape of a base line's coefficients
+        for pair, weight in zip(part, ((1, 0), (0, 1), (-1, -1))):
+            assert [coeffs[i] for i in pair] == [weight, weight]
+    assert all(len(coeffs) == 6 for _, coeffs in base_lines())
     # the line of the partition {0,1}{2,3}{4,5} carries these three points
-    target = next(
-        l for l in lines if l.partition == ((0, 1), (2, 3), (4, 5))
-    )
-    assert target.contains((1, 1, 1, 1, -2, -2))
-    assert target.contains((1, 1, -2, -2, 1, 1))
-    assert target.contains((-2, -2, 1, 1, 1, 1))
-    assert not target.contains((1, 1, 1, -2, 1, -2))
+    target = ((0, 1), (2, 3), (4, 5))
+    points = [(1, 1, 1, 1, -2, -2), (1, 1, -2, -2, 1, 1),
+              (-2, -2, 1, 1, 1, 1), (1, 1, 1, -2, 1, -2)]
+    assert geometry._on_lines(points, [target])[:, 0].tolist() == [
+        True, True, True, False]
+
+
+def test_on_lines_matches_the_pair_test_on_the_witness_box():
+    # every point of the singular-gradient search box against every line,
+    # one partition pair at a time
+    head = np.indices((5,) * 5).reshape(5, -1).T - 2
+    box = np.column_stack([head, -head.sum(axis=1)])
+    assert box.shape == (3125, 6)
+    matrix = geometry._on_lines(box, PAIR_PARTITIONS)
+    assert matrix.shape == (3125, 15) and matrix.dtype == bool
+    assert matrix.tolist() == [[on_line(part, row) for part in PAIR_PARTITIONS]
+                               for row in box.tolist()]
+    assert 0 < matrix.sum() < 3125
 
 
 def test_generic_pair_equal_family_misses_quartic():
@@ -295,14 +308,18 @@ def test_boundary_points_and_incidence():
     # a point with -2 entries at positions {4,5} lies exactly on the lines
     # whose partition contains the pair (4,5)
     p = (1, 1, 1, 1, -2, -2)
-    row = [1 if line.contains(p) else 0 for line in fifteen_lines()]
-    expect = [1 if (4, 5) in part else 0 for part in PAIR_PARTITIONS]
+    row = data["matrix"][data["points"].index(p)]
+    expect = tuple(1 if (4, 5) in part else 0 for part in PAIR_PARTITIONS)
     assert row == expect
     assert sum(row) == 3
+    assert data["matrix"] == tuple(
+        tuple(int(on_line(part, point)) for part in data["lines"])
+        for point in data["points"])
+    assert all(type(v) is int for row in data["matrix"] for v in row)
     # a rescaled point (2:2:-1:-1:-1:-1) equals (-2,-2,1,1,1,1) projectively
     q = (2, 2, -1, -1, -1, -1)
-    row_q = [1 if line.contains(q) else 0 for line in fifteen_lines()]
-    expect_q = [1 if (0, 1) in part else 0 for part in PAIR_PARTITIONS]
+    row_q = geometry._on_lines([q], PAIR_PARTITIONS)[0].tolist()
+    expect_q = [(0, 1) in part for part in PAIR_PARTITIONS]
     assert row_q == expect_q
 
 
@@ -312,19 +329,18 @@ def test_singular_gradient_witnesses_are_pinned():
     # the scalar search over the same box, in itertools.product order
     _, quartic = canonical_polys()
     grad = [quartic.partial(i) for i in range(6)]
-    lines = fifteen_lines()
     expected = []
     for head in product(range(-2, 3), repeat=5):
         coords = head + (-sum(head),)
         if not any(coords) or reference_evaluate(quartic, coords) != 0:
             continue
-        if not any(line.contains(coords) for line in lines):
+        if not any(on_line(part, coords) for part in PAIR_PARTITIONS):
             expected.append(coords)
     assert list(report["witnesses"]) == expected
     for coords in report["witnesses"]:
         assert all(type(c) is int for c in coords) and sum(coords) == 0
         assert reference_evaluate(quartic, coords) == 0
-        assert not any(line.contains(coords) for line in lines)
+        assert not any(on_line(part, coords) for part in PAIR_PARTITIONS)
         assert len({reference_evaluate(g, coords) for g in grad}) > 1
 
 
@@ -351,13 +367,16 @@ def test_line_parameters_prove_identities_up_to_degree_four():
     assert len(pairs) == 5
     for (a, b), (c, d) in combinations(pairs, 2):
         assert a * d - b * c != 0
-    lines = [line.coefficients for line in fifteen_lines()[:2]]
+    lines = [coeffs for _, coeffs in fifteen_lines()[:2]]
     for degree in (3, 4):
         points = geometry._line_points(lines, degree)
         assert points.shape == (2 * (degree + 1), 6)
         assert points.tolist() == [
             [ca * a + cb * b for ca, cb in line]
             for line in lines for a, b in pairs[: degree + 1]]
+    # five pairs decide nothing of degree five: no under-certified points
+    with pytest.raises(ValueError, match="degree 5"):
+        geometry._line_points(lines, 5)
 
 
 # a set of pairs that meets every pair partition but TARGET: the product of
@@ -400,11 +419,11 @@ def test_singular_check_catches_a_gradient_bent_on_one_line(monkeypatch):
     grad = [mutant.partial(i) for i in range(6)]
     lines = fifteen_lines()
     params = [(1, k) for k in range(12)]  # more than the degree 11 of grad
-    for line in lines:
-        values = evaluate_polys(grad, [[ca * a + cb * b for ca, cb in
-                                        line.coefficients] for a, b in params])
+    for part, coeffs in lines:
+        values = evaluate_polys(grad, [[ca * a + cb * b for ca, cb in coeffs]
+                                       for a, b in params])
         bent = (values != values[:, :1]).any()
-        assert bent == (line.partition == TARGET)
+        assert bent == (part == TARGET)
     monkeypatch.setattr(geometry, "canonical_polys", lambda: (cubes, mutant))
     with pytest.raises(ValueError, match=re.escape(f"all-ones on {TARGET}")):
         singular_inclusion_check()
@@ -440,6 +459,37 @@ def test_cubic_span_rank_and_expansions():
         expansion = span["expansions"][i]
         assert expansion[pos] == 1
         assert all(c == 0 for k, c in enumerate(expansion) if k != pos)
+    # the pivot columns: each basis cubic is independent of all before it
+    assert span["basis_indices"] == (0, 1, 3, 4, 7)
+
+
+def test_cubic_span_expansions_match_reference():
+    # the expansions read off the one elimination against a Fraction
+    # Gauss-Jordan solve of each cubic in the basis
+    span = cubic_span()
+    basis = [span["vectors"][i] for i in span["basis_indices"]]
+    assert span["expansions"] == tuple(
+        reference_solve(basis, vec) for vec in span["vectors"])
+    assert all(type(c) is int for row in span["expansions"] for c in row)
+
+
+def test_cubic_span_certificate_catches_a_corrupted_expansion(monkeypatch):
+    # adding the pivot entry to one non-pivot entry of the reduced matrix
+    # moves one expansion coefficient by 1 and keeps the division exact, so
+    # only the product certificate can catch it
+    def corrupted(rows, width=None):
+        reduced, pivots = integer_echelon(rows, width)
+        p, col = pivots[0]
+        reduced[p][2] += reduced[p][col]
+        return reduced, pivots
+
+    monkeypatch.setattr(geometry, "integer_echelon", corrupted)
+    cubic_span.cache_clear()
+    try:
+        with pytest.raises(ValueError, match="do not rebuild the cubics"):
+            cubic_span()
+    finally:
+        cubic_span.cache_clear()
 
 
 def test_cubic_base_locus():
@@ -516,7 +566,7 @@ def test_s6_signed_action_is_faithful_on_signs():
 
 
 def test_image_cubic_relation_is_exact_and_stable():
-    relation = image_cubic_relation(samples=60, seed=0)
+    relation = image_cubic_relation(seed=0)
     assert relation.nvars == 5
     assert relation.degree() == 3
     coeffs = list(relation.terms.values())
@@ -538,13 +588,8 @@ def test_image_cubic_relation_is_exact_and_stable():
               for i in span["basis_indices"]]
         assert reference_evaluate(relation, ys) == 0
     # a different seed recovers the same primitive relation up to sign
-    other = image_cubic_relation(samples=61, seed=9)
+    other = image_cubic_relation(seed=9)
     assert other == relation or other == -relation
-
-
-def test_image_cubic_relation_rejects_small_sample_counts():
-    with pytest.raises(ValueError):
-        image_cubic_relation(samples=59)
 
 
 def test_image_cubic_relation_is_certified_without_elimination(monkeypatch):
@@ -558,7 +603,7 @@ def test_image_cubic_relation_is_certified_without_elimination(monkeypatch):
         return fallback(*args, **kwargs)
 
     monkeypatch.setattr(exact, "integer_echelon", counted)
-    relation = image_cubic_relation(samples=60, seed=0)
+    relation = image_cubic_relation(seed=0)
     assert calls == []
     assert relation.terms == {
         (0, 1, 1, 0, 1): -1, (0, 1, 1, 1, 0): 1, (1, 0, 0, 1, 1): 1,
@@ -585,7 +630,7 @@ def test_image_cubic_relation_reports_its_nullity(monkeypatch):
 
 
 def test_image_relation_equivariance_signs():
-    relation = image_cubic_relation(samples=60, seed=0)
+    relation = image_cubic_relation(seed=0)
     outcomes = image_relation_equivariance(relation)
     assert set(outcomes) == {"s1", "s2", "s3", "s4", "s5"}
     assert set(outcomes.values()) <= {1, -1}
@@ -599,7 +644,7 @@ def test_image_relation_equivariance_signs():
 def curve_value(curve, p, r):
     """The six integer coordinates of the curve at t = p / r, times r^4."""
     chart = [sum(c * p**k * r**(4 - k) for k, c in enumerate(row))
-             for row in curve.X]
+             for row in curve]
     return chart + [-sum(chart)]
 
 
@@ -639,7 +684,7 @@ def test_fibre_curve_contracts_pair_differences():
         values = [[int(c.evaluate_rows([x])[0]) for c in row]
                   for row in coeffs]
         assert all(row[5] == 0 for row in values)
-        assert curve.X == tuple(tuple(row[4::-1]) for row in values[:5])
+        assert curve == tuple(tuple(row[4::-1]) for row in values[:5])
         phi = [int(cubic.evaluate_rows([x])[0]) for cubic in cubics]
         for s0 in (-3, 2, 11):
             y = curve_value(curve, 1, s0)  # R_x(s0)
@@ -651,16 +696,16 @@ def test_fibre_curve_contracts_pair_differences():
 def test_fibre_curve_meets_x_and_the_base_points():
     for x in distinct_draws(20, seed=1):
         curve = fibre_curve(x)
-        assert all(type(v) is int for row in curve.X for v in row)
-        assert curve.nodes == ((0, 1), *((1, v) for v in x))
+        assert len(curve) == 5 and all(len(row) == 5 for row in curve)
+        assert all(type(v) is int for row in curve for v in row)
         # x at t = 0, with row -6x; base point k at t = 1 / x_k, infinity
         # when x_k = 0; exactly, on the integer rows
         assert curve_value(curve, 0, 1) == [-6 * v for v in x]
-        for (p, r), point in zip(curve.nodes[1:], base_points()):
+        for (p, r), point in zip(fibre_nodes(x)[1:], base_points()):
             value = curve_value(curve, p, r)
             lam = F(value[0], point[0])
             assert lam and value == [lam * c for c in point]
-        assert any(row[4] for row in curve.X)  # genuine degree four
+        assert any(row[4] for row in curve)  # genuine degree four
     assert any(0 in x for x in distinct_draws(20, seed=1))
 
 
@@ -671,6 +716,9 @@ def test_fibre_curve_rejects_bad_inputs():
         fibre_curve((1, 2, 3, 4, 5, 6))
     with pytest.raises(ValueError, match="hyperplane"):
         fibre_curve((1, -1, 2, -2, 0))
+    # a float is no exact input, whatever its binary value
+    with pytest.raises(TypeError, match=re.escape("0.1 is not an exact")):
+        fibre_curve((0.1, 0.2, 0.3, 0.4, 0.5, -1.5))
     # rational points are cleared of denominators first
     assert fibre_curve((F(1, 2), F(-1, 3), 2, 1, F(-7, 6), F(-2))) == \
         fibre_curve((3, -2, 12, 6, -7, -12))
@@ -805,13 +853,14 @@ def test_fibre_curve_matches_the_frame_reference():
                 for ef in equal}
             continue
         coeffs, parameters = expected
-        curve = fibre_curve(x)
-        finite = [k for k, (_, r) in enumerate(curve.nodes) if r][:3]
+        curve, nodes = fibre_curve(x), fibre_nodes(x)
+        finite = [k for k, (_, r) in enumerate(nodes) if r][:3]
         (rows, params), _ = reference_gauge_transport(
-            curve, [x[:5], *charts], finite, [parameters[k] for k in finite])
+            curve, nodes, [x[:5], *charts], finite,
+            [parameters[k] for k in finite])
         assert params == parameters
-        assert exact_quartic_composition(integer_curve(rows, params)) == \
-            exact_quartic_composition(integer_curve(coeffs, parameters))
+        assert exact_quartic_composition(integer_rows(rows)) == \
+            exact_quartic_composition(integer_rows(coeffs))
         curves += 1
     assert 30 < curves < 60
 
@@ -837,24 +886,24 @@ def reference_mobius_through(pairs):
     return m
 
 
-def reference_gauge_transport(curve, charts, sources, targets):
-    """The transport over Fractions of an exact curve by the Mobius map
-    sending the finite parameters of the three source nodes to the target
+def reference_gauge_transport(curve, nodes, charts, sources, targets):
+    """The transport over Fractions of a curve's integer rows by the Mobius
+    map sending the finite parameters of the three source nodes to the target
     values: expand (gamma s + delta)^4 x(...) term by term, carry every
     node (p, r) to (m00 p + m01 r) / (m10 p + m11 r), then normalize by
     the first scale and verify."""
     mob = reference_mobius_through(
-        [(F(*curve.nodes[k]), t) for k, t in zip(sources, targets)])
+        [(F(*nodes[k]), t) for k, t in zip(sources, targets)])
     (m00, m01), (m10, m11) = mob
     params = []
-    for p, r in curve.nodes:
+    for p, r in nodes:
         den = m10 * p + m11 * r
         if den == 0:
             raise ValueError("a parameter is transported to infinity")
         params.append((m00 * p + m01 * r) / den)
     alpha, beta, gamma, delta = m11, -m01, -m10, m00
     rows = []
-    for row in curve.X:
+    for row in curve:
         acc = [F(0)] * 5
         for k in range(5):
             term = [F(1)]
@@ -880,11 +929,11 @@ def reference_gauge_transport(curve, charts, sources, targets):
     return (tuple(tuple(r) for r in rows), tuple(params)), tuple(scales)
 
 
-def integer_curve(coeffs, parameters):
-    """The exact curve of Fraction coefficient rows and parameters."""
+def integer_rows(coeffs):
+    """Five Fraction coefficient rows cleared to integer rows over one
+    denominator."""
     flat, _ = exact.clear_denominators([c for row in coeffs for c in row])
-    return ExactCurve(tuple(tuple(flat[k:k + 5]) for k in range(0, 25, 5)),
-                      tuple(map(as_pair, parameters)))
+    return tuple(tuple(flat[k:k + 5]) for k in range(0, 25, 5))
 
 
 # ---------------------------------------------------------------------------
@@ -901,7 +950,7 @@ def test_exact_composition_degree_and_squarefree_tools():
     # integers with no content, a positive multiple of the composition
     # over Fractions
     assert all(type(c) is int for c in poly) and gcd(*poly) == 1
-    rows = [list(r) for r in as_fractions(curve)[0]]
+    rows = [list(map(F, r)) for r in curve]
     rows.append([-sum(col) for col in zip(*rows)])
     squares = [geometry._conv(r, r) for r in rows]
     s2 = [sum(col) for col in zip(*squares)]
@@ -986,7 +1035,7 @@ def test_float_roots_map_to_distinct_quartic_points(monkeypatch):
     for _ in range(3):  # Newton steps, as degree16_check polishes
         roots = roots - poly(roots) / poly.deriv()(roots)
     assert len(roots) == 16
-    chart = np.vander(roots, 5, increasing=True) @ np.array(curve.X, float).T
+    chart = np.vander(roots, 5, increasing=True) @ np.array(curve, float).T
     points = np.column_stack([chart, -chart.sum(axis=1)])
     sizes = np.sum(np.abs(points) ** 2, axis=1)
     values = np.sum(points**2, axis=1) ** 2 - 4 * np.sum(points**4, axis=1)
@@ -1031,33 +1080,41 @@ def _dependent_subsets(points):
 
 def test_degree16_rejects_exactly_the_draws_with_a_dependent_subset(
         monkeypatch):
-    # differential: the fibre curve's verdict on each draw against a
-    # brute-force rank count over all 21 five-point subsets of the draw and
-    # the six base points
-    draws = []
-
-    def recorded(x):
-        try:
-            curve = fibre_curve(x)
-        except ValueError:
-            draws.append((x, False))
-            raise
-        draws.append((x, True))
-        return curve
-
-    monkeypatch.setattr(geometry, "fibre_curve", recorded)
+    # differential: which draws get a fibre curve, against a brute-force
+    # rank count over all 21 five-point subsets of the draw and the six base
+    # points; the draws are used in the order they are drawn, so the used
+    # ones are the first rejected-plus-built of them
+    drawn, built = [], []
+    draw = geometry._random_hyperplane_point
+    monkeypatch.setattr(geometry, "_random_hyperplane_point",
+                        lambda rng: drawn.append(draw(rng)) or drawn[-1])
+    monkeypatch.setattr(geometry, "fibre_curve",
+                        lambda x: built.append(x) or fibre_curve(x))
     trials = 40
     report = degree16_check(trials=trials, seed=0)
-    rejected = [x for x, built in draws if not built]
-    assert report["rejected_draws"]["repeated_coordinate"] == len(rejected)
-    assert len(rejected) > 0
+    assert report["rejected_draws"]["on_quartic"] == 0
+    rejected = report["rejected_draws"]["repeated_coordinate"]
+    assert rejected > 0
+    used = drawn[:rejected + len(built)]
+    assert built == [x for x in used if len(set(x)) == 6]
     bases = list(base_points())
-    for x, built in draws:
-        assert built == (not _dependent_subsets([x, *bases]))
-        assert built == (len(set(x)) == 6)
+    for x in used:
+        assert (x in built) == (not _dependent_subsets([x, *bases]))
     # one construction per accepted draw, each reused for its trial
     no_point = [c for _, c in report["discarded"]].count("no_generic_point")
-    assert len(draws) - len(rejected) == trials - no_point
+    assert len(built) == trials - no_point
+
+
+def test_degree16_files_only_repeated_coordinates_as_such(monkeypatch):
+    # a draw with a repeated coordinate is rejected before any curve is
+    # built; any other failure of the construction propagates
+    def broken(x):
+        assert len(set(x)) == 6
+        raise ValueError("broken construction")
+
+    monkeypatch.setattr(geometry, "fibre_curve", broken)
+    with pytest.raises(ValueError, match="broken construction"):
+        degree16_check(trials=1, seed=0)
 
 
 def test_degree16_rejects_empty_trial_budget():
@@ -1292,15 +1349,11 @@ def test_reference_kernels_on_a_fixed_case():
     assert pivots == [(0, 0), (2, 1)]
     assert reduced[1] == [0, 0, 0]
     basis = [[1, 0, 1], [0, 1, 1]]
-    assert geometry._solve_in_span(basis, [[2, 3, 5], [F(1, 2), -1, F(-1, 2)]]) == [
-        (2, 3), (F(1, 2), -1)
-    ]
-    assert geometry._solve_in_span(basis, []) == []
-    # one target outside the span fails the whole system
-    with pytest.raises(ValueError, match="outside the span"):
-        geometry._solve_in_span(basis, [[2, 3, 5], [2, 3, 4]])
-    with pytest.raises(ValueError, match="dependent"):
-        geometry._solve_in_span([[1, 0, 1], [2, 0, 2]], [[1, 0, 1]])
+    assert reference_solve(basis, [2, 3, 5]) == (2, 3)
+    assert reference_solve(basis, [F(1, 2), -1, F(-1, 2)]) == (F(1, 2), -1)
+    # a target outside the span, and a dependent basis, have no solution
+    assert reference_solve(basis, [2, 3, 4]) is None
+    assert reference_solve([[1, 0, 1], [2, 0, 2]], [1, 0, 1]) is None
 
 
 if HAVE_HYPOTHESIS:
@@ -1335,26 +1388,6 @@ if HAVE_HYPOTHESIS:
             assert proportional(row, ref)
         # the input is left unchanged
         assert rows == [[F(v) for v in row] for row in rows]
-
-    @given(rational_matrices(), st.data())
-    @settings(max_examples=80, deadline=None)
-    def test_solve_in_span_matches_reference(basis, data):
-        targets = []
-        for _ in range(data.draw(st.integers(1, 4))):
-            if data.draw(st.booleans()):
-                coeffs = data.draw(st.lists(rationals, min_size=len(basis),
-                                            max_size=len(basis)))
-                targets.append([sum(c * row[k] for c, row in zip(coeffs, basis))
-                                for k in range(len(basis[0]))])
-            else:
-                targets.append(data.draw(st.lists(
-                    rationals, min_size=len(basis[0]), max_size=len(basis[0]))))
-        expected = [reference_solve(basis, target) for target in targets]
-        if None in expected:
-            with pytest.raises(ValueError):
-                geometry._solve_in_span(basis, targets)
-        else:
-            assert geometry._solve_in_span(basis, targets) == expected
 
     @given(st.lists(rationals, max_size=7),
            st.lists(st.integers(0, 6), max_size=3), rationals.filter(bool))

@@ -2,9 +2,12 @@
 discriminant modules."""
 
 import random
+import re
+from decimal import Decimal
 from fractions import Fraction
 from itertools import permutations
 
+import numpy as np
 import pytest
 
 from igusa.fqm import find_isomorphism, direct_sum as fqm_direct_sum
@@ -122,6 +125,16 @@ def test_inner_products():
     assert N.norm(a1) == -2
     v = N.vector(e2=Fraction(1, 2), f2=1, a1=Fraction(1, 2))
     assert N.norm(v) == Fraction(3, 2)
+
+
+def test_vector_coefficients_must_be_exact():
+    N = ambient_lattice()
+    for value in (0.1, np.float64(0.5), Decimal("0.5")):
+        with pytest.raises(TypeError, match=re.escape(f"{value!r} is not")):
+            N.vector(e1=value)
+    v = N.vector(e1=np.int64(3), a1=Fraction(1, 2))
+    assert v == N.vector(e1=3, a1=Fraction(1, 2))
+    assert all(type(c) is Fraction for c in v)
 
 
 def test_inner_product_matches_the_fraction_sum():
