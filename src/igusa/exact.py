@@ -224,8 +224,9 @@ class Cyclotomic:
 
     @classmethod
     def e(cls, t: Fraction) -> "Cyclotomic":
-        """e^(2 pi i t) for rational t with 24t integral."""
-        t = Fraction(t)
+        """e^(2 pi i t) for rational t with 24t integral; a float raises
+        TypeError."""
+        t = Fraction(_rational(t))
         k = t * _CONDUCTOR
         if k.denominator != 1:
             raise ValueError(f"e^(2 pi i {t}) is outside the conductor-24 field")
@@ -240,8 +241,9 @@ class Cyclotomic:
 
     @classmethod
     def e_half(cls, q: Fraction) -> "Cyclotomic":
-        """e^(pi i q) for rational q with 12q integral."""
-        return cls.e(Fraction(q) / 2)
+        """e^(pi i q) for rational q with 12q integral; a float raises
+        TypeError."""
+        return cls.e(Fraction(_rational(q), 2))
 
     @property
     def coefficients(self) -> tuple[Fraction, ...]:
@@ -384,15 +386,16 @@ _EXP_DEN = 4  # q-series exponents live in (1/4)Z
 
 class QSeries:
     """Truncated series in q with exponents in (1/4)Z and cyclotomic
-    coefficients. Exponents >= truncation are unknown, not zero."""
+    coefficients. Exponents >= truncation are unknown, not zero.  Exponents
+    and truncation are exact rationals: a float raises TypeError."""
 
     __slots__ = ("terms", "truncation")
 
     def __init__(self, terms, truncation):
-        self.truncation = Fraction(truncation)
+        self.truncation = Fraction(_rational(truncation))
         clean: dict[Fraction, Cyclotomic] = {}
         for expo, coeff in (terms.items() if isinstance(terms, dict) else terms):
-            expo = Fraction(expo)
+            expo = Fraction(_rational(expo))
             if _EXP_DEN % expo.denominator != 0:
                 raise ValueError(f"exponent {expo} not in (1/{_EXP_DEN})Z")
             if expo >= self.truncation:
@@ -409,7 +412,7 @@ class QSeries:
         return cls({}, truncation)
 
     def coefficient(self, exponent) -> Cyclotomic:
-        expo = Fraction(exponent)
+        expo = Fraction(_rational(exponent))
         if expo >= self.truncation:
             raise ValueError(f"coefficient at {expo} is beyond truncation {self.truncation}")
         return self.terms.get(expo, CYC_ZERO)

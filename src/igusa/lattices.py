@@ -124,9 +124,10 @@ def standard(name: str, scale=1, labels=None) -> Lattice:
 
     Names: "U" (hyperbolic plane, Gram [[0,1],[1,0]]) or root-lattice names
     "A<m>", "D<n>", "E<k>", taken NEGATIVE definite (Gram = -Cartan matrix).
-    The scaled Gram must be integral.
+    The scaled Gram must be integral, and scale an exact rational: a float
+    raises TypeError.
     """
-    scale = Fraction(scale)
+    scale = Fraction(_rational(scale))
     if name == "U":
         base = [[0, 1], [1, 0]]
     elif name.startswith("A") and name[1:].isdigit():

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
+from math import prod
 
 import numpy as np
 
@@ -52,7 +53,8 @@ __all__ = [
 
 # Largest box half-width of the Heegner case table.  The relevant vectors
 # of the three norm level sets grow like bound^4; `igusa restriction --box
-# 10` takes 0.30-0.37 s and peaks at 53 MB via the CLI on a 2-vCPU Xeon.
+# 10` takes 0.26-0.28 s and peaks at 36.3 MB RSS via the CLI on a 2-vCPU
+# Xeon, 5.5 MB above `--box 3`.
 MAX_BOX = 10
 
 
@@ -297,54 +299,89 @@ def restriction_case(r) -> RestrictionCase:
     )
 
 
+def _require_fit(largest: int, dtype, what: str) -> None:
+    """The certificate of a compact integer array: raise ValueError, before
+    the array is allocated, unless dtype holds every integer of absolute
+    value at most largest."""
+    limit = int(np.iinfo(dtype).max)
+    if largest > limit:
+        raise ValueError(
+            f"{what} reaches {largest}, past the {np.dtype(dtype).name} limit {limit}"
+        )
+
+
+# Rows per block of the int64 products: every product of a row with a form
+# is taken on one block at a time, and only its compact result is kept.
+_CHUNK = 4096
+
+
+def _chunks(n: int):
+    """Consecutive slices of at most _CHUNK rows covering range(n)."""
+    return (slice(s, min(s + _CHUNK, n)) for s in range(0, n, _CHUNK))
+
+
 def _relevant_level_sets(bound: int, targets) -> dict:
     """For each target norm n: the integer vectors r with max-norm <= bound,
     r^2 = n and a member component of negative norm (r1^2 = n + m^2 < 0), as a
-    (k, 6) int64 array in lexicographic order, their max-norms, and the
+    (k, 6) int8 array in lexicographic order, their int8 max-norms, and the
     number of all vectors of norm n, relevant or not, in each box 0..bound.
 
     A vector is three coordinate pairs: the head (x1, x2) and the tail
     (x3, x4), (x5, x6).  The norm splits as r^2 = 4*x1*x2 + t with
     t = 4*x3*x4 - 2*(x5^2 + x6^2), and relevance reads only (x5, x6): the
-    certified multiple of `build_embedding` vanishes on the first four.  The
-    relevant tails are sorted by t (stably, so equal tails stay in
-    lexicographic order) and each head takes those with t = n - 4*x1*x2 by
-    binary search: only relevant vectors are materialised.  The counts come
-    from all tails sorted by (t, tail max-norm), one binary search per box."""
+    certified multiple of `build_embedding` vanishes on the first four.  Each
+    t and each n - 4*x1*x2 lies within reach = 8*bound^2 + max |n| of 0, so
+    tails are binned by t + reach.  The relevant tails are sorted by t
+    (stably, so equal tails stay in lexicographic order) and each head takes
+    the bin of t = n - 4*x1*x2: only relevant vectors are materialised.  The
+    counts come from a histogram of all tails by (t, tail max-norm), built a
+    block of _CHUNK tails at a time.  Tail indices and norms are int32; each
+    dtype is certified against the bound before the box is built."""
+    _require_fit(bound, np.int8, "coordinate bound")
+    _require_fit((2 * bound + 1) ** 4 - 1, np.int32, "tail index")
+    reach = 8 * bound**2 + max(abs(n) for n in targets)
+    bins = 2 * reach + 1
+    _require_fit(bins * (bound + 1) - 1, np.int32, "norm bin")
     multiple = build_embedding().multiple
     if multiple[:4].any():
         raise AssertionError("m must read only the last coordinate pair")
-    rng = np.arange(-bound, bound + 1, dtype=np.int64)
+    rng = np.arange(-bound, bound + 1, dtype=np.int8)
     pairs = np.stack(np.meshgrid(rng, rng, indexing="ij"), -1).reshape(-1, 2)
     size = len(pairs)
-    pair_width = np.abs(pairs).max(axis=1)
-    four_x1x2 = 4 * pairs[:, 0] * pairs[:, 1]
+    x, y = pairs.T.astype(np.int32)
+    pair_width = np.maximum(abs(x), abs(y)).astype(np.int8)
+    four_x1x2 = 4 * x * y
     # tail index i * size + j for the pairs i = (x3, x4) and j = (x5, x6)
-    t = (four_x1x2[:, None] - 2 * (pairs**2).sum(axis=1)).ravel()
+    t = (four_x1x2[:, None] - 2 * (x * x + y * y)).ravel()
     tail_width = np.maximum.outer(pair_width, pair_width).ravel()
-    keys = np.sort(t * (bound + 1) + tail_width)  # (t, width) order: width <= bound
+    # within[b, w]: the tails in bin b of max-norm <= w
+    within = np.zeros(bins * (bound + 1), dtype=np.int64)
+    for part in _chunks(len(t)):
+        within += np.bincount((t[part] + reach) * (bound + 1) + tail_width[part],
+                              minlength=len(within))
+    within = within.reshape(bins, bound + 1).cumsum(axis=1)
     m_squared = (pairs @ multiple[4:]) ** 2
+    starts = np.arange(0, size * size, size, dtype=np.int32)
+    pair_index = np.arange(size, dtype=np.int32)
     sets = {}
     for target in targets:
-        need = target - four_x1x2
-        lo = np.searchsorted(keys, need * (bound + 1), side="left")
-        totals = []
-        for box in range(bound + 1):
-            hi = np.searchsorted(keys, need * (bound + 1) + box, side="right")
-            totals.append(int((hi - lo)[pair_width <= box].sum()))
+        need = target - four_x1x2 + reach  # the bin each head takes
+        totals = [int(within[need[pair_width <= box], box].sum())
+                  for box in range(bound + 1)]
         relevant = (
-            np.arange(0, size * size, size)[:, None]
-            + np.flatnonzero(m_squared < -target)
+            starts[:, None] + np.flatnonzero(m_squared < -target).astype(np.int32)
         ).ravel()
         order = relevant[np.argsort(t[relevant], kind="stable")]
-        t_sorted = t[order]
-        lo = np.searchsorted(t_sorted, need, side="left")
-        counts = np.searchsorted(t_sorted, need, side="right") - lo
-        # solution j of head i sits at t_sorted[lo[i] + j - (solutions before head i)]
-        shift = np.repeat(lo - (np.cumsum(counts) - counts), counts)
-        picks = order[shift + np.arange(counts.sum())]
-        heads = np.repeat(np.arange(size), counts)
-        rows = pairs[np.stack([heads, *np.divmod(picks, size)], axis=1)].reshape(-1, 6)
+        filled = np.bincount(t[relevant] + reach, minlength=bins)
+        lo = (np.cumsum(filled) - filled)[need]
+        counts = filled[need]
+        # row p = (solutions before head i) + j, solution j of head i, is
+        # the relevant tail order[lo[i] + j]
+        shift = np.repeat((lo - (np.cumsum(counts) - counts)).astype(np.int32), counts)
+        picks = order[shift + np.arange(len(shift), dtype=np.int32)]
+        heads = np.repeat(pair_index, counts)
+        tail_i, tail_j = np.divmod(picks, size)
+        rows = np.concatenate([pairs[heads], pairs[tail_i], pairs[tail_j]], axis=1)
         width = np.maximum(pair_width[heads], tail_width[picks])
         sets[target] = rows, width, totals
     return sets
@@ -359,8 +396,8 @@ def _vectorized_classes(module, K: np.ndarray) -> np.ndarray:
     if (orders & (orders - 1)).any():
         raise ValueError(f"generator orders {module.orders} are not all powers of 2")
     push = np.array(module._push_mat, dtype=np.int64)[module._kept]
-    digits = K @ push.T
-    digits &= orders - 1  # in place: the box-7 table's memory peak is here
+    digits = K @ push.T  # one block of _split_classes: (_CHUNK, n) int64
+    digits &= orders - 1
     return digits @ module._radix
 
 
@@ -368,8 +405,9 @@ def _raise_first(rows: np.ndarray, failures, **fields) -> None:
     """Raise ValueError naming the first row that fails any check.
 
     failures lists (mask, message) pairs; among the checks failing on that
-    row the first listed names it.  message may use {name} for the row's
-    entry of each array passed in fields."""
+    row the first listed names it.  message may use {name} for the value
+    fields[name](i) of the failing row i, so a label is looked up only for
+    the one row that names it."""
     flagged = [
         (int(np.flatnonzero(bad)[0]), k)
         for k, (bad, _) in enumerate(failures)
@@ -377,38 +415,70 @@ def _raise_first(rows: np.ndarray, failures, **fields) -> None:
     ]
     if flagged:
         i, k = min(flagged)
-        message = failures[k][1].format(**{n: v[i] for n, v in fields.items()})
+        message = failures[k][1].format(**{n: f(i) for n, f in fields.items()})
         raise ValueError(f"{message}: r = {tuple(int(v) for v in rows[i])}")
 
 
-def _pairing_vectors(rows: np.ndarray, form, d: int, message: str) -> np.ndarray:
-    """The integer vectors (rows @ form) / d.  d divides every entry of both
-    forms used here, so no integer row lies outside the dual; a form that d
-    does not divide raises with message."""
+def _pairing_form(form, d: int, message: str) -> np.ndarray:
+    """The integer form / d, whose product with an integer row r is the
+    dual-pairing vector (r @ form) / d.  d divides every entry of both forms
+    used here, so no integer row lies outside the dual; a form that d does
+    not divide raises with message."""
     form = np.array(form, dtype=np.int64)
     if (form % d).any():
         raise ValueError(message)
-    return rows @ (form // d)
+    return form // d
 
 
 def _split_classes(rows: np.ndarray):
     """For integer ambient vectors r with r/2 in the ambient dual, split by
     the certified arrays of `build_embedding` as r = r1 + (m/2) * complement:
-    m, the ambient class of r/2 and the member class of r1/2."""
+    m (int16), the ambient class of r/2 and the member class of r1/2 (int8
+    class indices).  The products are int64 on blocks of _CHUNK rows."""
     emb = build_embedding()
-    return (
-        rows @ emb.multiple,
-        _vectorized_classes(
-            ambient_module(),
-            _pairing_vectors(rows, emb.ambient.gram, 2,
-                             "r/2 outside the ambient dual"),
-        ),
-        _vectorized_classes(
-            restriction_module(),
-            _pairing_vectors(rows, emb.projection @ restriction_lattice().gram, 4,
-                             "member component outside the member dual"),
-        ),
-    )
+    ambient, member = ambient_module(), restriction_module()
+    reach = max(int(rows.max(initial=0)), -int(rows.min(initial=0)))
+    _require_fit(reach * int(np.abs(emb.multiple).sum()), np.int16, "m")
+    _require_fit(max(ambient.size, member.size) - 1, np.int8, "class index")
+    to_ambient = _pairing_form(emb.ambient.gram, 2, "r/2 outside the ambient dual")
+    to_member = _pairing_form(emb.projection @ restriction_lattice().gram, 4,
+                              "member component outside the member dual")
+    m = np.empty(len(rows), dtype=np.int16)
+    cn = np.empty(len(rows), dtype=np.int8)
+    cm = np.empty(len(rows), dtype=np.int8)
+    for part in _chunks(len(rows)):
+        block = rows[part].astype(np.int64)
+        m[part] = block @ emb.multiple
+        cn[part] = _vectorized_classes(ambient, block @ to_ambient)
+        cm[part] = _vectorized_classes(member, block @ to_member)
+    return m, cn, cm
+
+
+def _pairing_groups(rows: np.ndarray, bound: int) -> np.ndarray:
+    """The int32 group of each row of max-norm <= bound: two rows share a
+    group exactly when their member components 2 * r1 = r @ projection
+    agree.  The components are shifted by their reach in the box and read
+    as int32 mixed-radix keys, one block of _CHUNK rows at a time; a group
+    index is below the number of keys, so the key certificate covers it."""
+    projection = build_embedding().projection
+    span = bound * np.abs(projection).sum(axis=0)
+    dims = tuple(int(v) for v in 2 * span + 1)
+    _require_fit(prod(dims) - 1, np.int32, "pairing key")
+    keys = np.empty(len(rows), dtype=np.int32)
+    for part in _chunks(len(rows)):
+        keys[part] = np.ravel_multi_index(
+            tuple((rows[part] @ projection + span).T), dims
+        )
+    # return_index makes np.unique sort stably, with the int32 argsort that
+    # the enumeration runs rather than a second int32 sort kernel
+    return np.unique(keys, return_index=True, return_inverse=True)[2].astype(np.int32)
+
+
+def _labels_present(classes: np.ndarray, labels) -> tuple:
+    """The sorted distinct labels of the class indices in classes."""
+    seen = np.zeros(len(labels), dtype=bool)
+    seen[classes] = True
+    return tuple(sorted({labels[c] for c in np.flatnonzero(seen)}))
 
 
 _CASE_NORMS = (-4, -2, -6)
@@ -432,7 +502,9 @@ def heegner_restriction_cases(bound: int = 3) -> dict:
     visiting the rest of the box, and only their relevant vectors are built
     and classified; the table of every half-width 3..bound ("by_box";
     "cases" is the top one) is read off and verified by a max-norm mask.
-    Any violation raises with the witness vector."""
+    Each level keeps its rows as int8, m as int16 and the classes as int8
+    indices; a type label is looked up only to name a witness.  Any
+    violation raises with the witness vector."""
     if bound < 3:
         raise ValueError("bound must be at least 3")
     if bound > MAX_BOX:
@@ -442,48 +514,44 @@ def heegner_restriction_cases(bound: int = 3) -> dict:
     AM = restriction_module()
     an_types = element_types(AN)
     am_labels = element_types(AM)
-    am_types = np.array(am_labels)
     kappa_n = radical_class(AN)
+
+    def of_type(*types):
+        """Whether each member class has one of the types, by class index."""
+        return np.array([label in types for label in am_labels])
 
     levels = []
     level_sets = _relevant_level_sets(bound, _CASE_NORMS)
     for target, (rows, width, totals) in level_sets.items():
         m, cn, cm = _split_classes(rows)
-        b_type = am_types[cm]
         groups = None
         if target == -4:
             failures = [
                 (m != 0, "norm -4 case with m != 0"),
                 (
-                    (cn == kappa_n) != (b_type == "10"),
+                    (cn == kappa_n) != of_type("10")[cm],
                     "characteristic-class bookkeeping fails",
                 ),
-                (~np.isin(b_type, ("1", "10")), "norm -4 member class of type {b}"),
+                (~of_type("1", "10")[cm], "norm -4 member class of type {b}"),
             ]
         else:
             expected = "7/4" if target == -2 else "3/4"
             failures = [
                 (np.abs(m) != 1, f"norm {target} case with m = {{m}}"),
-                (b_type != expected, f"norm {target} member class of type {{b}}"),
+                (~of_type(expected)[cm], f"norm {target} member class of type {{b}}"),
             ]
-            # equal groups <=> equal member components 2 * r1
-            span = bound * np.abs(projection).sum(axis=0)
-            keys = np.ravel_multi_index(
-                tuple((rows @ projection + span).T), tuple(2 * span + 1)
-            )
-            groups = np.unique(keys, return_inverse=True)[1]
-        levels.append(
-            (target, totals, rows, width, m, cn, cm, b_type, failures, groups)
-        )
+            groups = _pairing_groups(rows, bound)
+        levels.append((target, totals, rows, width, m, cn, cm, failures, groups))
 
     by_box = {}
     spot_checked = set()
     for box in range(3, bound + 1):
         cases = by_box[box] = {}
         witnesses = []
-        for target, totals, rows, width, m, cn, cm, b_type, failures, groups in levels:
+        for target, totals, rows, width, m, cn, cm, failures, groups in levels:
             inside = width <= box  # a mask keeps lexicographic order
-            _raise_first(rows, [(f & inside, t) for f, t in failures], m=m, b=b_type)
+            _raise_first(rows, [(f & inside, t) for f, t in failures],
+                         m=m.__getitem__, b=lambda i: am_labels[cm[i]])
             m_in = m[inside]
             paired = None
             if groups is not None:
@@ -505,7 +573,8 @@ def heegner_restriction_cases(bound: int = 3) -> dict:
             # vector of this norm in the box, in lexicographic order
             kept = np.flatnonzero(inside)
             witnesses += [
-                (tuple(int(v) for v in rows[i]), int(m[i]), an_types[cn[i]], b_type[i])
+                (tuple(int(v) for v in rows[i]), int(m[i]), an_types[cn[i]],
+                 am_labels[cm[i]])
                 for i in kept[[0, len(kept) // 2, -1]]
             ]
             # value sets without np.unique, whose first plain call loads numpy.ma
@@ -515,12 +584,8 @@ def heegner_restriction_cases(bound: int = 3) -> dict:
                 "relevant": len(kept),
                 "m_values": m_values,
                 "r1_norms": tuple(sorted({target + v * v for v in m_values})),
-                "ambient_types": tuple(sorted(
-                    {an_types[c] for c in np.flatnonzero(np.bincount(cn[inside]))}
-                )),
-                "beta_types": tuple(sorted(
-                    {am_labels[c] for c in np.flatnonzero(np.bincount(cm[inside]))}
-                )),
+                "ambient_types": _labels_present(cn[inside], an_types),
+                "beta_types": _labels_present(cm[inside], am_labels),
                 "hyperplane_multiplicity": 1 if target == -4 else 2,
                 "paired_hyperplanes": paired,
             }
@@ -554,20 +619,24 @@ def _norm_minus4_projection() -> dict:
     classified on the exact path of `restriction_case`."""
     rows = _relevant_level_sets(2, (-4,))[-4][0]
     m, cn, cm = _split_classes(rows)
-    classes, first = np.unique(cn, return_index=True)
+    # the first row of each ambient class; np.unique would sort the int8
+    # classes with a kernel that nothing else runs
+    first = {}
+    for i, c in enumerate(cn.tolist()):
+        first.setdefault(c, i)
     _raise_first(
         rows,
         [
             (m != 0, "relevant norm -4 vector with m != 0"),
             (
-                cm != cm[first][np.searchsorted(classes, cn)],
+                cm != cm[[first[c] for c in cn.tolist()]],
                 "projection depends on the representative for ambient class {c}",
             ),
         ],
-        c=cn,
+        c=cn.__getitem__,
     )
     images = {}
-    for i in np.sort(first):
+    for i in sorted(first.values()):
         r = tuple(int(v) for v in rows[i])
         case = restriction_case(r)
         if (case.m, case.ambient_class, case.beta_class) != (0, cn[i], cm[i]):

@@ -1,9 +1,11 @@
-"""Helpers shared by the test modules: the demo runner and scalar
-references for the packed matrix kernels."""
+"""Helpers shared by the test modules: the demo runner, the traced memory
+peak of a call, and scalar references for the packed matrix kernels."""
 
+import functools
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 from igusa.exact import CYC_ZERO, Cyclotomic, CycMatrix
@@ -11,9 +13,11 @@ from igusa.exact import CYC_ZERO, Cyclotomic, CycMatrix
 REPO = Path(__file__).resolve().parents[1]
 
 
+@functools.cache
 def run_demo(name: str) -> str:
     """The standard output of the demo script ``demos/<name>``, which must
-    exit cleanly."""
+    exit cleanly. Each demo runs once per test process; later calls read the
+    kept output."""
     env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
     done = subprocess.run(
         [sys.executable, str(REPO / "demos" / name)],
@@ -21,6 +25,17 @@ def run_demo(name: str) -> str:
     )
     assert done.returncode == 0, done.stderr
     return done.stdout
+
+
+def traced_peak(f, *args) -> int:
+    """The peak of the memory that tracemalloc sees (numpy's buffers
+    included) while f(*args) runs, in bytes."""
+    tracemalloc.start()
+    try:
+        f(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def reference_apply(matrix: CycMatrix, vec) -> list:

@@ -405,8 +405,10 @@ GEOMETRY_DEMO_SHA256 = (
 
 
 def test_geometry_demo_output_is_pinned():
-    # every line demo 07 prints, the fibre curve's rows included
+    # every line demo 07 prints, the fibre curve's rows included; one line
+    # first, so that a mismatch there names the quartic's value at a witness
     out = run_demo("07_quartic_geometry.py")
+    assert "quartic at (1,-1,0,0,0,0):  -4\n" in out
     assert hashlib.sha256(out.encode()).hexdigest() == GEOMETRY_DEMO_SHA256
 
 

@@ -92,6 +92,34 @@ def test_exact_inputs_refuse_non_rational_values(value):
         Cyclotomic([1, value] + [0] * 6)
 
 
+@pytest.mark.parametrize("value", NOT_EXACT, ids=["float", "float64", "decimal"])
+def test_phases_and_series_refuse_non_rational_values(value):
+    # e(0.25) would be i and e(0.1) a conductor error on the binary value
+    named = re.escape(f"{value!r} is not an exact rational")
+    refused = [
+        lambda: Cyclotomic.e(value),
+        lambda: Cyclotomic.e_half(value),
+        lambda: QSeries({value: 1}, 2),
+        lambda: QSeries({}, value),
+        lambda: QSeries({0: 1}, 2).coefficient(value),
+    ]
+    for call in refused:
+        with pytest.raises(TypeError, match=named):
+            call()
+
+
+def test_phases_and_series_accept_exact_values():
+    assert Cyclotomic.e(Fraction(1, 4)) == Cyclotomic.e(np.int64(1) * Fraction(1, 4)) == CYC_I
+    assert Cyclotomic.e(np.int64(1)) == CYC_ONE
+    # e^(pi i q) halves q exactly: 1/2 for q = 1, and 1/24 for q = 1/12
+    assert Cyclotomic.e_half(1) == Cyclotomic.e_half(np.int64(1)) == -CYC_ONE
+    assert Cyclotomic.e_half(Fraction(1, 12)) == Cyclotomic.root(1)
+    series = QSeries({np.int64(1): 2, Fraction(1, 4): 1}, np.int64(2))
+    assert series == QSeries({1: 2, Fraction(1, 4): 1}, 2)
+    assert series.truncation == 2 and type(series.truncation) is Fraction
+    assert series.coefficient(np.int64(1)) == Cyclotomic(2)
+
+
 def test_exact_inputs_accept_numpy_integers():
     ints, den = exact.clear_denominators([np.int64(3), Fraction(1, 2)])
     assert (ints, den) == ([6, 1], 2) and all(type(v) is int for v in ints)

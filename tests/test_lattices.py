@@ -86,6 +86,19 @@ def test_standard_scale_must_stay_integral():
         standard("Q7")
 
 
+@pytest.mark.parametrize("scale", [2.0, np.float64(0.5), Decimal("2")],
+                         ids=["float", "float64", "decimal"])
+def test_standard_scale_must_be_exact(scale):
+    # 2.0 would pass by its binary value and give U(2)
+    with pytest.raises(TypeError, match=re.escape(f"{scale!r} is not an exact rational")):
+        standard("U", scale)
+
+
+def test_standard_scale_accepts_exact_values():
+    assert standard("U", np.int64(2)).gram == standard("U", 2).gram == ((0, 2), (2, 0))
+    assert standard("A1", Fraction(1, 2)).gram == ((-1,),)
+
+
 def test_direct_sum_and_signatures():
     N = ambient_lattice()
     assert signature(N) == (2, 4)

@@ -26,7 +26,7 @@ from igusa.restriction import (
 )
 from igusa.weil import ambient_module
 
-from helpers import run_demo
+from helpers import run_demo, traced_peak
 
 HALF = Fraction(1, 2)
 
@@ -383,7 +383,7 @@ def test_relevant_level_sets_match_the_reference(bound):
     for target, (rows, width, totals) in relevant.items():
         full = reference[target]
         expected = full[(full[:, 4] + full[:, 5]) ** 2 < -target]
-        assert rows.dtype == np.int64
+        assert rows.dtype == width.dtype == np.int8
         assert np.array_equal(rows, expected), target  # order included
         assert np.array_equal(width, np.abs(expected).max(axis=1)), target
         widths = np.abs(full).max(axis=1)
@@ -391,13 +391,75 @@ def test_relevant_level_sets_match_the_reference(bound):
         assert totals == box_totals.tolist(), target
 
 
+def _refused(match, call, *args):
+    """call(*args) must raise ValueError matching match."""
+    with pytest.raises(ValueError, match=match):
+        call(*args)
+
+
+@pytest.mark.parametrize("bound, targets, limit", [
+    (128, (-4, -2, -6), "coordinate bound reaches 128, past the int8 limit 127"),
+    (108, (-4, -2, -6), "tail index reaches 2217373920, past the int32 limit"),
+    (3, (-(2**29),), "norm bin reaches 4294967875, past the int32 limit"),
+])
+def test_level_sets_refuse_bounds_past_their_dtypes_before_allocating(
+        bound, targets, limit):
+    # the box of half-width 108 would hold 217^4 tails, 8.9 GB of int32 norms
+    peak = traced_peak(_refused, limit, restriction._relevant_level_sets,
+                       bound, targets)
+    assert peak < 100_000
+
+
+def test_split_classes_refuse_values_past_their_dtypes(monkeypatch):
+    # m = x5 + x6 is int16
+    rows = np.array([[0, 0, 0, 0, 20_000, 0]])
+    _refused("m reaches 40000, past the int16 limit 32767",
+             restriction._split_classes, rows)
+    # class indices are int8
+    monkeypatch.setattr(restriction, "ambient_module", lambda: SimpleNamespace(size=256))
+    _refused("class index reaches 255, past the int8 limit 127",
+             restriction._split_classes, rows[:0])
+
+
+def test_pairing_groups_refuse_keys_past_int32():
+    # member components in the box of half-width 19 span 77^5 > 2^31 keys
+    rows = np.zeros((0, 6), dtype=np.int8)
+    _refused("pairing key reaches 2706784156, past the int32 limit",
+             restriction._pairing_groups, rows, 19)
+    assert restriction._pairing_groups(rows, 18).dtype == np.int32
+
+
+def test_split_classes_do_not_depend_on_the_block_size(monkeypatch):
+    rows = restriction._relevant_level_sets(6, (-2,))[-2][0]
+    block = restriction._CHUNK
+    assert len(rows) > 2 * block
+    blocked = restriction._split_classes(rows)
+    assert [a.dtype for a in blocked] == [np.int16, np.int8, np.int8]
+    for chunk in (7, len(rows)):
+        monkeypatch.setattr(restriction, "_CHUNK", chunk)
+        for got, expected in zip(restriction._split_classes(rows), blocked):
+            assert np.array_equal(got, expected)
+    # the rows on either side of the first block boundary, on the exact path
+    m, cn, cm = blocked
+    for i in (block - 1, block):
+        case = restriction_case(rows[i].tolist())
+        assert (case.m, case.ambient_class, case.beta_class) == (m[i], cn[i], cm[i])
+
+
+def test_case_table_memory_peak_is_bounded():
+    heegner_restriction_cases(3)  # every shared context is built
+    # 1.76 MB measured with compact level sets (6.06 MB with int64 ones and
+    # <U3 type labels); the bound leaves a 25 % margin
+    assert traced_peak(heegner_restriction_cases, 7) < 2_200_000
+
+
 def test_pairing_vectors_need_a_form_divisible_by_d():
-    pairing = restriction._pairing_vectors
+    pairing = restriction._pairing_form
     rows = np.array([[2, 0], [1, 1], [1, 0], [0, 1]], dtype=np.int64)
-    even = pairing(rows, ((2, 0), (0, -2)), 2, "odd")
+    even = rows @ pairing(((2, 0), (0, -2)), 2, "odd")
     assert even.tolist() == [[2, 0], [1, -1], [1, 0], [0, -1]]
     with pytest.raises(ValueError, match=r"^odd$"):
-        pairing(rows, ((1, 0), (0, 2)), 2, "odd")
+        pairing(((1, 0), (0, 2)), 2, "odd")
 
 
 def test_masked_class_digits_match_the_modulo_reference(monkeypatch):
@@ -407,13 +469,16 @@ def test_masked_class_digits_match_the_modulo_reference(monkeypatch):
 
     def modulo(module, K):
         digits = K @ np.array(module._push_mat, dtype=np.int64)[module._kept].T
-        negative.append(bool((digits < 0).any()))
+        if (digits < 0).any():
+            negative.append(module)
         return (digits % np.array(module.orders)) @ module._radix
 
     monkeypatch.setattr(restriction, "_vectorized_classes", modulo)
     for got, expected in zip(masked, restriction._split_classes(rows)):
         assert np.array_equal(got, expected)
-    assert negative == [True, True]  # both modules see negative digits
+    # both modules see negative digits, in some block of rows
+    for module in (ambient_module(), restriction_module()):
+        assert any(seen is module for seen in negative)
 
 
 def test_class_digits_need_orders_that_are_powers_of_two():
@@ -455,7 +520,7 @@ def _reference_cases(bound):
                 (np.abs(m) != 1, f"norm {target} case with m = {{m}}"),
                 (b_type != expected, f"norm {target} member class of type {{b}}"),
             ]
-        restriction._raise_first(rows, failures, m=m, b=b_type)
+        restriction._raise_first(rows, failures, m=m.__getitem__, b=b_type.__getitem__)
 
         paired = None
         if target != -4:

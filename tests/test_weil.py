@@ -42,7 +42,7 @@ from igusa.weil import (
     weil_generator,
 )
 
-from helpers import reference_apply, run_demo
+from helpers import reference_apply, run_demo, traced_peak
 
 try:
     from hypothesis import given, settings
@@ -543,17 +543,6 @@ def test_group_certificate_needs_the_reflections_to_reach_every_row(monkeypatch)
     monkeypatch.setattr(weil, "reflection", lambda A, alpha: np.arange(A.size))
     with pytest.raises(ValueError, match="the reflections reach 1 of 1440 rows"):
         irreducibility_check()
-
-
-def traced_peak(f, *args) -> int:
-    """The peak of the memory that tracemalloc sees (numpy's buffers
-    included) while f(*args) runs, in bytes."""
-    tracemalloc.start()
-    try:
-        f(*args)
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
 
 
 def test_character_norm_gathers_one_component_plane_at_a_time():
