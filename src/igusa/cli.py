@@ -13,6 +13,12 @@ import argparse
 import os
 import sys
 
+# OpenBLAS reads these once, when numpy loads; its worker thread doubles the
+# import, and no product here (at most 64x64) is big enough to use it.
+if all(name not in os.environ for name in
+       ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")):
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+
 from . import __version__
 from .report import SUITES, build_report, render_markdown
 

@@ -331,34 +331,97 @@ def test_cli_all_report_is_pinned(capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == ALL_SHA256
 
 
+BLAS_THREAD_VARIABLES = (
+    "OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS",
+)
+
+
+def _child_env(**extra):
+    # a fresh interpreter's environment without the BLAS thread settings,
+    # which this process carries once it has imported igusa.cli
+    env = {key: value for key, value in os.environ.items()
+           if key not in BLAS_THREAD_VARIABLES}
+    src = Path(__file__).resolve().parents[1] / "src"
+    return dict(env, PYTHONPATH=str(src), PYTHONIOENCODING="utf-8", **extra)
+
+
 def test_cli_all_report_is_pinned_in_fresh_interpreters():
     # the pin above runs in-process; each fresh interpreter here gets its
     # own string-hash seed, so an output that depends on set or dict order
-    # of strings, or on other per-process state, moves the hash; the last
-    # child runs BLAS on one thread, which changes the summation order of
-    # the float64 matrix products but must not change their exact results
-    src = Path(__file__).resolve().parents[1] / "src"
+    # of strings, or on other per-process state, moves the hash; the first
+    # child runs BLAS on two threads, which may split the float64 matrix
+    # products and change their summation order, the second on the CLI's
+    # default of one and the last on one by the user's own setting: none
+    # may change an exact result
     children = (
-        {"PYTHONHASHSEED": "0"},
+        {"PYTHONHASHSEED": "0", "OPENBLAS_NUM_THREADS": "2"},
         {"PYTHONHASHSEED": "1"},
         {"PYTHONHASHSEED": "2", "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"},
     )
     for extra in children:
-        env = dict(os.environ, PYTHONPATH=str(src), PYTHONIOENCODING="utf-8", **extra)
         done = subprocess.run([sys.executable, "-m", "igusa.cli", "all"],
-                              capture_output=True, env=env, timeout=300)
+                              capture_output=True, env=_child_env(**extra),
+                              timeout=300)
         assert done.returncode == 0, done.stderr.decode()
         assert hashlib.sha256(done.stdout).hexdigest() == ALL_SHA256, extra
 
 
+@pytest.mark.parametrize("module, extra, expected", [
+    ("igusa.cli", {}, ["1", None, None]),
+    ("igusa.cli", {"OPENBLAS_NUM_THREADS": "2"}, ["2", None, None]),
+    ("igusa.cli", {"GOTO_NUM_THREADS": "2"}, [None, "2", None]),
+    ("igusa.cli", {"OMP_NUM_THREADS": "2"}, [None, None, "2"]),
+    ("igusa.weil", {}, [None, None, None]),
+])
+def test_cli_runs_blas_on_one_thread_unless_told_otherwise(module, extra,
+                                                          expected):
+    # importing the CLI sets OPENBLAS_NUM_THREADS=1 before numpy loads,
+    # unless one of the variables OpenBLAS reads is already set; a library
+    # import leaves the environment alone
+    probe = (f"import json, os, {module}, numpy\n"
+             "task = '/proc/self/task'\n"
+             "threads = len(os.listdir(task)) if os.path.isdir(task) else None\n"
+             f"print(json.dumps([[os.environ.get(key) for key in "
+             f"{BLAS_THREAD_VARIABLES!r}], threads]))")
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                          text=True, env=_child_env(**extra), timeout=300)
+    assert done.returncode == 0, done.stderr
+    settings, threads = json.loads(done.stdout)
+    assert settings == expected
+    if module == "igusa.cli" and not extra and threads is not None:
+        # the setting reached OpenBLAS: no worker thread was started
+        assert threads == 1
+
+
+def test_cli_imports_only_the_layers_a_suite_runs():
+    # cold start pays for the layers it imports: the CLI itself loads the
+    # report and the exact layer its check results need, and a suite adds
+    # only the layers it runs
+    probe = (
+        "import contextlib, io, json, sys, igusa.cli\n"
+        "def loaded():\n"
+        "    return {name for name in sys.modules\n"
+        "            if name.partition('.')[0] == 'igusa'}\n"
+        "before = loaded()\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = igusa.cli.main(['geometry', '--trials', '0'])\n"
+        "print(json.dumps([sorted(before), sorted(loaded() - before), code]))"
+    )
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                          text=True, env=_child_env(), timeout=300)
+    assert done.returncode == 0, done.stderr
+    before, added, code = json.loads(done.stdout)
+    assert before == ["igusa", "igusa.cli", "igusa.exact", "igusa.report"]
+    assert added == ["igusa.geometry"]
+    assert code == 0
+
+
 def test_package_runs_as_a_module():
     # `python -m igusa` runs the igusa command
-    src = Path(__file__).resolve().parents[1] / "src"
-    env = dict(os.environ, PYTHONPATH=str(src), PYTHONIOENCODING="utf-8")
     for argv in (["--version"], ["geometry", "--trials", "0"]):
         done = subprocess.run([sys.executable, "-m", "igusa", *argv],
-                              capture_output=True, text=True, env=env,
-                              timeout=300)
+                              capture_output=True, text=True,
+                              env=_child_env(), timeout=300)
         assert done.returncode == 0, (argv, done.stderr)
     assert done.stdout.startswith("{")
 
