@@ -14,6 +14,7 @@ from __future__ import annotations
 import cmath
 import math
 import numbers
+import sys
 from fractions import Fraction
 from operator import mul
 from typing import Iterable, Sequence, Union
@@ -261,7 +262,13 @@ class Cyclotomic:
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash((self._num, self._den))
+        if not self.is_rational:
+            return hash((self._num, self._den))
+        # a rational hashes as the equal int or Fraction (the rule for numeric
+        # types in the Python documentation) without building one
+        n, d, p = self._num[0], self._den, sys.hash_info.modulus
+        value = hash(abs(n) * pow(d, -1, p)) if d % p else sys.hash_info.inf
+        return hash(value if n >= 0 else -value)
 
     def __neg__(self) -> "Cyclotomic":
         return Cyclotomic._packed(tuple(-v for v in self._num), self._den)

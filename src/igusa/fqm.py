@@ -29,8 +29,7 @@ __all__ = [
     "isotropic_vectors",
     "isotropic_planes",
     "reflection",
-    "is_closed",
-    "orthogonal_group",
+    "reflection_group",
     "find_isomorphism",
     "TYPE_ORDER_AMBIENT",
     "TYPE_ORDER_RESTRICTION",
@@ -289,10 +288,10 @@ def element_types(A: FiniteQuadraticModule) -> tuple:
     return A._types
 
 
-def type_census(A: FiniteQuadraticModule, order=TYPE_ORDER_AMBIENT) -> dict:
-    """Count elements of each type, keyed in the given label order."""
+def type_census(A: FiniteQuadraticModule) -> dict:
+    """Count elements of each type, keyed in TYPE_ORDER_AMBIENT."""
     labels = element_types(A)
-    counts = {t: 0 for t in order}
+    counts = {t: 0 for t in TYPE_ORDER_AMBIENT}
     for lab in labels:
         if lab not in counts:
             raise ValueError(f"unexpected type {lab} for this census order")
@@ -300,12 +299,10 @@ def type_census(A: FiniteQuadraticModule, order=TYPE_ORDER_AMBIENT) -> dict:
     return counts
 
 
-def type_census_mod_negation(
-    A: FiniteQuadraticModule, order=TYPE_ORDER_RESTRICTION
-) -> dict:
-    """Count {x, -x} classes of each type."""
+def type_census_mod_negation(A: FiniteQuadraticModule) -> dict:
+    """Count {x, -x} classes of each type, keyed in TYPE_ORDER_RESTRICTION."""
     labels = element_types(A)
-    counts = {t: 0 for t in order}
+    counts = {t: 0 for t in TYPE_ORDER_RESTRICTION}
     for x in A.elements():
         if x <= A.neg(x):  # canonical representative of the pair
             lab = labels[x]
@@ -428,104 +425,31 @@ def reflection(A: FiniteQuadraticModule, alpha: int) -> np.ndarray:
     return t
 
 
-def _member_index(A: FiniteQuadraticModule, perms):
-    """A function mapping permutations (..., size) to the index of the equal
-    row of perms, an (n, size) array of automorphisms of A, or -1.  The key
-    of a permutation has its values on the generators as digits in base
-    size, so automorphisms have distinct keys; a repeated row, or two rows
-    with one key, raise ValueError.  Found rows are compared entrywise."""
-    n = len(perms)
-    base = A.generators()
-    if A.size ** len(base) >= 2**63:
-        raise ValueError("the lookup key of this module would leave int64")
-    weights = A.size ** np.arange(len(base), dtype=np.int64)
-    keys = perms[:, base].astype(np.int64) @ weights
-    order = np.argsort(keys)
-    sorted_keys = keys[order]
-    clash = np.flatnonzero(sorted_keys[1:] == sorted_keys[:-1])
-    if len(clash):
-        i, j = sorted(order[clash[0]:clash[0] + 2])
-        if np.array_equal(perms[i], perms[j]):
-            raise ValueError(f"member {j} repeats member {i}")
-        raise ValueError("distinct members share a lookup key")
-    members = perms.astype(np.uint8 if A.size <= 256 else np.int32)[order]
+def reflection_group(A: FiniteQuadraticModule) -> np.ndarray:
+    """The group generated by the reflections in the classes with q = 1, as
+    a read-only (order, size) int32 array whose row g is the permutation
+    x -> g[x] of one member, with the identity as row 0.
 
-    def lookup(candidates):
-        where = np.minimum(np.searchsorted(sorted_keys, candidates[..., base].astype(np.int64)
-                                           @ weights), n - 1)
-        return np.where((members[where] == candidates).all(axis=-1), order[where], -1)
-
-    return lookup
-
-
-def is_closed(A: FiniteQuadraticModule, perms) -> bool:
-    """Full closure check of the rows of perms, an (n, size) array of
-    automorphisms of A: each of the n**2 products h(g(x)) is looked up
-    among the rows with `_member_index`."""
-    lookup = _member_index(A, perms)
-    rows = perms.astype(np.uint8 if A.size <= 256 else np.int32)
-    for start in range(0, len(perms), 128):
-        # products[h, j] = h(g_j(x)) for the rows g_j of this chunk
-        if (lookup(rows.take(perms[start:start + 128], axis=1)) < 0).any():
-            return False
-    return True
-
-
-def orthogonal_group(A: FiniteQuadraticModule, node_budget: int = 5_000_000) -> np.ndarray:
-    """The full orthogonal group of a 2-elementary module of dimension <= 6,
-    as a read-only (order, size) int32 array whose row g is the permutation
-    x -> g[x] of one member, from a search over generator images run level
-    by level.
-
-    Level i holds every partial solution (images of g_0, ..., g_{i-1}) as a
-    row of one array, next to its span as a boolean membership row.  A
-    candidate image x of g_i has q(x) = q(g_i), lies outside the span (one
-    lookup in the row) and pairs with the images placed so far as g_i pairs
-    with g_0, ..., g_{i-1} (one gather from the b-table for the whole
-    level); a child's span is its parent's row OR that row permuted by XOR
-    with x.  Children follow their parents and the candidates in increasing
-    order, so the rows come out in the lexicographic order of a depth-first
-    search, and each partial solution (the empty one included) counts as
-    one node against node_budget, as it would there.  The permutations are
-    built in one vectorised XOR, and every row is checked exhaustively to
-    preserve q and b."""
-    if any(d != 2 for d in A.orders):
-        raise ValueError("orthogonal_group supports 2-elementary modules only")
-    k = len(A.orders)
-    if k > 6:
-        raise ValueError("orthogonal_group supports dimension <= 6 only")
-    gens = A.generators()
-    # for all orders 2 the mixed-radix index is a bitmask and addition is XOR
-    if any(g != 1 << i for i, g in enumerate(gens)):
-        raise AssertionError("generator indices must be the bitmasks 1 << i")
-
-    q4 = A.q4
-    b4 = A.b4
-    points = np.arange(A.size, dtype=np.int32)
-    imgs = np.zeros((1, 0), dtype=np.int32)
-    span = points[None, :] == 0
-    nodes = 1
-    for i, g in enumerate(gens):
-        # 0 has the right q-value only if g does, and it lies in every span
-        cands = np.flatnonzero(q4 == q4[g]).astype(np.int32)
-        ok = ~span[:, cands]
-        if i:
-            ok &= np.all(b4[cands[None, :, None], imgs[:, None, :]] == b4[g, gens[:i]], axis=2)
-        parent, pick = np.nonzero(ok)
-        nodes += len(parent)
-        if nodes > node_budget:
-            raise RuntimeError(f"orthogonal group search exceeded {node_budget} nodes")
-        x = cands[pick]
-        imgs = np.column_stack([imgs[parent], x])
-        span = span[parent]
-        span |= span[np.arange(len(x))[:, None], points ^ x[:, None]]
-
-    # the image of element e is the XOR of the images of its set bits
-    bits = (points[:, None] >> np.arange(k, dtype=np.int32)) & 1
-    perms = np.bitwise_xor.reduce(imgs[:, None, :] * bits, axis=2)
-    _check_isometries(A, perms, "an automorphism candidate")
-    perms.setflags(write=False)
-    return perms
+    Breadth first from the identity: each new row g is composed with each
+    reflection t, one reflection at a time, to x -> g[t[x]], and a
+    composition is kept when no row so far equals it, until none is new.
+    Every row is a product of isometries and the rows are closed under
+    composition with the generators, so they form a group by construction.
+    Rows are kept as the bytes of the smallest unsigned dtype that holds a
+    class, in an insertion-ordered dict."""
+    gens = [reflection(A, a) for a in A.elements() if A.q4[a] == 4]
+    dtype = np.min_scalar_type(A.size - 1)
+    frontier, width = np.arange(A.size, dtype=dtype)[None, :], A.size * dtype.itemsize
+    seen = dict.fromkeys([frontier.tobytes()])
+    while len(frontier):
+        known = len(seen)
+        for t in gens:
+            data = frontier[:, t].tobytes()
+            seen.update(dict.fromkeys(data[i:i + width] for i in range(0, len(data), width)))
+        frontier = np.frombuffer(b"".join(list(seen)[known:]), dtype).reshape(-1, A.size)
+    group = np.frombuffer(b"".join(seen), dtype).reshape(-1, A.size).astype(np.int32)
+    group.setflags(write=False)
+    return group
 
 
 # ---------------------------------------------------------------------------

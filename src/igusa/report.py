@@ -681,7 +681,7 @@ def restriction_suite(runner: SuiteRunner, box: int = 3) -> None:
         embedding,
     )
 
-    bounds = list(range(3, max(3, box) + 1))
+    bounds = list(range(3, box + 1))
 
     def heegner_cases():
         actual = {}
@@ -927,6 +927,11 @@ def build_report(subcommand: str, *, seed: int = 0, box: int = 3,
     if not 0 < tolerance < 1:  # the bound of --tolerance; NaN fails it too
         raise ValueError(f"tolerance {tolerance} must lie strictly between "
                          "0 and 1")
+    if box < 3:  # the bound of --box
+        raise ValueError(f"box {box} must be at least 3 (smaller boxes miss "
+                         "the enumeration witnesses)")
+    if trials < 0:  # the bound of --trials; 0 skips the numeric checks
+        raise ValueError(f"trials {trials} must be nonnegative")
     config = {
         "seed": seed,
         "box": box,

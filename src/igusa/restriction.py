@@ -19,6 +19,7 @@ from math import prod
 
 import numpy as np
 
+from .exact import clear_denominators
 from .fqm import (
     TYPE_ORDER_RESTRICTION,
     element_types,
@@ -273,9 +274,10 @@ def restriction_case(r) -> RestrictionCase:
     AM = restriction_module()
     if len(r) != N.rank:
         raise ValueError("coordinate length mismatch")
-    if any(Fraction(c).denominator != 1 for c in r):
+    r, d = clear_denominators(r)  # a float raises TypeError
+    if d != 1:
         raise ValueError("r must be an integral ambient vector")
-    r = tuple(int(c) for c in r)
+    r = tuple(r)
     vec = np.array(r, dtype=np.int64)
     m = int(vec @ emb.multiple)
     two_r1 = vec @ emb.projection  # member coordinates of 2 * r1

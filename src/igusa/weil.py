@@ -31,7 +31,7 @@ from .exact import (
     packed_roots,
     packed_sum,
 )
-from .fqm import _member_index, isotropic_planes, orthogonal_group, radical_class, reflection
+from .fqm import isotropic_planes, radical_class, reflection, reflection_group
 from .lattices import ambient_lattice, discriminant_module
 
 __all__ = [
@@ -74,9 +74,11 @@ def ambient_module():
 
 @lru_cache(maxsize=1)
 def ambient_orthogonal_group() -> np.ndarray:
-    """The 1440 members of the orthogonal group of the ambient module, one
-    read-only int32 permutation row each (see ``fqm.orthogonal_group``)."""
-    return orthogonal_group(ambient_module())
+    """The orthogonal group of the ambient module as the closure of its 16
+    norm-1 reflections (``fqm.reflection_group``): 1440 read-only int32
+    permutation rows, the identity first.  Tier-1 checks it against an
+    exhaustive search of all isometries."""
+    return reflection_group(ambient_module())
 
 
 # ---------------------------------------------------------------------------
@@ -626,37 +628,13 @@ def _character_norm(proj: CycMatrix, perms: np.ndarray):
     return chars, CycArray(packed_sum(squares), chars.den**2 * len(perms)).entry()
 
 
-def _certify_group(A, perms, identity: int) -> None:
-    """Raises unless the rows of perms form a group: every row composed with
-    each norm-1 reflection is a row (one lookup per reflection), and a search
-    from the identity along these steps reaches every row."""
-    lookup, rows = _member_index(A, perms), perms.astype(np.uint8)  # 64 classes fit
-    classes = [a for a in A.elements() if A.q4[a] == 4]
-    steps = np.stack([lookup(rows[:, reflection(A, a)]) for a in classes])
-    missing = np.argwhere(steps < 0)
-    if len(missing):
-        i, row = missing[0]
-        raise ValueError(f"row {row} composed with the reflection in class {classes[i]} "
-                         f"is not a row")
-    reached, count = np.arange(len(perms)) == identity, 0
-    while count < reached.sum():
-        count = reached.sum()
-        reached[steps[:, reached]] = True
-    if count < len(perms):
-        raise ValueError(f"the reflections reach {count} of {len(perms)} rows")
-
-
 def irreducibility_check() -> dict:
     """Certificate that W is irreducible under the full orthogonal group:
-    the 1440 rows averaged over form a group (`_certify_group`), the exact
-    Frobenius norm of the character of W equals 1, and the central
-    involution acts by -1."""
+    the exact Frobenius norm of the character of W, averaged over the rows
+    of `ambient_orthogonal_group` (a group by construction, the identity
+    first), equals 1, and the central involution acts by -1."""
     A = ambient_module()
     perms = ambient_orthogonal_group()
-    identity = np.flatnonzero((perms == np.arange(A.size)).all(axis=1))
-    if len(identity) != 1:
-        raise ValueError(f"expected one identity member, found {len(identity)}")
-    _certify_group(A, perms, int(identity[0]))
     proj = isotypic_projector(4)
     chars, norm = _character_norm(proj, perms)
     t_kappa = reflection(A, radical_class(A))
@@ -664,6 +642,7 @@ def irreducibility_check() -> dict:
     return {
         "frobenius_norm": norm,
         "is_irreducible": norm == CYC_ONE,
-        "identity_character": chars.entry(int(identity[0])),
+        "identity_character": chars.entry(0),
         "central_involution_is_minus_one": bool(central_minus),
+        "group_order": len(perms),
     }

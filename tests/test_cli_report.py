@@ -144,6 +144,18 @@ def test_unknown_subcommand_is_rejected():
         build_report("bogus")
 
 
+@pytest.mark.parametrize("suite, options, message", [
+    ("restriction", {"box": 2}, "box 2 must be at least 3"),
+    ("restriction", {"box": -1}, "box -1 must be at least 3"),
+    ("geometry", {"trials": -3}, "trials -3 must be nonnegative"),
+])
+def test_report_refuses_values_it_would_not_run(suite, options, message):
+    # the configuration records the values given, so a value the suite
+    # would clamp or ignore is refused before any check runs
+    with pytest.raises(ValueError, match=message):
+        build_report(suite, **options)
+
+
 def test_geometry_report_with_zero_trials_skips_numeric():
     doc = build_report("geometry", trials=0)
     statuses = {c.id: c.status for c in doc.checks}

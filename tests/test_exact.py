@@ -3,6 +3,7 @@ series, and packed cyclotomic matrices."""
 
 import math
 import re
+import sys
 from decimal import Decimal
 from fractions import Fraction
 
@@ -313,6 +314,19 @@ def test_integer_scalar_keeps_lowest_terms():
     assert big.coefficients[7] == 2**65 and (big * big.inverse()) == CYC_ONE
     with pytest.raises(ValueError):
         Cyclotomic([1, 2, 3])
+
+
+def test_rational_value_hashes_as_the_equal_number():
+    # equal values must hash alike, so a Cyclotomic finds the equal int or
+    # Fraction in a set or dict, and the other way round
+    modulus = sys.hash_info.modulus
+    for value in (0, 1, -1, 7, Fraction(1, 2), Fraction(-3, 7), Fraction(2**80 + 1, 999),
+                  Fraction(-1, modulus), Fraction(5, 2 * modulus)):
+        assert Cyclotomic(value) == value and hash(Cyclotomic(value)) == hash(value)
+    assert 1 in {Cyclotomic(1)} and Cyclotomic(1) in {1}
+    assert Fraction(1, 2) in {Cyclotomic(Fraction(1, 2))}
+    assert {Cyclotomic(3): "x"}[3] == "x"
+    assert CYC_I not in {0, 1} and hash(CYC_I) == hash(Cyclotomic.root(6))
 
 
 def test_integer_scalar_arithmetic_builds_no_fraction():

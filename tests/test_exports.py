@@ -41,7 +41,7 @@ def load_tracer():
 # Traced names whose functions are already gone; the benchmark lists them
 # as missing until its name list is repaired.
 KNOWN_MISSING = {"exact.field_rref", "geometry.rnc_through_7",
-                 "geometry.rational_curve_via_frame"}
+                 "geometry.rational_curve_via_frame", "fqm.orthogonal_group"}
 
 
 def test_benchmark_traced_names_resolve():

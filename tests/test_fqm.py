@@ -14,13 +14,12 @@ from igusa.fqm import (
     direct_sum,
     element_types,
     find_isomorphism,
-    is_closed,
     isotropic_planes,
     isotropic_vectors,
-    orthogonal_group,
     pairing_table,
     radical_class,
     reflection,
+    reflection_group,
     type_census,
     type_census_mod_negation,
 )
@@ -32,7 +31,7 @@ from igusa.lattices import (
 )
 from igusa.weil import ambient_module, ambient_orthogonal_group
 
-from helpers import run_demo
+from helpers import run_demo, traced_peak
 
 
 @pytest.fixture(scope="module")
@@ -342,7 +341,7 @@ def test_kappa_reflection_is_the_component_swap(AN):
 
 @pytest.fixture(scope="module")
 def OQN(AN):
-    return orthogonal_group(AN)
+    return reflection_group(AN)
 
 
 @pytest.fixture(scope="module")
@@ -353,46 +352,75 @@ def reflections(AN):
     return np.stack([reflection(AN, alpha) for alpha in q1])
 
 
+def reference_orthogonal_perms(A):
+    """Every isometry of A, one permutation row each, from a depth-first
+    search over the images of the generators: an image has its generator's
+    order and q-value and pairs with the images placed so far as the
+    generators pair, and each full choice gives the additive map, kept when
+    it is a bijection preserving q (and so b).  An oracle that never uses a
+    reflection."""
+    gens = A.generators()
+    cands = [[y for y in A.elements()
+              if A.order_of(y) == A.order_of(g) and A.q4[y] == A.q4[g]] for g in gens]
+    coords = np.array([A.coords(x) for x in A.elements()])
+    perms = []
+
+    def place(imgs):
+        i = len(imgs)
+        if i == len(gens):
+            images = np.array([A.coords(y) for y in imgs])
+            # the element with coordinates c goes to sum_i c_i imgs[i]
+            perm = ((coords @ images) % A.orders) @ gens
+            if len(set(perm.tolist())) == A.size and np.array_equal(A.q4[perm], A.q4):
+                perms.append(perm)
+            return
+        for y in cands[i]:
+            if all(A.b4[y, imgs[j]] == A.b4[gens[i], gens[j]] for j in range(i)):
+                place(imgs + [y])
+
+    place([])
+    return np.array(perms)
+
+
+def same_rows(a, b) -> bool:
+    return {tuple(r) for r in a.tolist()} == {tuple(r) for r in b.tolist()}
+
+
+def closure_misses(A, perms) -> int:
+    """How many of the products h(g(x)) of two rows of perms are no row.
+    Each row is an automorphism, fixed by its images of the generators,
+    which key it."""
+    gens = A.generators()
+    weights = A.size ** np.arange(len(gens))
+    keys = perms[:, gens] @ weights
+    assert len(np.unique(keys)) == len(perms)
+    return sum(int(np.count_nonzero(~np.isin(h[perms[:, gens]] @ weights, keys)))
+               for h in perms)
+
+
 def test_orthogonal_group_order(OQN):
     assert OQN.shape == (1440, 64)
 
 
+def test_orthogonal_group_matches_the_reference_search(OQN, AN):
+    assert OQN.dtype == np.int32 and not OQN.flags.writeable
+    assert np.array_equal(OQN[0], np.arange(AN.size))
+    assert same_rows(OQN, reference_orthogonal_perms(AN))
+
+
 def test_orthogonal_group_closed(OQN, AN):
-    assert is_closed(AN, OQN)
+    assert closure_misses(AN, OQN) == 0
 
 
 def test_closure_check_sees_a_missing_member(OQN, AN):
     # with any one member dropped, some product of two others is that member
-    assert not is_closed(AN, OQN[:-1])
+    assert closure_misses(AN, OQN[:-1]) > 0
 
 
-def test_member_lookup_finds_each_row_and_only_the_rows(OQN, AN):
-    lookup = fqm._member_index(AN, OQN)
-    assert np.array_equal(lookup(OQN), np.arange(len(OQN)))
-    assert np.array_equal(lookup(OQN[::-7]), np.arange(len(OQN))[::-7])
-    # a permutation that fixes the generators but swaps two other classes
-    # has the identity's key and is still not found
-    perm = np.arange(AN.size, dtype=np.int32)
-    perm[[3, 5]] = perm[[5, 3]]
-    assert lookup(perm[None]).tolist() == [-1]
-
-
-def test_closure_check_refuses_members_it_cannot_tell_apart(OQN, AN):
-    # a permutation that fixes the generators but swaps two other classes
-    # shares the identity's lookup key
-    perm = np.arange(AN.size, dtype=np.int32)
-    perm[[3, 5]] = perm[[5, 3]]
-    with pytest.raises(ValueError, match="lookup key"):
-        is_closed(AN, np.vstack([OQN, perm]))
-
-
-def test_closure_check_refuses_a_repeated_member(OQN, AN):
-    # a member listed twice is no new group element: the closure check
-    # names the repeated row instead of passing the 1441-row array
-    rows = np.vstack([OQN, OQN[5]])
-    assert len(rows) == 1441
-    with pytest.raises(ValueError, match="member 1440 repeats member 5"):
-        is_closed(AN, rows)
+def test_reflection_closure_stays_in_small_memory(AN):
+    # the frontier is composed with one reflection at a time in uint8; a
+    # gather with all 16 reflections at once in int32 peaks at 6.3 MB
+    assert traced_peak(reflection_group, AN) < 2_000_000
 
 
 def test_orthogonal_group_preserves_form(OQN, AN):
@@ -427,27 +455,31 @@ def test_all_reflections_are_members(OQN, reflections):
 
 
 def test_reflections_generate_the_group(OQN, AN, reflections):
-    # computed cross-check: the subgroup generated by the 16 reflections is
-    # the whole orthogonal group, row for row
+    # the 15 reflections other than the kappa-reflection generate a group H
+    # of order 720, and the whole group is H x {1, kappa-reflection}
+    t = reflection(AN, radical_class(AN))
+    others = [s for s in reflections if not np.array_equal(s, t)]
+    assert len(others) == 15
     ident = np.arange(AN.size, dtype=np.int32)
     group = {ident.tobytes()}
     frontier = [ident]
     while frontier:
         new = []
         for g in frontier:
-            for s in reflections:
+            for s in others:
                 p = g[s]
                 if p.tobytes() not in group:
                     group.add(p.tobytes())
                     new.append(p)
         frontier = new
-    assert len(group) == len(OQN) == 1440
-    assert group == {g.tobytes() for g in OQN}
+    H = np.stack([np.frombuffer(g, dtype=np.int32) for g in group])
+    assert len(H) == 720 and not any(np.array_equal(h, t) for h in H)
+    assert same_rows(OQN, np.concatenate([H, H[:, t]]))
 
 
 def test_center_is_identity_and_kappa_reflection(OQN, AN, reflections):
-    # the reflections generate the group (see above), so the center is the
-    # rows g with g(s(x)) = s(g(x)) for all 16 reflections s
+    # the reflections generate the group, so the center is the rows g with
+    # g(s(x)) = s(g(x)) for all 16 reflections s
     commutes = np.all(OQN[:, reflections] == reflections[:, OQN].swapaxes(0, 1), axis=(1, 2))
     center = OQN[commutes]
     assert len(center) == 2
@@ -458,87 +490,21 @@ def test_center_is_identity_and_kappa_reflection(OQN, AN, reflections):
     assert not np.array_equal(t, ident) and np.array_equal(t[t], ident)
 
 
-def reference_search(A):
-    """The generator-image search depth first, by XOR echelon reduction and
-    pairwise b lookups: the solutions in the order found, and the number of
-    nodes visited (every call of place, the root included)."""
-    k = len(A.orders)
-    gens = [1 << i for i in range(k)]
-    cands = [[x for x in range(1, A.size) if A.q4[x] == A.q4[g]] for g in gens]
-    sols = []
-    nodes = 0
-
-    def reduce_mod(x, echelon):
-        for pivot_bit, row in echelon:
-            if (x >> pivot_bit) & 1:
-                x ^= row
-        return x
-
-    def place(i, imgs, echelon):
-        nonlocal nodes
-        nodes += 1
-        if i == k:
-            sols.append(list(imgs))
-            return
-        for x in cands[i]:
-            red = reduce_mod(x, echelon)
-            if red == 0:
-                continue
-            if any(A.b4[x, imgs[j]] != A.b4[gens[i], gens[j]] for j in range(i)):
-                continue
-            place(i + 1, imgs + [x], echelon + [(red.bit_length() - 1, red)])
-
-    place(0, [], [])
-    return sols, nodes
-
-
-def reference_orthogonal_perms(A):
-    """The solutions of ``reference_search``, one permutation built per
-    solution: an independent reference for the element list and its order."""
-    sols, _ = reference_search(A)
-    perms = []
-    indices = np.arange(A.size)
-    for sol in sols:
-        perm = np.zeros(A.size, dtype=np.int32)
-        for i, im in enumerate(sol):
-            perm[((indices >> i) & 1).astype(bool)] ^= im
-        perms.append(perm)
-    return np.stack(perms)
-
-
-def test_orthogonal_group_matches_the_reference_search(OQN, AN):
-    assert OQN.dtype == np.int32 and not OQN.flags.writeable
-    assert np.array_equal(OQN, reference_orthogonal_perms(AN))
-
-
 def test_orthogonal_group_keeps_the_images_independent():
     # q and b vanish on all of (Z/2)^3, so every invertible matrix over F_2
-    # is an isometry, GL(3, 2) of order 168, and only the span test keeps a
-    # dependent image out
+    # is an isometry, GL(3, 2) of order 168, and the reference search keeps
+    # no dependent image; there is no class with q = 1, so the reflection
+    # closure is the identity alone
     A = FiniteQuadraticModule((2, 2, 2), (0, 0, 0), ((0, 0, 0),) * 3)
-    group = orthogonal_group(A)
-    assert len(group) == 168
-    assert np.array_equal(group, reference_orthogonal_perms(A))
-    _, nodes = reference_search(A)
-    with pytest.raises(RuntimeError):
-        orthogonal_group(A, node_budget=nodes - 1)
+    assert len(reference_orthogonal_perms(A)) == 168
+    assert np.array_equal(reflection_group(A), [np.arange(8)])
 
 
-def test_node_budget_is_enforced(AN):
-    with pytest.raises(RuntimeError):
-        orthogonal_group(AN, node_budget=10)
-
-
-def test_node_budget_counts_the_depth_first_nodes(AN):
-    _, nodes = reference_search(AN)
-    assert len(orthogonal_group(AN, node_budget=nodes)) == 1440
-    with pytest.raises(RuntimeError, match=f"exceeded {nodes - 1} nodes"):
-        orthogonal_group(AN, node_budget=nodes - 1)
-
-
-def test_orthogonal_group_rejects_mixed_orders(AM):
-    with pytest.raises(ValueError):
-        orthogonal_group(AM)
+def test_reflection_group_covers_mixed_orders(AM):
+    # the member module (Z/2)^4 x Z/4 is generated by its reflections too
+    group = reflection_group(AM)
+    assert len(group) == 1440 and np.array_equal(group[0], np.arange(AM.size))
+    assert same_rows(group, reference_orthogonal_perms(AM))
 
 
 def test_shared_tables_are_read_only():

@@ -245,6 +245,13 @@ def test_case_requires_integral_vector():
         restriction_case((HALF, 0, 0, 0, 0, 0))
 
 
+def test_case_refuses_a_float_coordinate():
+    # a float is not read by its binary value, even when it is integral
+    with pytest.raises(TypeError, match="not an exact rational"):
+        restriction_case((1.0, 0, 0, 0, 1, 0))
+    assert restriction_case((np.int64(1), 0, 0, 0, 1, 0)).r == (1, 0, 0, 0, 1, 0)
+
+
 @pytest.mark.parametrize("r", [(1, 2, 3), (0,) * 7])
 def test_case_requires_an_ambient_length(r):
     with pytest.raises(ValueError, match="coordinate length mismatch"):

@@ -8,6 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import igusa.fqm as fqm
 import igusa.weil as weil
 from igusa.exact import CYC_I, CYC_ONE, CYC_ZERO, Cyclotomic, CycArray, CycMatrix
 from igusa.fqm import (
@@ -41,6 +42,7 @@ from igusa.weil import (
     w_basis,
     weil_generator,
 )
+from igusa.report import build_report
 
 from helpers import reference_apply, run_demo, traced_peak
 
@@ -519,30 +521,20 @@ def test_irreducibility_certificate():
     assert rep["central_involution_is_minus_one"] is True
 
 
-def test_irreducibility_check_names_a_missing_identity(monkeypatch):
-    rows = ambient_orthogonal_group()
-    assert np.array_equal(rows[0], np.arange(64))
-    monkeypatch.setattr(weil, "ambient_orthogonal_group", lambda: rows[1:])
-    with pytest.raises(ValueError, match="expected one identity member, found 0"):
-        irreducibility_check()
-
-
-def test_irreducibility_check_certifies_that_the_rows_form_a_group(monkeypatch):
-    rows = ambient_orthogonal_group()
-    # the identity is still there, but some row composed with a reflection
-    # is the dropped last row
-    monkeypatch.setattr(weil, "ambient_orthogonal_group", lambda: rows[:-1])
-    with pytest.raises(ValueError, match=r"row \d+ composed with the reflection "
-                                         r"in class \d+ is not a row"):
-        irreducibility_check()
-
-
-def test_group_certificate_needs_the_reflections_to_reach_every_row(monkeypatch):
-    # reflections that all act as the identity keep every row a row, but
-    # generate only the identity
-    monkeypatch.setattr(weil, "reflection", lambda A, alpha: np.arange(A.size))
-    with pytest.raises(ValueError, match="the reflections reach 1 of 1440 rows"):
-        irreducibility_check()
+def test_irreducibility_check_fails_when_the_reflections_are_the_identity(monkeypatch):
+    # reflections that all act as the identity close to the identity alone,
+    # whose one character value 5 has norm 25
+    monkeypatch.setattr(fqm, "reflection", lambda A, alpha: np.arange(A.size))
+    monkeypatch.setattr(weil, "ambient_orthogonal_group",
+                        weil.ambient_orthogonal_group.__wrapped__)
+    rep = irreducibility_check()
+    assert rep["group_order"] == 1
+    assert rep["frobenius_norm"] == Cyclotomic(25) and rep["is_irreducible"] is False
+    checks = build_report("weil").to_dict()["checks"]
+    [norm] = [c for c in checks if c["id"] == "weil-theta-character-norm"]
+    assert norm["status"] == "fail"
+    assert norm["actual"]["value"]["frobenius_norm"] == 25
+    assert norm["actual"]["value"]["group_order"] == 1
 
 
 def test_character_norm_gathers_one_component_plane_at_a_time():
